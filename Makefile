@@ -1,11 +1,14 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fast lint-perfbudget bench registry-bench perfgate generate ci all trace-smoke fuzz-smoke chaos stealsweep stealsweep-smoke serve-smoke serve-soak
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos ci
 
 all: build test lint
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -20,6 +23,13 @@ race:
 		./internal/locksched/... ./internal/cilkstyle/... \
 		./internal/ompstyle/... ./internal/sim/... ./internal/sched/... \
 		./internal/serve/...
+
+# The same pass as CI runs it: -short, plus the workload packages.
+race-short:
+	$(GO) test -race -count=1 -short ./internal/core/... ./internal/chaselev/... \
+		./internal/locksched/... ./internal/cilkstyle/... \
+		./internal/ompstyle/... ./internal/sim/... ./internal/sched/... \
+		./internal/serve/... ./internal/workloads/
 
 # woolvet enforces the direct-task-stack protocol invariants
 # (atomic-only fields, owner-private fields, cache-line layout,
@@ -41,26 +51,30 @@ lint-fast:
 lint-perfbudget:
 	$(GO) run ./cmd/woolvet -only perfbudget -mlog woolvet-mlogs ./...
 
-# Machine-readable fast-path/idle-engine numbers for the perf
-# trajectory; commit the refreshed BENCH_core.json with perf PRs.
+# The repository's benchmark (bench/, declared in BENCHMARK.json): five
+# workloads from a spawn/join pair to a served request, each with its
+# correctness check: 3 untraced runs and one traced run per workload,
+# a table per end-to-end metric, then every per-layer metric.
+# bench/README.md documents the script's other arguments
+# (bash bench/run.sh --workload fib-tree --trace 1).
 bench:
-	$(GO) run ./cmd/woolbench -corejson BENCH_core.json
+	bash bench/run.sh
 
-# The registry benchmark suite: generic vs woolgen-generated spawn/join
-# ladder, steal latency, and fib(28) on every registered backend.
-# Refresh and commit BENCH_registry.json when a perf PR moves the
-# gated keys (the gate block inside the file defines what's enforced).
-registry-bench:
-	$(GO) run ./cmd/woolbench -registryjson BENCH_registry.json
+# Every workload for a fraction of a second each (~30 s with the
+# build): the correctness checks run, the timings are not evidence.
+bench-quick:
+	bash bench/run.sh -quick
 
-# The perf-regression gate: re-measure the gated keys and fail on >5%
-# regression against the committed BENCH_registry.json, on a ceiling
-# breach (generated private pair ≤ 15ns), or on the generated path
-# falling behind the generic path it specializes. On noisy shared
-# runners widen with WOOL_PERFGATE_TOLERANCE=0.15 or skip with
-# WOOL_PERFGATE_SKIP=1.
-perfgate:
-	$(GO) run ./cmd/woolbench -perfgate BENCH_registry.json
+# The benchmark's own steadiness check: ten runs per workload, fails
+# when a metric spreads too widely to tell a change from noise.
+bench-check:
+	bash bench/run.sh -check -reps 10
+
+# The benchmark module's own tests. bench/ is a separate module, so
+# `go test ./...` from the root does not run them (the root only vets
+# it, TestBenchModuleVets); they are timing-sensitive, ~12 s.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Regenerate the woolgen outputs (*_gen.go) from their go:generate
 # declarations. The drift test (internal/gen TestCommittedOutputsAreFresh)
@@ -72,16 +86,16 @@ generate:
 # The steal-policy sweep (DESIGN.md §14): every policy × amount ×
 # workload on every backend advertising steal policies, with the steal
 # matrix extracted from the run's trace, plus the same policy grid on
-# the simulator's sharded 64-processor topology. Refresh and commit
-# BENCH_steal.json when the policy layer or the topology model changes.
+# the simulator's sharded 64-processor topology. The report goes to
+# STEALSWEEP_JSON; nothing is committed.
+STEALSWEEP_JSON ?= /tmp/woolsteal-smoke.json
 stealsweep:
-	$(GO) run ./cmd/woolbench -scale full -stealsweep BENCH_steal.json
+	$(GO) run ./cmd/woolbench -scale full -stealsweep $(STEALSWEEP_JSON)
 
 # CI smoke of the same sweep at quick scale: the grid must complete,
 # cover all four policies and both amounts, and the localized policy
 # must concentrate steals inside its neighborhood (local_frac 1 at 4
 # workers with neighborhood 2, where random leaves the neighborhood).
-STEALSWEEP_JSON ?= /tmp/woolsteal-smoke.json
 stealsweep-smoke:
 	$(GO) run ./cmd/woolbench -scale quick -stealsweep $(STEALSWEEP_JSON)
 	grep -q '"policy": "random"' $(STEALSWEEP_JSON)
@@ -90,31 +104,6 @@ stealsweep-smoke:
 	grep -q '"policy": "localized"' $(STEALSWEEP_JSON)
 	grep -q '"amount": "half"' $(STEALSWEEP_JSON)
 	grep -q '"kind": "direct-stack"' $(STEALSWEEP_JSON)
-
-# CI smoke of the woolserve benchmark (DESIGN.md §16-17) at quick
-# scale: the serving layer must complete the full request stream on
-# both direct-task-stack port layers, the report must carry the schema
-# tag and latency percentiles, the mixed-cancellation cell must have
-# actually cancelled requests mid-flight (the abort/Reset path ran
-# inside the measured stream), the overload cell must have shed load
-# (shed_rate is omitted when zero), and the breaker cell must have
-# measured a recovery.
-SERVEBENCH_JSON ?= /tmp/woolserve-smoke.json
-serve-smoke:
-	$(GO) run ./cmd/woolbench -scale quick -serve $(SERVEBENCH_JSON)
-	grep -q '"schema": "wool-serve-bench/v2"' $(SERVEBENCH_JSON)
-	grep -q '"backend": "wool"' $(SERVEBENCH_JSON)
-	grep -q '"backend": "woolgen"' $(SERVEBENCH_JSON)
-	grep -q '"workload": "mixed-cancel"' $(SERVEBENCH_JSON)
-	grep -q '"workload": "overload-2x"' $(SERVEBENCH_JSON)
-	grep -q '"workload": "breaker-recovery"' $(SERVEBENCH_JSON)
-	grep -q '"lat_p50_us"' $(SERVEBENCH_JSON)
-	grep -q '"lat_p99_us"' $(SERVEBENCH_JSON)
-	grep -q '"req_per_s"' $(SERVEBENCH_JSON)
-	grep -q '"shed_rate"' $(SERVEBENCH_JSON)
-	grep -q '"recovery_ms"' $(SERVEBENCH_JSON)
-	@grep -v '"cancelled": 0' $(SERVEBENCH_JSON) | grep -q '"cancelled"' \
-		|| { echo "serve-smoke: no cell cancelled any request mid-flight"; exit 1; }
 
 # The self-healing soak (DESIGN.md §17): a seeded mixed workload —
 # healthy tenants at ~1.5x capacity, a panicking tenant, a slow tenant
@@ -165,15 +154,6 @@ chaos:
 	$(GO) test ./internal/sched/ -race -count=1 -run 'TestChaosSeedSweep' -v \
 		-chaos.sweep=$(CHAOS_SWEEP)
 
-# What .github/workflows/ci.yml runs: build, vet, woolvet, the tier-1
-# suite, and a short race pass over the scheduler protocols and the
-# registry conformance suite.
-ci:
-	$(GO) build ./...
-	$(GO) vet ./...
-	$(GO) run ./cmd/woolvet ./...
-	$(GO) test ./...
-	$(GO) test -race -count=1 -short ./internal/core/... ./internal/chaselev/... \
-		./internal/locksched/... ./internal/cilkstyle/... \
-		./internal/ompstyle/... ./internal/sim/... \
-		./internal/sched/... ./internal/serve/... ./internal/workloads/
+# The ci job of .github/workflows/ci.yml, step for step (its lint and
+# chaos jobs are `make lint` and `make chaos serve-soak fuzz-smoke`).
+ci: build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test

@@ -1,25 +1,27 @@
 // Command woolbench regenerates the tables and figures of the paper's
 // evaluation (Faxén, "Efficient Work Stealing for Fine Grained
-// Parallelism", ICPP 2010).
+// Parallelism", ICPP 2010) and runs the steal-policy sweep.
 //
 // Usage:
 //
 //	woolbench [-scale quick|full] [experiment ...]
 //	woolbench -list
-//	woolbench -corejson BENCH_core.json
-//	woolbench -registryjson BENCH_registry.json
-//	woolbench -perfgate BENCH_registry.json
-//	woolbench [-scale quick|full] -stealsweep BENCH_steal.json
+//	woolbench [-scale quick|full] -stealsweep FILE
 //
 // With no experiment arguments every experiment runs in order. The
 // multi-processor experiments run on the deterministic virtual-time
 // simulator (see DESIGN.md for the substitution rationale);
 // single-processor overhead ladders additionally run natively.
+//
+// Performance evidence does not come from here: the repository's
+// benchmark is bench/ (see BENCHMARK.json and `make bench`).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,76 +29,51 @@ import (
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "quick", "input scale: quick or full")
-	list := flag.Bool("list", false, "list experiments and exit")
-	coreJSON := flag.String("corejson", "", "run the native core fast-path/idle-engine benchmarks and write machine-readable results to FILE")
-	benchTrace := flag.String("trace", "", "with -corejson: record one extra untimed fib repetition on a traced pool and write the Chrome trace to FILE")
-	registryJSON := flag.String("registryjson", "", "run the registry benchmarks (generic vs generated ladder, steal latency, fib(28) per backend) and write machine-readable results to FILE")
-	perfgate := flag.String("perfgate", "", "re-measure the gated benchmark keys and fail on regression against the committed baseline FILE")
-	stealsweep := flag.String("stealsweep", "", "run the steal-policy sweep (policy × amount × backend × workload natively, plus the sharded-topology simulator grid) and write machine-readable results to FILE; honours -scale")
-	serveBench := flag.String("serve", "", "run the woolserve request-serving benchmark (throughput and latency percentiles per backend, with a mid-flight-cancellation mix) and write machine-readable results to FILE; honours -scale")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: woolbench [-scale quick|full] [experiment ...]\n\nexperiments:\n")
-		for _, e := range experiments.All() {
-			fmt.Fprintf(os.Stderr, "  %-8s %-12s %s\n", e.ID, e.Paper, e.Title)
-		}
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %-12s %s\n", e.ID, e.Paper, e.Title)
-		}
-		return
+// run is the whole command behind main: it parses args, writes
+// results to stdout and diagnostics to stderr, and returns the exit
+// code (0 ok, 1 an experiment or the sweep failed, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("woolbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "quick", "input scale: quick or full")
+	list := fs.Bool("list", false, "list experiments and exit")
+	stealsweep := fs.String("stealsweep", "", "run the steal-policy sweep (policy × amount × backend × workload natively, plus the sharded-topology simulator grid) and write machine-readable results to `FILE`; honours -scale")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: woolbench [-scale quick|full] [experiment ...]\n       woolbench -list\n       woolbench [-scale quick|full] -stealsweep FILE\n\nflags:\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nexperiments:\n")
+		listExperiments(stderr, "  ")
 	}
-
-	if *coreJSON != "" {
-		if err := runCoreBench(*coreJSON, *benchTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
-	}
-
-	if *registryJSON != "" {
-		if err := runRegistryBench(*registryJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *perfgate != "" {
-		if err := runPerfGate(*perfgate); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return 2
 	}
 
 	scale, err := experiments.ParseScale(*scaleFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+
+	if *list {
+		listExperiments(stdout, "")
+		return 0
 	}
 
 	if *stealsweep != "" {
-		if err := runStealSweep(*stealsweep, scale == experiments.Full); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := runStealSweep(stdout, *stealsweep, scale == experiments.Full); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	if *serveBench != "" {
-		if err := runServeBench(*serveBench, scale == experiments.Full); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	ids := flag.Args()
+	ids := fs.Args()
 	if len(ids) == 0 {
 		for _, e := range experiments.All() {
 			ids = append(ids, e.ID)
@@ -105,15 +82,22 @@ func main() {
 	for _, id := range ids {
 		e, ok := experiments.ByID(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", id)
+			return 2
 		}
-		fmt.Printf("### %s (%s) — %s [scale=%s]\n\n", e.ID, e.Paper, e.Title, *scaleFlag)
+		fmt.Fprintf(stdout, "### %s (%s) — %s [scale=%s]\n\n", e.ID, e.Paper, e.Title, *scaleFlag)
 		t0 := time.Now()
-		if err := e.Run(scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-			os.Exit(1)
+		if err := e.Run(scale, stdout); err != nil {
+			fmt.Fprintf(stderr, "%s failed: %v\n", e.ID, err)
+			return 1
 		}
-		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
+	}
+	return 0
+}
+
+func listExperiments(w io.Writer, indent string) {
+	for _, e := range experiments.All() {
+		fmt.Fprintf(w, "%s%-8s %-12s %s\n", indent, e.ID, e.Paper, e.Title)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -22,7 +23,7 @@ import (
 // per-cell steal matrix through the trace exporter, and runs the same
 // policy grid on the virtual-time simulator's sharded 64-processor
 // topology — one file from which simulated and native policy rankings
-// can be compared (EXPERIMENTS.md reads its numbers from here).
+// can be compared.
 
 // sweepNeighborhood is the Localized ring-neighborhood size used for
 // the native cells. At the sweep's small worker counts the package
@@ -243,8 +244,8 @@ func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) simStealCell
 // printRankings prints, per backend (native, fib cells at AmountOne)
 // and per protocol (sim, fib cells), the policies ordered fastest
 // first — the side-by-side the sweep exists to produce.
-func printRankings(rep *stealSweepReport) {
-	fmt.Println("stealsweep: native policy ranking per backend (fib, amount=one, fastest first)")
+func printRankings(w io.Writer, rep *stealSweepReport) {
+	fmt.Fprintln(w, "stealsweep: native policy ranking per backend (fib, amount=one, fastest first)")
 	byBackend := map[string][]nativeStealCell{}
 	for _, c := range rep.Native {
 		if c.Workload == "fib" && c.Amount == steal.AmountOne {
@@ -259,13 +260,13 @@ func printRankings(rep *stealSweepReport) {
 	for _, b := range backends {
 		cells := byBackend[b]
 		sort.Slice(cells, func(i, j int) bool { return cells[i].BestMs < cells[j].BestMs })
-		fmt.Printf("  %-10s", b)
+		fmt.Fprintf(w, "  %-10s", b)
 		for _, c := range cells {
-			fmt.Printf(" %s=%.1fms", c.Policy, c.BestMs)
+			fmt.Fprintf(w, " %s=%.1fms", c.Policy, c.BestMs)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("stealsweep: sim policy ranking per protocol (fib, P=64, 8 shards, fastest first)")
+	fmt.Fprintln(w, "stealsweep: sim policy ranking per protocol (fib, P=64, 8 shards, fastest first)")
 	byKind := map[string][]simStealCell{}
 	for _, c := range rep.Sim {
 		if c.Workload == "fib" {
@@ -280,18 +281,19 @@ func printRankings(rep *stealSweepReport) {
 	for _, k := range kinds {
 		cells := byKind[k]
 		sort.Slice(cells, func(i, j int) bool { return cells[i].KCycles < cells[j].KCycles })
-		fmt.Printf("  %-12s", k)
+		fmt.Fprintf(w, "  %-12s", k)
 		for _, c := range cells {
-			fmt.Printf(" %s=%.0fk", c.Policy, c.KCycles)
+			fmt.Fprintf(w, " %s=%.0fk", c.Policy, c.KCycles)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
-// runStealSweep produces BENCH_steal.json: the native policy grid over
-// every backend that advertises StealPolicies, plus the simulator grid
-// on the sharded topology.
-func runStealSweep(path string, full bool) error {
+// runStealSweep writes the sweep report to path and its progress and
+// rankings to w: the native policy grid over every backend that
+// advertises StealPolicies, plus the simulator grid on the sharded
+// topology.
+func runStealSweep(w io.Writer, path string, full bool) error {
 	sz := sweepScale(full)
 	gmp := runtime.GOMAXPROCS(0)
 	if gmp < sz.workers {
@@ -312,11 +314,11 @@ func runStealSweep(path string, full bool) error {
 		Notes: map[string]string{
 			"native": fmt.Sprintf("policy × amount × workload per backend advertising StealPolicies; %d workers, best of %d wall-clock reps; matrix[thief][victim] from the trace exporter; localized neighborhood %d", sz.workers, sz.timedReps, sweepNeighborhood),
 			"sim":    fmt.Sprintf("virtual-time sweep at P=%d on a %d-shard linear topology (remote probes +%d cycles/hop, remote steals +%d cycles/hop); kcycles is makespan/1e3", sz.simProcs, sz.simShards, costmodel.RemoteProbePenalty, costmodel.RemoteStealPenalty),
-			"intent": "compare the native policy ranking (best_ms per backend) with the simulated ranking (kcycles per protocol); EXPERIMENTS.md §steal-policies reads from this file",
+			"intent": "compare the native policy ranking (best_ms per backend) with the simulated ranking (kcycles per protocol)",
 		},
 	}
 
-	fmt.Printf("stealsweep: native grid (%s scale)\n", scale)
+	fmt.Fprintf(w, "stealsweep: native grid (%s scale)\n", scale)
 	for _, s := range sched.All() {
 		caps := s.Caps()
 		if len(caps.StealPolicies) == 0 || !caps.Trace {
@@ -330,7 +332,7 @@ func runStealSweep(path string, full bool) error {
 						return err
 					}
 					rep.Native = append(rep.Native, cell)
-					fmt.Printf("  %-10s %-12s %-5s %-7s %8.1f ms  steals=%-6d dist=%.2f local=%.2f\n",
+					fmt.Fprintf(w, "  %-10s %-12s %-5s %-7s %8.1f ms  steals=%-6d dist=%.2f local=%.2f\n",
 						cell.Backend, cell.Policy, cell.Amount, cell.Workload,
 						cell.BestMs, cell.Steals, cell.MeanRingDist, cell.LocalFrac)
 				}
@@ -338,20 +340,20 @@ func runStealSweep(path string, full bool) error {
 		}
 	}
 
-	fmt.Printf("stealsweep: sim grid (P=%d, %d shards)\n", sz.simProcs, sz.simShards)
+	fmt.Fprintf(w, "stealsweep: sim grid (P=%d, %d shards)\n", sz.simProcs, sz.simShards)
 	for _, kind := range simKinds {
 		for _, pol := range steal.Policies() {
 			for _, workload := range []string{"fib", "stress"} {
 				cell := runSimCell(kind, pol, workload, sz)
 				rep.Sim = append(rep.Sim, cell)
-				fmt.Printf("  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%.2f remote=%.2f\n",
+				fmt.Fprintf(w, "  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%.2f remote=%.2f\n",
 					cell.Kind, cell.Policy, cell.Workload,
 					cell.KCycles, cell.Steals, cell.MeanHops, cell.RemoteFrac)
 			}
 		}
 	}
 
-	printRankings(&rep)
+	printRankings(w, &rep)
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -361,6 +363,6 @@ func runStealSweep(path string, full bool) error {
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
 }

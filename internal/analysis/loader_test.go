@@ -60,36 +60,3 @@ func otherGOOS() string {
 	}
 	return "windows"
 }
-
-// TestLoaderLoadsBuildTaggedFiles checks end to end that the repo's
-// own build-tagged files (e.g. cmd/woolbench rusage_unix.go) are part
-// of the vetted file set on their native platform.
-func TestLoaderLoadsBuildTaggedFiles(t *testing.T) {
-	if runtime.GOOS == "windows" {
-		t.Skip("repo's tagged files are unix-only")
-	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.LoadPatterns("./cmd/woolbench")
-	if err != nil {
-		t.Fatalf("LoadPatterns: %v", err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	found := false
-	for _, f := range pkgs[0].Files {
-		name := filepath.Base(l.Fset.Position(f.Package).Filename)
-		if name == "rusage_unix.go" {
-			found = true
-		}
-		if name == "rusage_stub.go" {
-			t.Errorf("stub file for foreign platforms was loaded alongside the unix one")
-		}
-	}
-	if !found {
-		t.Errorf("rusage_unix.go (//go:build unix) missing from loaded file set")
-	}
-}

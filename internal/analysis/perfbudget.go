@@ -3,10 +3,9 @@ package analysis
 // The perfbudget pass turns the fast path's performance envelope into
 // a structural invariant. The paper's result depends on a spawn/join
 // costing a handful of nanoseconds; one lost inline or one value
-// spilled to the heap erases it, and the perfgate benchmark only
-// notices after the fact, with timing noise. This pass asks the
-// compiler directly: it runs "go build -gcflags=-m=2" on the package
-// and checks the recorded decisions against two annotations:
+// spilled to the heap erases it. This pass asks the compiler
+// directly: it runs "go build -gcflags=-m=2" on the package and
+// checks the recorded decisions against two annotations:
 //
 //	//woolvet:inline    the compiler must report "can inline" for the
 //	                    function (the cannot-inline reason is quoted

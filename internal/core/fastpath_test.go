@@ -173,10 +173,16 @@ func TestStatsSnapshotQuiescentAgreement(t *testing.T) {
 
 // stoppedPool builds a pool whose idle loops have exited, so worker
 // internals can be driven by hand without racing the real thieves.
+// An idle loop that got a timeslice before Close landed has already
+// called Choose/Observe, so each worker's policy is rebuilt the way
+// NewPool builds it: callers start from the seed state.
 func stoppedPool(t *testing.T, opts Options) *Pool {
 	t.Helper()
 	p := NewPool(opts)
 	p.Close()
+	for i, w := range p.workers {
+		w.pol = steal.New(p.opts.Steal, i, p.opts.Workers)
+	}
 	return p
 }
 

@@ -142,3 +142,31 @@ func TestCloseWakesParked(t *testing.T) {
 		t.Fatal("Close did not return with workers parked")
 	}
 }
+
+// TestParkBudgetIsElapsedTime: the park budget (16 × MaxIdleSleep,
+// 3.2 ms at the defaults) is charged what each nap took. Charged the
+// nominal 1, 2, 3, … µs it took ≈ 80 naps of a millisecond each, and the
+// thief of a 2-worker pool was still napping 80 ms after a Run. The
+// bound leaves a loaded test machine 8× the budget; one try in three
+// has to meet it.
+func TestParkBudgetIsElapsedTime(t *testing.T) {
+	const bound = 25 * time.Millisecond
+	p := NewPool(Options{Workers: 2})
+	defer p.Close()
+	fib := fibDef()
+	var took time.Duration
+	for try := 0; try < 3; try++ {
+		if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 16) }); got != serialFib(16) {
+			t.Fatalf("wrong result %d", got)
+		}
+		t0 := time.Now()
+		for p.ParkedWorkers() == 0 && time.Since(t0) < 5*time.Second {
+			time.Sleep(200 * time.Microsecond)
+		}
+		if took = time.Since(t0); took < bound {
+			t.Logf("thief parked %v after the Run", took)
+			return
+		}
+	}
+	t.Errorf("thief parked %v after the Run, want under %v", took, bound)
+}

@@ -812,8 +812,13 @@ func (w *Worker) idleLoop() {
 			if d > w.pool.opts.MaxIdleSleep {
 				d = w.pool.opts.MaxIdleSleep
 			}
+			// Charge the budget what the nap took, not d: on Linux a
+			// sub-millisecond time.Sleep on an idle P waits out a 1 ms
+			// epoll_wait, and a Run that starts meanwhile waits out the
+			// rest of the nap for its thief.
+			t0 := time.Now()
 			time.Sleep(d)
-			slept += d
+			slept += time.Since(t0)
 			if w.idle != nil && slept >= w.idle.parkAfter {
 				w.flushStealCounters(&sc)
 				w.idle.park(w)
