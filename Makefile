@@ -22,14 +22,14 @@ race:
 	$(GO) test -race -count=1 ./internal/core/... ./internal/chaselev/... \
 		./internal/locksched/... ./internal/cilkstyle/... \
 		./internal/ompstyle/... ./internal/sim/... ./internal/sched/... \
-		./internal/serve/...
+		./internal/serve/... ./internal/wskit/...
 
 # The same pass as CI runs it: -short, plus the workload packages.
 race-short:
 	$(GO) test -race -count=1 -short ./internal/core/... ./internal/chaselev/... \
 		./internal/locksched/... ./internal/cilkstyle/... \
 		./internal/ompstyle/... ./internal/sim/... ./internal/sched/... \
-		./internal/serve/... ./internal/workloads/
+		./internal/serve/... ./internal/wskit/... ./internal/workloads/
 
 # woolvet enforces the direct-task-stack protocol invariants
 # (atomic-only fields, owner-private fields, cache-line layout,

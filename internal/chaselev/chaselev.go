@@ -25,9 +25,9 @@ import (
 
 	"gowool/internal/chaos"
 	"gowool/internal/overflow"
-	"gowool/internal/poolerr"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
+	"gowool/internal/wskit"
 )
 
 // TaskFunc runs a task from its descriptor.
@@ -265,16 +265,8 @@ type Pool struct {
 	opts      Options
 	workers   []*Worker
 	stealHalf bool // Options.Steal.Amount == "half": batch extraction on
-	shutdown  atomic.Bool
-	running   atomic.Bool
+	life      wskit.Life
 	wg        sync.WaitGroup
-
-	// Abort state: the first panic from a stolen task (or the root)
-	// poisons the pool; Run re-raises it and later Runs fail fast.
-	// Same semantics as core (DESIGN.md §11).
-	panicOnce sync.Once
-	panicVal  any
-	panicked  atomic.Bool
 }
 
 // NewPool creates the pool; worker 0 is driven by Run's caller.
@@ -285,13 +277,8 @@ func NewPool(opts Options) *Pool {
 	if opts.Workers > math.MaxInt32-1 {
 		panic(fmt.Sprintf("chaselev: Options.Workers = %d exceeds the int32 stolenBy encoding (thief index + 1)", opts.Workers))
 	}
-	if opts.Trace != nil && opts.Trace.Workers() < opts.Workers {
-		panic(fmt.Sprintf("chaselev: Options.Trace has %d rings for %d workers", opts.Trace.Workers(), opts.Workers))
-	}
-	if opts.Chaos != nil && opts.Chaos.Workers() < opts.Workers {
-		panic(fmt.Sprintf("chaselev: Options.Chaos has %d agents for %d workers", opts.Chaos.Workers(), opts.Workers))
-	}
-	p := &Pool{opts: opts, stealHalf: opts.Steal.Amount == steal.AmountHalf}
+	wskit.CheckSinks("chaselev", opts.Workers, opts.Trace, opts.Chaos)
+	p := &Pool{opts: opts, stealHalf: opts.Steal.Amount == steal.AmountHalf, life: wskit.Life{Name: "chaselev"}}
 	p.workers = make([]*Worker, opts.Workers)
 	for i := range p.workers {
 		w := &Worker{
@@ -325,55 +312,31 @@ func (p *Pool) Workers() int { return len(p.workers) }
 
 // Run executes root on worker 0 and returns its result.
 //
-// Abort semantics match core (DESIGN.md §11): a panic in a stolen task
-// is recovered by the thief (so the done flag still publishes and the
-// joining owner unblocks), recorded, and re-raised here; a panic in
-// root itself poisons the pool on the way out. A poisoned pool rejects
-// later Run calls with a distinct message; Close stays safe.
+// Abort semantics are the shared lifecycle's (wskit.Life, DESIGN.md
+// §18): a panic in a stolen task is recovered by the thief (so the done
+// flag still publishes and the joining owner unblocks), recorded, and
+// re-raised here; a panic in root itself poisons the pool on the way
+// out. A poisoned pool rejects later Run calls with a distinct message;
+// Close stays safe.
 //
 //woolvet:allow ownerprivate -- the calling goroutine IS worker 0's owner for the duration of Run
 func (p *Pool) Run(root func(*Worker) int64) int64 {
-	if p.shutdown.Load() {
-		panic("chaselev: Run on closed Pool")
-	}
-	if p.panicked.Load() {
-		panic(fmt.Sprintf("chaselev: pool poisoned by earlier task panic: %v", p.panicVal))
-	}
-	if !p.running.CompareAndSwap(false, true) {
-		panic(poolerr.ConcurrentRun("chaselev"))
-	}
-	defer p.running.Store(false)
-	defer func() {
-		if r := recover(); r != nil {
-			p.recordPanic(r)
-			panic(r)
-		}
-	}()
+	p.life.Begin()
+	defer p.life.End()
 	w := p.workers[0]
 	res := root(w)
 	if len(w.shadow) != 0 {
 		panic("chaselev: root returned with unjoined tasks")
 	}
-	if p.panicked.Load() {
-		panic(p.panicVal)
-	}
+	p.life.Rethrow()
 	return res
-}
-
-// recordPanic stores the first task panic, poisoning the pool.
-func (p *Pool) recordPanic(r any) {
-	p.panicOnce.Do(func() {
-		p.panicVal = r
-		p.panicked.Store(true)
-	})
 }
 
 // Close stops the workers.
 func (p *Pool) Close() {
-	if p.shutdown.Swap(true) {
-		return
+	if p.life.Shutdown() {
+		p.wg.Wait()
 	}
-	p.wg.Wait()
 }
 
 // Stats aggregates worker counters (quiescent pools only).
@@ -600,7 +563,7 @@ func (w *Worker) stealBatch(victim *Worker, avail int64, countWait bool, out *[s
 func (w *Worker) runStolen(task *Task) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.pool.recordPanic(r)
+			w.pool.life.Poison(r)
 		}
 	}()
 	fn := task.fn
@@ -678,8 +641,9 @@ func (w *Worker) joinAcquire() (*Task, bool) {
 //
 // woolvet:thief
 func (w *Worker) idleLoop() {
+	bo := wskit.Backoff{Max: w.pool.opts.MaxIdleSleep}
 	fails := 0
-	for !w.pool.shutdown.Load() && !w.pool.panicked.Load() {
+	for w.pool.life.Live() {
 		v := w.pol.Choose(w.probe)
 		if w.trySteal(w.pool.workers[v], false) {
 			w.pol.Observe(v, true)
@@ -688,30 +652,7 @@ func (w *Worker) idleLoop() {
 		}
 		w.pol.Observe(v, false)
 		fails++
-		switch {
-		case fails < 64:
-			if runtime.GOMAXPROCS(0) == 1 {
-				runtime.Gosched()
-			}
-		case fails < 1024 || w.pool.opts.MaxIdleSleep <= 0:
-			runtime.Gosched()
-		default:
-			if w.chs != nil {
-				// This backend has no park/unpark protocol to force, so
-				// the sleep-phase decision only gets delay/yield faults.
-				w.chs.Point(chaos.PointParkDecision)
-			}
-			if fails == 1024 && w.trc != nil {
-				// This backend has no parking engine; entering the
-				// sleep phase is its closest PARK analogue.
-				w.trc.Record(trace.KindPark, 0, 0)
-			}
-			d := time.Duration(fails-1023) * time.Microsecond
-			if d > w.pool.opts.MaxIdleSleep {
-				d = w.pool.opts.MaxIdleSleep
-			}
-			time.Sleep(d)
-		}
+		bo.StepNapOnly(fails, w.trc, w.chs)
 	}
 	w.pool.wg.Done()
 }

@@ -224,29 +224,29 @@ func TestContextTask(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
 	type acc struct{ v []int64 }
-	var fill *TaskDefC2[acc]
-	fill = DefineC2("fill", func(w *Worker, a *acc, lo, hi int64) int64 {
+	var fill *TaskDefC3[acc]
+	fill = DefineC3("fill", func(w *Worker, a *acc, lo, hi, k int64) int64 {
 		if hi-lo <= 4 {
 			for i := lo; i < hi; i++ {
-				a.v[i] = i * i
+				a.v[i] = i * k
 			}
 			return hi - lo
 		}
 		mid := (lo + hi) / 2
-		fill.Spawn(w, a, lo, mid)
-		r := fill.Call(w, a, mid, hi)
+		fill.Spawn(w, a, lo, mid, k)
+		r := fill.Call(w, a, mid, hi, k)
 		l := fill.Join(w)
 		return l + r
 	})
 	a := &acc{v: make([]int64, 300)}
 	p := NewPool(Options{Workers: 2})
 	defer p.Close()
-	if got := p.Run(func(w *Worker) int64 { return fill.Call(w, a, 0, 300) }); got != 300 {
+	if got := p.Run(func(w *Worker) int64 { return fill.Call(w, a, 0, 300, 7) }); got != 300 {
 		t.Fatalf("count = %d, want 300", got)
 	}
 	for i, v := range a.v {
-		if v != int64(i*i) {
-			t.Fatalf("v[%d] = %d, want %d", i, v, i*i)
+		if v != int64(i*7) {
+			t.Fatalf("v[%d] = %d, want %d", i, v, i*7)
 		}
 	}
 }

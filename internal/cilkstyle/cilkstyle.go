@@ -32,16 +32,15 @@
 package cilkstyle
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gowool/internal/chaos"
-	"gowool/internal/poolerr"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
+	"gowool/internal/wskit"
 )
 
 // Step is one unit of a task function between scheduling points. It
@@ -190,38 +189,20 @@ func (o Options) defaults() Options {
 type Pool struct {
 	opts     Options
 	workers  []*Worker
-	shutdown atomic.Bool
-	running  atomic.Bool
 	rootDone atomic.Bool
 	wg       sync.WaitGroup
 
-	// First-panic capture. A panicking step leaves its frame's pending
-	// count permanently wrong, so the root can never complete; the
-	// panic is recorded here, Run re-raises it, and the pool is
-	// poisoned against reuse.
-	panicOnce sync.Once
-	panicVal  any
-	panicked  atomic.Bool
-}
-
-// recordPanic captures the first panic value and poisons the pool.
-func (p *Pool) recordPanic(r any) {
-	p.panicOnce.Do(func() {
-		p.panicVal = r
-		p.panicked.Store(true)
-	})
+	// life's poison record doubles as Run's second exit: a panicking
+	// step leaves its frame's pending count permanently wrong, so the
+	// root can never complete and rootDone may never be set.
+	life wskit.Life
 }
 
 // NewPool creates the pool; worker 0 is driven by Run's caller.
 func NewPool(opts Options) *Pool {
 	opts = opts.defaults()
-	if opts.Trace != nil && opts.Trace.Workers() < opts.Workers {
-		panic("cilkstyle: Options.Trace has fewer rings than workers")
-	}
-	if opts.Chaos != nil && opts.Chaos.Workers() < opts.Workers {
-		panic("cilkstyle: Options.Chaos has fewer agents than workers")
-	}
-	p := &Pool{opts: opts}
+	wskit.CheckSinks("cilkstyle", opts.Workers, opts.Trace, opts.Chaos)
+	p := &Pool{opts: opts, life: wskit.Life{Name: "cilkstyle"}}
 	p.workers = make([]*Worker, opts.Workers)
 	for i := range p.workers {
 		p.workers[i] = &Worker{
@@ -259,25 +240,8 @@ func (p *Pool) Workers() int { return len(p.workers) }
 // counts are permanently wrong, so the pool cannot be reused). Close
 // remains safe on a poisoned pool.
 func (p *Pool) Run(root *Frame, first Step) {
-	if p.shutdown.Load() {
-		panic("cilkstyle: Run on closed Pool")
-	}
-	if p.panicked.Load() {
-		panic(fmt.Sprintf("cilkstyle: pool poisoned by earlier task panic: %v", p.panicVal))
-	}
-	if !p.running.CompareAndSwap(false, true) {
-		panic(poolerr.ConcurrentRun("cilkstyle"))
-	}
-	defer p.running.Store(false)
-	// A panic escaping a step run inline on worker 0 lands here: record
-	// it so the idle workers stop and the pool is poisoned, then
-	// re-raise the original value to the caller.
-	defer func() {
-		if r := recover(); r != nil {
-			p.recordPanic(r)
-			panic(r)
-		}
-	}()
+	p.life.Begin()
+	defer p.life.End()
 	if root.parent != nil {
 		panic("cilkstyle: root frame must have nil parent")
 	}
@@ -286,10 +250,11 @@ func (p *Pool) Run(root *Frame, first Step) {
 	w.runSteps(first)
 	// The chain returned control: either the root completed, or its
 	// continuation was stolen. Work-and-wait until the root is done.
-	// A recorded panic also ends the wait: the broken pending counts
-	// mean rootDone may never be set.
+	// A recorded panic also ends the wait (Rethrow): the broken pending
+	// counts mean rootDone may never be set.
 	fails := 0
-	for !p.rootDone.Load() && !p.panicked.Load() {
+	for !p.rootDone.Load() {
+		p.life.Rethrow()
 		if next := w.popBottom(); next != nil {
 			w.runSteps(next)
 			fails = 0
@@ -307,17 +272,14 @@ func (p *Pool) Run(root *Frame, first Step) {
 			runtime.Gosched()
 		}
 	}
-	if p.panicked.Load() {
-		panic(p.panicVal)
-	}
+	p.life.Rethrow()
 }
 
 // Close stops the workers.
 func (p *Pool) Close() {
-	if p.shutdown.Swap(true) {
-		return
+	if p.life.Shutdown() {
+		p.wg.Wait()
 	}
-	p.wg.Wait()
 }
 
 // Stats aggregates worker counters (quiescent pools only).
@@ -482,7 +444,7 @@ func (w *Worker) trySteal(victim *Worker) bool {
 func (w *Worker) runStolen(s Step) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.pool.recordPanic(r)
+			w.pool.life.Poison(r)
 		}
 	}()
 	w.runSteps(s)
@@ -498,12 +460,13 @@ func (w *Worker) observeSteal(v int, ok bool) { w.pol.Observe(v, ok) }
 
 // woolvet:thief
 func (w *Worker) idleLoop() {
+	bo := wskit.Backoff{Max: w.pool.opts.MaxIdleSleep}
 	fails := 0
 	// Also exit on poison: after a recorded panic no more useful work
 	// exists, and a chain claimed before the poison always runs to its
 	// next scheduling point (runStolen recovers), so exiting between
 	// attempts never strands a waiting frame.
-	for !w.pool.shutdown.Load() && !w.pool.panicked.Load() {
+	for w.pool.life.Live() {
 		if next := w.popBottom(); next != nil {
 			w.runStolen(next)
 			fails = 0
@@ -517,30 +480,7 @@ func (w *Worker) idleLoop() {
 		}
 		w.observeSteal(v, false)
 		fails++
-		switch {
-		case fails < 64:
-			if runtime.GOMAXPROCS(0) == 1 {
-				runtime.Gosched()
-			}
-		case fails < 1024 || w.pool.opts.MaxIdleSleep <= 0:
-			runtime.Gosched()
-		default:
-			if w.chs != nil {
-				// No park/unpark protocol to force here; the sleep-phase
-				// decision only gets delay/yield faults.
-				w.chs.Point(chaos.PointParkDecision)
-			}
-			// Closest analogue of PARK in this backend: the spin phase
-			// gives way to sleeping (there is no parking engine here).
-			if fails == 1024 && w.trc != nil {
-				w.trc.Record(trace.KindPark, 0, 0)
-			}
-			d := time.Duration(fails-1023) * time.Microsecond
-			if d > w.pool.opts.MaxIdleSleep {
-				d = w.pool.opts.MaxIdleSleep
-			}
-			time.Sleep(d)
-		}
+		bo.StepNapOnly(fails, w.trc, w.chs)
 	}
 	w.pool.wg.Done()
 }

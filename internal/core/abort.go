@@ -2,9 +2,9 @@ package core
 
 // Request-scoped abort and pool revival (DESIGN.md §16).
 //
-// The poison machinery of DESIGN.md §11 is pool-wide and terminal: a
-// task panic poisons the pool, Run re-raises, and the only safe call
-// left is Close. That is the right contract for batch use, but a
+// The shared poison record (wskit.Life, DESIGN.md §18) is pool-wide and
+// terminal: a task panic poisons the pool, Run re-raises, and the only
+// safe call left is Close. That is the right contract for batch use, but a
 // serving layer (internal/serve) runs many independent requests
 // through one pool and needs the poison scoped to a request: cancel
 // THIS run, then return the pool to service. Three pieces deliver
@@ -44,8 +44,7 @@ import (
 // goroutine, concurrently with Run; the serving layer calls it from a
 // context-cancellation callback. It returns true when this call did
 // the poisoning, false when the pool was already poisoned (by a task
-// panic or an earlier Abort — first cause wins, matching recordPanic)
-// or already closed.
+// panic or an earlier Abort — first cause wins) or already closed.
 //
 // Abort does not wait for the Run to unwind: the abort token is
 // observed at the next public join, stolen-task start, or (amortized)
@@ -54,17 +53,14 @@ import (
 // (its body is skipped, see runStolen), so the unwind cannot strand a
 // joiner.
 func (p *Pool) Abort(reason error) bool {
-	if p.shutdown.Load() {
+	if p.life.Closed() {
 		return false
 	}
+	// poisonMu: Reset lifts the poison and opens the gate under it, so
+	// an Abort lands wholly before or wholly after that revival.
 	p.poisonMu.Lock()
 	defer p.poisonMu.Unlock()
-	if p.panicked.Load() {
-		return false
-	}
-	p.panicVal = &poolerr.AbortError{Reason: reason}
-	p.panicked.Store(true)
-	return true
+	return p.life.Poison(&poolerr.AbortError{Reason: reason})
 }
 
 // Poisoned reports whether the pool is poisoned, and by what: the
@@ -72,12 +68,7 @@ func (p *Pool) Abort(reason error) bool {
 // of an Abort) that poisoned it. Unlike Run's poisoned panic this is
 // a plain observation, usable by a serving layer deciding whether to
 // Reset.
-func (p *Pool) Poisoned() (cause any, poisoned bool) {
-	if !p.panicked.Load() {
-		return nil, false
-	}
-	return p.panicVal, true
-}
+func (p *Pool) Poisoned() (cause any, poisoned bool) { return p.life.Poisoned() }
 
 // Reset revives a poisoned pool so it can serve the next request. It
 // returns nil immediately when the pool is not poisoned. Otherwise it
@@ -93,14 +84,14 @@ func (p *Pool) Poisoned() (cause any, poisoned bool) {
 // Reset must not race with Run: like Run it claims the running flag
 // and returns poolerr.ErrConcurrentRun (wrapped) when it loses.
 func (p *Pool) Reset() error {
-	if p.shutdown.Load() {
+	if p.life.Closed() {
 		return errors.New("core: Reset on closed Pool")
 	}
-	if !p.running.CompareAndSwap(false, true) {
+	if !p.life.Claim() {
 		return poolerr.ConcurrentRun("core")
 	}
-	defer p.running.Store(false)
-	if !p.panicked.Load() {
+	defer p.life.Release()
+	if p.life.Healthy() {
 		return nil
 	}
 
@@ -123,7 +114,7 @@ func (p *Pool) Reset() error {
 		if quiet >= need {
 			break
 		}
-		if p.shutdown.Load() {
+		if p.life.Closed() {
 			return errors.New("core: pool closed during Reset")
 		}
 		if spins < 64 {
@@ -150,13 +141,13 @@ func (p *Pool) Reset() error {
 	// Lift the poison and open the gate in one critical section: a
 	// worker past the loop's poison check either registered on the gate
 	// before we took poisonMu (and wakes when we close it) or enters
-	// poisonPark after we release it, re-checks panicked, and declines
+	// poisonPark after we release it, re-checks the poison, and declines
 	// to block. Holding poisonMu here also serializes against a
-	// concurrent Abort or recordPanic, which would otherwise interleave
-	// its first-cause write with this clear.
+	// concurrent Abort, which would otherwise land between the lift and
+	// the gate opening (a task panic cannot: every worker is quiescent
+	// and we hold the run claim).
 	p.poisonMu.Lock()
-	p.panicVal = nil
-	p.panicked.Store(false)
+	p.life.Lift()
 	if p.poisonGate != nil {
 		close(p.poisonGate)
 		p.poisonGate = nil
@@ -171,7 +162,7 @@ func (p *Pool) Reset() error {
 // close the gate under the same mutex, after their own flag writes).
 func (p *Pool) poisonPark() {
 	p.poisonMu.Lock()
-	if p.shutdown.Load() || !p.panicked.Load() {
+	if p.life.Closed() || p.life.Healthy() {
 		p.poisonMu.Unlock()
 		return
 	}
@@ -204,19 +195,25 @@ const abortCheckPeriod = 32
 // all — serving layers that want prompt cancellation run their lanes
 // with all-public descriptors (Options.PrivateTasks=false), where
 // every join routes through here.
+//
+// woolvet:inline
 func (w *Worker) pollAbort() {
 	w.abortTick--
-	if w.abortTick > 0 {
-		return
+	if w.abortTick <= 0 {
+		w.checkAbort()
 	}
+}
+
+// checkAbort is pollAbort's every-32nd-join half, out of line so the
+// countdown itself stays within the inliner's budget and joinAcquire
+// pays three instructions per join, not a call (the woolvet:inline
+// directive above pins that). Rethrow re-raises the original poisoning
+// value (not a copy): Run's End finds the pool already poisoned and
+// re-panics the same value, preserving the first-cause contract of
+// DESIGN.md §18.
+func (w *Worker) checkAbort() {
 	w.abortTick = abortCheckPeriod
-	if w.pool.panicked.Load() {
-		// Re-raise the original poisoning value (not a copy): Run's
-		// recover path calls recordPanic, which is a no-op for a
-		// poisoned pool, and re-panics the same value, preserving the
-		// first-cause contract of DESIGN.md §11.
-		panic(w.pool.panicVal)
-	}
+	w.pool.life.Rethrow()
 }
 
 // resetAfterPoison discards this worker's share of the abandoned task

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"gowool/internal/steal"
 )
 
 func TestStateEncoding(t *testing.T) {
@@ -35,8 +37,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.MaxIdleSleep != 200*time.Microsecond {
 		t.Errorf("MaxIdleSleep default = %v", o.MaxIdleSleep)
 	}
-	if o.StealRetain != 1 {
-		t.Errorf("StealRetain default = %d, want 1", o.StealRetain)
+	if o.Steal.Policy != steal.LastVictim || o.Steal.Retain != 1 || o.Steal.Sampling != 1 {
+		t.Errorf("Steal default = %+v, want last-victim, Retain 1, Sampling 1", o.Steal)
 	}
 	if o.Parking != ParkOn {
 		t.Errorf("Parking default = %v, want ParkOn", o.Parking)
@@ -54,8 +56,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if n := (Options{Parking: ParkOff}).Defaults(); n.Parking != ParkOff {
 		t.Errorf("explicit ParkOff rewritten to %v", n.Parking)
 	}
-	if n := (Options{StealRetain: -1}).Defaults(); n.StealRetain != -1 {
-		t.Errorf("negative StealRetain rewritten to %d", n.StealRetain)
+	if n := (Options{Steal: steal.Config{Policy: steal.Random, Retain: -1}}).Defaults(); n.Steal.Policy != steal.Random || n.Steal.Retain != -1 {
+		t.Errorf("explicit Steal rewritten to %+v", n.Steal)
 	}
 }
 
@@ -252,7 +254,7 @@ func TestStealSamplingCorrectness(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	for _, k := range []int{1, 2, 4} {
-		p := NewPool(Options{Workers: 4, StealSampling: k, PrivateTasks: true})
+		p := NewPool(Options{Workers: 4, Steal: steal.Config{Sampling: k}, PrivateTasks: true})
 		fib := fibDef()
 		for rep := 0; rep < 3; rep++ {
 			if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 20) }); got != serialFib(20) {

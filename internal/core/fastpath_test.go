@@ -192,17 +192,19 @@ func stoppedPool(t *testing.T, opts Options) *Pool {
 // here we check the option threads through to policy construction and
 // the probe wiring feeds chooseVictim real stealability.
 
-// TestStealOptionsBuildPolicies pins the legacy-option → policy
-// mapping: the default is last-victim retention, StealRetain < 0
-// degrades to plain random, and an explicit Steal.Policy wins.
+// TestStealOptionsBuildPolicies pins the option → policy mapping: the
+// default is last-victim retention (whatever the sampling width), a
+// negative Steal.Retain degrades it to plain random, and an explicit
+// Steal.Policy wins.
 func TestStealOptionsBuildPolicies(t *testing.T) {
 	cases := []struct {
 		opts Options
 		want string
 	}{
 		{Options{Workers: 2}, steal.LastVictim},
-		{Options{Workers: 2, StealRetain: -1}, steal.Random},
-		{Options{Workers: 2, StealSampling: 3}, steal.LastVictim},
+		{Options{Workers: 2, Steal: steal.Config{Policy: steal.Random}}, steal.Random},
+		{Options{Workers: 2, Steal: steal.Config{Retain: -1}}, steal.Random},
+		{Options{Workers: 2, Steal: steal.Config{Sampling: 3}}, steal.LastVictim},
 		{Options{Workers: 2, Steal: steal.Config{Policy: steal.Sequential}}, steal.Sequential},
 		{Options{Workers: 2, Steal: steal.Config{Policy: steal.Localized}}, steal.Localized},
 	}
@@ -220,7 +222,7 @@ func TestStealOptionsBuildPolicies(t *testing.T) {
 // (The miss-budget drop logic itself is pinned in internal/steal
 // TestLastVictimRetention.)
 func TestChooseVictimRetention(t *testing.T) {
-	p := stoppedPool(t, Options{Workers: 4}) // StealRetain defaults to 1
+	p := stoppedPool(t, Options{Workers: 4}) // Steal.Retain defaults to 1
 	w := p.workers[1]
 	target := p.workers[3]
 
@@ -242,11 +244,12 @@ func TestChooseVictimRetention(t *testing.T) {
 	}
 }
 
-// TestStealRetainDisabled checks the negative-value opt-out end to end.
+// TestStealRetainDisabled checks retention off (Steal.Policy =
+// steal.Random) end to end.
 func TestStealRetainDisabled(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	p := NewPool(Options{Workers: 4, StealRetain: -1})
+	p := NewPool(Options{Workers: 4, Steal: steal.Config{Policy: steal.Random}})
 	defer p.Close()
 	fib := fibDef()
 	for rep := 0; rep < 3; rep++ {

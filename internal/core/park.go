@@ -79,7 +79,7 @@ func (e *idleEngine) park(w *Worker) {
 
 	// Re-check after the announce: any work published before the
 	// announce was visible to a producer that may have seen parked==0.
-	if w.pool.shutdown.Load() || w.anyVisibleWork() {
+	if w.pool.life.Closed() || w.anyVisibleWork() {
 		if e.cancel(w.idx) {
 			return
 		}

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"gowool/internal/chaos"
-	"gowool/internal/poolerr"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
+	"gowool/internal/wskit"
 )
 
 // Options configures a Pool. The zero value is usable: Defaults fills
@@ -68,34 +68,19 @@ type Options struct {
 	// for Table I. Valid for single-worker pools; see SpanProfiler.
 	Span bool
 
-	// StealSampling makes idle thieves probe up to this many candidate
-	// victims per attempt and steal from the first that looks
-	// stealable (bot descriptor in TASK state), instead of committing
-	// to one uniformly random victim (1, the default and the paper's
-	// policy). Sampling trades extra read-only probes for fewer failed
-	// attempts when few pools hold work — the direction Wool's own
-	// later development took. Probes within one attempt are pairwise
-	// distinct (capped at 8).
-	StealSampling int
-
-	// StealRetain is the last-successful-victim retention policy: after
-	// a successful steal the thief returns to the same victim first,
-	// dropping it after this many consecutive probes that find nothing.
-	// Steals cluster, so the retained victim very often has more work.
-	// 0 means the default of 1; negative disables retention (every
-	// attempt picks a fresh random victim, the paper's policy).
-	StealRetain int
-
 	// Steal selects the victim-selection policy layer (internal/steal):
 	// Policy is one of steal.Policies() plus the per-policy parameters
 	// (retention budget, sampling width, localized neighborhood/spill).
-	// The zero value reproduces the pre-policy behaviour bit for bit —
-	// last-victim retention over uniform random, parameterized by the
-	// legacy StealSampling/StealRetain fields above (which Defaults
-	// folds into this struct; explicit Steal fields win). Steal.Amount
-	// is accepted for registry uniformity but the direct task stack
-	// only supports taking one task per steal: the descriptor CAS
-	// claims exactly one bottom task.
+	// The zero value is last-victim retention over uniform random with
+	// a miss budget of 1 and no sampling: after a successful steal the
+	// thief returns to the same victim first (steals cluster), dropping
+	// it after Steal.Retain consecutive probes that find nothing.
+	// Steal.Policy = steal.Random is the paper's policy, a fresh random
+	// victim per attempt; Steal.Sampling > 1 probes that many distinct
+	// candidates read-only and takes the first that looks stealable.
+	// Steal.Amount is accepted for registry uniformity but the direct
+	// task stack only supports taking one task per steal: the
+	// descriptor CAS claims exactly one bottom task.
 	Steal steal.Config
 
 	// Parking controls whether fully idle workers park on the pool's
@@ -233,28 +218,8 @@ func (o Options) Defaults() Options {
 	if o.PrivatizeRun <= 0 {
 		o.PrivatizeRun = 16
 	}
-	if o.StealSampling <= 0 {
-		o.StealSampling = 1
-	}
-	if o.StealRetain == 0 {
-		o.StealRetain = 1
-	}
-	// Fold the legacy knobs into the policy config: unset Steal fields
-	// inherit StealRetain/StealSampling, and an unset policy name
-	// resolves to the historical behaviour (last-victim retention, or
-	// plain random when retention is disabled).
 	if o.Steal.Policy == "" {
-		if o.StealRetain > 0 {
-			o.Steal.Policy = steal.LastVictim
-		} else {
-			o.Steal.Policy = steal.Random
-		}
-	}
-	if o.Steal.Retain == 0 {
-		o.Steal.Retain = o.StealRetain
-	}
-	if o.Steal.Sampling == 0 {
-		o.Steal.Sampling = o.StealSampling
+		o.Steal.Policy = steal.LastVictim
 	}
 	o.Steal = o.Steal.Defaults()
 	if o.MaxIdleSleep == 0 {
@@ -283,26 +248,20 @@ type Pool struct {
 	workers []*Worker
 	idle    *idleEngine // nil when parking is disabled
 
-	shutdown atomic.Bool
-	running  atomic.Bool
-	wg       sync.WaitGroup
-
-	// panicVal/panicked record the first poisoning cause (task panic or
-	// Abort). Writes are first-cause-wins under poisonMu — a mutex, not
-	// a sync.Once, because Reset must be able to clear the record for
-	// the next request without racing a concurrent Abort's Do (abort.go).
-	// Readers load panicked (atomic) and, when set, read panicVal: the
-	// Store after the panicVal write orders the pair.
-	panicVal any
-	panicked atomic.Bool
+	// life is the shared lifecycle record (wskit.Life, DESIGN.md §18):
+	// closed, the single-root run claim, and the first poisoning cause
+	// (task panic, watchdog trip or Abort).
+	life wskit.Life
+	wg   sync.WaitGroup
 
 	// Poison parking (abort.go): instead of exiting their goroutines, a
 	// poisoned pool's idle workers block on poisonGate so Reset can
 	// revive them for the next request (the serving layer's per-request
 	// abort, DESIGN.md §16). poisonWaiters counts workers blocked on
 	// the gate; together with the idle engine's parked count it is the
-	// quiescence signal Reset waits on. All three fields are guarded by
-	// poisonMu; the gate channel is replaced per poison episode.
+	// quiescence signal Reset waits on. Both fields are guarded by
+	// poisonMu, which also serializes Abort against Reset's lift of the
+	// poison; the gate channel is replaced per poison episode.
 	poisonMu      sync.Mutex
 	poisonWaiters int
 	poisonGate    chan struct{}
@@ -334,16 +293,9 @@ func NewPool(opts Options) *Pool {
 		panic(fmt.Sprintf("core: Options.Workers = %d exceeds the %d the STOLEN(thief) state encoding can name (thief index is packed at state>>%d)",
 			opts.Workers, maxWorkers, stolenShift))
 	}
-	if opts.Trace != nil && opts.Trace.Workers() < opts.Workers {
-		panic(fmt.Sprintf("core: Options.Trace has %d rings for %d workers; create it with trace.New(Workers, capacity)",
-			opts.Trace.Workers(), opts.Workers))
-	}
-	if opts.Chaos != nil && opts.Chaos.Workers() < opts.Workers {
-		panic(fmt.Sprintf("core: Options.Chaos has %d agents for %d workers; create it with chaos.NewInjector(Workers, profile, seed)",
-			opts.Chaos.Workers(), opts.Workers))
-	}
+	wskit.CheckSinks("core", opts.Workers, opts.Trace, opts.Chaos)
 	t0 := time.Now()
-	p := &Pool{opts: opts}
+	p := &Pool{opts: opts, life: wskit.Life{Name: "core"}}
 	if opts.Parking == ParkOn && opts.Workers > 1 {
 		p.idle = newIdleEngine(opts.Workers, parkAfterFactor*opts.MaxIdleSleep)
 	}
@@ -420,25 +372,11 @@ func (p *Pool) Workers() int { return len(p.workers) }
 //
 //woolvet:allow ownerprivate -- the calling goroutine IS worker 0's owner for the duration of Run
 func (p *Pool) Run(root func(*Worker) int64) int64 {
-	if p.shutdown.Load() {
-		panic("core: Run on closed Pool")
-	}
-	if p.panicked.Load() {
-		panic(fmt.Sprintf("core: pool poisoned by earlier task panic: %v", p.panicVal))
-	}
-	if !p.running.CompareAndSwap(false, true) {
-		panic(poolerr.ConcurrentRun("core"))
-	}
-	defer p.running.Store(false)
 	// A panic escaping root (or the unjoined-tasks check below) leaves
 	// worker 0's stack with stealable descriptors of an abandoned tree:
-	// record it so the pool is poisoned before the panic propagates.
-	defer func() {
-		if r := recover(); r != nil {
-			p.recordPanic(r)
-			panic(r)
-		}
-	}()
+	// End poisons the pool before the panic propagates.
+	p.life.Begin()
+	defer p.life.End()
 	w := p.workers[0]
 	var res int64
 	if w.prof.on {
@@ -455,21 +393,8 @@ func (p *Pool) Run(root func(*Worker) int64) int64 {
 	if w.top != int(w.bot.Load()) || len(w.ovf) != 0 {
 		panic(fmt.Sprintf("core: root returned with %d unjoined tasks on worker 0 (%d overflow-inlined)", w.Depth(), len(w.ovf)))
 	}
-	if p.panicked.Load() {
-		panic(p.panicVal)
-	}
+	p.life.Rethrow()
 	return res
-}
-
-// recordPanic stores the first panic raised by a task, poisoning the
-// pool; Run re-raises it (and refuses subsequent calls, see Run).
-func (p *Pool) recordPanic(r any) {
-	p.poisonMu.Lock()
-	if !p.panicked.Load() {
-		p.panicVal = r
-		p.panicked.Store(true)
-	}
-	p.poisonMu.Unlock()
 }
 
 // Close stops the idle workers and waits for them to exit. The pool
@@ -478,7 +403,7 @@ func (p *Pool) recordPanic(r any) {
 // parked on the idle engine are both released after the shutdown flag
 // is set, so they observe it and exit.
 func (p *Pool) Close() {
-	if p.shutdown.Swap(true) {
+	if !p.life.Shutdown() {
 		return
 	}
 	if p.wdStop != nil {
@@ -615,7 +540,7 @@ type Stats struct {
 	LeapSteals          int64 // successful steals made while leapfrogging
 	Publications        int64 // trip-wire publications
 	Privatizations      int64 // public-boundary pull-downs
-	RetainedSteals      int64 // successful steals from the retained victim (StealRetain hits)
+	RetainedSteals      int64 // successful steals from the retained victim (Steal.Retain hits)
 	Parks               int64 // times a worker parked on the idle engine
 	Wakes               int64 // targeted wakes this worker issued to parked peers
 	OverflowInlined     int64 // spawns degraded to inline execution on task-stack overflow

@@ -161,9 +161,8 @@ func TestStealPolicyBitForBitLegacy(t *testing.T) {
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			p := stoppedPool(t, Options{
-				Workers:       workers,
-				StealRetain:   cfg.retain,
-				StealSampling: cfg.sampling,
+				Workers: workers,
+				Steal:   steal.Config{Retain: cfg.retain, Sampling: cfg.sampling},
 			})
 			w := p.workers[self]
 			// The replica gets the post-Defaults values the legacy code

@@ -8,40 +8,19 @@ import (
 	"gowool/internal/poolerr"
 )
 
-// WatchdogError is the distinct failure a tripped stuck-run watchdog
-// (Options.Watchdog) raises out of Pool.Run: some worker sat blocked in
-// a join for at least Interval while the pool's progress heartbeat was
-// flat and nobody was executing stolen work. Bundle is a human-readable
-// diagnostic snapshot taken at trip time.
-type WatchdogError struct {
-	// Interval is the configured no-progress threshold.
-	Interval time.Duration
-	// Bundle is the diagnostic dump: per-worker protocol state and
-	// counters, and — when a tracer is attached — the steal matrix and
-	// each worker's last trace events.
-	Bundle string
-}
-
-// Error summarizes the trip; the full dump is in Bundle.
-func (e *WatchdogError) Error() string {
-	return fmt.Sprintf("core: watchdog tripped: no scheduler progress for %v with a blocked join outstanding\n%s", e.Interval, e.Bundle)
-}
-
-// ErrorClass classifies a watchdog trip as retryable (DESIGN.md §17):
-// the trip names a stuck scheduler state, not a property of the
-// request, so re-running the request — typically on a replaced lane —
-// may well succeed. The serving layer's breakers and lane-quarantine
-// streaks count it as a failure for the same reason.
-func (e *WatchdogError) ErrorClass() poolerr.Class { return poolerr.ClassRetryable }
+// WatchdogError is the failure a tripped stuck-run watchdog
+// (Options.Watchdog) raises out of Pool.Run. The type lives in poolerr
+// so the serving layer can name it without importing the scheduler.
+type WatchdogError = poolerr.WatchdogError
 
 // watchdogPoll panics with the watchdog's verdict if it has tripped.
 // Blocked wait loops (joinSlow, leapfrog) call this periodically; the
-// panic rides the existing abort machinery (recordPanic poisons the
-// pool, Run re-raises), so a stuck Run fails instead of hanging. A
-// no-op (one nil pointer load) when the watchdog is disarmed or quiet.
+// panic rides the existing abort machinery (the poison record, Run
+// re-raises), so a stuck Run fails instead of hanging. A no-op (one
+// nil pointer load) when the watchdog is disarmed or quiet.
 func (p *Pool) watchdogPoll() {
 	if e := p.wdErr.Load(); e != nil {
-		p.recordPanic(e)
+		p.life.Poison(e)
 		panic(e)
 	}
 }
@@ -83,7 +62,7 @@ func (p *Pool) watchdogLoop(interval time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		if !p.running.Load() || p.panicked.Load() {
+		if !p.life.Running() || !p.life.Healthy() {
 			lastProgress = -1
 			continue
 		}

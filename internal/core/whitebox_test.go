@@ -104,7 +104,7 @@ func TestJoinSlowWaitsForThief(t *testing.T) {
 }
 
 // TestRecordPanicFromStolenTask forces a panic on the thief side so
-// the pool-abort path (recordPanic + re-raise from Run) runs: the
+// the pool-abort path (Life.Poison + re-raise from Run) runs: the
 // bomb task spins until released, guaranteeing the thief picked it up
 // before it detonates.
 func TestRecordPanicFromStolenTask(t *testing.T) {

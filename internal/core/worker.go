@@ -10,6 +10,7 @@ import (
 	"gowool/internal/overflow"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
+	"gowool/internal/wskit"
 )
 
 // Worker is one scheduler worker. Worker 0 is driven by the goroutine
@@ -671,7 +672,7 @@ func (w *Worker) runStolen(t *Task, leap bool) {
 		}
 		w.execing.Add(-1)
 		if r := recover(); r != nil {
-			w.pool.recordPanic(r)
+			w.pool.life.Poison(r)
 			// DONE is stored by trySteal after we return; recover so
 			// it executes and the victim unblocks, then the panic is
 			// re-raised on the Run goroutine.
@@ -682,7 +683,7 @@ func (w *Worker) runStolen(t *Task, leap bool) {
 	// so skip the body. The caller still stores DONE, which is what
 	// keeps a leapfrogging joiner from spinning forever on this
 	// descriptor while the abort propagates.
-	if w.pool.panicked.Load() {
+	if !w.pool.life.Healthy() {
 		return
 	}
 	var start time.Time
@@ -710,11 +711,7 @@ func stealableAt(v *Worker) bool {
 		v.tasks[b].state.Load() == stateTask
 }
 
-// chooseVictim asks the worker's steal policy for the next target. The
-// legacy retention (Options.StealRetain) and sampling (Options.
-// StealSampling) behaviours now live behind the policy interface — the
-// default last-victim policy reproduces them bit for bit (see
-// internal/steal and the compat test in stealpolicy_compat_test.go).
+// chooseVictim asks the worker's steal policy for the next target.
 func (w *Worker) chooseVictim() *Worker {
 	return w.pool.workers[w.pol.Choose(w.probe)]
 }
@@ -726,12 +723,13 @@ func (w *Worker) chooseVictim() *Worker {
 const stSamplePeriod = 64
 
 // idleLoop is the life of workers 1..N-1: steal from random victims
-// until the pool shuts down. Failed attempts back off through Gosched
-// into short sleeps (capped at Options.MaxIdleSleep); once a worker has
-// slept through the engine's idle budget it parks on the pool's idle
-// engine and costs nothing until a producer wakes it (Options.Parking).
-// A negative MaxIdleSleep keeps pure spinning+yield, matching the
-// paper's dedicated-machine setup.
+// until the pool shuts down. Failed attempts climb the shared back-off
+// ladder (wskit.Backoff: spin, yield, naps capped at
+// Options.MaxIdleSleep); once a worker has napped through the engine's
+// idle budget it parks on the pool's idle engine and costs nothing
+// until a producer wakes it (Options.Parking). A negative MaxIdleSleep
+// keeps pure spinning+yield, matching the paper's dedicated-machine
+// setup.
 //
 // When the pool is poisoned (task panic or request abort) the loop
 // stops stealing — the abandoned tree's descriptors must not keep
@@ -746,10 +744,11 @@ const stSamplePeriod = 64
 // woolvet:thief
 func (w *Worker) idleLoop() {
 	var sc stealCounters
+	bo := wskit.Backoff{Max: w.pool.opts.MaxIdleSleep}
 	fails := 0
 	var slept time.Duration
-	for !w.pool.shutdown.Load() {
-		if w.pool.panicked.Load() {
+	for !w.pool.life.Closed() {
+		if !w.pool.life.Healthy() {
 			w.flushStealCounters(&sc)
 			w.pool.poisonPark()
 			fails = 0
@@ -800,25 +799,11 @@ func (w *Worker) idleLoop() {
 			slept = 0
 			continue
 		}
-		switch {
-		case fails < 64:
-			if runtime.GOMAXPROCS(0) == 1 {
-				runtime.Gosched()
-			}
-		case fails < 1024 || w.pool.opts.MaxIdleSleep <= 0:
-			runtime.Gosched()
-		default:
-			d := time.Duration(fails-1023) * time.Microsecond
-			if d > w.pool.opts.MaxIdleSleep {
-				d = w.pool.opts.MaxIdleSleep
-			}
-			// Charge the budget what the nap took, not d: on Linux a
-			// sub-millisecond time.Sleep on an idle P waits out a 1 ms
-			// epoll_wait, and a Run that starts meanwhile waits out the
-			// rest of the nap for its thief.
-			t0 := time.Now()
-			time.Sleep(d)
-			slept += time.Since(t0)
+		// The park budget is charged what a nap took, not what it asked
+		// for (see Backoff.Step): a Run that starts meanwhile waits out
+		// the rest of the nap for its thief.
+		if d := bo.Step(fails); d > 0 {
+			slept += d
 			if w.idle != nil && slept >= w.idle.parkAfter {
 				w.flushStealCounters(&sc)
 				w.idle.park(w)

@@ -33,9 +33,9 @@ import (
 
 	"gowool/internal/chaos"
 	"gowool/internal/overflow"
-	"gowool/internal/poolerr"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
+	"gowool/internal/wskit"
 )
 
 // StealStrategy selects how thieves interact with the victim's lock.
@@ -265,18 +265,10 @@ func (o Options) defaults() Options {
 
 // Pool is a lock-based scheduler instance.
 type Pool struct {
-	opts     Options
-	workers  []*Worker
-	shutdown atomic.Bool
-	running  atomic.Bool
-	wg       sync.WaitGroup
-
-	// Abort state: the first panic from a stolen task (or the root)
-	// poisons the pool; Run re-raises it and later Runs fail fast.
-	// Same semantics as core (DESIGN.md §11).
-	panicOnce sync.Once
-	panicVal  any
-	panicked  atomic.Bool
+	opts    Options
+	workers []*Worker
+	life    wskit.Life
+	wg      sync.WaitGroup
 }
 
 // NewPool creates the pool; worker 0 is driven by Run's caller.
@@ -287,13 +279,8 @@ func NewPool(opts Options) *Pool {
 	if opts.Workers > math.MaxInt32-1 {
 		panic(fmt.Sprintf("locksched: Options.Workers = %d exceeds the int32 stolenBy encoding (thief index + 1)", opts.Workers))
 	}
-	if opts.Trace != nil && opts.Trace.Workers() < opts.Workers {
-		panic(fmt.Sprintf("locksched: Options.Trace has %d rings for %d workers", opts.Trace.Workers(), opts.Workers))
-	}
-	if opts.Chaos != nil && opts.Chaos.Workers() < opts.Workers {
-		panic(fmt.Sprintf("locksched: Options.Chaos has %d agents for %d workers", opts.Chaos.Workers(), opts.Workers))
-	}
-	p := &Pool{opts: opts}
+	wskit.CheckSinks("locksched", opts.Workers, opts.Trace, opts.Chaos)
+	p := &Pool{opts: opts, life: wskit.Life{Name: "locksched"}}
 	p.workers = make([]*Worker, opts.Workers)
 	for i := range p.workers {
 		w := &Worker{
@@ -326,56 +313,31 @@ func (p *Pool) Workers() int { return len(p.workers) }
 
 // Run executes root on worker 0 and returns its result.
 //
-// Abort semantics match core (DESIGN.md §11): a panic in a stolen task
-// is recovered by the thief (so every claimed task's done flag still
-// publishes and joining owners unblock), recorded, and re-raised here;
-// a panic in root itself poisons the pool on the way out. A poisoned
-// pool rejects later Run calls with a distinct message; Close stays
-// safe.
+// Abort semantics are the shared lifecycle's (wskit.Life, DESIGN.md
+// §18): a panic in a stolen task is recovered by the thief (so every
+// claimed task's done flag still publishes and joining owners unblock),
+// recorded, and re-raised here; a panic in root itself poisons the pool
+// on the way out. A poisoned pool rejects later Run calls with a
+// distinct message; Close stays safe.
 //
 //woolvet:allow ownerprivate -- the calling goroutine IS worker 0's owner for the duration of Run
 func (p *Pool) Run(root func(*Worker) int64) int64 {
-	if p.shutdown.Load() {
-		panic("locksched: Run on closed Pool")
-	}
-	if p.panicked.Load() {
-		panic(fmt.Sprintf("locksched: pool poisoned by earlier task panic: %v", p.panicVal))
-	}
-	if !p.running.CompareAndSwap(false, true) {
-		panic(poolerr.ConcurrentRun("locksched"))
-	}
-	defer p.running.Store(false)
-	defer func() {
-		if r := recover(); r != nil {
-			p.recordPanic(r)
-			panic(r)
-		}
-	}()
+	p.life.Begin()
+	defer p.life.End()
 	w := p.workers[0]
 	res := root(w)
 	if w.top.Load() != w.bot.Load() || len(w.ovf) != 0 {
 		panic("locksched: root returned with unjoined tasks")
 	}
-	if p.panicked.Load() {
-		panic(p.panicVal)
-	}
+	p.life.Rethrow()
 	return res
-}
-
-// recordPanic stores the first task panic, poisoning the pool.
-func (p *Pool) recordPanic(r any) {
-	p.panicOnce.Do(func() {
-		p.panicVal = r
-		p.panicked.Store(true)
-	})
 }
 
 // Close stops the workers.
 func (p *Pool) Close() {
-	if p.shutdown.Swap(true) {
-		return
+	if p.life.Shutdown() {
+		p.wg.Wait()
 	}
-	p.wg.Wait()
 }
 
 // Stats aggregates worker counters (quiescent pools only).
@@ -580,7 +542,7 @@ func (w *Worker) trySteal(victim *Worker) bool {
 func (w *Worker) runStolen(t *Task) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.pool.recordPanic(r)
+			w.pool.life.Poison(r)
 		}
 	}()
 	fn := t.fn
@@ -594,8 +556,9 @@ func (w *Worker) runStolen(t *Task) {
 //
 // woolvet:thief
 func (w *Worker) idleLoop() {
+	bo := wskit.Backoff{Max: w.pool.opts.MaxIdleSleep}
 	fails := 0
-	for !w.pool.shutdown.Load() && !w.pool.panicked.Load() {
+	for w.pool.life.Live() {
 		v := w.pol.Choose(w.probe)
 		if w.trySteal(w.pool.workers[v]) {
 			w.pol.Observe(v, true)
@@ -604,30 +567,7 @@ func (w *Worker) idleLoop() {
 		}
 		w.pol.Observe(v, false)
 		fails++
-		switch {
-		case fails < 64:
-			if runtime.GOMAXPROCS(0) == 1 {
-				runtime.Gosched()
-			}
-		case fails < 1024 || w.pool.opts.MaxIdleSleep <= 0:
-			runtime.Gosched()
-		default:
-			if w.chs != nil {
-				// No park/unpark protocol to force here; the sleep-phase
-				// decision only gets delay/yield faults.
-				w.chs.Point(chaos.PointParkDecision)
-			}
-			if fails == 1024 && w.trc != nil {
-				// No parking engine here; entering the sleep phase is
-				// this backend's closest PARK analogue.
-				w.trc.Record(trace.KindPark, 0, 0)
-			}
-			d := time.Duration(fails-1023) * time.Microsecond
-			if d > w.pool.opts.MaxIdleSleep {
-				d = w.pool.opts.MaxIdleSleep
-			}
-			time.Sleep(d)
-		}
+		bo.StepNapOnly(fails, w.trc, w.chs)
 	}
 	w.pool.wg.Done()
 }

@@ -78,18 +78,18 @@ func TestContextTask(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
 	type arr struct{ v []int64 }
-	var sum *TaskDefC2[arr]
-	sum = DefineC2("sum", func(w *Worker, a *arr, lo, hi int64) int64 {
+	var sum *TaskDefC3[arr]
+	sum = DefineC3("sum", func(w *Worker, a *arr, lo, hi, k int64) int64 {
 		if hi-lo <= 8 {
 			var s int64
 			for i := lo; i < hi; i++ {
-				s += a.v[i]
+				s += k * a.v[i]
 			}
 			return s
 		}
 		mid := (lo + hi) / 2
-		sum.Spawn(w, a, lo, mid)
-		r := sum.Call(w, a, mid, hi)
+		sum.Spawn(w, a, lo, mid, k)
+		r := sum.Call(w, a, mid, hi, k)
 		l := sum.Join(w)
 		return l + r
 	})
@@ -97,11 +97,11 @@ func TestContextTask(t *testing.T) {
 	var want int64
 	for i := range a.v {
 		a.v[i] = int64(i)
-		want += int64(i)
+		want += 3 * int64(i)
 	}
 	p := NewPool(Options{Workers: 2})
 	defer p.Close()
-	if got := p.Run(func(w *Worker) int64 { return sum.Call(w, a, 0, 500) }); got != want {
+	if got := p.Run(func(w *Worker) int64 { return sum.Call(w, a, 0, 500, 3) }); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
 }

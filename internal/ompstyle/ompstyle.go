@@ -13,15 +13,14 @@
 package ompstyle
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gowool/internal/chaos"
-	"gowool/internal/poolerr"
 	"gowool/internal/trace"
+	"gowool/internal/wskit"
 )
 
 // Task is a queued task: a closure plus the parent link used by
@@ -92,24 +91,11 @@ type Pool struct {
 	// woolvet:atomic
 	lockPasses atomic.Int64
 
-	shutdown atomic.Bool
-	running  atomic.Bool
-	wg       sync.WaitGroup
-
-	// First-panic capture: a panicking task body poisons the pool (the
-	// task tree it abandons may be incomplete); Run re-raises the value
-	// and later Runs fail fast.
-	panicOnce sync.Once
-	panicVal  any
-	panicked  atomic.Bool
-}
-
-// recordPanic captures the first panic value and poisons the pool.
-func (p *Pool) recordPanic(r any) {
-	p.panicOnce.Do(func() {
-		p.panicVal = r
-		p.panicked.Store(true)
-	})
+	// life is the shared lifecycle record (wskit.Life): a panicking
+	// task body poisons the pool (the task tree it abandons may be
+	// incomplete); Run re-raises the value and later Runs fail fast.
+	life wskit.Life
+	wg   sync.WaitGroup
 }
 
 // ring returns team member wi's trace ring, or nil when tracing is off.
@@ -164,13 +150,8 @@ func (o Options) defaults() Options {
 // NewPool creates the team; the master is the goroutine calling Run.
 func NewPool(opts Options) *Pool {
 	opts = opts.defaults()
-	if opts.Trace != nil && opts.Trace.Workers() < opts.Workers {
-		panic("ompstyle: Options.Trace has fewer rings than workers")
-	}
-	if opts.Chaos != nil && opts.Chaos.Workers() < opts.Workers {
-		panic("ompstyle: Options.Chaos has fewer agents than workers")
-	}
-	p := &Pool{opts: opts}
+	wskit.CheckSinks("ompstyle", opts.Workers, opts.Trace, opts.Chaos)
+	p := &Pool{opts: opts, life: wskit.Life{Name: "ompstyle"}}
 	if opts.QueueSize > 0 {
 		p.queue = make([]*Task, 0, opts.QueueSize)
 	}
@@ -204,41 +185,21 @@ func (p *Pool) Workers() int { return p.opts.Workers }
 // every later Run fails fast with a distinct poisoned message. Close
 // remains safe on a poisoned pool.
 func (p *Pool) Run(master func(*Context) int64) int64 {
-	if p.shutdown.Load() {
-		panic("ompstyle: Run on closed Pool")
-	}
-	if p.panicked.Load() {
-		panic(fmt.Sprintf("ompstyle: pool poisoned by earlier task panic: %v", p.panicVal))
-	}
-	if !p.running.CompareAndSwap(false, true) {
-		panic(poolerr.ConcurrentRun("ompstyle"))
-	}
-	defer p.running.Store(false)
-	// A panic escaping the master function itself lands here: record
-	// it so the team stops and the pool is poisoned (queued tasks of
-	// the abandoned tree must not keep running), then re-raise.
-	defer func() {
-		if r := recover(); r != nil {
-			p.recordPanic(r)
-			panic(r)
-		}
-	}()
+	p.life.Begin()
+	defer p.life.End()
 	root := &Task{}
 	tc := &Context{pool: p, cur: root, wi: 0}
 	res := master(tc)
 	tc.Taskwait() // implicit barrier: no task escapes the run
-	if p.panicked.Load() {
-		panic(p.panicVal)
-	}
+	p.life.Rethrow()
 	return res
 }
 
 // Close stops the team.
 func (p *Pool) Close() {
-	if p.shutdown.Swap(true) {
-		return
+	if p.life.Shutdown() {
+		p.wg.Wait()
 	}
-	p.wg.Wait()
 }
 
 // Stats returns aggregate counters (quiescent pools only).
@@ -300,7 +261,7 @@ func (p *Pool) execute(t *Task, wi int) {
 	tc := &Context{pool: p, cur: t, wi: wi}
 	defer func() {
 		if r := recover(); r != nil {
-			p.recordPanic(r)
+			p.life.Poison(r)
 		}
 		p.executed.Add(1)
 		if t.parent != nil {
@@ -417,8 +378,9 @@ func (tc *Context) spawnChunk(lo, hi int64, body func(i int64)) {
 // poison: a claimed task always completes its accounting (execute
 // recovers), so exiting between takes never strands a taskwait.
 func (p *Pool) workerLoop(wi int) {
+	bo := wskit.Backoff{Max: p.opts.MaxIdleSleep}
 	fails := 0
-	for !p.shutdown.Load() && !p.panicked.Load() {
+	for p.life.Live() {
 		if a := p.agent(wi); a != nil && a.Point(chaos.PointQueueTake) {
 			// Fail-one-attempt: treat the queue as momentarily empty.
 			fails++
@@ -433,32 +395,7 @@ func (p *Pool) workerLoop(wi int) {
 			continue
 		}
 		fails++
-		switch {
-		case fails < 64:
-			if runtime.GOMAXPROCS(0) == 1 {
-				runtime.Gosched()
-			}
-		case fails < 1024 || p.opts.MaxIdleSleep <= 0:
-			runtime.Gosched()
-		default:
-			if a := p.agent(wi); a != nil {
-				// No park/unpark protocol to force here; the sleep-phase
-				// decision only gets delay/yield faults.
-				a.Point(chaos.PointParkDecision)
-			}
-			// Closest analogue of PARK in this backend: the spin phase
-			// gives way to sleeping (there is no parking engine here).
-			if fails == 1024 {
-				if r := p.ring(wi); r != nil {
-					r.Record(trace.KindPark, 0, 0)
-				}
-			}
-			d := time.Duration(fails-1023) * time.Microsecond
-			if d > p.opts.MaxIdleSleep {
-				d = p.opts.MaxIdleSleep
-			}
-			time.Sleep(d)
-		}
+		bo.StepNapOnly(fails, p.ring(wi), p.agent(wi))
 	}
 	p.wg.Done()
 }

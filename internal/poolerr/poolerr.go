@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 )
 
 // ErrConcurrentRun is the sentinel wrapped by the panic every pooled
@@ -168,3 +169,32 @@ func (e *AbortError) Unwrap() error { return e.Reason }
 // deliberate (a cancellation or an operator action), so re-running the
 // request cannot change the outcome the aborter wanted.
 func (e *AbortError) ErrorClass() Class { return ClassNonRetryable }
+
+// WatchdogError is the distinct failure a tripped stuck-run watchdog
+// (core's Options.Watchdog) raises out of Pool.Run: some worker sat
+// blocked in a join for at least Interval while the pool's progress
+// heartbeat was flat and nobody was executing stolen work. It lives
+// here, beside AbortError, so a serving layer can name it without
+// importing the scheduler; the trip logic and the bundle's contents
+// are core's (watchdog.go).
+type WatchdogError struct {
+	// Interval is the configured no-progress threshold.
+	Interval time.Duration
+	// Bundle is the human-readable diagnostic dump taken at trip time:
+	// per-worker protocol state and counters, and — when a tracer is
+	// attached — the steal matrix and each worker's last trace events.
+	Bundle string
+}
+
+// Error summarizes the trip; the full dump is in Bundle.
+func (e *WatchdogError) Error() string {
+	return fmt.Sprintf("core: watchdog tripped: no scheduler progress for %v with a blocked join outstanding\n%s", e.Interval, e.Bundle)
+}
+
+// ErrorClass classifies a watchdog trip as retryable (DESIGN.md §17):
+// the trip names a stuck scheduler state, not a property of the
+// request, so re-running the request — typically after the lane's pool
+// was Reset or replaced — may well succeed. The serving layer's
+// breakers and lane-quarantine streaks count it as a failure for the
+// same reason.
+func (e *WatchdogError) ErrorClass() Class { return ClassRetryable }

@@ -123,6 +123,79 @@ func TestPanicInSpawnedLeafPropagates(t *testing.T) {
 	}
 }
 
+// thiefBombJob is a two-leaf tree that puts a panic on the thief side
+// whichever way the backend steals (child or continuation): the first
+// leaf to arrive waits, up to 5 ms, for the second, then arms it; the
+// second spins until armed and panics with val. Two leaves active at
+// once are on two workers, so when stolen reads true after the run the
+// bomb went off beside a live waiter — in all but a freak schedule the
+// caller of RunRec, which then has to get through its join.
+func thiefBombJob(val any, stolen *atomic.Bool) sched.RecJob {
+	var arrivals atomic.Int32
+	var started, armed atomic.Bool
+	return sched.RecJob{
+		Name: "thief-bomb", Root: 1,
+		Leaf: func(n int64) (int64, bool) {
+			if n > 0 {
+				return 0, false
+			}
+			if arrivals.Add(1) == 1 {
+				deadline := time.Now().Add(5 * time.Millisecond)
+				for !started.Load() && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+				stolen.Store(started.Load())
+				armed.Store(true)
+				return 1, true
+			}
+			started.Store(true)
+			for !armed.Load() {
+				runtime.Gosched()
+			}
+			panic(val)
+		},
+		Split: func(int64) (inline, spawned int64) { return 0, 0 },
+	}
+}
+
+// TestPanicOnThiefSidePropagates forces a task panic onto a thief on
+// every pooled backend and checks the whole abort path: the thief's
+// recover still completes the task so the owner's join unblocks (the
+// panic-deadlock bug), RunRec re-raises the original value, the pool is
+// poisoned against reuse, and Close returns (no dead worker). Replaces
+// the four per-backend TestStolen*PanicPropagates copies.
+func TestPanicOnThiefSidePropagates(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	type marker struct{ which string }
+	for _, s := range sched.All() {
+		s := s
+		t.Run(s.Name(), func(t *testing.T) {
+			for attempt := 0; attempt < 30; attempt++ {
+				p := s.NewPool(sched.Options{Workers: 2, MaxIdleSleep: -1})
+				if p.Native() == nil {
+					p.Close()
+					t.Skip("no pool, no thieves: TestPanicInSpawnedLeafPropagates covers the goroutine baseline")
+				}
+				want := &marker{which: s.Name()}
+				var stolen atomic.Bool
+				if r := recoverFrom(func() { p.RunRec(thiefBombJob(want, &stolen)) }); r != want {
+					t.Fatalf("RunRec re-raised %v, want the original panic value", r)
+				}
+				r := recoverFrom(func() { p.RunRec(panicJob(2, -1, nil)) })
+				if msg := fmt.Sprint(r); r == nil || !strings.Contains(msg, "pool poisoned by earlier task panic") {
+					t.Fatalf("poisoned RunRec panicked with %v, want the poisoned message", r)
+				}
+				closeWithin(t, s.Name(), p)
+				if stolen.Load() {
+					return // the thief-side abort path ran; done
+				}
+			}
+			t.Log("bomb was never stolen in 30 attempts; inline panic path exercised instead")
+		})
+	}
+}
+
 // TestTraceConformance: every backend claiming Caps.Trace must accept
 // a tracer without changing results and must record events into it (at
 // least its idle workers' PARK transitions after the run); backends

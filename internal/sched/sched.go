@@ -132,10 +132,8 @@ type Caps struct {
 	StealAmounts []string
 	// Serve is true when Pool.Native implements Abortable, so the
 	// serving layer (internal/serve) can cancel an in-flight request
-	// by aborting the pool and then Reset it back into service.
-	// Backends without it are still servable — the serving layer falls
-	// back to replacing a poisoned pool — but cannot interrupt a
-	// running request before it completes.
+	// by aborting the pool and then Reset it back into service. That
+	// is what makes a backend servable: serve.New refuses the others.
 	Serve bool
 }
 

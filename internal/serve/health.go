@@ -25,8 +25,8 @@ type LaneHealth struct {
 	// resilience.QuarantineConfig).
 	FailureStreak int
 	// Quarantines counts quarantine entries; Replacements counts pool
-	// replacements (each quarantine round, plus the inline replacements
-	// of non-Abortable backends); Probes/ProbeFailures count quarantine
+	// replacements (one per quarantine round, or per failed Reset when
+	// quarantine is disabled); Probes/ProbeFailures count quarantine
 	// health probes.
 	Quarantines   int64
 	Replacements  int64
@@ -60,10 +60,7 @@ func (s *Server) Health() Health {
 		l.mu.Lock()
 		ab := l.ab
 		l.mu.Unlock()
-		poisoned := false
-		if ab != nil {
-			_, poisoned = ab.Poisoned()
-		}
+		_, poisoned := ab.Poisoned()
 		state := "serving"
 		if l.quarantined.Load() {
 			state = "quarantined"

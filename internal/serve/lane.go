@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gowool/internal/chaos"
-	"gowool/internal/core"
 	"gowool/internal/poolerr"
 	"gowool/internal/sched"
 )
@@ -28,9 +27,9 @@ type lane struct {
 	// request-path reader, so it reads its own fields directly.
 	mu   sync.Mutex
 	pool sched.Pool
-	// ab is the pool's request-scoped abort surface, nil when the
-	// backend lacks Caps.Serve (then a poisoned pool is replaced
-	// instead of Reset).
+	// ab is the pool's request-scoped abort surface (New refuses a
+	// backend without it): Abort cancels the request in flight, Reset
+	// returns a poisoned pool to service.
 	ab sched.Abortable
 
 	// wantQuarantine is lane-goroutine-private: set when a Reset fails
@@ -120,7 +119,7 @@ func (l *lane) serveOne(t *Ticket) {
 	// and Reset it away before the next request starts.
 	var stop func() bool
 	var fired chan struct{}
-	if l.ab != nil && t.ctx.Done() != nil {
+	if t.ctx.Done() != nil {
 		ctx, ab, ch := t.ctx, l.ab, make(chan struct{})
 		fired = ch
 		stop = context.AfterFunc(ctx, func() {
@@ -137,31 +136,26 @@ func (l *lane) serveOne(t *Ticket) {
 		<-fired
 	}
 
-	// Restore pool health before touching the next request.
-	if l.ab != nil {
-		if cause, poisoned := l.ab.Poisoned(); poisoned {
-			if ae, ok := cause.(*poolerr.AbortError); ok && err != nil {
-				// The abort landed before Run's first descriptor (the
-				// poisoned-pool entry panic) or mid-flight; either way
-				// the request's classifying error is the abort reason.
-				err = ae.Reason
-				if err == nil {
-					err = ae
-				}
-			}
-			if l.srv.inj.Fail(chaos.ServeLaneResetFail) {
-				// Chaos: behave as if Reset failed without calling it —
-				// quarantine discards the pool either way.
-				l.wantQuarantine = true
-			} else if rerr := l.ab.Reset(); rerr != nil {
-				l.wantQuarantine = true
+	// Restore pool health before touching the next request: Reset is
+	// the one way back into service; quarantine (replace and probe)
+	// takes over only when it fails.
+	if cause, poisoned := l.ab.Poisoned(); poisoned {
+		if ae, ok := cause.(*poolerr.AbortError); ok && err != nil {
+			// The abort landed before Run's first descriptor (the
+			// poisoned-pool entry panic) or mid-flight; either way the
+			// request's classifying error is the abort reason.
+			err = ae.Reason
+			if err == nil {
+				err = ae
 			}
 		}
-	} else if err != nil && l.pool.Native() != nil {
-		// Backend without the abort surface: a panic poisoned its pool
-		// in a backend-specific, unrecoverable way. Per-request
-		// isolation still holds — replace the pool wholesale.
-		l.replacePool()
+		if l.srv.inj.Fail(chaos.ServeLaneResetFail) {
+			// Chaos: behave as if Reset failed without calling it —
+			// quarantine discards the pool either way.
+			l.wantQuarantine = true
+		} else if rerr := l.ab.Reset(); rerr != nil {
+			l.wantQuarantine = true
+		}
 	}
 
 	l.finishAttempt(t, val, err, dur)
@@ -336,12 +330,8 @@ func (l *lane) probeOnce() bool {
 func (l *lane) replacePool() {
 	old := l.pool
 	np := l.srv.sch.NewPool(l.opts)
-	var ab sched.Abortable
-	if l.srv.caps.Serve {
-		ab, _ = np.Native().(sched.Abortable)
-	}
 	l.mu.Lock()
-	l.pool, l.ab = np, ab
+	l.pool, l.ab = np, np.Native().(sched.Abortable)
 	l.mu.Unlock()
 	l.replacements.Add(1)
 	old.Close()
@@ -350,7 +340,7 @@ func (l *lane) replacePool() {
 // runJob runs the request's root on the pool, converting the
 // scheduler's panic-based failure surface into an error: a
 // *poolerr.AbortError (request cancellation) unwraps to its reason, a
-// *core.WatchdogError passes through typed (it classifies as
+// *poolerr.WatchdogError passes through typed (it classifies as
 // retryable), anything else becomes a *PanicError.
 func runJob(p sched.Pool, j Job) (v int64, err error) {
 	defer func() {
@@ -366,7 +356,7 @@ func runJob(p sched.Pool, j Job) (v int64, err error) {
 			}
 			return
 		}
-		if we, ok := r.(*core.WatchdogError); ok {
+		if we, ok := r.(*poolerr.WatchdogError); ok {
 			err = we
 			return
 		}

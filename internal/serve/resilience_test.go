@@ -434,44 +434,6 @@ func TestServeSubmitStormChaos(t *testing.T) {
 	}
 }
 
-// TestServeNonAbortableReplacement covers the Caps.Serve-less
-// pool-replacement path on every registered backend without the abort
-// surface: a panicking request must not poison the lane for the
-// follow-ups, and backends with real pool state must have replaced it.
-func TestServeNonAbortableReplacement(t *testing.T) {
-	for _, sc := range sched.All() {
-		if sc.Caps().Serve {
-			continue
-		}
-		t.Run(sc.Name(), func(t *testing.T) {
-			s, err := New(Options{Backend: sc.Name(), Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			hasNative := s.lanes[0].pool.Native() != nil
-			tk, err := s.Submit(context.Background(), "", boomJob("nonabort"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var pe *PanicError
-			if _, werr := tk.Wait(); !errors.As(werr, &pe) {
-				t.Fatalf("panicking request: err = %v, want *PanicError", werr)
-			}
-			for i := 0; i < 4; i++ {
-				mustWaitFib(t, s, "")
-			}
-			st := s.Stats()
-			if hasNative && st.Replacements < 1 {
-				t.Fatalf("replacements = %d, want >= 1 on a stateful non-Abortable backend", st.Replacements)
-			}
-			if !hasNative && st.Replacements != 0 {
-				t.Fatalf("replacements = %d, want 0 on a stateless backend", st.Replacements)
-			}
-		})
-	}
-}
-
 // TestServeResetErrorReplacement pins the real (non-chaos)
 // Reset-returns-error branch: a Reset that reports an error must
 // quarantine and replace the pool, not leave the poison in place.

@@ -37,10 +37,10 @@
 //     out mid-flight: the lane aborts its pool (sched.Abortable, the
 //     request-scoped poison of internal/core, DESIGN.md §16), the
 //     request unwinds with the context's error, and the pool is Reset
-//     back into service for the next request. Backends without
-//     Caps.Serve still get per-request panic isolation — the lane
-//     replaces a poisoned pool — but cannot interrupt a running
-//     request before it completes.
+//     back into service for the next request. That contract is the
+//     server's point, so New refuses a backend without Caps.Serve: it
+//     could neither interrupt a running request nor revive a pool a
+//     panicking one poisoned.
 //
 //   - Self-healing (DESIGN.md §17, internal/resilience). The per-
 //     request mechanisms above handle one bad request; the resilience
@@ -93,8 +93,8 @@ var (
 )
 
 // PanicError wraps a panic that escaped a request's task tree; it is
-// the request's Wait error (the pool itself is revived or replaced by
-// the lane, so one panicking request cannot poison the next).
+// the request's Wait error (the lane Resets the pool, so one panicking
+// request cannot poison the next).
 type PanicError struct{ Val any }
 
 // Error describes the panic.
@@ -162,7 +162,8 @@ type Tenant struct {
 // anonymous tenant on the wool backend with GOMAXPROCS workers.
 type Options struct {
 	// Backend is the registry scheduler to build lanes from; default
-	// "wool".
+	// "wool". It must have sched.Caps.Serve (Abort and Reset on its
+	// pools): today "wool" and "woolgen".
 	Backend string
 	// Workers is the total worker budget across all lanes; default
 	// GOMAXPROCS.
@@ -186,8 +187,10 @@ type Options struct {
 	// cancellation within a few dozen joins.
 	Pool sched.Options
 	// ConfigurePool, when non-nil, edits each lane's pool options
-	// before construction (lane is the global lane index). Used by the
-	// chaos torture suite to attach per-lane injectors.
+	// before construction (lane is the global lane index). It is the
+	// only way to attach a tracer or a chaos injector when there is
+	// more than one lane: both are single-writer per worker index, so
+	// every lane needs its own and New refuses two lanes sharing one.
 	ConfigurePool func(lane int, o *sched.Options)
 	// Resilience configures the self-healing layer. The zero value
 	// enables every subsystem (breaker, deadline admission, retries,
@@ -292,7 +295,6 @@ func (tn *tenant) pop() *Ticket {
 type Server struct {
 	opts    Options
 	sch     sched.Scheduler
-	caps    sched.Caps
 	tenants []*tenant
 	byName  map[string]*tenant
 	lanes   []*lane
@@ -317,7 +319,7 @@ type Server struct {
 }
 
 // New builds and starts a server: lanes are constructed (validating
-// the lane pool options against the backend's capabilities, see
+// the backend and the lane pool options against its capabilities, see
 // sched.CheckOptions) and their drain loops started. The caller must
 // Close it.
 func New(o Options) (*Server, error) {
@@ -327,6 +329,16 @@ func New(o Options) (*Server, error) {
 	sch, ok := sched.Lookup(o.Backend)
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown backend %q (registered: %v)", o.Backend, sched.Names())
+	}
+	caps := sch.Caps()
+	if !caps.Serve {
+		var servable []string
+		for _, sc := range sched.All() {
+			if sc.Caps().Serve {
+				servable = append(servable, sc.Name())
+			}
+		}
+		return nil, fmt.Errorf("serve: backend %q is not servable: its pools have no Abort/Reset (sched.Caps.Serve), so a cancelled request could not be interrupted nor a poisoned pool revived; servable backends: %v", o.Backend, servable)
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -342,7 +354,7 @@ func New(o Options) (*Server, error) {
 		tens = []Tenant{{Name: "", Weight: 1}}
 	}
 
-	s := &Server{opts: o, sch: sch, caps: sch.Caps(), byName: map[string]*tenant{}}
+	s := &Server{opts: o, sch: sch, byName: map[string]*tenant{}}
 	s.cond = sync.NewCond(&s.mu)
 	s.res = o.Resilience
 	s.qcfg = o.Resilience.Quarantine.Defaulted()
@@ -390,6 +402,13 @@ func New(o Options) (*Server, error) {
 		s.byName[tc.Name] = tn
 	}
 
+	// fail undoes the lanes built so far.
+	fail := func(err error) (*Server, error) {
+		for _, l := range s.lanes {
+			l.pool.Close()
+		}
+		return nil, err
+	}
 	laneCounts := apportionLanes(s.tenants, o.Workers/o.LaneWidth)
 	laneIdx := 0
 	for ti, tn := range s.tenants {
@@ -400,17 +419,19 @@ func New(o Options) (*Server, error) {
 			if o.ConfigurePool != nil {
 				o.ConfigurePool(laneIdx, &po)
 			}
-			if err := sched.CheckOptions(s.caps, po); err != nil {
-				for _, l := range s.lanes {
-					l.pool.Close()
+			if err := sched.CheckOptions(caps, po); err != nil {
+				return fail(fmt.Errorf("serve: lane %d options unsupported by backend %s: %w", laneIdx, o.Backend, err))
+			}
+			// A tracer's rings and an injector's agents are single-writer
+			// per worker index, and every lane pool has a worker 0.
+			for _, prev := range s.lanes {
+				if (po.Trace != nil && po.Trace == prev.opts.Trace) || (po.Chaos != nil && po.Chaos == prev.opts.Chaos) {
+					return fail(fmt.Errorf("serve: lanes %d and %d share one Pool.Trace or Pool.Chaos sink, which is single-writer per worker index; attach one per lane through Options.ConfigurePool", prev.idx, laneIdx))
 				}
-				return nil, fmt.Errorf("serve: lane %d options unsupported by backend %s: %w", laneIdx, o.Backend, err)
 			}
 			l := &lane{srv: s, idx: laneIdx, tn: tn, opts: po}
 			l.pool = sch.NewPool(po)
-			if s.caps.Serve {
-				l.ab, _ = l.pool.Native().(sched.Abortable)
-			}
+			l.ab = l.pool.Native().(sched.Abortable) // what Caps.Serve promises
 			s.lanes = append(s.lanes, l)
 			laneIdx++
 		}
@@ -479,8 +500,7 @@ type SubmitOptions struct {
 // tenant with ErrUnknownTenant (all wrapped with context). A nil ctx
 // means context.Background(). ctx governs the request end to end: a
 // cancellation while queued fails the ticket at dispatch; a
-// cancellation mid-run aborts the lane's pool when the backend has
-// Caps.Serve.
+// cancellation mid-run aborts the lane's pool.
 func (s *Server) Submit(ctx context.Context, tenantName string, job Job) (*Ticket, error) {
 	return s.SubmitWith(ctx, tenantName, job, SubmitOptions{})
 }
@@ -649,8 +669,8 @@ type Stats struct {
 	Backend string
 	Lanes   int
 	// Quarantines / Replacements total the lanes' self-healing events:
-	// quarantine entries, and pool replacements (quarantine rounds plus
-	// the inline replacements of non-Abortable backends).
+	// quarantine entries, and the pool replacements they made (a lane
+	// replaces its pool only when Reset failed or failures streaked).
 	Quarantines  int64
 	Replacements int64
 	Tenants      []TenantStats

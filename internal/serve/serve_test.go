@@ -5,12 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gowool/internal/chaos"
+	"gowool/internal/poolerr"
 	"gowool/internal/sched"
+	"gowool/internal/trace"
 	"gowool/internal/workloads/fibw"
 )
 
@@ -117,14 +121,28 @@ func TestServeBasic(t *testing.T) {
 	}
 }
 
-// TestServeBackends smoke-tests the serving layer over every
-// registered scheduler: the lanes must serialize Run calls correctly
-// (never tripping the concurrent-Run guard) on all of them.
+// TestServeBackends runs the serving layer over every registered
+// scheduler. A servable one (Caps.Serve: Abort and Reset on its pools)
+// must serialize Run calls correctly, never tripping the concurrent-Run
+// guard; every other one must be refused by New with an error naming it
+// and the servable backends — it could not honour a cancellation.
 func TestServeBackends(t *testing.T) {
 	want := fibw.Serial(14)
 	for _, sc := range sched.All() {
 		t.Run(sc.Name(), func(t *testing.T) {
 			s, err := New(Options{Backend: sc.Name(), Workers: 4})
+			if !sc.Caps().Serve {
+				if err == nil {
+					s.Close()
+					t.Fatal("New accepted a backend without Caps.Serve")
+				}
+				for _, name := range []string{sc.Name(), "wool", "woolgen"} {
+					if !strings.Contains(err.Error(), name) {
+						t.Errorf("refusal %q does not name %q", err, name)
+					}
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,6 +166,119 @@ func TestServeBackends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeLanesShareNoSinks: a tracer's rings and a chaos injector's
+// agents are single-writer per worker index, and every lane pool has a
+// worker 0, so one sink copied into two lanes through Options.Pool is a
+// data race (Ring.Record from two lane goroutines, under -race). New
+// must refuse it, naming both lanes and the way out; one sink per lane
+// attached through ConfigurePool must serve race-clean; and a single
+// lane may keep using Options.Pool.
+func TestServeLanesShareNoSinks(t *testing.T) {
+	shared := map[string]sched.Options{
+		"trace": {Trace: trace.New(2, 1<<10)},
+		"chaos": {Chaos: chaos.NewInjector(2, chaos.Profiles()[0], 1)},
+	}
+	for name, po := range shared {
+		s, err := New(Options{Workers: 2, LaneWidth: 1, Pool: po})
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: New accepted one sink shared by two lanes", name)
+		}
+		for _, sub := range []string{"lanes 0 and 1", "ConfigurePool"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", name, err, sub)
+			}
+		}
+		one, err := New(Options{Workers: 1, LaneWidth: 1, Pool: po})
+		if err != nil {
+			t.Fatalf("%s: single lane with a sink in Options.Pool: %v", name, err)
+		}
+		one.Close()
+	}
+
+	tracers := []*trace.Tracer{trace.New(1, 1<<10), trace.New(1, 1<<10)}
+	s, err := New(Options{Workers: 2, LaneWidth: 1,
+		ConfigurePool: func(lane int, o *sched.Options) { o.Trace = tracers[lane] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tks []*Ticket
+	for i := 0; i < 200; i++ {
+		tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(12, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
+	}
+	want := fibw.Serial(12)
+	for _, tk := range tks {
+		if v, err := tk.Wait(); err != nil || v != want {
+			t.Fatalf("traced fib(12): v=%d err=%v, want %d, nil", v, err, want)
+		}
+	}
+	s.Close()
+	events := 0
+	for _, tr := range tracers {
+		for _, evs := range tr.Snapshot() {
+			events += len(evs)
+		}
+	}
+	if events == 0 {
+		t.Error("per-lane tracers recorded nothing")
+	}
+}
+
+// TestServeWatchdogErrorStaysTyped: runJob converts the scheduler's
+// panic surface into errors by type. A *poolerr.WatchdogError must come
+// out of Wait as itself — retryable, and a failure for the lane's
+// streak — while any other panic value is wrapped in a *PanicError.
+func TestServeWatchdogErrorStaysTyped(t *testing.T) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	panicJob := func(name string, val any) Job {
+		return Rec(sched.RecJob{
+			Name:  name,
+			Root:  3,
+			Leaf:  func(n int64) (int64, bool) { panic(val) },
+			Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
+		})
+	}
+
+	trip := &poolerr.WatchdogError{Interval: time.Second, Bundle: "synthetic trip"}
+	tk, err := s.Submit(context.Background(), "", panicJob("wd-trip", trip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr := tk.Wait()
+	var we *poolerr.WatchdogError
+	if !errors.As(werr, &we) || we != trip {
+		t.Fatalf("watchdog trip: err = %T (%v), want the *poolerr.WatchdogError itself", werr, werr)
+	}
+	if c := poolerr.ClassOf(werr); c != poolerr.ClassRetryable {
+		t.Errorf("ClassOf(watchdog trip) = %v, want retryable", c)
+	}
+	if streak := s.Health().Lanes[0].FailureStreak; streak != 1 {
+		t.Errorf("failure streak after a watchdog trip = %d, want 1", streak)
+	}
+
+	tk, err = s.Submit(context.Background(), "", panicJob("plain-boom", "plain boom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr = tk.Wait()
+	var pe *PanicError
+	if !errors.As(werr, &pe) || pe.Val != "plain boom" {
+		t.Fatalf("string panic: err = %T (%v), want *PanicError{plain boom}", werr, werr)
+	}
+	if streak := s.Health().Lanes[0].FailureStreak; streak != 2 {
+		t.Errorf("failure streak after two failures = %d, want 2", streak)
+	}
+	mustWaitFib(t, s, "")
 }
 
 // TestServeOverload fills a single-lane server's bounded queue and

@@ -110,12 +110,12 @@ func (p *randomPolicy) Choose(stealable func(int) bool) int {
 func (p *randomPolicy) Observe(int, bool) bool { return false }
 
 // lastVictimPolicy layers last-successful-victim retention over
-// randomPolicy — the pre-refactor Options.StealRetain logic from
-// core's chooseVictim/idleLoop, bit for bit. The probed flag keeps the
-// miss accounting identical to the legacy split: with a probe, misses
-// are counted at Choose time (a failed CAS after a positive probe is a
-// race, not a miss); without one (the simulator), misses are counted
-// from Observe.
+// randomPolicy — the retention logic that used to sit inline in core's
+// chooseVictim/idleLoop, bit for bit (core's stealpolicy_compat_test.go
+// keeps the replica). The probed flag keeps the miss accounting
+// identical to the legacy split: with a probe, misses are counted at
+// Choose time (a failed CAS after a positive probe is a race, not a
+// miss); without one (the simulator), misses are counted from Observe.
 type lastVictimPolicy struct {
 	randomPolicy
 	// woolvet:owner

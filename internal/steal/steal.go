@@ -37,10 +37,10 @@ const (
 	// (Config.Sampling): probe up to k pairwise-distinct candidates
 	// read-only and take the first that looks stealable.
 	Random = "random"
-	// LastVictim wraps Random with last-successful-victim retention
-	// (the pre-refactor Options.StealRetain): after a successful steal
-	// return to the same victim first, dropping it after Config.Retain
-	// consecutive probes that find nothing.
+	// LastVictim wraps Random with last-successful-victim retention:
+	// after a successful steal return to the same victim first,
+	// dropping it after Config.Retain consecutive probes that find
+	// nothing.
 	LastVictim = "last-victim"
 	// Sequential scans the workers round-robin from the thief's right
 	// neighbour: fully deterministic, no RNG. A successful steal keeps

@@ -208,8 +208,7 @@ func TestLastVictimProbeFreeMissAccounting(t *testing.T) {
 }
 
 func TestLastVictimRetainDisabled(t *testing.T) {
-	// Negative Retain degenerates to plain random (the legacy
-	// StealRetain<0 contract).
+	// Negative Retain degenerates to plain random.
 	p := New(Config{Policy: LastVictim, Retain: -1}, 0, 4)
 	if _, ok := p.(*randomPolicy); !ok {
 		t.Fatalf("Retain<0 built %T, want *randomPolicy", p)
