@@ -132,9 +132,32 @@ type Caps struct {
 	StealAmounts []string
 	// Serve is true when Pool.Native implements Abortable, so the
 	// serving layer (internal/serve) can cancel an in-flight request
-	// by aborting the pool and then Reset it back into service. That
-	// is what makes a backend servable: serve.New refuses the others.
+	// by aborting the pool and then Reset it back into service, and
+	// the Scheduler implements Preparer, so a job served many times
+	// builds its port once. That is what makes a backend servable:
+	// serve.New refuses the others.
 	Serve bool
+}
+
+// Prepared is a job's port for one backend, built once: the task
+// definition (or generated-port context), its recursive body and the
+// root closure depend on the job alone, not on the pool that runs it.
+type Prepared interface {
+	// Run executes the job on p, which must be a pool of the scheduler
+	// that prepared it, and returns what that pool's RunRec / RunRange
+	// returns for the job. It allocates nothing. Like them it runs the
+	// root on the calling goroutine and must not overlap another run
+	// on p.
+	Run(p Pool) int64
+}
+
+// Preparer is the scheduler-side half of Caps.Serve: it builds the
+// Prepared form that the backend's own RunRec / RunRange build on
+// every call, so a caller that runs one job many times (a served
+// request class) pays for the port once.
+type Preparer interface {
+	PrepareRec(RecJob) Prepared
+	PrepareRange(RangeJob) Prepared
 }
 
 // Abortable is the native-pool contract behind Caps.Serve: the

@@ -12,10 +12,48 @@ import (
 	"gowool/internal/sched"
 )
 
-// lane is one worker team slot: a small pool of LaneWidth workers and
-// the goroutine that drains requests into it one at a time. The lane
-// serializes Run calls onto its pool — concurrency across requests
-// comes from the number of lanes.
+// lane is one worker team slot: a small pool of LaneWidth workers, a
+// one-ticket mailbox, and a goroutine. At most one request runs on the
+// pool at a time — concurrency across requests comes from the number
+// of lanes — but it need not run on the lane's goroutine: a mailed
+// ticket is taken either by that goroutine (the thief) or by the
+// submitter's own Ticket.Wait (the join), which then runs it on this
+// pool from the calling goroutine.
+//
+// Dispatch states, all transitions under the server mutex
+// (DESIGN.md §16.1):
+//
+//	idle     in Server.idle: mailbox empty, nobody on the pool
+//	mailed   mail != nil: Submit put a ticket here and sent a wake token
+//	serving  the goroutine took the ticket (or owns the lane to drain
+//	         the queues, quarantine, or close the pool)
+//	borrowed a Wait caller took the ticket and owns pool and lane
+//	back     a borrower (or Close) returned the lane to its goroutine
+//
+// Invariants:
+//
+//  1. Exactly once: a mailed ticket is taken by exactly one of the
+//     lane's goroutine, a Wait caller and Close — unmail, under the
+//     server mutex, is the only way out of a mailbox.
+//  2. Progress without Wait: Submit always wakes the goroutine of the
+//     mailbox it filled, so a ticket nobody Waits on still runs. Wake
+//     tokens are only hints: a goroutine that wakes to an empty mailbox
+//     and no hand-back parks again and leaves the lane alone — whoever
+//     emptied the mailbox owns the lane's next state.
+//  3. Idle implies nothing queued: a lane enters Server.idle only when
+//     Server.backlog finds no queued work for it, and dispatch mails an
+//     idle lane whenever one exists; so queued tickets always have a
+//     busy lane that will drain them, and per-tenant FIFO order, home
+//     affinity and MaxPending admission do not depend on who runs a
+//     request.
+//  4. A borrowed lane belongs to the borrower: its goroutine touches
+//     neither pool nor lane state and Close leaves the pool open until
+//     release. The pool changes hands only through the server mutex
+//     (worker 0's owner-private fields are plain memory). A borrower
+//     runs only its own ticket: on release the lane goes idle if
+//     nothing else needs it, else back to its goroutine, which
+//     quarantines before it takes anything.
+//  5. Stats().Pending counts mailed tickets with queued ones.
 type lane struct {
 	srv  *Server
 	idx  int
@@ -23,8 +61,8 @@ type lane struct {
 	opts sched.Options
 
 	// mu guards the pool/ab pointer swaps against concurrent Health
-	// readers. The lane goroutine is the only writer and the only
-	// request-path reader, so it reads its own fields directly.
+	// readers. Whoever owns the lane is the only request-path reader
+	// and reads the fields directly; only the goroutine swaps them.
 	mu   sync.Mutex
 	pool sched.Pool
 	// ab is the pool's request-scoped abort surface (New refuses a
@@ -32,8 +70,17 @@ type lane struct {
 	// returns a poisoned pool to service.
 	ab sched.Abortable
 
-	// wantQuarantine is lane-goroutine-private: set when a Reset fails
-	// or the failure streak trips, consumed by loop between requests.
+	// mail is the mailbox and back the hand-back flag, both guarded by
+	// the server mutex. wake carries the goroutine's wake tokens; one
+	// slot, because a token says "look", not how often.
+	mail *Ticket
+	back bool
+	wake chan struct{}
+
+	// wantQuarantine belongs to the lane's owner: set by the attempt
+	// whose Reset failed or whose failure tripped the streak — on the
+	// goroutine or on a borrower — and consumed by the goroutine before
+	// it takes the next request.
 	wantQuarantine bool
 
 	// Health counters (DESIGN.md §17). quarantined flips while the lane
@@ -46,66 +93,103 @@ type lane struct {
 	probeFailures atomic.Int64
 }
 
-// loop drains requests until the server closes, then closes the pool.
-// Quarantine runs between requests: the lane is simply absent from the
-// queue-draining rotation while it replaces and probes its pool.
+// unmail empties the mailbox (server mutex held) and returns what was
+// in it: the one step by which a mailed ticket changes hands.
+func (l *lane) unmail() *Ticket {
+	t := l.mail
+	if t != nil {
+		l.mail, t.box = nil, nil
+		t.tn.mailed--
+	}
+	return t
+}
+
+// wakeup sends the goroutine a wake token unless one is already
+// waiting for it. Call it after releasing the server mutex.
+func (l *lane) wakeup() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// loop is the lane's goroutine, the thief of the pair: it parks on
+// wake, and each token makes it look for something that is its own — a
+// mailed ticket nobody joined, or a lane handed back. Owning the lane,
+// it serves, quarantines and drains the queues until next parks the
+// lane in the idle set or the server has closed, when it closes the
+// pool (nobody else ever does).
 func (l *lane) loop() {
-	defer l.srv.wg.Done()
-	for {
-		t := l.next()
-		if t == nil {
-			l.pool.Close()
-			return
-		}
-		l.serveOne(t)
-		if l.wantQuarantine {
-			l.wantQuarantine = false
-			l.quarantine()
+	s := l.srv
+	defer s.wg.Done()
+	for range l.wake {
+		s.mu.Lock()
+		t := l.unmail()
+		mine := t != nil || l.back
+		l.back = false
+		s.mu.Unlock()
+		for mine {
+			if t != nil {
+				l.serveOne(t)
+			}
+			// Before next, always: the pool a borrower's attempt
+			// condemned must not serve a queued request.
+			if l.wantQuarantine {
+				l.wantQuarantine = false
+				l.quarantine()
+			}
+			var closed bool
+			if t, closed = l.next(); closed {
+				l.pool.Close()
+				return
+			}
+			mine = t != nil
 		}
 	}
 }
 
-// next blocks for the lane's next request: the home tenant's queue
-// first (team affinity), otherwise the most backlogged queue relative
-// to its weight (work conservation — an idle team helps the busiest
-// tenant rather than idling, which cannot starve its own tenant: a
-// home submission wakes a waiter and home work is always preferred).
-// Returns nil when the server has closed and the queues are drained.
-func (l *lane) next() *Ticket {
+// next is the owner goroutine's step after a request: the next queued
+// ticket for this lane (Server.backlog), else the lane goes idle. The
+// second result reports a closed server with nothing left to serve.
+func (l *lane) next() (t *Ticket, closed bool) {
 	s := l.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if t := l.tn.pop(); t != nil {
-			return t
-		}
-		var best *tenant
-		var bestScore float64
-		for _, tn := range s.tenants {
-			if len(tn.q) == 0 {
-				continue
-			}
-			score := float64(len(tn.q)) / float64(tn.weight)
-			if best == nil || score > bestScore {
-				best, bestScore = tn, score
-			}
-		}
-		if best != nil {
-			return best.pop()
-		}
-		if s.closed {
-			return nil
-		}
-		s.cond.Wait()
+	if tn := s.backlog(l); tn != nil {
+		return tn.pop(), false
 	}
+	if s.closed {
+		return nil, true
+	}
+	s.idle = append(s.idle, l)
+	return nil, false
+}
+
+// release ends a borrow (Ticket.Wait, after serveOne): the lane goes
+// idle when nothing else needs it, and otherwise — work queued, server
+// closed, or the attempt asked for quarantine — back to its goroutine,
+// because a borrower runs no request but its own and neither replaces
+// nor closes a pool.
+func (l *lane) release() {
+	s := l.srv
+	s.mu.Lock()
+	if !l.wantQuarantine && !s.closed && s.backlog(l) == nil {
+		s.idle = append(s.idle, l)
+		s.mu.Unlock()
+		return
+	}
+	l.back = true
+	s.mu.Unlock()
+	l.wakeup()
 }
 
 // serveOne runs one request's next attempt on the lane's pool,
 // threading the request's context through the pool's abort machinery
-// and restoring the pool to health afterwards.
+// and restoring the pool to health afterwards. It runs on whichever
+// goroutine owns the lane: the lane's own, or a Wait caller's.
 func (l *lane) serveOne(t *Ticket) {
 	if err := t.ctx.Err(); err != nil {
-		// Cancelled while queued: fail at dispatch without running.
+		// Cancelled before it started: fail at dispatch without running.
 		l.finishAttempt(t, 0, err, 0)
 		return
 	}
@@ -129,7 +213,7 @@ func (l *lane) serveOne(t *Ticket) {
 	}
 
 	start := time.Now()
-	val, err := runJob(l.pool, t.job)
+	val, err := runJob(l.pool, t.job.port(l.srv.opts.Backend, l.srv.prep))
 	dur := time.Since(start)
 
 	if stop != nil && !stop() {
@@ -222,7 +306,7 @@ func (l *lane) finishAttempt(t *Ticket, val int64, err error, dur time.Duration)
 	case outcomeOK:
 		l.streak.Store(0)
 		if tn.est != nil {
-			tn.est.Observe(t.class, dur)
+			tn.est.Observe(t.job.class(), dur)
 		}
 		if tn.retrier != nil {
 			tn.retrier.OnSuccess()
@@ -240,23 +324,7 @@ func (l *lane) finishAttempt(t *Ticket, val int64, err error, dur time.Duration)
 			}
 		}
 	}
-	finishTicket(t, val, err)
-}
-
-// finishTicket publishes the request's final outcome and counts it.
-func finishTicket(t *Ticket, val int64, err error) {
-	tn := t.tn
-	switch {
-	case err == nil:
-		tn.completed.Add(1)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		tn.cancelled.Add(1)
-	default:
-		tn.failed.Add(1)
-	}
-	t.val, t.err = val, err
-	t.latency = time.Since(t.submitted)
-	close(t.done)
+	t.finish(val, err)
 }
 
 // quarantine pulls the lane from rotation and hot-replaces its pool:
@@ -277,8 +345,8 @@ func (l *lane) quarantine() {
 		}
 		select {
 		case <-l.srv.closeCh:
-			// Closing: stop probing; next() will see the closed server
-			// and shut the lane down.
+			// Closing: stop probing; next will see the closed server
+			// and loop shuts the lane down.
 			l.quarantined.Store(false)
 			l.streak.Store(0)
 			return
@@ -295,8 +363,8 @@ const probeDepth, probeWant = 6, 8
 // probeJob builds the quarantine health probe: a small fib-shaped
 // spawn tree, enough to exercise the replacement pool's spawn/join and
 // steal paths without measurable cost.
-func probeJob() Job {
-	return Rec(sched.RecJob{
+func probeJob() sched.RecJob {
+	return sched.RecJob{
 		Name: "__lane-probe",
 		Root: probeDepth,
 		Leaf: func(n int64) (int64, bool) {
@@ -306,7 +374,7 @@ func probeJob() Job {
 			return 0, false
 		},
 		Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
-	})
+	}
 }
 
 // probeOnce runs one health probe on the (fresh) pool.
@@ -316,7 +384,7 @@ func (l *lane) probeOnce() bool {
 		l.probeFailures.Add(1)
 		return false
 	}
-	v, err := runJob(l.pool, probeJob())
+	v, err := runJob(l.pool, l.srv.prep.PrepareRec(probeJob()))
 	if err != nil || v != probeWant {
 		l.probeFailures.Add(1)
 		return false
@@ -342,7 +410,7 @@ func (l *lane) replacePool() {
 // *poolerr.AbortError (request cancellation) unwraps to its reason, a
 // *poolerr.WatchdogError passes through typed (it classifies as
 // retryable), anything else becomes a *PanicError.
-func runJob(p sched.Pool, j Job) (v int64, err error) {
+func runJob(p sched.Pool, job sched.Prepared) (v int64, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -362,5 +430,5 @@ func runJob(p sched.Pool, j Job) (v int64, err error) {
 		}
 		err = &PanicError{Val: r}
 	}()
-	return j.runOn(p), nil
+	return job.Run(p), nil
 }

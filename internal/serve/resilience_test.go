@@ -34,15 +34,15 @@ func boomJob(name string) Job {
 	})
 }
 
-// mustWaitFib submits one fib(12) request and requires the serial
-// answer.
-func mustWaitFib(t *testing.T, s *Server, tenant string) {
+// mustWaitFib submits one fib(12) request, collects it in mode m and
+// requires the serial answer.
+func mustWaitFib(t *testing.T, s *Server, m waitMode, tenant string) {
 	t.Helper()
 	tk, err := s.Submit(context.Background(), tenant, Rec(fibw.Job(12, 1)))
 	if err != nil {
 		t.Fatalf("submit fib: %v", err)
 	}
-	v, err := tk.Wait()
+	v, err := m.wait(tk)
 	if want := fibw.Serial(12); err != nil || v != want {
 		t.Fatalf("fib(12): v=%d err=%v, want %d, nil", v, err, want)
 	}
@@ -91,14 +91,14 @@ func TestServeBreakerOpensAndRecovers(t *testing.T) {
 	// Past the cooldown a good request is admitted as the half-open
 	// probe; its success closes the breaker (HalfOpenProbes = 1).
 	time.Sleep(250 * time.Millisecond)
-	mustWaitFib(t, s, "")
+	mustWaitFib(t, s, join, "")
 	h = s.Health()
 	bh := h.Tenants[0].Breaker
 	if bh.State != "closed" || bh.HalfOpened != 1 || bh.Closed != 1 {
 		t.Fatalf("post-recovery breaker = %+v, want closed with halfOpened=1 closed=1", bh)
 	}
 	// Closed again: normal traffic flows.
-	mustWaitFib(t, s, "")
+	mustWaitFib(t, s, join, "")
 }
 
 // TestServeBreakerProbeFailureReopens pins the half-open → open edge on
@@ -210,58 +210,62 @@ func flakyJob(name string, fails int32) Job {
 // twice and then succeeds is healed server-side — the caller sees only
 // the success.
 func TestServeRetryHealsTransientFailure(t *testing.T) {
-	s, err := New(Options{
-		Workers: 1,
-		Resilience: resilience.Options{
-			Retry: resilience.RetryConfig{MaxRetries: 2, BaseBackoff: time.Millisecond},
-		},
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{
+			Workers: 1,
+			Resilience: resilience.Options{
+				Retry: resilience.RetryConfig{MaxRetries: 2, BaseBackoff: time.Millisecond},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		tk, err := s.SubmitWith(context.Background(), "", flakyJob("flaky-2", 2), SubmitOptions{Retryable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tk.Retryable {
+			t.Fatal("ticket not marked retryable")
+		}
+		v, werr := m.wait(tk)
+		if werr != nil || v != 1 {
+			t.Fatalf("retried request: v=%d err=%v, want 1, nil", v, werr)
+		}
+		st := s.Stats().Tenants[0]
+		if st.Retried != 2 || st.Completed != 1 || st.Failed != 0 {
+			t.Fatalf("stats = %+v, want Retried=2 Completed=1 Failed=0", st)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tk, err := s.SubmitWith(context.Background(), "", flakyJob("flaky-2", 2), SubmitOptions{Retryable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tk.Retryable {
-		t.Fatal("ticket not marked retryable")
-	}
-	v, werr := tk.Wait()
-	if werr != nil || v != 1 {
-		t.Fatalf("retried request: v=%d err=%v, want 1, nil", v, werr)
-	}
-	st := s.Stats().Tenants[0]
-	if st.Retried != 2 || st.Completed != 1 || st.Failed != 0 {
-		t.Fatalf("stats = %+v, want Retried=2 Completed=1 Failed=0", st)
-	}
 }
 
 // TestServeRetryAttemptBound: a persistently failing retry-safe request
 // stops at MaxRetries and surfaces its last error.
 func TestServeRetryAttemptBound(t *testing.T) {
-	s, err := New(Options{
-		Workers: 1,
-		Resilience: resilience.Options{
-			Retry: resilience.RetryConfig{MaxRetries: 2, BaseBackoff: time.Millisecond},
-		},
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{
+			Workers: 1,
+			Resilience: resilience.Options{
+				Retry: resilience.RetryConfig{MaxRetries: 2, BaseBackoff: time.Millisecond},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		tk, err := s.SubmitWith(context.Background(), "", boomJob("retry-bound"), SubmitOptions{Retryable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pe *PanicError
+		if _, werr := m.wait(tk); !errors.As(werr, &pe) {
+			t.Fatalf("err = %v, want *PanicError after exhausted retries", werr)
+		}
+		st := s.Stats().Tenants[0]
+		if st.Retried != 2 || st.Failed != 1 {
+			t.Fatalf("stats = %+v, want Retried=2 Failed=1", st)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tk, err := s.SubmitWith(context.Background(), "", boomJob("retry-bound"), SubmitOptions{Retryable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pe *PanicError
-	if _, werr := tk.Wait(); !errors.As(werr, &pe) {
-		t.Fatalf("err = %v, want *PanicError after exhausted retries", werr)
-	}
-	st := s.Stats().Tenants[0]
-	if st.Retried != 2 || st.Failed != 1 {
-		t.Fatalf("stats = %+v, want Retried=2 Failed=1", st)
-	}
 }
 
 // TestServeRetryIgnoredWhenDisabled: with retries disabled the
@@ -296,75 +300,74 @@ func TestServeRetryIgnoredWhenDisabled(t *testing.T) {
 // TestServeCloseWithPendingRetry: Close finalizes a ticket that is
 // backing off for a retry with ErrClosed — exactly once, no hang.
 func TestServeCloseWithPendingRetry(t *testing.T) {
-	s, err := New(Options{
-		Workers: 1,
-		Resilience: resilience.Options{
-			// A long backoff so the ticket is reliably mid-backoff when
-			// Close runs.
-			Retry: resilience.RetryConfig{MaxRetries: 1, BaseBackoff: 10 * time.Second, MaxBackoff: 10 * time.Second},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := s.SubmitWith(context.Background(), "", boomJob("close-retry"), SubmitOptions{Retryable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the failing attempt finished and the retry is armed.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Tenants[0].Retried == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("retry never armed")
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{
+			Workers: 1,
+			Resilience: resilience.Options{
+				// A long backoff so the ticket is reliably mid-backoff when
+				// Close runs.
+				Retry: resilience.RetryConfig{MaxRetries: 1, BaseBackoff: 10 * time.Second, MaxBackoff: 10 * time.Second},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	select {
-	case <-tk.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("backing-off ticket not finalized by Close")
-	}
-	if _, werr := tk.Wait(); !errors.Is(werr, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", werr)
-	}
+		tk, err := s.SubmitWith(context.Background(), "", boomJob("close-retry"), SubmitOptions{Retryable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Wait until the failing attempt finished and the retry is armed.
+		deadline := time.Now().Add(5 * time.Second)
+		for s.Stats().Tenants[0].Retried == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("retry never armed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		s.Close()
+		if _, werr := m.wait(tk); !errors.Is(werr, ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", werr)
+		}
+	})
 }
 
 // TestServeQuarantineOnFailureStreak: enough consecutive failures pull
 // the lane from rotation; the replacement pool then serves normally and
 // Health reports the episode.
 func TestServeQuarantineOnFailureStreak(t *testing.T) {
-	s, err := New(Options{
-		Workers: 1,
-		Resilience: resilience.Options{
-			DisableBreaker: true, // keep admitting the failure storm
-			Quarantine:     resilience.QuarantineConfig{FailureStreak: 3, ProbeBackoff: time.Millisecond},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		tk, err := s.Submit(context.Background(), "", boomJob("streak"))
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{
+			Workers: 1,
+			Resilience: resilience.Options{
+				DisableBreaker: true, // keep admitting the failure storm
+				Quarantine:     resilience.QuarantineConfig{FailureStreak: 3, ProbeBackoff: time.Millisecond},
+			},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk.Wait()
-	}
-	// The quarantine runs between requests; the next request lands on
-	// the replacement pool.
-	mustWaitFib(t, s, "")
-	h := s.Health().Lanes[0]
-	if h.Quarantines < 1 || h.Replacements < 1 || h.Probes < 1 {
-		t.Fatalf("lane health = %+v, want >=1 quarantine/replacement/probe", h)
-	}
-	if h.FailureStreak != 0 || h.State != "serving" {
-		t.Fatalf("lane health = %+v, want streak reset and serving", h)
-	}
-	if st := s.Stats(); st.Quarantines < 1 || st.Replacements < 1 {
-		t.Fatalf("stats = %+v, want quarantine totals >= 1", st)
-	}
+		defer s.Close()
+		for i := 0; i < 3; i++ {
+			tk, err := s.Submit(context.Background(), "", boomJob("streak"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.wait(tk)
+		}
+		// The quarantine runs between requests; the next request lands on
+		// the replacement pool.
+		mustWaitFib(t, s, m, "")
+		h := s.Health().Lanes[0]
+		if h.Quarantines < 1 || h.Replacements < 1 || h.Probes < 1 {
+			t.Fatalf("lane health = %+v, want >=1 quarantine/replacement/probe", h)
+		}
+		if h.FailureStreak != 0 || h.State != "serving" {
+			t.Fatalf("lane health = %+v, want streak reset and serving", h)
+		}
+		if st := s.Stats(); st.Quarantines < 1 || st.Replacements < 1 {
+			t.Fatalf("stats = %+v, want quarantine totals >= 1", st)
+		}
+	})
 }
 
 // TestServeChaosResetFailQuarantine: a mid-flight cancellation whose
@@ -373,45 +376,48 @@ func TestServeQuarantineOnFailureStreak(t *testing.T) {
 func TestServeChaosResetFailQuarantine(t *testing.T) {
 	for _, backend := range []string{"wool", "woolgen"} {
 		t.Run(backend, func(t *testing.T) {
-			var rates chaos.ServeRates
-			rates[chaos.ServeLaneResetFail] = 65535 // every Reset "fails"
-			rates[chaos.ServeProbeFail] = 32768     // ~half the probes fail
-			inj := chaos.NewServeInjector(rates, 0x0bad5eed)
-			s, err := New(Options{
-				Backend: backend,
-				Workers: 1,
-				Chaos:   inj,
-				Resilience: resilience.Options{
-					Quarantine: resilience.QuarantineConfig{FailureStreak: -1, ProbeBackoff: time.Millisecond},
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			bothTakers(t, func(t *testing.T, m waitMode) {
+				var rates chaos.ServeRates
+				rates[chaos.ServeLaneResetFail] = 65535 // every Reset "fails"
+				rates[chaos.ServeProbeFail] = 32768     // ~half the probes fail
+				inj := chaos.NewServeInjector(rates, 0x0bad5eed)
+				s, err := New(Options{
+					Backend: backend,
+					Workers: 1,
+					Chaos:   inj,
+					Resilience: resilience.Options{
+						Quarantine: resilience.QuarantineConfig{FailureStreak: -1, ProbeBackoff: time.Millisecond},
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
 
-			var gate, started atomic.Bool
-			ctx, cancel := context.WithCancel(context.Background())
-			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitTrue(t, &started, "victim dispatch")
-			cancel()
-			waitLanePoisoned(t, s)
-			gate.Store(true)
-			if _, werr := victim.Wait(); !errors.Is(werr, context.Canceled) {
-				t.Fatalf("victim err = %v, want context.Canceled", werr)
-			}
-			// The replacement pool serves the follow-ups.
-			mustWaitFib(t, s, "")
-			h := s.Health().Lanes[0]
-			if h.Quarantines < 1 || h.Replacements < 1 {
-				t.Fatalf("lane health = %+v, want a quarantine (replay seed=%#x)", h, inj.Seed())
-			}
-			if cnt := inj.Injected(); cnt[chaos.ServeLaneResetFail] < 1 {
-				t.Fatalf("chaos never fired lane-reset-fail: %v (replay seed=%#x)", cnt, inj.Seed())
-			}
+				var gate, started atomic.Bool
+				ctx, cancel := context.WithCancel(context.Background())
+				victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := m.waitAsync(victim)
+				waitTrue(t, &started, "victim dispatch")
+				cancel()
+				waitLanePoisoned(t, s)
+				gate.Store(true)
+				if r := <-res; !errors.Is(r.err, context.Canceled) {
+					t.Fatalf("victim err = %v, want context.Canceled", r.err)
+				}
+				// The replacement pool serves the follow-ups.
+				mustWaitFib(t, s, m, "")
+				h := s.Health().Lanes[0]
+				if h.Quarantines < 1 || h.Replacements < 1 {
+					t.Fatalf("lane health = %+v, want a quarantine (replay seed=%#x)", h, inj.Seed())
+				}
+				if cnt := inj.Injected(); cnt[chaos.ServeLaneResetFail] < 1 {
+					t.Fatalf("chaos never fired lane-reset-fail: %v (replay seed=%#x)", cnt, inj.Seed())
+				}
+			})
 		})
 	}
 }
@@ -438,40 +444,43 @@ func TestServeSubmitStormChaos(t *testing.T) {
 // Reset-returns-error branch: a Reset that reports an error must
 // quarantine and replace the pool, not leave the poison in place.
 func TestServeResetErrorReplacement(t *testing.T) {
-	s, err := New(Options{
-		Workers: 1,
-		Resilience: resilience.Options{
-			Quarantine: resilience.QuarantineConfig{FailureStreak: -1, ProbeBackoff: time.Millisecond},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Swap the lane's abort surface for one whose Reset always errors.
-	// The lane is idle (no request yet), so the swap is safe under mu.
-	l := s.lanes[0]
-	l.mu.Lock()
-	l.ab = resetFailAbortable{l.ab}
-	l.mu.Unlock()
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{
+			Workers: 1,
+			Resilience: resilience.Options{
+				Quarantine: resilience.QuarantineConfig{FailureStreak: -1, ProbeBackoff: time.Millisecond},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		// Swap the lane's abort surface for one whose Reset always errors.
+		// The lane is idle (no request yet), so the swap is safe under mu.
+		l := s.lanes[0]
+		l.mu.Lock()
+		l.ab = resetFailAbortable{l.ab}
+		l.mu.Unlock()
 
-	var gate, started atomic.Bool
-	ctx, cancel := context.WithCancel(context.Background())
-	victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTrue(t, &started, "victim dispatch")
-	cancel()
-	waitLanePoisoned(t, s)
-	gate.Store(true)
-	if _, werr := victim.Wait(); !errors.Is(werr, context.Canceled) {
-		t.Fatalf("victim err = %v, want context.Canceled", werr)
-	}
-	mustWaitFib(t, s, "")
-	if h := s.Health().Lanes[0]; h.Quarantines < 1 || h.Replacements < 1 {
-		t.Fatalf("lane health = %+v, want quarantine after Reset error", h)
-	}
+		var gate, started atomic.Bool
+		ctx, cancel := context.WithCancel(context.Background())
+		victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := m.waitAsync(victim)
+		waitTrue(t, &started, "victim dispatch")
+		cancel()
+		waitLanePoisoned(t, s)
+		gate.Store(true)
+		if r := <-res; !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("victim err = %v, want context.Canceled", r.err)
+		}
+		mustWaitFib(t, s, m, "")
+		if h := s.Health().Lanes[0]; h.Quarantines < 1 || h.Replacements < 1 {
+			t.Fatalf("lane health = %+v, want quarantine after Reset error", h)
+		}
+	})
 }
 
 // resetFailAbortable wraps a real abort surface with a Reset that

@@ -5,19 +5,31 @@
 // submitted concurrently. woolserve bridges the two worlds without
 // touching the hot protocol:
 //
-//   - Submission. Submit(ctx, tenant, job) enqueues a request and
-//     returns a Ticket; Ticket.Wait blocks for the result. Any number
-//     of goroutines may submit concurrently: serialization onto the
-//     single-root pools happens here, not in user code, which is what
-//     turns the backends' concurrent-Run guard (poolerr.
-//     ErrConcurrentRun) from a trap into an internal invariant.
+//   - Submission as spawn and join. Submit(ctx, tenant, job) returns a
+//     Ticket and Ticket.Wait its result, from any number of goroutines.
+//     The pair follows the paper's discipline for a task: Submit (the
+//     spawn) puts the request in the mailbox of an idle lane and wakes
+//     that lane's goroutine; Wait (the join) finds the request still in
+//     the mailbox in the common case, takes it, and runs it on the
+//     calling goroutine — the pool's Run executes its root on whichever
+//     goroutine calls it — so a request that is waited for costs no
+//     goroutine hand-off, as a task that is not stolen costs no
+//     synchronization. The lane's goroutine is the thief: it takes the
+//     mailed requests nobody joined (polled with Ticket.Done, or never
+//     collected) and the ones that queued behind busy lanes.
+//     Serialization onto the single-root pools happens here, not in
+//     user code, which is what turns the backends' concurrent-Run guard
+//     (poolerr.ErrConcurrentRun) from a trap into an internal
+//     invariant.
 //
 //   - Lanes. The server partitions its Workers into lanes — small
-//     independent pools of LaneWidth workers each — and each lane
-//     drains requests one at a time. Requests are small (that is the
+//     independent pools of LaneWidth workers each, with a one-ticket
+//     mailbox and a goroutine — and at most one request runs on a
+//     lane's pool at a time. Requests are small (that is the
 //     fine-grained premise), so cross-request parallelism comes from
 //     many lanes rather than one wide pool; within a request the
 //     lane's pool supplies the paper's work-stealing parallelism.
+//     lane.go states the dispatch states and their invariants.
 //
 //   - Weighted tenant fairness. Named tenants own demand-sized worker
 //     teams, the deterministic team-building idea of Wimmer & Träff
@@ -34,7 +46,7 @@
 //     stall the runtime.
 //
 //   - Per-request cancellation. A request's context cancels or times
-//     out mid-flight: the lane aborts its pool (sched.Abortable, the
+//     out mid-flight: the lane's pool is aborted (sched.Abortable, the
 //     request-scoped poison of internal/core, DESIGN.md §16), the
 //     request unwinds with the context's error, and the pool is Reset
 //     back into service for the next request. That contract is the
@@ -56,6 +68,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -106,41 +119,63 @@ func (e *PanicError) Error() string { return fmt.Sprintf("serve: request panicke
 func (e *PanicError) ErrorClass() poolerr.Class { return poolerr.ClassRetryable }
 
 // Job is one request: a root task DAG to run on a lane's pool. Build
-// one with Rec or Range.
+// one with Rec or Range. A Job may be submitted any number of times,
+// concurrently and to several servers: it builds its port for a backend
+// (sched.Prepared) the first time a lane of that backend runs it and
+// keeps it, so a request class pays for its task definition once, not
+// per request.
 type Job interface {
-	runOn(p sched.Pool) int64
+	// port returns the job prepared for the named backend, building it
+	// with prep on first use.
+	port(backend string, prep sched.Preparer) sched.Prepared
 	// class keys the per-tenant service-time estimator: the job's
 	// declared Name, or the job shape when unnamed.
 	class() string
 }
 
-type recJob struct{ j sched.RecJob }
+// job is the one Job implementation; Rec and Range differ in prepare.
+type job struct {
+	name    string
+	prepare func(sched.Preparer) sched.Prepared
+	// ports caches the prepared forms, one per backend that has run the
+	// job: a prepend-only list, so the lookup on the request path is a
+	// load and a string compare.
+	ports atomic.Pointer[portEntry]
+}
 
-func (r recJob) runOn(p sched.Pool) int64 { return p.RunRec(r.j) }
+type portEntry struct {
+	backend string
+	port    sched.Prepared
+	next    *portEntry
+}
 
-func (r recJob) class() string {
-	if r.j.Name != "" {
-		return r.j.Name
+func (j *job) class() string { return j.name }
+
+func (j *job) port(backend string, prep sched.Preparer) sched.Prepared {
+	head := j.ports.Load()
+	for e := head; e != nil; e = e.next {
+		if e.backend == backend {
+			return e.port
+		}
 	}
-	return "rec"
+	// First runs that race each build a port. The insert succeeds only
+	// if nothing was inserted since the search, so no backend is listed
+	// twice; a loser's port serves its own request and it looks again
+	// next time.
+	pt := j.prepare(prep)
+	j.ports.CompareAndSwap(head, &portEntry{backend, pt, head})
+	return pt
 }
 
 // Rec wraps a divide-and-conquer job as a servable request.
-func Rec(j sched.RecJob) Job { return recJob{j} }
-
-type rangeJob struct{ j sched.RangeJob }
-
-func (r rangeJob) runOn(p sched.Pool) int64 { return p.RunRange(r.j) }
-
-func (r rangeJob) class() string {
-	if r.j.Name != "" {
-		return r.j.Name
-	}
-	return "range"
+func Rec(j sched.RecJob) Job {
+	return &job{name: cmp.Or(j.Name, "rec"), prepare: func(p sched.Preparer) sched.Prepared { return p.PrepareRec(j) }}
 }
 
 // Range wraps an index-range job as a servable request.
-func Range(j sched.RangeJob) Job { return rangeJob{j} }
+func Range(j sched.RangeJob) Job {
+	return &job{name: cmp.Or(j.Name, "range"), prepare: func(p sched.Preparer) sched.Prepared { return p.PrepareRange(j) }}
+}
 
 // Tenant configures one named tenant (a team in the arXiv:1012.5030
 // sense).
@@ -171,7 +206,10 @@ type Options struct {
 	// LaneWidth is the workers per lane. Default 1: requests are
 	// assumed fine-grained, so throughput comes from many independent
 	// lanes; raise it when single-request latency needs intra-request
-	// stealing.
+	// stealing. Workers/LaneWidth lanes bound the requests running at
+	// once, whoever runs them: a request's root runs on the lane's
+	// goroutine or on its submitter's (Ticket.Wait), the other
+	// LaneWidth-1 workers of the lane's pool steal from it either way.
 	LaneWidth int
 	// MaxPending bounds each tenant's pending queue; a submission
 	// beyond it fails with ErrOverloaded. Default 1024.
@@ -203,52 +241,134 @@ type Options struct {
 	Chaos *chaos.ServeInjector
 }
 
-// Ticket is a submitted request's handle.
+// epoch is the zero of Ticket.submitted: a ticket keeps an offset on
+// the monotonic clock, a third of a time.Time's size and read without
+// the wall clock.
+var epoch = time.Now()
+
+// Ticket is a submitted request's handle. One is allocated per request
+// and it is all a joined request allocates, so its size is the
+// request path's garbage: the fields are ordered to pack, and what the
+// tenant or the job already knows (the server, the estimator class) is
+// not repeated here — 120 bytes, inside the 128-byte size class
+// (TestServeRequestAllocs).
 type Ticket struct {
+	job       Job
+	ctx       context.Context
+	tn        *tenant
+	submitted time.Duration // since epoch
+
+	// box is the lane whose mailbox holds the ticket; nil while it is
+	// queued or backing off and once somebody took it. Guarded by the
+	// server mutex: it is the word the takers race for.
+	box *lane
+
+	// attempt counts completed runs; probe marks the ticket as a half-
+	// open breaker probe whose outcome must be reported via ProbeDone.
+	// Both are touched only by whoever runs the ticket (one attempt at
+	// a time, handed on through the server mutex).
+	attempt int
+
+	// val/err/latency are published by finished, which finish sets last.
+	val     int64
+	err     error
+	latency time.Duration
+	// done is made by the first Done call that finds the ticket
+	// unfinished. mu orders that against finish, so the channel is
+	// closed exactly once and a channel made late is never left open.
+	done     chan struct{}
+	mu       sync.Mutex
+	finished atomic.Bool
+	probe    bool
+
 	// Retryable records whether the server may re-run this request on a
 	// failure-class outcome: the caller marked it retry-safe
 	// (SubmitOptions.Retryable) and server-side retries are enabled.
 	// Read-only after Submit.
 	Retryable bool
-
-	job       Job
-	ctx       context.Context
-	tn        *tenant
-	submitted time.Time
-	class     string
-
-	// attempt counts completed runs; probe marks the ticket as a half-
-	// open breaker probe whose outcome must be reported via ProbeDone.
-	// Both are touched only by the owning lane (one attempt at a time).
-	attempt int
-	probe   bool
-
-	// val/err/latency are published by the close of done.
-	val     int64
-	err     error
-	latency time.Duration
-	done    chan struct{}
 }
 
-// Wait blocks until the request finished (completed, cancelled,
-// panicked, or failed by Close) and returns its result. The result of
-// a cancelled or failed request is 0 with the classifying error:
-// the request context's error for cancellations, a *PanicError for
-// task panics, ErrClosed for requests drained by Close.
+// Wait returns the request's result once it finished (completed,
+// cancelled, panicked, or failed by Close). It is the join of the
+// spawn that Submit made: when no lane has started the request yet,
+// Wait runs it on the calling goroutine, on the pool of the lane it
+// was mailed to, instead of waiting for that lane's goroutine to wake;
+// otherwise it blocks. Task panics are recovered into a *PanicError
+// either way, never raised on the caller. The result of a cancelled or
+// failed request is 0 with the classifying error: the request
+// context's error for cancellations, a *PanicError for task panics,
+// ErrClosed for requests drained by Close. Any number of goroutines may
+// Wait on one ticket.
 func (t *Ticket) Wait() (int64, error) {
-	<-t.done
+	if !t.finished.Load() {
+		if l := t.tn.srv.join(t); l != nil {
+			l.serveOne(t)
+			l.release()
+		}
+		// Unfinished here: another taker has it, it is queued behind busy
+		// lanes, or the attempt above failed into a retry.
+		if !t.finished.Load() {
+			<-t.Done()
+		}
+	}
 	return t.val, t.err
 }
 
+// closedChan is the Done channel of every ticket that finished before
+// anyone asked for one.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Done returns a channel closed when the request finishes, for callers
-// multiplexing tickets with select.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
+// multiplexing tickets with select. Unlike Wait it never runs the
+// request: a ticket that is only polled is served by a lane goroutine.
+func (t *Ticket) Done() <-chan struct{} {
+	if t.finished.Load() {
+		return closedChan
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.finished.Load() {
+		return closedChan
+	}
+	if t.done == nil {
+		t.done = make(chan struct{})
+	}
+	return t.done
+}
 
 // Latency returns the submit-to-finish latency; valid after Wait/Done.
 func (t *Ticket) Latency() time.Duration { return t.latency }
 
+// finish is the one finalizer: it counts the request's final outcome
+// and publishes it. Exactly one party calls it per ticket — whoever ran
+// the last attempt, the retry path shedding it, or Close draining it.
+func (t *Ticket) finish(val int64, err error) {
+	tn := t.tn
+	switch {
+	case err == nil:
+		tn.completed.Add(1)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		tn.cancelled.Add(1)
+	default:
+		tn.failed.Add(1)
+	}
+	t.val, t.err = val, err
+	t.latency = time.Since(epoch) - t.submitted
+	t.mu.Lock()
+	t.finished.Store(true)
+	if t.done != nil {
+		close(t.done)
+	}
+	t.mu.Unlock()
+}
+
 // tenant is the runtime state of one configured Tenant.
 type tenant struct {
+	srv        *Server
 	name       string
 	weight     int
 	maxPending int
@@ -260,8 +380,13 @@ type tenant struct {
 	est     *resilience.Estimator
 	retrier *resilience.Retrier
 
-	// q is the FIFO pending queue, guarded by the server mutex.
-	q []*Ticket
+	// q[head:] is the FIFO of tickets waiting behind busy lanes and
+	// mailed counts this tenant's tickets sitting in lane mailboxes;
+	// together they are the tenant's pending requests. Guarded by the
+	// server mutex.
+	q      []*Ticket
+	head   int
+	mailed int
 
 	submitted atomic.Int64
 	completed atomic.Int64
@@ -278,15 +403,37 @@ type tenant struct {
 	retried      atomic.Int64
 }
 
-// pop removes and returns the oldest pending ticket (server mutex
-// held), or nil.
+// queued is the number of tickets in the FIFO (server mutex held).
+func (tn *tenant) queued() int { return len(tn.q) - tn.head }
+
+// pending is what admission control bounds (server mutex held).
+func (tn *tenant) pending() int { return tn.queued() + tn.mailed }
+
+// push appends t to the FIFO (server mutex held). When the array is
+// full and at least half of it is popped slots, the live tail slides to
+// the front instead of append copying the dead prefix into a larger
+// array, so a queue that never empties stays bounded too.
+func (tn *tenant) push(t *Ticket) {
+	if len(tn.q) == cap(tn.q) && tn.head > 0 && tn.head >= len(tn.q)/2 {
+		n := copy(tn.q, tn.q[tn.head:])
+		clear(tn.q[n:])
+		tn.q, tn.head = tn.q[:n], 0
+	}
+	tn.q = append(tn.q, t)
+}
+
+// pop removes and returns the oldest queued ticket (server mutex
+// held), or nil. An emptied queue rewinds to the start of its array.
 func (tn *tenant) pop() *Ticket {
-	if len(tn.q) == 0 {
+	if tn.head == len(tn.q) {
 		return nil
 	}
-	t := tn.q[0]
-	tn.q[0] = nil
-	tn.q = tn.q[1:]
+	t := tn.q[tn.head]
+	tn.q[tn.head] = nil
+	tn.head++
+	if tn.head == len(tn.q) {
+		tn.q, tn.head = tn.q[:0], 0
+	}
 	return t
 }
 
@@ -295,6 +442,7 @@ func (tn *tenant) pop() *Ticket {
 type Server struct {
 	opts    Options
 	sch     sched.Scheduler
+	prep    sched.Preparer // sch's other half of Caps.Serve
 	tenants []*tenant
 	byName  map[string]*tenant
 	lanes   []*lane
@@ -308,8 +456,10 @@ type Server struct {
 	closeCh chan struct{}
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	closed bool
+	// idle is the set of lanes with an empty mailbox and nobody on their
+	// pool; a stack, so the lane released last is mailed first.
+	idle []*lane
 	// retryTimers holds the backoff timer of every ticket waiting to be
 	// re-enqueued. Map presence is the ownership token between requeue
 	// and Close: whoever removes the entry (or finds the map nil)
@@ -355,7 +505,7 @@ func New(o Options) (*Server, error) {
 	}
 
 	s := &Server{opts: o, sch: sch, byName: map[string]*tenant{}}
-	s.cond = sync.NewCond(&s.mu)
+	s.prep = sch.(sched.Preparer) // what Caps.Serve promises
 	s.res = o.Resilience
 	s.qcfg = o.Resilience.Quarantine.Defaulted()
 	s.inj = o.Chaos
@@ -370,7 +520,7 @@ func New(o Options) (*Server, error) {
 		if _, dup := s.byName[tc.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", tc.Name)
 		}
-		tn := &tenant{name: tc.Name, weight: tc.Weight, maxPending: tc.MaxPending}
+		tn := &tenant{srv: s, name: tc.Name, weight: tc.Weight, maxPending: tc.MaxPending}
 		if tn.weight <= 0 {
 			tn.weight = 1
 		}
@@ -429,7 +579,7 @@ func New(o Options) (*Server, error) {
 					return fail(fmt.Errorf("serve: lanes %d and %d share one Pool.Trace or Pool.Chaos sink, which is single-writer per worker index; attach one per lane through Options.ConfigurePool", prev.idx, laneIdx))
 				}
 			}
-			l := &lane{srv: s, idx: laneIdx, tn: tn, opts: po}
+			l := &lane{srv: s, idx: laneIdx, tn: tn, opts: po, wake: make(chan struct{}, 1)}
 			l.pool = sch.NewPool(po)
 			l.ab = l.pool.Native().(sched.Abortable) // what Caps.Serve promises
 			s.lanes = append(s.lanes, l)
@@ -437,6 +587,10 @@ func New(o Options) (*Server, error) {
 		}
 	}
 
+	// Every lane starts idle, lane 0 on top of the stack.
+	for i := len(s.lanes) - 1; i >= 0; i-- {
+		s.idle = append(s.idle, s.lanes[i])
+	}
 	for _, l := range s.lanes {
 		s.wg.Add(1)
 		go l.loop()
@@ -493,13 +647,18 @@ type SubmitOptions struct {
 	Retryable bool
 }
 
-// Submit enqueues job for tenantName under ctx and returns its Ticket.
-// It never blocks: a full tenant queue rejects with ErrOverloaded, an
-// open breaker with ErrCircuitOpen, a doomed deadline with
-// ErrDeadlineUnmeetable, a closed server with ErrClosed, an unknown
-// tenant with ErrUnknownTenant (all wrapped with context). A nil ctx
-// means context.Background(). ctx governs the request end to end: a
-// cancellation while queued fails the ticket at dispatch; a
+// Submit hands job to the server for tenantName under ctx and returns
+// its Ticket. It is the spawn of the paper's spawn/join pair: the
+// request goes into the mailbox of an idle lane (one of the tenant's
+// own first) and that lane's goroutine is woken, or, when every lane is
+// busy, onto the tenant's queue; whoever gets to it first — the woken
+// goroutine, or the caller's own Ticket.Wait — runs it. Submit never
+// blocks: a tenant with MaxPending requests not yet started rejects
+// with ErrOverloaded, an open breaker with ErrCircuitOpen, a doomed
+// deadline with ErrDeadlineUnmeetable, a closed server with ErrClosed,
+// an unknown tenant with ErrUnknownTenant (all wrapped with context). A
+// nil ctx means context.Background(). ctx governs the request end to
+// end: a cancellation before it starts fails the ticket at dispatch; a
 // cancellation mid-run aborts the lane's pool.
 func (s *Server) Submit(ctx context.Context, tenantName string, job Job) (*Ticket, error) {
 	return s.SubmitWith(ctx, tenantName, job, SubmitOptions{})
@@ -520,7 +679,7 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantName)
 	}
-	if len(tn.q) >= tn.maxPending {
+	if tn.pending() >= tn.maxPending {
 		s.mu.Unlock()
 		tn.rejected.Add(1)
 		tn.shedOverload.Add(1)
@@ -532,13 +691,12 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 		tn.shedOverload.Add(1)
 		return nil, fmt.Errorf("%w: tenant %q storm-shed (chaos)", ErrOverloaded, tenantName)
 	}
-	class := job.class()
 	if tn.est != nil {
-		if dl, has := ctx.Deadline(); has && tn.est.Unmeetable(class, time.Until(dl)) {
+		if dl, has := ctx.Deadline(); has && tn.est.Unmeetable(job.class(), time.Until(dl)) {
 			s.mu.Unlock()
 			tn.rejected.Add(1)
 			tn.shedDeadline.Add(1)
-			return nil, fmt.Errorf("%w: tenant %q class %q", ErrDeadlineUnmeetable, tenantName, class)
+			return nil, fmt.Errorf("%w: tenant %q class %q", ErrDeadlineUnmeetable, tenantName, job.class())
 		}
 	}
 	// The breaker decides last: every earlier check sheds without
@@ -555,16 +713,83 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 		probe = p
 	}
 	t := &Ticket{
-		Retryable: so.Retryable && tn.retrier != nil,
-		job:       job, ctx: ctx, tn: tn,
-		submitted: time.Now(), class: class, probe: probe,
-		done: make(chan struct{}),
+		job: job, ctx: ctx, tn: tn, submitted: time.Since(epoch),
+		probe: probe, Retryable: so.Retryable && tn.retrier != nil,
 	}
-	tn.q = append(tn.q, t)
+	l := s.dispatch(t)
 	tn.submitted.Add(1)
 	s.mu.Unlock()
-	s.cond.Signal()
+	if l != nil {
+		l.wakeup()
+	}
 	return t, nil
+}
+
+// dispatch routes t (server mutex held): into the mailbox of an idle
+// lane — the most recently idle lane of t's own team, else the most
+// recently idle lane of any team (work conservation) — or, with no
+// lane idle, onto its tenant's queue. It returns the lane it mailed,
+// whose goroutine the caller must wake after unlocking: a mailed ticket
+// that nobody Waits on is run by that goroutine and nobody else
+// (invariant 2, progress without Wait).
+func (s *Server) dispatch(t *Ticket) *lane {
+	n := len(s.idle)
+	if n == 0 {
+		t.tn.push(t)
+		return nil
+	}
+	k := n - 1
+	for i := k; i >= 0; i-- {
+		if s.idle[i].tn == t.tn {
+			k = i
+			break
+		}
+	}
+	l := s.idle[k]
+	copy(s.idle[k:], s.idle[k+1:])
+	s.idle[n-1] = nil
+	s.idle = s.idle[:n-1]
+	l.mail, t.box = t, l
+	t.tn.mailed++
+	return l
+}
+
+// join is Wait's side of the race for a mailed ticket: if t still sits
+// in a mailbox the caller takes it, and with it the lane, which is the
+// caller's until it calls release (invariant 4). nil means somebody
+// else has the ticket, or it is queued, and Wait blocks.
+func (s *Server) join(t *Ticket) *lane {
+	s.mu.Lock()
+	l := t.box
+	if l != nil {
+		l.unmail()
+	}
+	s.mu.Unlock()
+	return l
+}
+
+// backlog returns the tenant whose queue lane l serves next (server
+// mutex held): the home tenant first (team affinity), otherwise the
+// most backlogged queue relative to its weight (work conservation — a
+// free team helps the busiest tenant rather than idling), or nil when
+// nothing is queued anywhere. A lane enters the idle set only on nil
+// (invariant 3).
+func (s *Server) backlog(l *lane) *tenant {
+	if l.tn.queued() > 0 {
+		return l.tn
+	}
+	var best *tenant
+	var bestScore float64
+	for _, tn := range s.tenants {
+		if tn.queued() == 0 {
+			continue
+		}
+		score := float64(tn.queued()) / float64(tn.weight)
+		if best == nil || score > bestScore {
+			best, bestScore = tn, score
+		}
+	}
+	return best
 }
 
 // scheduleRetry arms t's backoff timer; after backoff the ticket goes
@@ -580,10 +805,10 @@ func (s *Server) scheduleRetry(t *Ticket, backoff time.Duration) bool {
 	return true
 }
 
-// requeue moves a backed-off ticket to the tail of its tenant's queue,
-// unless Close claimed it first (then Close finalizes it). A queue that
-// refilled past its bound while the ticket backed off sheds the retry:
-// the ticket fails with ErrOverloaded rather than stretching the bound.
+// requeue dispatches a backed-off ticket again, unless Close claimed it
+// first (then Close finalizes it). A tenant that refilled to its bound
+// while the ticket backed off sheds the retry: the ticket fails with
+// ErrOverloaded rather than stretching the bound.
 func (s *Server) requeue(t *Ticket) {
 	s.mu.Lock()
 	if s.retryTimers == nil {
@@ -596,20 +821,23 @@ func (s *Server) requeue(t *Ticket) {
 	}
 	delete(s.retryTimers, t)
 	tn := t.tn
-	if len(tn.q) >= tn.maxPending {
+	if tn.pending() >= tn.maxPending {
 		s.mu.Unlock()
-		finishTicket(t, 0, fmt.Errorf("%w: tenant %q retry shed, %d pending", ErrOverloaded, tn.name, tn.maxPending))
+		t.finish(0, fmt.Errorf("%w: tenant %q retry shed, %d pending", ErrOverloaded, tn.name, tn.maxPending))
 		return
 	}
-	tn.q = append(tn.q, t)
+	l := s.dispatch(t)
 	s.mu.Unlock()
-	s.cond.Signal()
+	if l != nil {
+		l.wakeup()
+	}
 }
 
-// Close stops the server: pending requests (queued or backing off for
-// a retry) are failed with ErrClosed, in-flight requests run to
-// completion, and every lane pool is closed. Idempotent; Submit after
-// Close returns ErrClosed.
+// Close stops the server: pending requests (mailed, queued or backing
+// off for a retry) are failed with ErrClosed, in-flight requests run to
+// completion — including one a Wait caller is running on a borrowed
+// lane — and every lane pool is closed by its lane's goroutine.
+// Idempotent; Submit after Close returns ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -620,24 +848,38 @@ func (s *Server) Close() {
 	close(s.closeCh)
 	var drained []*Ticket
 	for _, tn := range s.tenants {
-		drained = append(drained, tn.q...)
-		tn.q = nil
+		drained = append(drained, tn.q[tn.head:]...)
+		tn.q, tn.head = nil, 0
+	}
+	// Close is the third taker of a mailed ticket. Idle lanes and
+	// emptied mailboxes go back to their goroutines, which find nothing
+	// to serve and shut down; a lane that is serving or borrowed gets
+	// there when its request ends (next, release).
+	back := s.idle
+	s.idle = nil
+	for _, l := range s.lanes {
+		if l.mail != nil {
+			drained = append(drained, l.unmail())
+			back = append(back, l)
+		}
+	}
+	for _, l := range back {
+		l.back = true
 	}
 	// Claim the backing-off tickets: once retryTimers is nil, a timer
 	// that fires anyway finds no entry and leaves finalization to us.
 	timers := s.retryTimers
 	s.retryTimers = nil
 	s.mu.Unlock()
-	s.cond.Broadcast()
+	for _, l := range back {
+		l.wakeup()
+	}
 	for t, tm := range timers {
 		tm.Stop()
 		drained = append(drained, t)
 	}
 	for _, t := range drained {
-		t.tn.failed.Add(1)
-		t.err = ErrClosed
-		t.latency = time.Since(t.submitted)
-		close(t.done)
+		t.finish(0, ErrClosed)
 	}
 	s.wg.Wait()
 }
@@ -687,7 +929,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	pending := make([]int, len(s.tenants))
 	for i, tn := range s.tenants {
-		pending[i] = len(tn.q)
+		pending[i] = tn.pending()
 	}
 	s.mu.Unlock()
 	for i, tn := range s.tenants {

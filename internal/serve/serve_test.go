@@ -25,8 +25,11 @@ import (
 // the moment the request is provably running on a lane — tests wait on
 // it before cancelling so a cancellation is mid-flight, not
 // while-queued. Completed value is depth+1.
-func gateJob(g, started *atomic.Bool, depth int64) Job {
-	return Rec(sched.RecJob{
+func gateJob(g, started *atomic.Bool, depth int64) Job { return Rec(gateRec(g, started, depth)) }
+
+// gateRec is gateJob's recursion, for tests that wrap it further.
+func gateRec(g, started *atomic.Bool, depth int64) sched.RecJob {
+	return sched.RecJob{
 		Name: "gate",
 		Root: depth,
 		Leaf: func(n int64) (int64, bool) {
@@ -45,7 +48,7 @@ func gateJob(g, started *atomic.Bool, depth int64) Job {
 			return 0, false
 		},
 		Split: func(n int64) (inline, spawned int64) { return -1, n - 1 },
-	})
+	}
 }
 
 // waitTrue polls an atomic flag (a gate job's started signal).
@@ -81,44 +84,46 @@ func waitLanePoisoned(t *testing.T, s *Server) {
 // the default (single anonymous tenant) server and checks every
 // result against the serial reference.
 func TestServeBasic(t *testing.T) {
-	s, err := New(Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
 
-	const reqs = 32
-	want := fibw.Serial(16)
-	var wg sync.WaitGroup
-	errs := make(chan error, reqs)
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(16, 1)))
-			if err != nil {
-				errs <- err
-				return
-			}
-			v, err := tk.Wait()
-			if err != nil {
-				errs <- err
-				return
-			}
-			if v != want {
-				errs <- fmt.Errorf("fib(16) = %d, want %d", v, want)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	st := s.Stats()
-	if got := st.Tenants[0].Completed; got != reqs {
-		t.Errorf("completed = %d, want %d", got, reqs)
-	}
+		const reqs = 32
+		want := fibw.Serial(16)
+		var wg sync.WaitGroup
+		errs := make(chan error, reqs)
+		for i := 0; i < reqs; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(16, 1)))
+				if err != nil {
+					errs <- err
+					return
+				}
+				v, err := m.wait(tk)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if v != want {
+					errs <- fmt.Errorf("fib(16) = %d, want %d", v, want)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		st := s.Stats()
+		if got := st.Tenants[0].Completed; got != reqs {
+			t.Errorf("completed = %d, want %d", got, reqs)
+		}
+	})
 }
 
 // TestServeBackends runs the serving layer over every registered
@@ -147,23 +152,25 @@ func TestServeBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			var tks []*Ticket
-			for i := 0; i < 8; i++ {
-				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(14, 1)))
-				if err != nil {
-					t.Fatal(err)
+			bothTakers(t, func(t *testing.T, m waitMode) {
+				var tks []*Ticket
+				for i := 0; i < 8; i++ {
+					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(14, 1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					tks = append(tks, tk)
 				}
-				tks = append(tks, tk)
-			}
-			for _, tk := range tks {
-				v, err := tk.Wait()
-				if err != nil {
-					t.Fatal(err)
+				for _, tk := range tks {
+					v, err := m.wait(tk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v != want {
+						t.Fatalf("fib(14) = %d, want %d", v, want)
+					}
 				}
-				if v != want {
-					t.Fatalf("fib(14) = %d, want %d", v, want)
-				}
-			}
+			})
 		})
 	}
 }
@@ -235,95 +242,99 @@ func TestServeLanesShareNoSinks(t *testing.T) {
 // out of Wait as itself — retryable, and a failure for the lane's
 // streak — while any other panic value is wrapped in a *PanicError.
 func TestServeWatchdogErrorStaysTyped(t *testing.T) {
-	s, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	panicJob := func(name string, val any) Job {
-		return Rec(sched.RecJob{
-			Name:  name,
-			Root:  3,
-			Leaf:  func(n int64) (int64, bool) { panic(val) },
-			Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
-		})
-	}
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		panicJob := func(name string, val any) Job {
+			return Rec(sched.RecJob{
+				Name:  name,
+				Root:  3,
+				Leaf:  func(n int64) (int64, bool) { panic(val) },
+				Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
+			})
+		}
 
-	trip := &poolerr.WatchdogError{Interval: time.Second, Bundle: "synthetic trip"}
-	tk, err := s.Submit(context.Background(), "", panicJob("wd-trip", trip))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, werr := tk.Wait()
-	var we *poolerr.WatchdogError
-	if !errors.As(werr, &we) || we != trip {
-		t.Fatalf("watchdog trip: err = %T (%v), want the *poolerr.WatchdogError itself", werr, werr)
-	}
-	if c := poolerr.ClassOf(werr); c != poolerr.ClassRetryable {
-		t.Errorf("ClassOf(watchdog trip) = %v, want retryable", c)
-	}
-	if streak := s.Health().Lanes[0].FailureStreak; streak != 1 {
-		t.Errorf("failure streak after a watchdog trip = %d, want 1", streak)
-	}
+		trip := &poolerr.WatchdogError{Interval: time.Second, Bundle: "synthetic trip"}
+		tk, err := s.Submit(context.Background(), "", panicJob("wd-trip", trip))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, werr := m.wait(tk)
+		var we *poolerr.WatchdogError
+		if !errors.As(werr, &we) || we != trip {
+			t.Fatalf("watchdog trip: err = %T (%v), want the *poolerr.WatchdogError itself", werr, werr)
+		}
+		if c := poolerr.ClassOf(werr); c != poolerr.ClassRetryable {
+			t.Errorf("ClassOf(watchdog trip) = %v, want retryable", c)
+		}
+		if streak := s.Health().Lanes[0].FailureStreak; streak != 1 {
+			t.Errorf("failure streak after a watchdog trip = %d, want 1", streak)
+		}
 
-	tk, err = s.Submit(context.Background(), "", panicJob("plain-boom", "plain boom"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, werr = tk.Wait()
-	var pe *PanicError
-	if !errors.As(werr, &pe) || pe.Val != "plain boom" {
-		t.Fatalf("string panic: err = %T (%v), want *PanicError{plain boom}", werr, werr)
-	}
-	if streak := s.Health().Lanes[0].FailureStreak; streak != 2 {
-		t.Errorf("failure streak after two failures = %d, want 2", streak)
-	}
-	mustWaitFib(t, s, "")
+		tk, err = s.Submit(context.Background(), "", panicJob("plain-boom", "plain boom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, werr = m.wait(tk)
+		var pe *PanicError
+		if !errors.As(werr, &pe) || pe.Val != "plain boom" {
+			t.Fatalf("string panic: err = %T (%v), want *PanicError{plain boom}", werr, werr)
+		}
+		if streak := s.Health().Lanes[0].FailureStreak; streak != 2 {
+			t.Errorf("failure streak after two failures = %d, want 2", streak)
+		}
+		mustWaitFib(t, s, m, "")
+	})
 }
 
 // TestServeOverload fills a single-lane server's bounded queue and
 // checks admission control sheds the excess with ErrOverloaded.
 func TestServeOverload(t *testing.T) {
-	s, err := New(Options{Workers: 1, MaxPending: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var gate, started atomic.Bool
-	// First request occupies the lane (popped immediately), two more
-	// fill the pending queue.
-	var tks []*Ticket
-	blocker, err := s.Submit(context.Background(), "", gateJob(&gate, &started, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the blocker is actually in flight so the queue bound
-	// is deterministic.
-	waitTrue(t, &started, "blocker dispatch")
-	for i := 0; i < 2; i++ {
-		tk, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4))
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 1, MaxPending: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tks = append(tks, tk)
-	}
-	if _, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("submit beyond MaxPending: err = %v, want ErrOverloaded", err)
-	}
-	gate.Store(true)
-	if v, err := blocker.Wait(); err != nil || v != 5 {
-		t.Fatalf("blocker: v=%d err=%v, want 5, nil", v, err)
-	}
-	for _, tk := range tks {
-		if v, err := tk.Wait(); err != nil || v != 5 {
-			t.Fatalf("queued: v=%d err=%v, want 5, nil", v, err)
+		defer s.Close()
+
+		var gate, started atomic.Bool
+		// First request occupies the lane (popped immediately), two more
+		// fill the pending queue.
+		var tks []*Ticket
+		blocker, err := s.Submit(context.Background(), "", gateJob(&gate, &started, 4))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := s.Stats()
-	if st.Tenants[0].Rejected != 1 {
-		t.Errorf("rejected = %d, want 1", st.Tenants[0].Rejected)
-	}
+		// Wait until the blocker is actually in flight so the queue bound
+		// is deterministic.
+		waitTrue(t, &started, "blocker dispatch")
+		for i := 0; i < 2; i++ {
+			tk, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+		}
+		if _, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4)); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("submit beyond MaxPending: err = %v, want ErrOverloaded", err)
+		}
+		gate.Store(true)
+		if v, err := m.wait(blocker); err != nil || v != 5 {
+			t.Fatalf("blocker: v=%d err=%v, want 5, nil", v, err)
+		}
+		for _, tk := range tks {
+			if v, err := m.wait(tk); err != nil || v != 5 {
+				t.Fatalf("queued: v=%d err=%v, want 5, nil", v, err)
+			}
+		}
+		st := s.Stats()
+		if st.Tenants[0].Rejected != 1 {
+			t.Errorf("rejected = %d, want 1", st.Tenants[0].Rejected)
+		}
+	})
 }
 
 // TestServeTenantLanes checks the weighted lane apportionment (every
@@ -369,47 +380,49 @@ func TestServeTenantLanes(t *testing.T) {
 func TestServePanicIsolation(t *testing.T) {
 	for _, backend := range []string{"wool", "woolgen"} {
 		t.Run(backend, func(t *testing.T) {
-			s, err := New(Options{Backend: backend, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			boom := Rec(sched.RecJob{
-				Name: "boom",
-				Root: 6,
-				Leaf: func(n int64) (int64, bool) {
-					if n <= 0 {
-						panic("boom at the leaf")
-					}
-					return 0, false
-				},
-				Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
-			})
-			tk, err := s.Submit(context.Background(), "", boom)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, werr := tk.Wait()
-			var pe *PanicError
-			if !errors.As(werr, &pe) {
-				t.Fatalf("panicking request: err = %v, want *PanicError", werr)
-			}
-			// The lane must have revived its pool: follow-up requests
-			// complete normally.
-			want := fibw.Serial(15)
-			for i := 0; i < 4; i++ {
-				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
+			bothTakers(t, func(t *testing.T, m waitMode) {
+				s, err := New(Options{Backend: backend, Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v, err := tk.Wait(); err != nil || v != want {
-					t.Fatalf("post-panic fib(15): v=%d err=%v, want %d, nil", v, err, want)
+				defer s.Close()
+				boom := Rec(sched.RecJob{
+					Name: "boom",
+					Root: 6,
+					Leaf: func(n int64) (int64, bool) {
+						if n <= 0 {
+							panic("boom at the leaf")
+						}
+						return 0, false
+					},
+					Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
+				})
+				tk, err := s.Submit(context.Background(), "", boom)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			st := s.Stats()
-			if st.Tenants[0].Failed != 1 {
-				t.Errorf("failed = %d, want 1", st.Tenants[0].Failed)
-			}
+				_, werr := m.wait(tk)
+				var pe *PanicError
+				if !errors.As(werr, &pe) {
+					t.Fatalf("panicking request: err = %v, want *PanicError", werr)
+				}
+				// The lane must have revived its pool: follow-up requests
+				// complete normally.
+				want := fibw.Serial(15)
+				for i := 0; i < 4; i++ {
+					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if v, err := m.wait(tk); err != nil || v != want {
+						t.Fatalf("post-panic fib(15): v=%d err=%v, want %d, nil", v, err, want)
+					}
+				}
+				st := s.Stats()
+				if st.Tenants[0].Failed != 1 {
+					t.Errorf("failed = %d, want 1", st.Tenants[0].Failed)
+				}
+			})
 		})
 	}
 }
@@ -420,63 +433,65 @@ func TestServePanicIsolation(t *testing.T) {
 func TestServeCancelMidFlight(t *testing.T) {
 	for _, backend := range []string{"wool", "woolgen"} {
 		t.Run(backend, func(t *testing.T) {
-			s, err := New(Options{Backend: backend, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-
-			var gate, started atomic.Bool
-			ctx, cancel := context.WithCancel(context.Background())
-			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitTrue(t, &started, "victim dispatch")
-			// Siblings on the other lanes keep completing while the
-			// victim spins.
-			want := fibw.Serial(15)
-			var sibs []*Ticket
-			for i := 0; i < 6; i++ {
-				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
+			bothTakers(t, func(t *testing.T, m waitMode) {
+				s, err := New(Options{Backend: backend, Workers: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sibs = append(sibs, tk)
-			}
-			for _, tk := range sibs {
-				if v, err := tk.Wait(); err != nil || v != want {
-					t.Fatalf("sibling during spin: v=%d err=%v, want %d, nil", v, err, want)
-				}
-			}
+				defer s.Close()
 
-			cancel()
-			waitLanePoisoned(t, s)
-			gate.Store(true)
-
-			v, werr := victim.Wait()
-			if !errors.Is(werr, context.Canceled) {
-				t.Fatalf("cancelled request: v=%d err=%v, want context.Canceled", v, werr)
-			}
-			// Only its own request died: fresh requests on every lane
-			// still complete.
-			var after []*Ticket
-			for i := 0; i < 8; i++ {
-				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
+				var gate, started atomic.Bool
+				ctx, cancel := context.WithCancel(context.Background())
+				victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
 				if err != nil {
 					t.Fatal(err)
 				}
-				after = append(after, tk)
-			}
-			for _, tk := range after {
-				if v, err := tk.Wait(); err != nil || v != want {
-					t.Fatalf("post-cancel sibling: v=%d err=%v, want %d, nil", v, err, want)
+				res := m.waitAsync(victim)
+				waitTrue(t, &started, "victim dispatch")
+				// Siblings on the other lanes keep completing while the
+				// victim spins.
+				want := fibw.Serial(15)
+				var sibs []*Ticket
+				for i := 0; i < 6; i++ {
+					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sibs = append(sibs, tk)
 				}
-			}
-			st := s.Stats()
-			if st.Tenants[0].Cancelled != 1 {
-				t.Errorf("cancelled = %d, want 1", st.Tenants[0].Cancelled)
-			}
+				for _, tk := range sibs {
+					if v, err := m.wait(tk); err != nil || v != want {
+						t.Fatalf("sibling during spin: v=%d err=%v, want %d, nil", v, err, want)
+					}
+				}
+
+				cancel()
+				waitLanePoisoned(t, s)
+				gate.Store(true)
+
+				if r := <-res; !errors.Is(r.err, context.Canceled) {
+					t.Fatalf("cancelled request: v=%d err=%v, want context.Canceled", r.v, r.err)
+				}
+				// Only its own request died: fresh requests on every lane
+				// still complete.
+				var after []*Ticket
+				for i := 0; i < 8; i++ {
+					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					after = append(after, tk)
+				}
+				for _, tk := range after {
+					if v, err := m.wait(tk); err != nil || v != want {
+						t.Fatalf("post-cancel sibling: v=%d err=%v, want %d, nil", v, err, want)
+					}
+				}
+				st := s.Stats()
+				if st.Tenants[0].Cancelled != 1 {
+					t.Errorf("cancelled = %d, want 1", st.Tenants[0].Cancelled)
+				}
+			})
 		})
 	}
 }
@@ -485,129 +500,141 @@ func TestServeCancelMidFlight(t *testing.T) {
 // one lane there is nowhere to hide a broken pool — the cancelled
 // request's own pool must serve the follow-ups.
 func TestServeCancelRevivesSingleLane(t *testing.T) {
-	s, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
 
-	for round := 0; round < 3; round++ {
-		var gate, started atomic.Bool
-		ctx, cancel := context.WithCancel(context.Background())
-		victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
-		if err != nil {
-			t.Fatal(err)
+		for round := 0; round < 3; round++ {
+			var gate, started atomic.Bool
+			ctx, cancel := context.WithCancel(context.Background())
+			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := m.waitAsync(victim)
+			waitTrue(t, &started, "victim dispatch")
+			cancel()
+			waitLanePoisoned(t, s)
+			gate.Store(true)
+			if r := <-res; !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("round %d: err = %v, want context.Canceled", round, r.err)
+			}
+			want := fibw.Serial(16)
+			tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(16, 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := m.wait(tk); err != nil || v != want {
+				t.Fatalf("round %d: revived lane fib(16): v=%d err=%v, want %d, nil", round, v, err, want)
+			}
 		}
-		waitTrue(t, &started, "victim dispatch")
-		cancel()
-		waitLanePoisoned(t, s)
-		gate.Store(true)
-		if _, werr := victim.Wait(); !errors.Is(werr, context.Canceled) {
-			t.Fatalf("round %d: err = %v, want context.Canceled", round, werr)
-		}
-		want := fibw.Serial(16)
-		tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(16, 1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, err := tk.Wait(); err != nil || v != want {
-			t.Fatalf("round %d: revived lane fib(16): v=%d err=%v, want %d, nil", round, v, err, want)
-		}
-	}
+	})
 }
 
 // TestServeDeadline checks a request deadline behaves like an explicit
 // cancellation: the request fails with context.DeadlineExceeded.
 func TestServeDeadline(t *testing.T) {
-	s, err := New(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var gate, started atomic.Bool
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	tk, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTrue(t, &started, "request dispatch")
-	waitLanePoisoned(t, s)
-	gate.Store(true)
-	if _, werr := tk.Wait(); !errors.Is(werr, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", werr)
-	}
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var gate, started atomic.Bool
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		tk, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := m.waitAsync(tk)
+		waitTrue(t, &started, "request dispatch")
+		waitLanePoisoned(t, s)
+		gate.Store(true)
+		if r := <-res; !errors.Is(r.err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", r.err)
+		}
+	})
 }
 
 // TestServeCancelWhileQueued checks a request cancelled before
 // dispatch fails at dispatch without running.
 func TestServeCancelWhileQueued(t *testing.T) {
-	s, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var gate, started atomic.Bool
-	blocker, err := s.Submit(context.Background(), "", gateJob(&gate, &started, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTrue(t, &started, "blocker dispatch")
-	ctx, cancel := context.WithCancel(context.Background())
-	queued, err := s.Submit(ctx, "", gateJob(&gate, nil, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	gate.Store(true)
-	if v, err := blocker.Wait(); err != nil || v != 5 {
-		t.Fatalf("blocker: v=%d err=%v", v, err)
-	}
-	if _, werr := queued.Wait(); !errors.Is(werr, context.Canceled) {
-		t.Fatalf("queued-cancelled: err = %v, want context.Canceled", werr)
-	}
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var gate, started atomic.Bool
+		blocker, err := s.Submit(context.Background(), "", gateJob(&gate, &started, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := m.waitAsync(blocker)
+		waitTrue(t, &started, "blocker dispatch")
+		ctx, cancel := context.WithCancel(context.Background())
+		queued, err := s.Submit(ctx, "", gateJob(&gate, nil, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		gate.Store(true)
+		if r := <-res; r.err != nil || r.v != 5 {
+			t.Fatalf("blocker: v=%d err=%v", r.v, r.err)
+		}
+		if _, werr := m.wait(queued); !errors.Is(werr, context.Canceled) {
+			t.Fatalf("queued-cancelled: err = %v, want context.Canceled", werr)
+		}
+	})
 }
 
 // TestServeClose checks Close fails the queued backlog with ErrClosed,
 // lets the in-flight request finish, and rejects new submissions.
 func TestServeClose(t *testing.T) {
-	s, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gate, started atomic.Bool
-	blocker, err := s.Submit(context.Background(), "", gateJob(&gate, &started, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTrue(t, &started, "blocker dispatch")
-	var queued []*Ticket
-	for i := 0; i < 2; i++ {
-		tk, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4))
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		queued = append(queued, tk)
-	}
-	closed := make(chan struct{})
-	go func() {
-		defer close(closed)
-		s.Close()
-	}()
-	for _, tk := range queued {
-		if _, werr := tk.Wait(); !errors.Is(werr, ErrClosed) {
-			t.Fatalf("drained ticket: err = %v, want ErrClosed", werr)
+		var gate, started atomic.Bool
+		blocker, err := s.Submit(context.Background(), "", gateJob(&gate, &started, 4))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	gate.Store(true)
-	if v, err := blocker.Wait(); err != nil || v != 5 {
-		t.Fatalf("in-flight at Close: v=%d err=%v, want 5, nil", v, err)
-	}
-	<-closed
-	if _, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after Close: err = %v, want ErrClosed", err)
-	}
-	s.Close() // idempotent
+		res := m.waitAsync(blocker)
+		waitTrue(t, &started, "blocker dispatch")
+		var queued []*Ticket
+		for i := 0; i < 2; i++ {
+			tk, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			queued = append(queued, tk)
+		}
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			s.Close()
+		}()
+		for _, tk := range queued {
+			if _, werr := m.wait(tk); !errors.Is(werr, ErrClosed) {
+				t.Fatalf("drained ticket: err = %v, want ErrClosed", werr)
+			}
+		}
+		gate.Store(true)
+		if r := <-res; r.err != nil || r.v != 5 {
+			t.Fatalf("in-flight at Close: v=%d err=%v, want 5, nil", r.v, r.err)
+		}
+		<-closed
+		if _, err := s.Submit(context.Background(), "", gateJob(&gate, nil, 4)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("submit after Close: err = %v, want ErrClosed", err)
+		}
+		s.Close() // idempotent
+	})
 }
 
 // TestApportionLanes pins the largest-remainder team sizing.

@@ -82,12 +82,20 @@ func TestServeSoak(t *testing.T) {
 	var wg sync.WaitGroup
 	var goodOK, goodBad atomic.Int64
 	wantFib := fibw.Serial(14)
+	// Every client collects each ticket by joining it or by polling it,
+	// drawn from its own seeded stream, so both takers of a mailed
+	// ticket stay under load for the whole soak.
+	clients := 0
+	modes := func() chaos.RNG {
+		clients++
+		return chaos.NewRNG(seed ^ (uint64(clients) * 0x9e3779b97f4a7c15))
+	}
 
 	// Healthy closed-loop clients: 3 per 2-lane tenant ≈ 1.5× capacity.
 	for _, tenant := range []string{"good0", "good1"} {
 		for c := 0; c < 3; c++ {
 			wg.Add(1)
-			go func(tenant string) {
+			go func(tenant string, modes chaos.RNG) {
 				defer wg.Done()
 				for {
 					select {
@@ -101,20 +109,20 @@ func TestServeSoak(t *testing.T) {
 						time.Sleep(200 * time.Microsecond)
 						continue
 					}
-					if v, werr := tk.Wait(); werr != nil || v != wantFib {
+					if v, werr := modeOf(modes.Next()).wait(tk); werr != nil || v != wantFib {
 						goodBad.Add(1)
 					} else {
 						goodOK.Add(1)
 					}
 				}
-			}(tenant)
+			}(tenant, modes())
 		}
 	}
 
 	// The failing tenant: every request panics; retry-safe so the retry
 	// budget drains and bounds the amplification.
 	wg.Add(1)
-	go func() {
+	go func(modes chaos.RNG) {
 		defer wg.Done()
 		for {
 			select {
@@ -128,15 +136,15 @@ func TestServeSoak(t *testing.T) {
 				time.Sleep(200 * time.Microsecond)
 				continue
 			}
-			tk.Wait()
+			modeOf(modes.Next()).wait(tk)
 		}
-	}()
+	}(modes())
 
 	// The slow tenant alternates: trainable spins (successes teach the
 	// estimator), doomed deadlines (shed once trained), and mid-flight
 	// cancellations (keep the abort→Reset→chaos→quarantine path hot).
 	wg.Add(1)
-	go func() {
+	go func(modes chaos.RNG) {
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
@@ -144,16 +152,17 @@ func TestServeSoak(t *testing.T) {
 				return
 			default:
 			}
+			m := modeOf(modes.Next())
 			switch i % 4 {
 			case 0, 1: // train
 				tk, err := s.Submit(context.Background(), "slow", spinJob(1, 2*time.Millisecond))
 				if err == nil {
-					tk.Wait()
+					m.wait(tk)
 				}
 			case 2: // doomed deadline: shed once the estimator trusts "spin"
 				ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
 				if tk, err := s.Submit(ctx, "slow", spinJob(1, 2*time.Millisecond)); err == nil {
-					tk.Wait()
+					m.wait(tk)
 				}
 				cancel()
 			default: // explicit mid-flight cancel
@@ -164,12 +173,12 @@ func TestServeSoak(t *testing.T) {
 						time.Sleep(300 * time.Microsecond)
 						cancel()
 					}()
-					tk.Wait()
+					m.wait(tk)
 				}
 				cancel()
 			}
 		}
-	}()
+	}(modes())
 
 	time.Sleep(dur)
 	close(stop)

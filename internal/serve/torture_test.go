@@ -105,6 +105,9 @@ func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
 	wantFib := fibw.Serial(12)
 	const rounds = 8
 	cancelled := 0
+	// Both takers, mixed from the seed: a joined spin is aborted on the
+	// submitter, and its lane handed back for the quarantine.
+	modes := chaos.NewRNG(seed ^ 0x7a6b)
 	for i := 0; i < rounds; i++ {
 		// A spin request aborted mid-flight poisons its lane; the
 		// chaos-failed Reset forces the quarantine/replace/probe cycle.
@@ -114,7 +117,7 @@ func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
 			cancel()
 			t.Fatalf("round %d: submit: %v (%s)", i, err, replay)
 		}
-		_, werr := tk.Wait()
+		_, werr := modeOf(modes.Next()).wait(tk)
 		cancel()
 		switch {
 		case werr == nil:
@@ -129,7 +132,7 @@ func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
 		if err != nil {
 			t.Fatalf("round %d: fib submit: %v (%s)", i, err, replay)
 		}
-		if v, ferr := fk.Wait(); ferr != nil || v != wantFib {
+		if v, ferr := modeOf(modes.Next()).wait(fk); ferr != nil || v != wantFib {
 			t.Fatalf("round %d: post-abort fib = %d err=%v, want %d (%s)", i, v, ferr, wantFib, replay)
 		}
 	}
@@ -270,7 +273,7 @@ func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint
 					out.err = fmt.Errorf("submitter %d req %d: submit: %v (%s)", g, i, err, replay)
 					return
 				}
-				v, werr := tk.Wait()
+				v, werr := modeOf(r).wait(tk) // the top bit; the draws above use the low ones
 				if cancel != nil {
 					cancel()
 				}

@@ -10,10 +10,16 @@ import (
 // This file is the public surface of woolserve, the concurrent
 // request-serving runtime over the scheduler (internal/serve,
 // DESIGN.md §16). A Pool runs one root task at a time; a Server runs
-// many — Submit enqueues a request from any goroutine, lanes of
-// workers drain the queues, a request's context cancels or times it
-// out mid-flight, bounded queues shed overload, and weighted tenants
-// get proportionally sized worker teams.
+// many — Submit hands a request to a lane of workers from any
+// goroutine, a request's context cancels or times it out mid-flight,
+// bounded queues shed overload, and weighted tenants get
+// proportionally sized lane teams. Submit and Ticket.Wait are a spawn
+// and its join: a Wait that finds its request not yet started by a
+// lane's goroutine runs it on the calling goroutine, on that lane's
+// pool, so a request that is waited for is not handed between
+// goroutines at all; the lane goroutines serve the requests nobody
+// joined (polled with Ticket.Done, never collected, or queued behind
+// busy lanes).
 //
 // The server is self-healing (DESIGN.md §17): each tenant gets a
 // circuit breaker that sheds submissions after a failure storm and
@@ -44,8 +50,10 @@ type (
 	// team and its own bounded queue.
 	Tenant = serve.Tenant
 
-	// Ticket is a submitted request's handle; Ticket.Wait blocks for
-	// the result.
+	// Ticket is a submitted request's handle. Ticket.Wait returns the
+	// result, and may run the request on the calling goroutine to get
+	// it (task panics are still recovered into *PanicError); Ticket.Done
+	// only observes.
 	Ticket = serve.Ticket
 
 	// SubmitOptions qualifies one submission (Server.SubmitWith);
@@ -152,8 +160,12 @@ var (
 // Close it.
 func NewServer(o ServerOptions) (*Server, error) { return serve.New(o) }
 
-// ServeRec wraps a divide-and-conquer job as a servable request.
+// ServeRec wraps a divide-and-conquer job as a servable request. The
+// Job builds its task definition on its first run and keeps it, so
+// build one Job per request class and submit it many times rather than
+// wrapping the RecJob anew for every request.
 func ServeRec(j RecJob) Job { return serve.Rec(j) }
 
-// ServeRange wraps an index-range job as a servable request.
+// ServeRange wraps an index-range job as a servable request; like
+// ServeRec's, the Job is worth reusing across submissions.
 func ServeRange(j RangeJob) Job { return serve.Range(j) }
