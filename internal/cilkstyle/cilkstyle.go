@@ -339,8 +339,12 @@ func (w *Worker) Sync(f *Frame, after Step) Step {
 	}
 	f.suspended = true
 	f.resume = after
-	f.mu.Unlock()
+	// Counted inside the critical section: once it ends another worker
+	// may resume f and run it to the root's completion, and only what
+	// this worker did before the unlock is ordered before the Stats()
+	// read that follows Run.
 	w.stats.Suspends++
+	f.mu.Unlock()
 	return w.popBottom()
 }
 

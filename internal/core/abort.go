@@ -32,7 +32,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"runtime"
 	"time"
 
@@ -46,12 +45,12 @@ import (
 // the poisoning, false when the pool was already poisoned (by a task
 // panic or an earlier Abort — first cause wins) or already closed.
 //
-// Abort does not wait for the Run to unwind: the abort token is
-// observed at the next public join, stolen-task start, or (amortized)
-// generic join of each worker. Workers never initiate new steals once
-// poisoned, and a task already claimed by a steal still reaches DONE
-// (its body is skipped, see runStolen), so the unwind cannot strand a
-// joiner.
+// Abort does not wait for the Run to unwind: the abort is observed at
+// each worker's next spawn, or within 32 joins where it only joins
+// (tripWires, pollAbort; DESIGN.md §16.2 lists the observation points).
+// Workers never initiate new steals once poisoned, and a task already
+// claimed by a steal still reaches DONE (its body is skipped, see
+// runStolen), so the unwind cannot strand a joiner.
 func (p *Pool) Abort(reason error) bool {
 	if p.life.Closed() {
 		return false
@@ -60,7 +59,26 @@ func (p *Pool) Abort(reason error) bool {
 	// an Abort lands wholly before or wholly after that revival.
 	p.poisonMu.Lock()
 	defer p.poisonMu.Unlock()
-	return p.life.Poison(&poolerr.AbortError{Reason: reason})
+	if !p.life.Poison(&poolerr.AbortError{Reason: reason}) {
+		return false
+	}
+	p.tripWires()
+	return true
+}
+
+// tripWires asks every worker to leave the private path: the trip wire
+// is the flag by which another party sends the owner's next spawn to
+// publishMore, and publishMore re-raises the poison before it publishes
+// anything. Only the call that poisoned the pool trips them — Abort, or
+// a thief whose stolen task panicked — and only after the poison is
+// stored: an owner that sees a flag set here sees the poison. The
+// private fast path pays nothing for it; the flag is the one its spawn
+// already loads. Reset clears the flags (resetAfterPoison) before it
+// lifts the poison, so a trip never reaches the pool's next Run.
+func (p *Pool) tripWires() {
+	for _, w := range p.workers {
+		w.morePublic.Store(true)
+	}
 }
 
 // Poisoned reports whether the pool is poisoned, and by what: the
@@ -190,11 +208,11 @@ const abortCheckPeriod = 32
 // set, re-raises the poisoning value so the request's task tree
 // unwinds (Run's recover then re-raises it to the caller; a thief's
 // runStolen recover contains it). The amortization keeps the check
-// out of the perf-gated join ladder's measured cost; the fast
-// generated private path (fastapi.go) deliberately has no check at
-// all — serving layers that want prompt cancellation run their lanes
-// with all-public descriptors (Options.PrivateTasks=false), where
-// every join routes through here.
+// out of the perf-gated join ladder's measured cost. It bounds a
+// stretch of generic joins with no spawn in it (JoinN); everywhere
+// else the tripped wire gets there first, at the next spawn
+// (tripWires), which is also the only check the generated private
+// path (fastapi.go) has.
 //
 // woolvet:inline
 func (w *Worker) pollAbort() {
@@ -237,11 +255,7 @@ func (w *Worker) resetAfterPoison() {
 	w.inlineRun = 0
 	w.abortTick = 0
 	w.morePublic.Store(false)
-	if w.pool.opts.PrivateTasks {
-		w.pubShadow = int64(w.pool.opts.InitialPublic)
-	} else {
-		w.pubShadow = math.MaxInt64
-	}
+	w.pubShadow = w.pool.opts.initialPublicLimit()
 	w.publicLimit.Store(w.pubShadow)
 	w.blockedSince.Store(0)
 }

@@ -188,3 +188,124 @@ func TestConcurrentRunTypedError(t *testing.T) {
 		t.Fatalf("second Run panicked with %T (%v), want an error wrapping poolerr.ErrConcurrentRun", r, r)
 	}
 }
+
+// TestAbortTripsTheWire pins the fourth abort observation point
+// (DESIGN.md §16.2): the Abort that poisons stores morePublic on every
+// worker, after the poison; the owner's next spawn — the generated fast
+// path declines a spawn while the flag is up — reaches publishMore,
+// which clears the flag and then re-raises. So the spawn after an Abort
+// never happens, on any pool shape, and neither the flag nor a moved
+// limit outlives Reset.
+func TestAbortTripsTheWire(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, private := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("private=%v/workers=%d", private, workers), func(t *testing.T) {
+				p := NewPool(Options{Workers: workers, PrivateTasks: private})
+				defer p.Close()
+				noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
+				reason := errors.New("request deadline exceeded")
+				limit := p.workers[0].pubShadow
+				spawned := false
+				r := mustPanic(t, "aborted Run", func() {
+					p.Run(func(w *Worker) int64 {
+						if !p.Abort(reason) {
+							t.Error("Abort on a healthy running pool returned false")
+						}
+						for i, v := range p.workers {
+							if !v.morePublic.Load() {
+								t.Errorf("Abort left worker %d's wire untripped", i)
+							}
+						}
+						if w.SpawnPrepPrivate() != nil || w.BatchPrepPrivate(4) != nil {
+							t.Error("the generated fast path took a spawn with the wire tripped")
+						}
+						noop.Spawn(w, 1)
+						spawned = true
+						return noop.Join(w)
+					})
+				})
+				if ae, ok := r.(*poolerr.AbortError); !ok || !errors.Is(ae, reason) {
+					t.Fatalf("aborted Run panicked with %T (%v), want the *poolerr.AbortError of the Abort", r, r)
+				}
+				if spawned {
+					t.Error("the spawn after Abort returned went through")
+				}
+				w0 := p.workers[0]
+				if w0.morePublic.Load() {
+					t.Error("the owner re-raised without clearing its flag first")
+				}
+				if w0.pubShadow != limit || w0.stats.Publications != 0 {
+					t.Errorf("the abort's trip moved the limit: %d -> %d, %d publications", limit, w0.pubShadow, w0.stats.Publications)
+				}
+				if p.Abort(errors.New("second")) {
+					t.Error("second Abort on a poisoned pool returned true")
+				}
+				if err := p.Reset(); err != nil {
+					t.Fatalf("Reset: %v", err)
+				}
+				for i, v := range p.workers {
+					if v.morePublic.Load() {
+						t.Errorf("worker %d's wire still tripped after Reset", i)
+					}
+				}
+				fib := fibDef()
+				if got, want := p.Run(func(w *Worker) int64 { return fib.Call(w, 16) }), serialFib(16); got != want {
+					t.Fatalf("post-Reset fib(16) = %d, want %d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestStolenPanicTripsTheWire: a task panic recovered on a thief poisons
+// the pool and trips the wires like an Abort, so an owner deep in a
+// private stretch — hand-driven here through the fast-path API, as
+// generated code drives it: no poll on that path — unwinds at its next
+// spawn instead of running on to Run's exit.
+func TestStolenPanicTripsTheWire(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	p := NewPool(Options{Workers: 2, PrivateTasks: true, MaxIdleSleep: -1})
+	defer p.Close()
+	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
+	started := make(chan struct{})
+	armed := make(chan struct{})
+	bomb := Define1("bomb", func(w *Worker, x int64) int64 {
+		close(started)
+		<-armed
+		panic("boom")
+	})
+	const bound = 1 << 28 // a second or two of private pairs; the wire ends it in microseconds
+	pairs := 0
+	r := mustPanic(t, "Run with a panicking stolen task", func() {
+		p.Run(func(w *Worker) int64 {
+			bomb.Spawn(w, 0) // slot 0, public
+			<-started        // worker 1 has it
+			noop.Spawn(w, 0) // slot 1, the rest of the public prefix
+			close(armed)
+			for ; pairs < bound; pairs++ {
+				tk := w.SpawnPrepPrivate()
+				if tk == nil {
+					noop.Spawn(w, 1) // the generic path: where the wire is answered
+					noop.Join(w)
+					continue
+				}
+				tk.Set1(noop.wrap, 1)
+				w.SpawnCommitPrivate(tk)
+				if w.JoinPrepPrivate() == nil {
+					t.Error("private spawn was not joined privately")
+				}
+			}
+			noop.Join(w)
+			return bomb.Join(w)
+		})
+	})
+	if r != "boom" {
+		t.Fatalf("Run re-raised %v, want the stolen task's panic value", r)
+	}
+	if pairs == bound {
+		t.Fatal("the owner ran its whole private stretch after the thief's task panicked")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -13,38 +14,119 @@ import (
 // TestSpawnUsesOwnerShadow proves the spawn path performs zero atomic
 // loads of publicLimit: the thief-visible atomic is deliberately
 // desynchronized from the owner's shadow, and the public/private
-// decision must follow the shadow in both directions.
+// decision must follow the shadow in both directions. The pool has two
+// workers — a pool of one has no public prefix to desynchronize, see
+// TestOneWorkerPoolHasNoPublicPrefix — and its thief sits in
+// runWithThiefBusy's gate, which occupies slot 0.
 func TestSpawnUsesOwnerShadow(t *testing.T) {
-	p := NewPool(Options{Workers: 1, PrivateTasks: true, InitialPublic: 2})
+	p := NewPool(Options{Workers: 2, PrivateTasks: true, InitialPublic: 2})
 	defer p.Close()
 	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
-	p.Run(func(w *Worker) int64 {
+	runWithThiefBusy(p, func(w *Worker) int64 {
 		if w.pubShadow != 2 || w.publicLimit.Load() != 2 {
 			t.Fatalf("initial shadow/atomic = %d/%d, want 2/2", w.pubShadow, w.publicLimit.Load())
 		}
 		// Atomic says "nothing is public"; shadow says 2. A spawn that
 		// consulted the atomic would go private.
 		w.publicLimit.Store(0)
-		noop.Spawn(w, 1) // top 0 < shadow 2
-		if w.tasks[0].priv {
-			t.Error("spawn at top=0 went private: it read the atomic publicLimit, not the shadow")
+		noop.Spawn(w, 1) // top 1 < shadow 2
+		if w.tasks[1].priv {
+			t.Error("spawn at top=1 went private: it read the atomic publicLimit, not the shadow")
 		}
-		noop.Spawn(w, 2) // top 1 < shadow 2
 		// Atomic says "everything is public"; shadow still says 2. A
 		// spawn that consulted the atomic would go public.
 		w.publicLimit.Store(int64(len(w.tasks)))
-		noop.Spawn(w, 3) // top 2 == shadow 2
+		noop.Spawn(w, 2) // top 2 == shadow 2
 		if !w.tasks[2].priv {
 			t.Error("spawn at top=2 went public: it read the atomic publicLimit, not the shadow")
 		}
-		// Restore the invariant before joining (no thieves exist on a
-		// single-worker pool, so the desync was never observable).
+		// Restore the invariant before joining (the only thief is in the
+		// gate, so the desync was never observable).
 		w.publicLimit.Store(w.pubShadow)
-		for i := 0; i < 3; i++ {
-			noop.Join(w)
-		}
+		noop.Join(w)
+		noop.Join(w)
 		return 0
 	})
+}
+
+// TestOneWorkerPoolHasNoPublicPrefix: the public prefix exists for
+// thieves, and a pool of one has none — its boundary starts at 0, so
+// the first spawn is already private (whatever the atomic says) and a
+// whole run pays no atomic exchange; Reset restores the same boundary.
+func TestOneWorkerPoolHasNoPublicPrefix(t *testing.T) {
+	p := NewPool(Options{Workers: 1, PrivateTasks: true, InitialPublic: 2})
+	defer p.Close()
+	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
+	fib := fibDef()
+	check := func(when string) {
+		t.Helper()
+		p.Run(func(w *Worker) int64 {
+			if w.pubShadow != 0 || w.publicLimit.Load() != 0 {
+				t.Fatalf("%s: shadow/atomic = %d/%d, want 0/0", when, w.pubShadow, w.publicLimit.Load())
+			}
+			w.publicLimit.Store(int64(len(w.tasks)))
+			noop.Spawn(w, 1) // top 0 == shadow 0
+			if !w.tasks[0].priv {
+				t.Errorf("%s: spawn at top=0 went public on a one-worker pool", when)
+			}
+			w.publicLimit.Store(w.pubShadow)
+			noop.Join(w)
+			return fib.Call(w, 12)
+		})
+	}
+	check("new pool")
+	if st := p.Stats(); st.JoinsInlinedPublic != 0 || st.JoinsInlinedPrivate != st.Spawns {
+		t.Errorf("one-worker private pool: %d public, %d private joins of %d spawns, want 0 public", st.JoinsInlinedPublic, st.JoinsInlinedPrivate, st.Spawns)
+	}
+	p.Abort(nil)
+	if err := p.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	check("after Reset")
+}
+
+// TestPublishMoreAllPublicLeavesLimit: a tripped wire on a pool with no
+// private region (PrivateTasks off, the limit pinned at MaxInt64) must
+// leave the limit alone. Adding PublishAmount to it wraps negative,
+// every later spawn goes private where no thief can trip anything, and
+// the pool runs serially for ever. Only thieves of a PrivateTasks pool
+// used to set the flag; Abort sets it on every pool.
+func TestPublishMoreAllPublicLeavesLimit(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	p := NewPool(Options{Workers: 2, MaxIdleSleep: -1})
+	defer p.Close()
+	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
+	p.Run(func(w *Worker) int64 {
+		w.morePublic.Store(true)
+		noop.Spawn(w, 1)
+		if w.morePublic.Load() {
+			t.Error("the spawn left the wire tripped")
+		}
+		if w.pubShadow != math.MaxInt64 || w.publicLimit.Load() != math.MaxInt64 {
+			t.Errorf("tripped wire on an all-public pool moved the limit: shadow/atomic = %d/%d, want MaxInt64", w.pubShadow, w.publicLimit.Load())
+		}
+		noop.Join(w)
+		noop.Spawn(w, 2)
+		if w.tasks[w.top-1].priv {
+			t.Error("spawn after the tripped wire went private on an all-public pool")
+		}
+		noop.Join(w)
+		return 0
+	})
+	if st := p.Stats(); st.Publications != 0 {
+		t.Errorf("all-public pool counted %d publications", st.Publications)
+	}
+	fib := fibDef()
+	want := serialFib(20)
+	for rep := 0; rep < 200 && p.Stats().Steals == 0; rep++ {
+		if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 20) }); got != want {
+			t.Fatalf("rep %d: fib(20) = %d, want %d", rep, got, want)
+		}
+	}
+	if p.Stats().Steals == 0 {
+		t.Error("no steal in 200 runs of fib(20) after the tripped wire: the pool went serial")
+	}
 }
 
 // TestShadowTracksPublicLimit checks the owner-shadow invariant

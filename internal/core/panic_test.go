@@ -132,3 +132,41 @@ func TestPanicValuePreserved(t *testing.T) {
 		t.Fatalf("re-raised value %v is not the original panic value", r)
 	}
 }
+
+// TestLeapfroggedPanicUnwindsTheJoiner: a task that a blocked join took
+// by leapfrogging runs nested in that join, on the joiner's stack. When
+// it panics with a spawn outstanding, runStolen recovers — the
+// descriptor must reach DONE — but the joiner's frames cannot go on:
+// the next joins would pop the abandoned spawn in place of their own,
+// and Run would end on its unjoined-tasks check instead of the panic
+// value. The joiner re-raises as soon as the nested task is done.
+func TestLeapfroggedPanicUnwindsTheJoiner(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	p := NewPool(Options{Workers: 2, MaxIdleSleep: -1})
+	defer p.Close()
+	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
+	childSpawned := make(chan struct{})
+	childTaken := make(chan struct{})
+	child := Define1("child", func(w *Worker, x int64) int64 {
+		close(childTaken) // on worker 0: outer holds worker 1 until now
+		noop.Spawn(w, 1)  // never joined
+		panic("boom")
+	})
+	outer := Define1("outer", func(w *Worker, x int64) int64 {
+		child.Spawn(w, 0)
+		close(childSpawned)
+		<-childTaken
+		return child.Join(w)
+	})
+	r := mustPanic(t, "Run with a panicking leapfrogged task", func() {
+		p.Run(func(w *Worker) int64 {
+			outer.Spawn(w, 0)
+			<-childSpawned       // worker 1 stole outer: nobody else runs it before the join
+			return outer.Join(w) // stolen: leapfrog takes child from worker 1
+		})
+	})
+	if r != "boom" {
+		t.Fatalf("Run re-raised %v, want the leapfrogged task's panic value", r)
+	}
+}

@@ -235,6 +235,23 @@ func (o Options) Defaults() Options {
 	return o
 }
 
+// initialPublicLimit is where every worker's public/private boundary
+// starts, and where Reset puts it back: past every descriptor when
+// private tasks are off; at InitialPublic when they are on — the
+// prefix thieves can reach before the first trip-wire publication; and
+// at 0 on a pool of one, which has no thief to keep a prefix for, so
+// not one of its joins pays the atomic exchange.
+func (o *Options) initialPublicLimit() int64 {
+	switch {
+	case !o.PrivateTasks:
+		return math.MaxInt64
+	case o.Workers == 1:
+		return 0
+	default:
+		return int64(o.InitialPublic)
+	}
+}
+
 // parkAfterFactor scales MaxIdleSleep into the cumulative back-off
 // sleep an idle worker pays before parking (default 16 × 200µs ≈ 3.2ms
 // of quiet), keeping parking invisible during normal run-to-run gaps.
@@ -317,11 +334,7 @@ func NewPool(opts Options) *Pool {
 		if opts.Chaos != nil {
 			w.chs = opts.Chaos.Agent(i)
 		}
-		if opts.PrivateTasks {
-			w.pubShadow = int64(opts.InitialPublic)
-		} else {
-			w.pubShadow = math.MaxInt64
-		}
+		w.pubShadow = opts.initialPublicLimit()
 		w.publicLimit.Store(w.pubShadow)
 		p.workers[i] = w
 	}

@@ -11,6 +11,30 @@ import (
 // hand so the join slow paths — which depend on precise interleavings
 // — are exercised deterministically rather than probabilistically.
 
+// runWithThiefBusy runs body on worker 0 of the two-worker pool p while
+// worker 1 sits inside a stolen gate task, blocked on a channel: a test
+// that plays the thief by hand on body's descriptors is then the only
+// thief there is — the real one would otherwise win the hand-driven CAS
+// now and then. The gate is joined after body, so the run accounts one
+// stolen join more than body's own.
+func runWithThiefBusy(p *Pool, body func(w *Worker) int64) int64 {
+	stolen := make(chan struct{})
+	release := make(chan struct{})
+	gate := Define1("gate", func(w *Worker, x int64) int64 {
+		close(stolen) // on worker 1: the owner does not join before this
+		<-release
+		return x
+	})
+	return p.Run(func(w *Worker) int64 {
+		gate.Spawn(w, 0) // the first stealable descriptor: wakes a parked thief
+		<-stolen
+		r := body(w)
+		close(release)
+		gate.Join(w)
+		return r
+	})
+}
+
 // TestJoinSlowThiefBacksOff covers the transient-EMPTY → restored-TASK
 // path: the owner's join finds a thief mid-steal; the thief backs off
 // (restores TASK); the owner must claim and inline the task.
@@ -20,7 +44,7 @@ func TestJoinSlowThiefBacksOff(t *testing.T) {
 	p := NewPool(Options{Workers: 2})
 	defer p.Close()
 	val := Define1("val", func(w *Worker, x int64) int64 { return x * 3 })
-	got := p.Run(func(w *Worker) int64 {
+	got := runWithThiefBusy(p, func(w *Worker) int64 {
 		val.Spawn(w, 7)
 		tk := &w.tasks[w.top-1]
 		// Simulate a thief's claim (CAS TASK→EMPTY)…
@@ -37,12 +61,10 @@ func TestJoinSlowThiefBacksOff(t *testing.T) {
 	if got != 21 {
 		t.Errorf("join after back-off = %d, want 21", got)
 	}
-	// Usually the owner claims the restored task (inlined join), but
-	// the pool's real thief may legitimately win the race instead
-	// (stolen join). Either way exactly one join resolved it.
-	st := p.Stats()
-	if st.JoinsInlinedPublic+st.JoinsStolen != 1 {
-		t.Errorf("joins inlined=%d stolen=%d, want exactly one",
+	// The owner claims the restored task (the real thief is in the
+	// gate, whose join is the stolen one).
+	if st := p.Stats(); st.JoinsInlinedPublic != 1 || st.JoinsStolen != 1 {
+		t.Errorf("joins inlined=%d stolen=%d, want 1 (the restored task) and 1 (the gate)",
 			st.JoinsInlinedPublic, st.JoinsStolen)
 	}
 }
@@ -53,7 +75,7 @@ func TestJoinSlowFindsDone(t *testing.T) {
 	p := NewPool(Options{Workers: 2})
 	defer p.Close()
 	val := Define1("val", func(w *Worker, x int64) int64 { return x + 1 })
-	got := p.Run(func(w *Worker) int64 {
+	got := runWithThiefBusy(p, func(w *Worker) int64 {
 		val.Spawn(w, 9)
 		tk := &w.tasks[w.top-1]
 		// Simulate a complete steal by worker 1.
@@ -69,8 +91,8 @@ func TestJoinSlowFindsDone(t *testing.T) {
 	if got != 10 {
 		t.Errorf("join of completed steal = %d, want 10", got)
 	}
-	if st := p.Stats(); st.JoinsStolen != 1 {
-		t.Errorf("stolen joins = %d, want 1", st.JoinsStolen)
+	if st := p.Stats(); st.JoinsStolen != 2 {
+		t.Errorf("stolen joins = %d, want 2 (the completed steal and the gate)", st.JoinsStolen)
 	}
 }
 
@@ -83,7 +105,7 @@ func TestJoinSlowWaitsForThief(t *testing.T) {
 	p := NewPool(Options{Workers: 2})
 	defer p.Close()
 	val := Define1("val", func(w *Worker, x int64) int64 { return x })
-	got := p.Run(func(w *Worker) int64 {
+	got := runWithThiefBusy(p, func(w *Worker) int64 {
 		val.Spawn(w, 5)
 		tk := &w.tasks[w.top-1]
 		if !tk.state.CompareAndSwap(stateTask, stateEmpty) {

@@ -165,8 +165,9 @@ type Worker struct {
 	publicLimit atomic.Int64
 
 	// morePublic is the trip-wire notification flag: a thief that
-	// steals close to the public boundary sets it, and the owner
-	// publishes more descriptors at its next spawn or join.
+	// steals close to the public boundary sets it, and so does whoever
+	// poisons the pool (Pool.tripWires); the owner answers at its next
+	// spawn (publishMore).
 	// woolvet:atomic
 	morePublic atomic.Bool
 
@@ -375,11 +376,20 @@ func (w *Worker) noteInlinedPublic() {
 	}
 }
 
-// publishMore answers a trip-wire notification: convert up to
-// PublishAmount private descriptors to public and raise the limit.
-// Owner only. The atomic store of publicLimit is the release making the
-// state stores visible to thieves that load the limit; parked workers
-// get a targeted wake since fresh public work just appeared.
+// publishMore answers a tripped wire. Two parties trip it. A thief that
+// stole at the boundary of a PrivateTasks pool wants more public work:
+// convert up to PublishAmount private descriptors to public and raise
+// the limit. The call that poisoned the pool (Pool.tripWires) wants the
+// owner off the private path: re-raise. Owner only.
+//
+// The flag is cleared before the poison is checked. An abort stores the
+// poison and then the flag, so one that lands after the check has not
+// stored its flag yet either — it survives the clear and the next spawn
+// comes back here; one that lands before the check is re-raised now.
+//
+// The atomic store of publicLimit is the release making the state
+// stores visible to thieves that load the limit; parked workers get a
+// targeted wake since fresh public work just appeared.
 func (w *Worker) publishMore() {
 	if w.chs != nil {
 		// Starve the public region: thieves keep probing while the
@@ -387,6 +397,12 @@ func (w *Worker) publishMore() {
 		w.chs.Point(chaos.PointTripwirePublish)
 	}
 	w.morePublic.Store(false)
+	w.pool.life.Rethrow()
+	if !w.pool.opts.PrivateTasks {
+		// No private region to publish from: every descriptor is public
+		// already, and the limit (MaxInt64) plus anything wraps negative.
+		return
+	}
 	w.inlineRun = 0
 	pl := w.pubShadow
 	newPL := pl + int64(w.pool.opts.PublishAmount)
@@ -543,6 +559,12 @@ func (w *Worker) leapfrog(t *Task, thief int) {
 			w.stats.LeapSteals++
 			w.flushStealCounters(&sc)
 			fails = 0
+			// The stolen task ran nested in this join, on this stack. On
+			// a poisoned pool it was skipped or may have been cut short
+			// (runStolen recovered its panic), and what it spawned and
+			// never joined then lies above the joiner's own descriptors:
+			// the frames below must not go on joining through those.
+			w.pool.life.Rethrow()
 		} else {
 			fails++
 			if fails&0x3f == 0 {
@@ -672,10 +694,13 @@ func (w *Worker) runStolen(t *Task, leap bool) {
 		}
 		w.execing.Add(-1)
 		if r := recover(); r != nil {
-			w.pool.life.Poison(r)
 			// DONE is stored by trySteal after we return; recover so
 			// it executes and the victim unblocks, then the panic is
-			// re-raised on the Run goroutine.
+			// re-raised on the Run goroutine — at its next spawn if this
+			// is the panic that poisons, the tripped wire sees to that.
+			if w.pool.life.Poison(r) {
+				w.pool.tripWires()
+			}
 		}
 	}()
 	// Abort check: once the pool is poisoned the result of this task is

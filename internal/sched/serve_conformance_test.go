@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -107,13 +108,110 @@ func TestConcurrentRunTypedError(t *testing.T) {
 	}
 }
 
+// countingFib is fibw.Job(n) with the leaves counted, so a test can tell
+// how much of the tree ran after some instant.
+func countingFib(n int64, leaves *atomic.Int64) sched.RecJob {
+	j := fibw.Job(n, 1)
+	leaf := j.Leaf
+	j.Leaf = func(n int64) (int64, bool) {
+		v, ok := leaf(n)
+		if ok {
+			leaves.Add(1)
+		}
+		return v, ok
+	}
+	return j
+}
+
+// maxLateLeaves bounds how much of an aborted tree may still run once
+// Abort has returned: a worker sees the abort at its next spawn, or
+// within 32 joins, and a fib leaf is never more than a few of either
+// away from the next one.
+const maxLateLeaves = 64
+
+// abortPromptly runs job on p, calls Abort once at leaves have run — the
+// run may have finished by then; Abort then poisons an idle pool — and
+// returns how many leaves ran after Abort returned and whether the
+// abort cut the run short, with the pool Reset. The final count is read
+// after Reset, which waits out the thieves.
+func abortPromptly(t *testing.T, p sched.Pool, job sched.RecJob, leaves *atomic.Int64, at int64) (late int64, cut bool) {
+	t.Helper()
+	ab := p.Native().(sched.Abortable)
+	res := make(chan any, 1)
+	go func() {
+		defer func() { res <- recover() }()
+		p.RunRec(job)
+	}()
+	for leaves.Load() < at {
+		runtime.Gosched()
+	}
+	ab.Abort(errors.New("promptness probe"))
+	atReturn := leaves.Load()
+	r := <-res
+	if _, isAbort := r.(*poolerr.AbortError); r != nil && !isAbort {
+		t.Fatalf("aborted Run panicked with %T (%v), want *poolerr.AbortError", r, r)
+	}
+	if err := ab.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	return leaves.Load() - atReturn, r != nil
+}
+
+// checkAbortIsPrompt is one promptness cell of TestAbortableConformance:
+// a pool of s with or without private tasks, with a thief or without.
+func checkAbortIsPrompt(t *testing.T, s sched.Scheduler, private bool, workers int) {
+	p := s.NewPool(sched.Options{Workers: workers, PrivateTasks: private})
+	defer p.Close()
+	var leaves atomic.Int64
+
+	// Deep into a tree of 9 M leaves.
+	late, cut := abortPromptly(t, p, countingFib(34, &leaves), &leaves, 10_000)
+	if late > maxLateLeaves || !cut {
+		t.Fatalf("%d leaves ran after Abort returned (run cut short: %v), want <= %d", late, cut, maxLateLeaves)
+	}
+
+	// At a random instant of a small tree — inside a publication, under
+	// a blocked join, after the last leaf — on one pool, Reset in
+	// between.
+	rounds := 500
+	if testing.Short() {
+		rounds = 100
+	}
+	rng := rand.New(rand.NewSource(int64(workers)))
+	const size, sizeLeaves = 20, 10946
+	job := countingFib(size, &leaves)
+	worst, cuts := int64(0), 0
+	for i := 0; i < rounds; i++ {
+		leaves.Store(0)
+		at := 1 + rng.Int63n(sizeLeaves-1) // a leaf ran: Run has begun
+		late, cut := abortPromptly(t, p, job, &leaves, at)
+		if late > maxLateLeaves {
+			t.Fatalf("round %d (abort at leaf %d): %d leaves ran after Abort returned, want <= %d", i, at, late, maxLateLeaves)
+		}
+		worst = max(worst, late)
+		if cut {
+			cuts++
+		}
+	}
+	if cuts < rounds/20 {
+		t.Errorf("only %d of %d aborts landed mid-run: the rounds stopped covering the abort", cuts, rounds)
+	}
+	if got, want := p.RunRec(fibw.Job(16, 1)), fibw.Serial(16); got != want {
+		t.Fatalf("fib(16) after %d abort/Reset rounds = %d, want %d", rounds, got, want)
+	}
+	t.Logf("%d rounds, %d cut short: worst %d late leaves", rounds, cuts, worst)
+}
+
 // TestAbortableConformance checks Caps.Serve tells the truth on every
 // backend: when set, Pool.Native implements sched.Abortable and the
 // full abort lifecycle works (Abort lands mid-Run as a
 // *poolerr.AbortError carrying the reason, Poisoned observes it, Reset
 // returns the same pool to correct service); when clear, Native must
 // not quietly implement the interface (the capability would be
-// understated).
+// understated). Promptness is part of the contract, with private tasks
+// or without and with a thief or without: once Abort has returned, at
+// most maxLateLeaves more leaves of the aborted tree run — a deadline
+// that let the request run to completion would be no deadline.
 func TestAbortableConformance(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -172,6 +270,14 @@ func TestAbortableConformance(t *testing.T) {
 			want := fibw.Serial(16)
 			if got := p.RunRec(fibw.Job(16, 1)); got != want {
 				t.Fatalf("post-Reset fib(16) = %d, want %d", got, want)
+			}
+
+			for _, private := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					t.Run(fmt.Sprintf("prompt/private=%v/workers=%d", private, workers), func(t *testing.T) {
+						checkAbortIsPrompt(t, s, private, workers)
+					})
+				}
 			}
 		})
 	}

@@ -194,11 +194,13 @@ type Tenant struct {
 }
 
 // Options configures a Server. The zero value serves a single
-// anonymous tenant on the wool backend with GOMAXPROCS workers.
+// anonymous tenant on the woolgen backend with GOMAXPROCS workers.
 type Options struct {
 	// Backend is the registry scheduler to build lanes from; default
-	// "wool". It must have sched.Caps.Serve (Abort and Reset on its
-	// pools): today "wool" and "woolgen".
+	// "woolgen", the direct task stack behind the generated ports, whose
+	// private spawn/join pair is plain stores and a direct call. It must
+	// have sched.Caps.Serve (Abort and Reset on its pools): today
+	// "woolgen" and "wool", the same pools behind the generic ports.
 	Backend string
 	// Workers is the total worker budget across all lanes; default
 	// GOMAXPROCS.
@@ -217,12 +219,13 @@ type Options struct {
 	// Tenants declares the named tenants; empty means one anonymous
 	// tenant ("") of weight 1.
 	Tenants []Tenant
-	// Pool is the base options for every lane pool. Workers is
-	// overridden with LaneWidth. Note that PrivateTasks trades abort
-	// latency for join cost: the request-scoped abort token is checked
-	// on the generic join path, which private joins on the generated
-	// fast path bypass — the default all-public lanes observe a
-	// cancellation within a few dozen joins.
+	// Pool is the base options for every lane pool. Two fields are
+	// overridden: Workers with LaneWidth, and PrivateTasks, which every
+	// lane runs with — a one-worker lane has no thief, so no join of its
+	// requests synchronizes; a wider lane starts with the paper's public
+	// prefix and its thieves move the boundary. A cancellation reaches
+	// private descriptors too: the abort trips the wire, and the request
+	// unwinds at its next spawn.
 	Pool sched.Options
 	// ConfigurePool, when non-nil, edits each lane's pool options
 	// before construction (lane is the global lane index). It is the
@@ -474,7 +477,7 @@ type Server struct {
 // Close it.
 func New(o Options) (*Server, error) {
 	if o.Backend == "" {
-		o.Backend = "wool"
+		o.Backend = "woolgen"
 	}
 	sch, ok := sched.Lookup(o.Backend)
 	if !ok {
@@ -566,6 +569,7 @@ func New(o Options) (*Server, error) {
 		for k := 0; k < laneCounts[ti]; k++ {
 			po := o.Pool
 			po.Workers = o.LaneWidth
+			po.PrivateTasks = caps.PrivateTasks
 			if o.ConfigurePool != nil {
 				o.ConfigurePool(laneIdx, &po)
 			}

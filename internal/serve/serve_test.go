@@ -126,6 +126,92 @@ func TestServeBasic(t *testing.T) {
 	})
 }
 
+// lanePoolStats sums the counters of the lanes' current pools. Call it
+// with the lanes idle: pool counters are exact only on a quiescent pool.
+func lanePoolStats(s *Server) sched.Stats {
+	sum := sched.Stats{Extra: map[string]int64{}}
+	for _, l := range s.lanes {
+		l.mu.Lock()
+		st := l.pool.Stats()
+		l.mu.Unlock()
+		sum.Spawns += st.Spawns
+		for k, v := range st.Extra {
+			sum.Extra[k] += v
+		}
+	}
+	return sum
+}
+
+// TestServeDefaultsToGeneratedPorts: the zero-value server runs the
+// generated ports, and every lane pool has private tasks whatever
+// Options.Pool says — on "wool" too, which stays selectable.
+func TestServeDefaultsToGeneratedPorts(t *testing.T) {
+	for _, c := range []struct{ backend, want string }{{"", "woolgen"}, {"wool", "wool"}} {
+		s, err := New(Options{Backend: c.backend, Workers: 2, Pool: sched.Options{PrivateTasks: false}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Backend; got != c.want {
+			t.Errorf("Backend %q: Stats().Backend = %q, want %q", c.backend, got, c.want)
+		}
+		for _, l := range s.lanes {
+			if !l.opts.PrivateTasks {
+				t.Errorf("Backend %q: lane %d was built without private tasks", c.backend, l.idx)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestServeLanesRunPrivate is the served request's cost as a count: on
+// a one-worker lane, which has no thief, none of fib(16)'s 1596
+// spawn/join pairs synchronizes — every join is a private inlined one,
+// whoever runs the request. A wider lane keeps the paper's revocable
+// cut-off: same answer, private joins beyond its public prefix.
+func TestServeLanesRunPrivate(t *testing.T) {
+	const pairs = 1596 // fib(16)'s inner nodes
+	want := fibw.Serial(16)
+	bothTakers(t, func(t *testing.T, m waitMode) {
+		s, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(16, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := m.wait(tk); err != nil || v != want {
+			t.Fatalf("fib(16) = %d, %v, want %d", v, err, want)
+		}
+		st := lanePoolStats(s)
+		if st.Spawns != pairs || st.Extra["joins_inlined_private"] != pairs || st.Extra["joins_inlined_public"] != 0 {
+			t.Errorf("one-worker lane: %d spawns, %d private and %d public inlined joins, want %d, %d and 0",
+				st.Spawns, st.Extra["joins_inlined_private"], st.Extra["joins_inlined_public"], pairs, pairs)
+		}
+	})
+
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	s, err := New(Options{Workers: 2, LaneWidth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 8; i++ {
+		tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(16, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := tk.Wait(); err != nil || v != want {
+			t.Fatalf("request %d on a two-worker lane: fib(16) = %d, %v, want %d", i, v, err, want)
+		}
+	}
+	if st := lanePoolStats(s); st.Extra["joins_inlined_private"] == 0 {
+		t.Errorf("two-worker lane made no private join in %d spawns", st.Spawns)
+	}
+}
+
 // TestServeBackends runs the serving layer over every registered
 // scheduler. A servable one (Caps.Serve: Abort and Reset on its pools)
 // must serialize Run calls correctly, never tripping the concurrent-Run

@@ -26,8 +26,11 @@ const tortureWorkers = 4
 // requests given deadlines short enough to cancel mid-flight. Every
 // completed request must still produce the serial answer — in
 // particular the request AFTER a mid-flight abort, which runs on the
-// same Reset pool. Each subtest name and failure message carries the
-// backend, profile and seed that replay the run byte-for-byte.
+// same Reset pool. The lanes are two workers wide and, like every
+// lane, run private tasks: the sweep must have crossed both things only
+// such a lane does, a trip-wire publication and an abort that reaches
+// private descriptors. Each subtest name and failure message carries
+// the backend, profile and seed that replay the run byte-for-byte.
 func TestServeChaosTorture(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -38,20 +41,27 @@ func TestServeChaosTorture(t *testing.T) {
 	seeds := []uint64{0x5eed, 0xdead}
 	for _, backend := range []string{"wool", "woolgen"} {
 		t.Run(backend, func(t *testing.T) {
-			cancelled := 0
+			var cancelled int
+			var publications int64
 			for _, prof := range profiles {
 				for _, seed := range seeds {
 					prof, seed := prof, seed
 					t.Run(fmt.Sprintf("%s/seed=%#x", prof.Name, seed), func(t *testing.T) {
-						cancelled += runServeTorture(t, backend, prof, seed)
+						c, p := runServeTorture(t, backend, prof, seed)
+						cancelled += c
+						publications += p
 					})
 				}
 			}
 			// The short deadlines must actually have interrupted runs
 			// somewhere in the matrix, or the sweep silently stopped
-			// covering the abort/Reset path.
+			// covering the abort/Reset path; likewise the lanes' thieves
+			// must have tripped a wire.
 			if cancelled == 0 {
 				t.Errorf("%s: no request in the whole matrix was cancelled mid-flight", backend)
+			}
+			if publications == 0 {
+				t.Errorf("%s: no trip-wire publication on any lane in the whole matrix", backend)
 			}
 		})
 	}
@@ -141,33 +151,29 @@ func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
 	}
 	// A quarantine cycle runs asynchronously to the request stream: the
 	// last request can finish on another lane while a quarantined lane
-	// has its entry counted but its first replacement still in flight.
-	// The counter invariant below only holds at quiescence, so wait for
-	// every lane to return to rotation.
+	// has its entry counted but its first replacement still in flight —
+	// or while a lane a borrower condemned waits for its goroutine to
+	// wake, still "serving". The counter invariant only holds at
+	// quiescence, so wait for one snapshot that shows every lane in
+	// rotation and every counted entry replaced.
+	var quarantines, replacements int64
 	quiet := time.Now().Add(10 * time.Second)
 	for {
+		lanes := s.Health().Lanes
 		serving := true
-		for _, lh := range s.Health().Lanes {
-			if lh.State != "serving" {
-				serving = false
-				break
-			}
+		quarantines, replacements = 0, 0
+		for _, lh := range lanes {
+			serving = serving && lh.State == "serving"
+			quarantines += lh.Quarantines
+			replacements += lh.Replacements
 		}
-		if serving {
+		if serving && quarantines >= 1 && replacements >= quarantines {
 			break
 		}
 		if time.Now().After(quiet) {
-			t.Fatalf("a lane never left quarantine: %+v (%s)", s.Health().Lanes, replay)
+			t.Fatalf("no quiescent snapshot with quarantines >= 1 and replacements >= quarantines: %+v (%s)", lanes, replay)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	var quarantines, replacements int64
-	for _, lh := range s.Health().Lanes {
-		quarantines += lh.Quarantines
-		replacements += lh.Replacements
-	}
-	if quarantines < 1 || replacements < quarantines {
-		t.Fatalf("quarantines=%d replacements=%d, want >=1 and replacements >= quarantines (%s)", quarantines, replacements, replay)
 	}
 	if fired := inj.Injected(); fired[chaos.ServeLaneResetFail] < 1 {
 		t.Fatalf("lane-reset-fail never fired: %v (%s)", fired, replay)
@@ -202,9 +208,10 @@ func spinJob(depth int64, spin time.Duration) Job {
 
 // runServeTorture is one cell of the matrix: one backend, one chaos
 // profile, one seed. It returns the number of requests cancelled
-// mid-flight so the caller can check the sweep exercised the
-// abort/Reset path at all.
-func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint64) int {
+// mid-flight and the trip-wire publications on the lanes' pools, so the
+// caller can check the sweep exercised the abort/Reset path, on private
+// lanes, at all.
+func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint64) (cancelled int, publications int64) {
 	t.Helper()
 	const (
 		laneWidth    = 2
@@ -229,6 +236,11 @@ func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint
 		t.Fatalf("%s: %v", replay, err)
 	}
 	defer s.Close()
+	for _, l := range s.lanes {
+		if !l.opts.PrivateTasks {
+			t.Fatalf("lane %d runs without private tasks (%s)", l.idx, replay)
+		}
+	}
 
 	wantFib := fibw.Serial(12)
 	wantStress := stress.Serial(4, 50)
@@ -297,7 +309,7 @@ func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint
 			}
 		}()
 	}
-	var completed, cancelled int
+	var completed int
 	for g := 0; g < submitters; g++ {
 		out := <-results
 		if out.err != nil {
@@ -309,6 +321,9 @@ func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint
 	if completed+cancelled != submitters*perSubmitter {
 		t.Fatalf("accounted %d of %d requests (%s)", completed+cancelled, submitters*perSubmitter, replay)
 	}
-	t.Logf("%s: %d completed, %d cancelled (%s)", backend, completed, cancelled, replay)
-	return cancelled
+	// Every ticket has finished, so the lanes are idle and their pools'
+	// counters exact (no Reset fails here: the pools are the first ones).
+	publications = lanePoolStats(s).Extra["publications"]
+	t.Logf("%s: %d completed, %d cancelled, %d publications (%s)", backend, completed, cancelled, publications, replay)
+	return cancelled, publications
 }

@@ -19,7 +19,10 @@ import (
 // pool, so a request that is waited for is not handed between
 // goroutines at all; the lane goroutines serve the requests nobody
 // joined (polled with Ticket.Done, never collected, or queued behind
-// busy lanes).
+// busy lanes). Lanes run the generated ports ("woolgen") with private
+// tasks: a one-worker lane has no thief, so a request's spawn/join
+// pairs are plain stores and direct calls, and a cancellation reaches
+// them through the trip wire, at the request's next spawn.
 //
 // The server is self-healing (DESIGN.md §17): each tenant gets a
 // circuit breaker that sheds submissions after a failure storm and
@@ -42,7 +45,7 @@ type (
 	Server = serve.Server
 
 	// ServerOptions configures NewServer; the zero value serves a
-	// single anonymous tenant on the wool backend with GOMAXPROCS
+	// single anonymous tenant on the woolgen backend with GOMAXPROCS
 	// workers.
 	ServerOptions = serve.Options
 
