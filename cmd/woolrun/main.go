@@ -148,9 +148,6 @@ func capsTokens(c sched.Caps) string {
 	if c.Watchdog {
 		t = append(t, "watchdog")
 	}
-	if c.Serve {
-		t = append(t, "serve")
-	}
 	if len(t) == 0 {
 		return "-"
 	}

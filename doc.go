@@ -78,8 +78,8 @@
 // value, even when the task was stolen (the thief hands the panic
 // back instead of dying and deadlocking the join). The abandoned task
 // tree is not unwound, so the pool is poisoned: later Run calls panic
-// with a distinct "pool poisoned by earlier task panic" message, and
-// only Close remains safe. See DESIGN.md §11.
+// with a distinct "pool poisoned by earlier task panic" message until
+// Reset has discarded the tree; Close is safe either way. See DESIGN.md §11.
 //
 // # Robustness
 //

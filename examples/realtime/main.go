@@ -47,8 +47,8 @@ type frame struct {
 
 // filterJob wraps one frame's filter pass — an exponential filter
 // chain per sensor, ~1µs each (iters=400), as a balanced task tree —
-// into a servable request. The serving layer instantiates it for the
-// lane's backend; the frame travels by closure.
+// into a servable request. ServeRange builds its port; the frame
+// travels by closure.
 func filterJob(f *frame, iters int) gowool.Job {
 	return gowool.ServeRange(gowool.RangeJob{
 		Name: "filter",

@@ -148,17 +148,11 @@ func ExampleFor() {
 	// Output: [0 1 4 9 16 25 36 49]
 }
 
-// TestServerPublic exercises the woolserve surface through the public
-// package: concurrent submissions, a mid-flight cancellation that
-// kills only its own request, and the public abort/reset lifecycle on
-// a plain Pool.
-func TestServerPublic(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	fib := gowool.RecJob{
+// fibRec is fib(root) as a servable job description.
+func fibRec(root int64) gowool.RecJob {
+	return gowool.RecJob{
 		Name: "fib",
-		Root: 15,
+		Root: root,
 		Leaf: func(n int64) (int64, bool) {
 			if n < 2 {
 				return n, true
@@ -167,7 +161,18 @@ func TestServerPublic(t *testing.T) {
 		},
 		Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
 	}
-	const wantFib = 610 // fib(15)
+}
+
+// TestServerPublic exercises the woolserve surface through the public
+// package: concurrent submissions, a mid-flight cancellation that
+// kills only its own request, and the public abort/reset lifecycle on
+// a plain Pool.
+func TestServerPublic(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	fib := fibRec(15)
+	const wantFib = 610
 
 	s, err := gowool.NewServer(gowool.ServerOptions{Workers: 4})
 	if err != nil {
@@ -269,5 +274,71 @@ func TestServerPublic(t *testing.T) {
 	got := p.Run(func(w *gowool.Worker) int64 { return busy.Call(w, 7) })
 	if got != 7 {
 		t.Fatalf("post-Reset Run = %d, want 7", got)
+	}
+}
+
+// TestServerLaneOptions writes ServerOptions.Pool and ConfigurePool from
+// outside the module, which takes a public name for their type: a
+// tracer per lane through ConfigurePool records on both lanes, and one
+// tracer handed to both lanes through Pool is refused — its rings are
+// single-writer per worker index.
+func TestServerLaneOptions(t *testing.T) {
+	const wantFib = 55 // fib(10)
+	tracers := []*gowool.Tracer{gowool.NewTracer(1, 1<<10), gowool.NewTracer(1, 1<<10)}
+	s, err := gowool.NewServer(gowool.ServerOptions{
+		Workers:       2,
+		ConfigurePool: func(lane int, o *gowool.LaneOptions) { o.Trace = tracers[lane] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One request holds a lane while the others run, so the others run
+	// on the second lane.
+	var gate, started atomic.Bool
+	hold, err := s.Submit(context.Background(), "", gowool.ServeRec(gowool.RecJob{
+		Name: "hold",
+		Root: 1,
+		Leaf: func(n int64) (int64, bool) {
+			if n == 0 {
+				started.Store(true)
+				for !gate.Load() {
+					runtime.Gosched()
+				}
+			}
+			return 1, n <= 0
+		},
+		Split: func(n int64) (inline, spawned int64) { return 0, -1 },
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !started.Load() {
+		runtime.Gosched()
+	}
+	job := gowool.ServeRec(fibRec(10))
+	for i := 0; i < 4; i++ {
+		tk, err := s.Submit(context.Background(), "", job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := tk.Wait(); err != nil || v != wantFib {
+			t.Fatalf("traced fib(10): v=%d err=%v, want %d, nil", v, err, wantFib)
+		}
+	}
+	gate.Store(true)
+	if v, err := hold.Wait(); err != nil || v != 2 {
+		t.Fatalf("held request: v=%d err=%v, want 2, nil", v, err)
+	}
+	s.Close()
+	for lane, tr := range tracers {
+		if len(tr.Snapshot()[0]) == 0 {
+			t.Errorf("lane %d's tracer recorded nothing", lane)
+		}
+	}
+
+	shared := gowool.LaneOptions{Trace: gowool.NewTracer(1, 1<<10)}
+	if s, err := gowool.NewServer(gowool.ServerOptions{Workers: 2, Pool: shared}); err == nil {
+		s.Close()
+		t.Fatal("NewServer accepted one tracer shared by two lanes")
 	}
 }

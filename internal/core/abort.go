@@ -59,22 +59,20 @@ func (p *Pool) Abort(reason error) bool {
 	// an Abort lands wholly before or wholly after that revival.
 	p.poisonMu.Lock()
 	defer p.poisonMu.Unlock()
-	if !p.life.Poison(&poolerr.AbortError{Reason: reason}) {
-		return false
-	}
-	p.tripWires()
-	return true
+	return p.life.Poison(&poolerr.AbortError{Reason: reason})
 }
 
 // tripWires asks every worker to leave the private path: the trip wire
 // is the flag by which another party sends the owner's next spawn to
 // publishMore, and publishMore re-raises the poison before it publishes
-// anything. Only the call that poisoned the pool trips them — Abort, or
-// a thief whose stolen task panicked — and only after the poison is
-// stored: an owner that sees a flag set here sees the poison. The
-// private fast path pays nothing for it; the flag is the one its spawn
-// already loads. Reset clears the flags (resetAfterPoison) before it
-// lifts the poison, so a trip never reaches the pool's next Run.
+// anything. It is the pool's Life.OnPoison: the call that poisons trips
+// them, whichever it is — Abort, a thief whose stolen task panicked, or
+// Run on its way out with a panic from the owner's side, which a thief
+// deep in a private stretch would not notice otherwise — and only after
+// the poison is stored: a worker that sees a flag set here sees the
+// poison. The private fast path pays nothing for it; the flag is the
+// one its spawn already loads. Reset clears the flags (resetAfterPoison)
+// before it lifts the poison, so a trip never reaches the pool's next Run.
 func (p *Pool) tripWires() {
 	for _, w := range p.workers {
 		w.morePublic.Store(true)

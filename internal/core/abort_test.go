@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,5 +308,71 @@ func TestStolenPanicTripsTheWire(t *testing.T) {
 	}
 	if pairs == bound {
 		t.Fatal("the owner ran its whole private stretch after the thief's task panicked")
+	}
+}
+
+// TestOwnerPanicTripsTheWire is the mirror case: the panic is on the
+// owner's side, so the poisoning is the one Run does on its way out. A
+// thief deep in a stolen task's private stretch must answer it at its
+// next spawn, or Reset — and everything queued behind it — waits out
+// the whole stretch.
+func TestOwnerPanicTripsTheWire(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	p := NewPool(Options{Workers: 2, PrivateTasks: true, MaxIdleSleep: -1})
+	defer p.Close()
+	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
+	const bound = 1 << 28 // a second or two of private pairs; the wire ends it in microseconds
+	started := make(chan struct{})
+	var pairs atomic.Int64
+	stretch := Define1("stretch", func(w *Worker, x int64) int64 {
+		n := int64(0)
+		defer func() { pairs.Store(n) }() // on the wire's re-raise too
+		noop.Spawn(w, 0)                  // slots 0 and 1: the thief's own public prefix
+		noop.Spawn(w, 0)
+		close(started)
+		for ; n < bound; n++ {
+			tk := w.SpawnPrepPrivate()
+			if tk == nil {
+				noop.Spawn(w, 1) // the generic path: where the wire is answered
+				noop.Join(w)
+				continue
+			}
+			tk.Set1(noop.wrap, 1)
+			w.SpawnCommitPrivate(tk)
+			if w.JoinPrepPrivate() == nil {
+				t.Error("private spawn was not joined privately")
+			}
+		}
+		noop.Join(w)
+		return noop.Join(w)
+	})
+	r := mustPanic(t, "Run whose root panics", func() {
+		p.Run(func(w *Worker) int64 {
+			stretch.Spawn(w, 0) // slot 0, public
+			<-started           // worker 1 has it, and is past its prefix
+			time.Sleep(time.Millisecond)
+			panic("boom")
+		})
+	})
+	if r != "boom" {
+		t.Fatalf("Run re-raised %v, want the root's panic value", r)
+	}
+	reset := make(chan error, 1)
+	go func() { reset <- p.Reset() }()
+	select {
+	case err := <-reset:
+		if err != nil {
+			t.Fatalf("Reset: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Reset still waiting for the thief 30 s after the root panicked")
+	}
+	if pairs.Load() == bound {
+		t.Fatal("the thief ran its whole private stretch after the root panicked")
+	}
+	fib := fibDef()
+	if got, want := p.Run(func(w *Worker) int64 { return fib.Call(w, 16) }), serialFib(16); got != want {
+		t.Fatalf("post-Reset fib(16) = %d, want %d", got, want)
 	}
 }

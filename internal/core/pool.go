@@ -313,6 +313,7 @@ func NewPool(opts Options) *Pool {
 	wskit.CheckSinks("core", opts.Workers, opts.Trace, opts.Chaos)
 	t0 := time.Now()
 	p := &Pool{opts: opts, life: wskit.Life{Name: "core"}}
+	p.life.OnPoison = p.tripWires
 	if opts.Parking == ParkOn && opts.Workers > 1 {
 		p.idle = newIdleEngine(opts.Workers, parkAfterFactor*opts.MaxIdleSleep)
 	}
@@ -375,19 +376,20 @@ func (p *Pool) Workers() int { return len(p.workers) }
 //
 // Abort semantics: a panic anywhere in the task tree — in a stolen
 // task (recovered by the thief's runStolen so the descriptor still
-// reaches DONE) or in root itself — poisons the pool and re-raises
-// from Run with the original panic value. A poisoned pool's task
-// stacks may hold unjoined descriptors whose subtrees never ran, so it
-// cannot be reused: later Run calls panic with a distinct
-// "pool poisoned by earlier task panic" message, the idle workers exit
-// their steal loops (they must not execute leftover descriptors of the
-// abandoned tree), and only Close remains safe. See DESIGN.md §11.
+// reaches DONE) or in root itself — poisons the pool, which trips every
+// worker's wire (tripWires), and re-raises from Run with the original
+// panic value. A poisoned pool's task stacks may hold unjoined
+// descriptors whose subtrees never ran, so until Reset has discarded
+// them later Run calls panic with a distinct "pool poisoned by earlier
+// task panic" message and the idle workers wait on the poison gate
+// (they must not execute leftover descriptors of the abandoned tree);
+// Close is safe either way. See DESIGN.md §11 and §16.
 //
 //woolvet:allow ownerprivate -- the calling goroutine IS worker 0's owner for the duration of Run
 func (p *Pool) Run(root func(*Worker) int64) int64 {
 	// A panic escaping root (or the unjoined-tasks check below) leaves
 	// worker 0's stack with stealable descriptors of an abandoned tree:
-	// End poisons the pool before the panic propagates.
+	// End poisons the pool, tripping every wire, before it propagates.
 	p.life.Begin()
 	defer p.life.End()
 	w := p.workers[0]

@@ -698,9 +698,7 @@ func (w *Worker) runStolen(t *Task, leap bool) {
 			// it executes and the victim unblocks, then the panic is
 			// re-raised on the Run goroutine — at its next spawn if this
 			// is the panic that poisons, the tripped wire sees to that.
-			if w.pool.life.Poison(r) {
-				w.pool.tripWires()
-			}
+			w.pool.life.Poison(r)
 		}
 	}()
 	// Abort check: once the pool is poisoned the result of this task is

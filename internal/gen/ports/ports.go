@@ -5,11 +5,12 @@
 // spawn/join micro benchmarks. The woolgen scheduler backend
 // (internal/sched) routes RunRec/RunRange through these ports, so the
 // generated fast path runs under the full conformance, chaos, trace
-// and woolvet surface the registry provides.
+// and woolvet surface the registry provides; internal/serve runs every
+// request through them.
 //
-// The hand-written part of the package is the task bodies below; the
-// Spawn*/Join*/Call* plumbing around them is generated (ports_gen.go)
-// and regenerated with `go generate ./...`.
+// The hand-written part of the package is the task bodies and RunRec /
+// RunRange below; the Spawn*/Join*/Call* plumbing around the bodies is
+// generated (ports_gen.go) and regenerated with `go generate ./...`.
 package ports
 
 //go:generate go run gowool/cmd/woolgen -pkg ports -out ports_gen.go -task Noop:1:batch -task Rec:1:ctx=*RecCtx -task Range:2:ctx=*RangeCtx
@@ -38,6 +39,23 @@ func recBody(w *core.Worker, c *RecCtx, n int64) int64 {
 	return a + b
 }
 
+// RunRec runs the recursion over c from root on p, reps times over —
+// serialized regions of one Run; fewer than one counts as one, as in
+// sched.RecJob — and returns the summed results. The root closure stays
+// on the caller's stack, so a run allocates nothing.
+//
+//woolvet:noescape
+func RunRec(p *core.Pool, c *RecCtx, root, reps int64) int64 {
+	regions := max(reps, 1)
+	return p.Run(func(w *core.Worker) int64 {
+		var total int64
+		for r := int64(0); r < regions; r++ {
+			total += CallRec(w, c, root)
+		}
+		return total
+	})
+}
+
 // RangeCtx carries a range reduction's leaf closure.
 type RangeCtx struct {
 	Leaf func(i int64) int64
@@ -57,6 +75,20 @@ func rangeBody(w *core.Worker, c *RangeCtx, lo, hi int64) int64 {
 	a := rangeBody(w, c, lo, mid)
 	b := JoinRange(w)
 	return a + b
+}
+
+// RunRange is RunRec for the range reduction over [0, n).
+//
+//woolvet:noescape
+func RunRange(p *core.Pool, c *RangeCtx, n, reps int64) int64 {
+	regions := max(reps, 1)
+	return p.Run(func(w *core.Worker) int64 {
+		var total int64
+		for r := int64(0); r < regions; r++ {
+			total += CallRange(w, c, 0, n)
+		}
+		return total
+	})
 }
 
 // noopBody is the identity task behind the Table II spawn/join ladder:

@@ -108,6 +108,29 @@ func TestRangeSerialAgreement(t *testing.T) {
 	}
 }
 
+// TestRunRegions pins the two entry points the registry's woolgen
+// backend and the serving layer share: reps serialized regions in one
+// Run, fewer than one counting as one, and no allocation — the context
+// is built once, whoever runs it however often.
+func TestRunRegions(t *testing.T) {
+	p := core.NewPool(core.Options{Workers: 1, PrivateTasks: true})
+	defer p.Close()
+	rec := fibCtx()
+	span := &RangeCtx{Leaf: func(i int64) int64 { return i }}
+	for _, reps := range []int64{-1, 0, 1, 3} {
+		regions := max(reps, 1)
+		if got, want := RunRec(p, rec, 12, reps), regions*serialRec(rec, 12); got != want {
+			t.Errorf("RunRec(fib 12, reps %d) = %d, want %d", reps, got, want)
+		}
+		if got, want := RunRange(p, span, 100, reps), regions*4950; got != want {
+			t.Errorf("RunRange(sum 0..99, reps %d) = %d, want %d", reps, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() { RunRec(p, rec, 4, 1); RunRange(p, span, 8, 1) }); allocs != 0 {
+		t.Errorf("a RunRec and a RunRange allocate %v times, want 0", allocs)
+	}
+}
+
 // TestBatchCorrectness: SpawnNoopN/JoinNoopN over a window larger than
 // the task stack's private headroom must join every argument exactly
 // once (the sum identifies the set).

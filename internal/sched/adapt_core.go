@@ -29,10 +29,6 @@ func (woolSched) Caps() Caps {
 		// live in the victim's stack and are claimed individually.
 		StealPolicies: steal.Policies(),
 		StealAmounts:  []string{steal.AmountOne},
-		// *core.Pool implements Abort/Poisoned/Reset, so the serving
-		// layer can cancel requests mid-flight (woolgen inherits this
-		// Caps copy and with it the flag).
-		Serve: true,
 	}
 }
 
@@ -80,55 +76,24 @@ func (wp *woolPool) Stats() Stats {
 	}
 }
 
-// woolRec and woolRange are jobs prepared for the generic task-port
-// layer (port.go): the task definition is built once, on only enters
-// the pool. They are small values and on's root closure stays on the
-// stack, so RunRec / RunRange — prepare, run, discard, all of it
-// inlined — cost what building the definition costs and nothing more;
-// only PrepareRec / PrepareRange box the value, once per job.
-type woolRec struct {
-	d          *core.TaskDef1
-	root, reps int64
-}
-
-type woolRange struct {
-	d       *core.TaskDef2
-	n, reps int64
-}
-
-func prepareWoolRec(j RecJob) woolRec {
-	return woolRec{BuildRec(core.Define1, j), j.Root, reps(j.Reps)}
-}
-
-func prepareWoolRange(j RangeJob) woolRange {
-	return woolRange{BuildRange(core.Define2, j), j.N, reps(j.Reps)}
-}
-
-func (pt woolRec) on(p *core.Pool) int64 {
-	return p.Run(func(w *core.Worker) int64 {
+func (wp *woolPool) RunRec(j RecJob) int64 {
+	d := BuildRec(core.Define1, j)
+	return wp.p.Run(func(w *core.Worker) int64 {
 		var total int64
-		for r := int64(0); r < pt.reps; r++ {
-			total += pt.d.Call(w, pt.root)
+		for r := int64(0); r < reps(j.Reps); r++ {
+			total += d.Call(w, j.Root)
 		}
 		return total
 	})
 }
 
-func (pt woolRange) on(p *core.Pool) int64 {
-	return p.Run(func(w *core.Worker) int64 {
+func (wp *woolPool) RunRange(j RangeJob) int64 {
+	d := BuildRange(core.Define2, j)
+	return wp.p.Run(func(w *core.Worker) int64 {
 		var total int64
-		for r := int64(0); r < pt.reps; r++ {
-			total += pt.d.Call(w, 0, pt.n)
+		for r := int64(0); r < reps(j.Reps); r++ {
+			total += d.Call(w, 0, j.N)
 		}
 		return total
 	})
 }
-
-func (pt woolRec) Run(p Pool) int64   { return pt.on(p.Native().(*core.Pool)) }
-func (pt woolRange) Run(p Pool) int64 { return pt.on(p.Native().(*core.Pool)) }
-
-func (woolSched) PrepareRec(j RecJob) Prepared     { return prepareWoolRec(j) }
-func (woolSched) PrepareRange(j RangeJob) Prepared { return prepareWoolRange(j) }
-
-func (wp *woolPool) RunRec(j RecJob) int64     { return prepareWoolRec(j).on(wp.p) }
-func (wp *woolPool) RunRange(j RangeJob) int64 { return prepareWoolRange(j).on(wp.p) }

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"gowool/internal/core"
-	"gowool/internal/gen/ports"
-)
+import "gowool/internal/gen/ports"
 
 // Registered with wool's rank; file order keeps it right after wool in
 // the presentation sequence — same scheduler, different port layer.
@@ -39,54 +36,10 @@ func (woolgenSched) NewPool(o Options) Pool {
 // the job entry points.
 type woolgenPool struct{ woolPool }
 
-// genRec and genRange are jobs prepared for the generated ports: the
-// port context is built once, on only enters the pool (see woolRec).
-// woolgen defines its own prepared forms and Prepare methods rather
-// than promoting wool's through the embedded pool: a job prepared here
-// must spawn through ports.CallRec / ports.CallRange.
-type genRec struct {
-	c          *ports.RecCtx
-	root, reps int64
+func (wp *woolgenPool) RunRec(j RecJob) int64 {
+	return ports.RunRec(wp.p, &ports.RecCtx{Leaf: j.Leaf, Split: j.Split}, j.Root, j.Reps)
 }
 
-type genRange struct {
-	c       *ports.RangeCtx
-	n, reps int64
+func (wp *woolgenPool) RunRange(j RangeJob) int64 {
+	return ports.RunRange(wp.p, &ports.RangeCtx{Leaf: j.Leaf}, j.N, j.Reps)
 }
-
-func prepareGenRec(j RecJob) genRec {
-	return genRec{&ports.RecCtx{Leaf: j.Leaf, Split: j.Split}, j.Root, reps(j.Reps)}
-}
-
-func prepareGenRange(j RangeJob) genRange {
-	return genRange{&ports.RangeCtx{Leaf: j.Leaf}, j.N, reps(j.Reps)}
-}
-
-func (pt genRec) on(p *core.Pool) int64 {
-	return p.Run(func(w *core.Worker) int64 {
-		var total int64
-		for r := int64(0); r < pt.reps; r++ {
-			total += ports.CallRec(w, pt.c, pt.root)
-		}
-		return total
-	})
-}
-
-func (pt genRange) on(p *core.Pool) int64 {
-	return p.Run(func(w *core.Worker) int64 {
-		var total int64
-		for r := int64(0); r < pt.reps; r++ {
-			total += ports.CallRange(w, pt.c, 0, pt.n)
-		}
-		return total
-	})
-}
-
-func (pt genRec) Run(p Pool) int64   { return pt.on(p.Native().(*core.Pool)) }
-func (pt genRange) Run(p Pool) int64 { return pt.on(p.Native().(*core.Pool)) }
-
-func (woolgenSched) PrepareRec(j RecJob) Prepared     { return prepareGenRec(j) }
-func (woolgenSched) PrepareRange(j RangeJob) Prepared { return prepareGenRange(j) }
-
-func (wp *woolgenPool) RunRec(j RecJob) int64     { return prepareGenRec(j).on(wp.p) }
-func (wp *woolgenPool) RunRange(j RangeJob) int64 { return prepareGenRange(j).on(wp.p) }

@@ -14,9 +14,9 @@ import (
 // naming an unsupported member of a non-empty list (for example
 // -stealamount half on the direct task stack, which only takes one
 // task per steal) fell back to the default without a word. Callers
-// that want fail-fast semantics — cmd/woolrun, cmd/woolbench's serve
-// mode, the serving layer's lane construction — run this first and
-// refuse to build the pool on a non-nil error.
+// that want fail-fast semantics — cmd/woolrun and the serving layer's
+// lane construction — run this first and refuse to build the pool on a
+// non-nil error.
 //
 // The returned error joins one entry per violation (errors.Join), each
 // naming the offending option and listing the supported values.

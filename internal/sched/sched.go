@@ -1,9 +1,10 @@
 // Package sched is the scheduler registry: one abstraction behind the
-// six native schedulers this repository implements — the paper's
-// direct task stack (internal/core), the Chase-Lev deque (the TBB
-// stand-in), the lock-based ladder, the steal-parent continuation
-// scheduler (the Cilk++ stand-in), the centralized OpenMP-style pool,
-// and the idiomatic-Go goroutine baseline.
+// seven schedulers registered here — the paper's direct task stack
+// (internal/core) twice, behind generic and behind generated ports, the
+// Chase-Lev deque (the TBB stand-in), the lock-based ladder, the
+// steal-parent continuation scheduler (the Cilk++ stand-in), the
+// centralized OpenMP-style pool, and the idiomatic-Go goroutine
+// baseline.
 //
 // The paper's whole argument is comparative, and before this layer the
 // comparison was wired by hand: every workload re-implemented the
@@ -130,46 +131,6 @@ type Caps struct {
 	// honours; backends whose pools support batch extraction include
 	// steal.AmountHalf.
 	StealAmounts []string
-	// Serve is true when Pool.Native implements Abortable, so the
-	// serving layer (internal/serve) can cancel an in-flight request
-	// by aborting the pool and then Reset it back into service, and
-	// the Scheduler implements Preparer, so a job served many times
-	// builds its port once. That is what makes a backend servable:
-	// serve.New refuses the others.
-	Serve bool
-}
-
-// Prepared is a job's port for one backend, built once: the task
-// definition (or generated-port context), its recursive body and the
-// root closure depend on the job alone, not on the pool that runs it.
-type Prepared interface {
-	// Run executes the job on p, which must be a pool of the scheduler
-	// that prepared it, and returns what that pool's RunRec / RunRange
-	// returns for the job. It allocates nothing. Like them it runs the
-	// root on the calling goroutine and must not overlap another run
-	// on p.
-	Run(p Pool) int64
-}
-
-// Preparer is the scheduler-side half of Caps.Serve: it builds the
-// Prepared form that the backend's own RunRec / RunRange build on
-// every call, so a caller that runs one job many times (a served
-// request class) pays for the port once.
-type Preparer interface {
-	PrepareRec(RecJob) Prepared
-	PrepareRange(RangeJob) Prepared
-}
-
-// Abortable is the native-pool contract behind Caps.Serve: the
-// request-scoped abort machinery of internal/core (DESIGN.md §16).
-// Abort poisons the pool so an in-flight Run unwinds with a
-// *poolerr.AbortError carrying reason; Poisoned observes the poison
-// without Run's panic; Reset waits out the unwind, discards the
-// abandoned task trees and returns the pool to service.
-type Abortable interface {
-	Abort(reason error) bool
-	Poisoned() (cause any, poisoned bool)
-	Reset() error
 }
 
 // Pool is a running scheduler instance behind the normalized surface.

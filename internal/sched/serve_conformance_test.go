@@ -11,11 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"gowool/internal/core"
 	"gowool/internal/poolerr"
 	"gowool/internal/sched"
 	"gowool/internal/steal"
 	"gowool/internal/workloads/fibw"
-	"gowool/internal/workloads/ssf"
 )
 
 // gateRec is a recursion whose inline branch spins on gate at every
@@ -136,7 +136,7 @@ const maxLateLeaves = 64
 // after Reset, which waits out the thieves.
 func abortPromptly(t *testing.T, p sched.Pool, job sched.RecJob, leaves *atomic.Int64, at int64) (late int64, cut bool) {
 	t.Helper()
-	ab := p.Native().(sched.Abortable)
+	ab := p.Native().(*core.Pool)
 	res := make(chan any, 1)
 	go func() {
 		defer func() { res <- recover() }()
@@ -202,36 +202,29 @@ func checkAbortIsPrompt(t *testing.T, s sched.Scheduler, private bool, workers i
 	t.Logf("%d rounds, %d cut short: worst %d late leaves", rounds, cuts, worst)
 }
 
-// TestAbortableConformance checks Caps.Serve tells the truth on every
-// backend: when set, Pool.Native implements sched.Abortable and the
-// full abort lifecycle works (Abort lands mid-Run as a
-// *poolerr.AbortError carrying the reason, Poisoned observes it, Reset
-// returns the same pool to correct service); when clear, Native must
-// not quietly implement the interface (the capability would be
-// understated). Promptness is part of the contract, with private tasks
-// or without and with a thief or without: once Abort has returned, at
-// most maxLateLeaves more leaves of the aborted tree run — a deadline
-// that let the request run to completion would be no deadline.
+// TestAbortableConformance checks the abort lifecycle of the direct
+// task stack through every port layer the registry puts on it — each
+// scheduler whose Native is a *core.Pool, the generic ports ("wool") and
+// the generated ones ("woolgen", what the serving layer runs): Abort
+// lands mid-Run as a *poolerr.AbortError carrying the reason, Poisoned
+// observes it, Reset returns the same pool to correct service.
+// Promptness is part of the contract, with private tasks or without and
+// with a thief or without: once Abort has returned, at most
+// maxLateLeaves more leaves of the aborted tree run — a deadline that
+// let the request run to completion would be no deadline.
 func TestAbortableConformance(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	servable := 0
+	abortable := 0
 	for _, s := range sched.All() {
-		caps := s.Caps()
 		t.Run(s.Name(), func(t *testing.T) {
 			p := s.NewPool(sched.Options{Workers: 2})
 			defer p.Close()
-			ab, ok := p.Native().(sched.Abortable)
-			if !caps.Serve {
-				if ok {
-					t.Fatal("Native implements Abortable but Caps.Serve is false")
-				}
+			ab, ok := p.Native().(*core.Pool)
+			if !ok {
 				return
 			}
-			if !ok {
-				t.Fatal("Caps.Serve set but Native does not implement sched.Abortable")
-			}
-			servable++
+			abortable++
 
 			probe := errors.New("abort probe")
 			var started, gate atomic.Bool
@@ -281,73 +274,8 @@ func TestAbortableConformance(t *testing.T) {
 			}
 		})
 	}
-	if servable < 2 {
-		t.Errorf("%d backends advertise Caps.Serve, want at least 2 (wool, woolgen)", servable)
-	}
-}
-
-// TestPreparedConformance checks the other half of Caps.Serve: the
-// scheduler implements sched.Preparer, and a job prepared once gives,
-// on any pool of that scheduler and on every run, what RunRec /
-// RunRange give and what the serial reference gives — over the seeded
-// random fib sizes and ssf words the RunRec / RunRange conformance
-// tests use. RunRec / RunRange are themselves prepare-then-run, so this
-// also pins that a prepared form is not consumed by running it. A run
-// of a prepared job allocates nothing: that is why it exists.
-func TestPreparedConformance(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	rng := rand.New(rand.NewSource(42))
-	for _, s := range sched.All() {
-		if !s.Caps().Serve {
-			continue
-		}
-		t.Run(s.Name(), func(t *testing.T) {
-			prep, ok := s.(sched.Preparer)
-			if !ok {
-				t.Fatal("Caps.Serve set but the scheduler does not implement sched.Preparer")
-			}
-			pools := []sched.Pool{
-				s.NewPool(sched.Options{Workers: 1}),
-				s.NewPool(sched.Options{Workers: 3}),
-			}
-			defer func() {
-				for _, p := range pools {
-					p.Close()
-				}
-			}()
-			for trial := 0; trial < 3; trial++ {
-				rec := fibw.Job(int64(8+rng.Intn(9)), int64(1+rng.Intn(3)))
-				str := ssf.FibString(int64(9 + rng.Intn(2)))
-				span := ssf.Job(&ssf.Work{S: str}, int64(1+rng.Intn(2)))
-				cases := []struct {
-					name   string
-					port   sched.Prepared
-					direct func(sched.Pool) int64
-					want   int64
-				}{
-					{"rec", prep.PrepareRec(rec), func(p sched.Pool) int64 { return p.RunRec(rec) }, rec.Serial()},
-					{"range", prep.PrepareRange(span), func(p sched.Pool) int64 { return p.RunRange(span) }, span.Serial()},
-				}
-				for _, c := range cases {
-					for pi, p := range pools {
-						for run := 0; run < 2; run++ {
-							if got := c.port.Run(p); got != c.want {
-								t.Fatalf("trial %d %s: prepared run %d on pool %d = %d, want serial %d", trial, c.name, run, pi, got, c.want)
-							}
-						}
-						if got := c.direct(p); got != c.want {
-							t.Fatalf("trial %d %s: direct run on pool %d = %d, want serial %d", trial, c.name, pi, got, c.want)
-						}
-					}
-				}
-			}
-
-			leaf := prep.PrepareRec(fibw.Job(4, 1))
-			if allocs := testing.AllocsPerRun(200, func() { leaf.Run(pools[0]) }); allocs != 0 {
-				t.Errorf("a prepared run allocates %v times, want 0", allocs)
-			}
-		})
+	if abortable < 2 {
+		t.Errorf("%d schedulers run on a *core.Pool, want at least 2 (wool, woolgen)", abortable)
 	}
 }
 

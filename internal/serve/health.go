@@ -47,7 +47,6 @@ type TenantHealth struct {
 
 // Health is a point-in-time self-healing snapshot.
 type Health struct {
-	Backend string
 	Lanes   []LaneHealth
 	Tenants []TenantHealth
 }
@@ -55,12 +54,9 @@ type Health struct {
 // Health snapshots the resilience state machines. Safe to call
 // concurrently with submissions and while lanes are serving.
 func (s *Server) Health() Health {
-	h := Health{Backend: s.opts.Backend}
+	var h Health
 	for _, l := range s.lanes {
-		l.mu.Lock()
-		ab := l.ab
-		l.mu.Unlock()
-		_, poisoned := ab.Poisoned()
+		_, poisoned := l.pool.Load().Poisoned()
 		state := "serving"
 		if l.quarantined.Load() {
 			state = "quarantined"

@@ -3,11 +3,11 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"gowool/internal/chaos"
+	"gowool/internal/core"
 	"gowool/internal/poolerr"
 	"gowool/internal/sched"
 )
@@ -60,15 +60,11 @@ type lane struct {
 	tn   *tenant // home team
 	opts sched.Options
 
-	// mu guards the pool/ab pointer swaps against concurrent Health
-	// readers. Whoever owns the lane is the only request-path reader
-	// and reads the fields directly; only the goroutine swaps them.
-	mu   sync.Mutex
-	pool sched.Pool
-	// ab is the pool's request-scoped abort surface (New refuses a
-	// backend without it): Abort cancels the request in flight, Reset
-	// returns a poisoned pool to service.
-	ab sched.Abortable
+	// pool is the lane's pool: whoever owns the lane runs a request on
+	// it, aborts it for a cancellation and Resets it back into service;
+	// Health loads it from any goroutine, and only replacePool, on the
+	// lane's goroutine, swaps it.
+	pool atomic.Pointer[core.Pool]
 
 	// mail is the mailbox and back the hand-back flag, both guarded by
 	// the server mutex. wake carries the goroutine's wake tokens; one
@@ -140,7 +136,7 @@ func (l *lane) loop() {
 			}
 			var closed bool
 			if t, closed = l.next(); closed {
-				l.pool.Close()
+				l.pool.Load().Close()
 				return
 			}
 			mine = t != nil
@@ -201,19 +197,20 @@ func (l *lane) serveOne(t *Ticket) {
 	// abort cannot land on a LATER request of this lane: either we
 	// stop the callback before it ran, or we wait out its poisoning
 	// and Reset it away before the next request starts.
+	p := l.pool.Load()
 	var stop func() bool
 	var fired chan struct{}
 	if t.ctx.Done() != nil {
-		ctx, ab, ch := t.ctx, l.ab, make(chan struct{})
+		ctx, ch := t.ctx, make(chan struct{})
 		fired = ch
 		stop = context.AfterFunc(ctx, func() {
 			defer close(ch)
-			ab.Abort(ctx.Err())
+			p.Abort(ctx.Err())
 		})
 	}
 
 	start := time.Now()
-	val, err := runJob(l.pool, t.job.port(l.srv.opts.Backend, l.srv.prep))
+	val, err := runJob(p, t.job)
 	dur := time.Since(start)
 
 	if stop != nil && !stop() {
@@ -223,7 +220,7 @@ func (l *lane) serveOne(t *Ticket) {
 	// Restore pool health before touching the next request: Reset is
 	// the one way back into service; quarantine (replace and probe)
 	// takes over only when it fails.
-	if cause, poisoned := l.ab.Poisoned(); poisoned {
+	if cause, poisoned := p.Poisoned(); poisoned {
 		if ae, ok := cause.(*poolerr.AbortError); ok && err != nil {
 			// The abort landed before Run's first descriptor (the
 			// poisoned-pool entry panic) or mid-flight; either way the
@@ -237,7 +234,7 @@ func (l *lane) serveOne(t *Ticket) {
 			// Chaos: behave as if Reset failed without calling it —
 			// quarantine discards the pool either way.
 			l.wantQuarantine = true
-		} else if rerr := l.ab.Reset(); rerr != nil {
+		} else if rerr := p.Reset(); rerr != nil {
 			l.wantQuarantine = true
 		}
 	}
@@ -360,22 +357,20 @@ func (l *lane) quarantine() {
 // probeWant is fib(probeDepth), the expected probe result.
 const probeDepth, probeWant = 6, 8
 
-// probeJob builds the quarantine health probe: a small fib-shaped
-// spawn tree, enough to exercise the replacement pool's spawn/join and
-// steal paths without measurable cost.
-func probeJob() sched.RecJob {
-	return sched.RecJob{
-		Name: "__lane-probe",
-		Root: probeDepth,
-		Leaf: func(n int64) (int64, bool) {
-			if n < 2 {
-				return n, true
-			}
-			return 0, false
-		},
-		Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
-	}
-}
+// probe is the quarantine health probe: a small fib-shaped spawn tree,
+// enough to exercise the replacement pool's spawn/join and steal paths
+// without measurable cost.
+var probe = Rec(sched.RecJob{
+	Name: "__lane-probe",
+	Root: probeDepth,
+	Leaf: func(n int64) (int64, bool) {
+		if n < 2 {
+			return n, true
+		}
+		return 0, false
+	},
+	Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
+})
 
 // probeOnce runs one health probe on the (fresh) pool.
 func (l *lane) probeOnce() bool {
@@ -384,7 +379,7 @@ func (l *lane) probeOnce() bool {
 		l.probeFailures.Add(1)
 		return false
 	}
-	v, err := runJob(l.pool, l.srv.prep.PrepareRec(probeJob()))
+	v, err := runJob(l.pool.Load(), probe)
 	if err != nil || v != probeWant {
 		l.probeFailures.Add(1)
 		return false
@@ -396,11 +391,7 @@ func (l *lane) probeOnce() bool {
 // options and closes the old one (closing a poisoned pool is safe:
 // its workers are released by Close, see the core poison gate).
 func (l *lane) replacePool() {
-	old := l.pool
-	np := l.srv.sch.NewPool(l.opts)
-	l.mu.Lock()
-	l.pool, l.ab = np, np.Native().(sched.Abortable)
-	l.mu.Unlock()
+	old := l.pool.Swap(newLanePool(l.opts))
 	l.replacements.Add(1)
 	old.Close()
 }
@@ -410,7 +401,7 @@ func (l *lane) replacePool() {
 // *poolerr.AbortError (request cancellation) unwraps to its reason, a
 // *poolerr.WatchdogError passes through typed (it classifies as
 // retryable), anything else becomes a *PanicError.
-func runJob(p sched.Pool, job sched.Prepared) (v int64, err error) {
+func runJob(p *core.Pool, job Job) (v int64, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -430,5 +421,5 @@ func runJob(p sched.Pool, job sched.Prepared) (v int64, err error) {
 		}
 		err = &PanicError{Val: r}
 	}()
-	return job.Run(p), nil
+	return job.run(p), nil
 }

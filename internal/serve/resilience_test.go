@@ -7,7 +7,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -374,52 +373,49 @@ func TestServeQuarantineOnFailureStreak(t *testing.T) {
 // Reset is chaos-failed forces the quarantine path; probe-fail chaos
 // makes the first probes fail so the probe-retry loop runs too.
 func TestServeChaosResetFailQuarantine(t *testing.T) {
-	for _, backend := range []string{"wool", "woolgen"} {
-		t.Run(backend, func(t *testing.T) {
-			bothTakers(t, func(t *testing.T, m waitMode) {
-				var rates chaos.ServeRates
-				rates[chaos.ServeLaneResetFail] = 65535 // every Reset "fails"
-				rates[chaos.ServeProbeFail] = 32768     // ~half the probes fail
-				inj := chaos.NewServeInjector(rates, 0x0bad5eed)
-				s, err := New(Options{
-					Backend: backend,
-					Workers: 1,
-					Chaos:   inj,
-					Resilience: resilience.Options{
-						Quarantine: resilience.QuarantineConfig{FailureStreak: -1, ProbeBackoff: time.Millisecond},
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-
-				var gate, started atomic.Bool
-				ctx, cancel := context.WithCancel(context.Background())
-				victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
-				if err != nil {
-					t.Fatal(err)
-				}
-				res := m.waitAsync(victim)
-				waitTrue(t, &started, "victim dispatch")
-				cancel()
-				waitLanePoisoned(t, s)
-				gate.Store(true)
-				if r := <-res; !errors.Is(r.err, context.Canceled) {
-					t.Fatalf("victim err = %v, want context.Canceled", r.err)
-				}
-				// The replacement pool serves the follow-ups.
-				mustWaitFib(t, s, m, "")
-				h := s.Health().Lanes[0]
-				if h.Quarantines < 1 || h.Replacements < 1 {
-					t.Fatalf("lane health = %+v, want a quarantine (replay seed=%#x)", h, inj.Seed())
-				}
-				if cnt := inj.Injected(); cnt[chaos.ServeLaneResetFail] < 1 {
-					t.Fatalf("chaos never fired lane-reset-fail: %v (replay seed=%#x)", cnt, inj.Seed())
-				}
+	t.Run(served, func(t *testing.T) {
+		bothTakers(t, func(t *testing.T, m waitMode) {
+			var rates chaos.ServeRates
+			rates[chaos.ServeLaneResetFail] = 65535 // every Reset "fails"
+			rates[chaos.ServeProbeFail] = 32768     // ~half the probes fail
+			inj := chaos.NewServeInjector(rates, 0x0bad5eed)
+			s, err := New(Options{
+				Workers: 1,
+				Chaos:   inj,
+				Resilience: resilience.Options{
+					Quarantine: resilience.QuarantineConfig{FailureStreak: -1, ProbeBackoff: time.Millisecond},
+				},
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			var gate, started atomic.Bool
+			ctx, cancel := context.WithCancel(context.Background())
+			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := m.waitAsync(victim)
+			waitTrue(t, &started, "victim dispatch")
+			cancel()
+			waitLanePoisoned(t, s)
+			gate.Store(true)
+			if r := <-res; !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("victim err = %v, want context.Canceled", r.err)
+			}
+			// The replacement pool serves the follow-ups.
+			mustWaitFib(t, s, m, "")
+			h := s.Health().Lanes[0]
+			if h.Quarantines < 1 || h.Replacements < 1 {
+				t.Fatalf("lane health = %+v, want a quarantine (replay seed=%#x)", h, inj.Seed())
+			}
+			if cnt := inj.Injected(); cnt[chaos.ServeLaneResetFail] < 1 {
+				t.Fatalf("chaos never fired lane-reset-fail: %v (replay seed=%#x)", cnt, inj.Seed())
+			}
 		})
-	}
+	})
 }
 
 // TestServeSubmitStormChaos: the submit-storm injection point sheds at
@@ -442,7 +438,9 @@ func TestServeSubmitStormChaos(t *testing.T) {
 
 // TestServeResetErrorReplacement pins the real (non-chaos)
 // Reset-returns-error branch: a Reset that reports an error must
-// quarantine and replace the pool, not leave the poison in place.
+// quarantine and replace the pool, not leave the poison in place. The
+// error is core's own: the test closes the lane's pool under the
+// aborted request, so the Reset that follows it is refused.
 func TestServeResetErrorReplacement(t *testing.T) {
 	bothTakers(t, func(t *testing.T, m waitMode) {
 		s, err := New(Options{
@@ -455,12 +453,6 @@ func TestServeResetErrorReplacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		// Swap the lane's abort surface for one whose Reset always errors.
-		// The lane is idle (no request yet), so the swap is safe under mu.
-		l := s.lanes[0]
-		l.mu.Lock()
-		l.ab = resetFailAbortable{l.ab}
-		l.mu.Unlock()
 
 		var gate, started atomic.Bool
 		ctx, cancel := context.WithCancel(context.Background())
@@ -472,6 +464,7 @@ func TestServeResetErrorReplacement(t *testing.T) {
 		waitTrue(t, &started, "victim dispatch")
 		cancel()
 		waitLanePoisoned(t, s)
+		s.lanes[0].pool.Load().Close() // "core: Reset on closed Pool"
 		gate.Store(true)
 		if r := <-res; !errors.Is(r.err, context.Canceled) {
 			t.Fatalf("victim err = %v, want context.Canceled", r.err)
@@ -482,12 +475,6 @@ func TestServeResetErrorReplacement(t *testing.T) {
 		}
 	})
 }
-
-// resetFailAbortable wraps a real abort surface with a Reset that
-// always fails.
-type resetFailAbortable struct{ sched.Abortable }
-
-func (a resetFailAbortable) Reset() error { return fmt.Errorf("injected reset failure") }
 
 // TestServeHealthShape pins the Health snapshot's basic shape with the
 // defaults on and with everything disabled.

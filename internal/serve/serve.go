@@ -1,5 +1,5 @@
 // Package serve is woolserve: a concurrent request-serving layer over
-// the scheduler registry (ROADMAP item 1). The paper's pool runs one
+// the direct task stack (internal/core). The paper's pool runs one
 // root task at a time — Run calls must not overlap — which fits batch
 // kernels but not a service executing many small independent task DAGs
 // submitted concurrently. woolserve bridges the two worlds without
@@ -28,7 +28,10 @@
 //     lane's pool at a time. Requests are small (that is the
 //     fine-grained premise), so cross-request parallelism comes from
 //     many lanes rather than one wide pool; within a request the
-//     lane's pool supplies the paper's work-stealing parallelism.
+//     lane's pool supplies the paper's work-stealing parallelism: a
+//     *core.Pool with private tasks, on which a request is one
+//     ports.RunRec or RunRange over the generated-port context its Job
+//     was built with (Rec, Range; DESIGN.md §13).
 //     lane.go states the dispatch states and their invariants.
 //
 //   - Weighted tenant fairness. Named tenants own demand-sized worker
@@ -46,13 +49,10 @@
 //     stall the runtime.
 //
 //   - Per-request cancellation. A request's context cancels or times
-//     out mid-flight: the lane's pool is aborted (sched.Abortable, the
-//     request-scoped poison of internal/core, DESIGN.md §16), the
-//     request unwinds with the context's error, and the pool is Reset
-//     back into service for the next request. That contract is the
-//     server's point, so New refuses a backend without Caps.Serve: it
-//     could neither interrupt a running request nor revive a pool a
-//     panicking one poisoned.
+//     out mid-flight: the lane's pool is aborted (core.Pool.Abort, the
+//     request-scoped poison of DESIGN.md §16), the request unwinds with
+//     the context's error, and the pool is Reset back into service for
+//     the next request.
 //
 //   - Self-healing (DESIGN.md §17, internal/resilience). The per-
 //     request mechanisms above handle one bad request; the resilience
@@ -78,6 +78,8 @@ import (
 	"time"
 
 	"gowool/internal/chaos"
+	"gowool/internal/core"
+	"gowool/internal/gen/ports"
 	"gowool/internal/poolerr"
 	"gowool/internal/resilience"
 	"gowool/internal/sched"
@@ -119,62 +121,53 @@ func (e *PanicError) Error() string { return fmt.Sprintf("serve: request panicke
 func (e *PanicError) ErrorClass() poolerr.Class { return poolerr.ClassRetryable }
 
 // Job is one request: a root task DAG to run on a lane's pool. Build
-// one with Rec or Range. A Job may be submitted any number of times,
-// concurrently and to several servers: it builds its port for a backend
-// (sched.Prepared) the first time a lane of that backend runs it and
-// keeps it, so a request class pays for its task definition once, not
-// per request.
+// one with Rec or Range, which build its port; a Job may then be
+// submitted any number of times, concurrently and to several servers,
+// and no request pays for a task definition.
 type Job interface {
-	// port returns the job prepared for the named backend, building it
-	// with prep on first use.
-	port(backend string, prep sched.Preparer) sched.Prepared
+	// run executes the job on p through its generated port and returns
+	// what sched.Pool.RunRec / RunRange return for it.
+	run(p *core.Pool) int64
 	// class keys the per-tenant service-time estimator: the job's
 	// declared Name, or the job shape when unnamed.
 	class() string
 }
 
-// job is the one Job implementation; Rec and Range differ in prepare.
-type job struct {
+// recJob and rangeJob are the two Jobs: a generated port's context with
+// the root call's arguments.
+type recJob struct {
+	name       string
+	ctx        ports.RecCtx
+	root, reps int64
+}
+
+type rangeJob struct {
 	name    string
-	prepare func(sched.Preparer) sched.Prepared
-	// ports caches the prepared forms, one per backend that has run the
-	// job: a prepend-only list, so the lookup on the request path is a
-	// load and a string compare.
-	ports atomic.Pointer[portEntry]
+	ctx     ports.RangeCtx
+	n, reps int64
 }
 
-type portEntry struct {
-	backend string
-	port    sched.Prepared
-	next    *portEntry
-}
+func (j *recJob) class() string   { return j.name }
+func (j *rangeJob) class() string { return j.name }
 
-func (j *job) class() string { return j.name }
+// run is where a request enters the pool. The port's root closure, built
+// here should the port be inlined, must stay on the stack: a joined
+// request allocates its Ticket and nothing else.
+//
+//woolvet:noescape
+func (j *recJob) run(p *core.Pool) int64 { return ports.RunRec(p, &j.ctx, j.root, j.reps) }
 
-func (j *job) port(backend string, prep sched.Preparer) sched.Prepared {
-	head := j.ports.Load()
-	for e := head; e != nil; e = e.next {
-		if e.backend == backend {
-			return e.port
-		}
-	}
-	// First runs that race each build a port. The insert succeeds only
-	// if nothing was inserted since the search, so no backend is listed
-	// twice; a loser's port serves its own request and it looks again
-	// next time.
-	pt := j.prepare(prep)
-	j.ports.CompareAndSwap(head, &portEntry{backend, pt, head})
-	return pt
-}
+//woolvet:noescape
+func (j *rangeJob) run(p *core.Pool) int64 { return ports.RunRange(p, &j.ctx, j.n, j.reps) }
 
 // Rec wraps a divide-and-conquer job as a servable request.
 func Rec(j sched.RecJob) Job {
-	return &job{name: cmp.Or(j.Name, "rec"), prepare: func(p sched.Preparer) sched.Prepared { return p.PrepareRec(j) }}
+	return &recJob{cmp.Or(j.Name, "rec"), ports.RecCtx{Leaf: j.Leaf, Split: j.Split}, j.Root, j.Reps}
 }
 
 // Range wraps an index-range job as a servable request.
 func Range(j sched.RangeJob) Job {
-	return &job{name: cmp.Or(j.Name, "range"), prepare: func(p sched.Preparer) sched.Prepared { return p.PrepareRange(j) }}
+	return &rangeJob{cmp.Or(j.Name, "range"), ports.RangeCtx{Leaf: j.Leaf}, j.N, j.Reps}
 }
 
 // Tenant configures one named tenant (a team in the arXiv:1012.5030
@@ -194,14 +187,8 @@ type Tenant struct {
 }
 
 // Options configures a Server. The zero value serves a single
-// anonymous tenant on the woolgen backend with GOMAXPROCS workers.
+// anonymous tenant with GOMAXPROCS workers.
 type Options struct {
-	// Backend is the registry scheduler to build lanes from; default
-	// "woolgen", the direct task stack behind the generated ports, whose
-	// private spawn/join pair is plain stores and a direct call. It must
-	// have sched.Caps.Serve (Abort and Reset on its pools): today
-	// "woolgen" and "wool", the same pools behind the generic ports.
-	Backend string
 	// Workers is the total worker budget across all lanes; default
 	// GOMAXPROCS.
 	Workers int
@@ -443,9 +430,6 @@ func (tn *tenant) pop() *Ticket {
 // Server is the serving runtime. Create with New, submit with Submit,
 // stop with Close.
 type Server struct {
-	opts    Options
-	sch     sched.Scheduler
-	prep    sched.Preparer // sch's other half of Caps.Serve
 	tenants []*tenant
 	byName  map[string]*tenant
 	lanes   []*lane
@@ -471,28 +455,21 @@ type Server struct {
 	wg          sync.WaitGroup
 }
 
+// stack is the registry's entry for the direct task stack. Lane pools
+// are built through it, so that the sched.Options → core.Options mapping
+// and the capabilities New checks the options against stay written
+// once; requests run on the *core.Pool itself.
+var stack, _ = sched.Lookup("woolgen")
+
+func newLanePool(o sched.Options) *core.Pool {
+	return stack.NewPool(o).Native().(*core.Pool)
+}
+
 // New builds and starts a server: lanes are constructed (validating
-// the backend and the lane pool options against its capabilities, see
-// sched.CheckOptions) and their drain loops started. The caller must
-// Close it.
+// the lane pool options against the direct task stack's capabilities,
+// see sched.CheckOptions) and their drain loops started. The caller
+// must Close it.
 func New(o Options) (*Server, error) {
-	if o.Backend == "" {
-		o.Backend = "woolgen"
-	}
-	sch, ok := sched.Lookup(o.Backend)
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown backend %q (registered: %v)", o.Backend, sched.Names())
-	}
-	caps := sch.Caps()
-	if !caps.Serve {
-		var servable []string
-		for _, sc := range sched.All() {
-			if sc.Caps().Serve {
-				servable = append(servable, sc.Name())
-			}
-		}
-		return nil, fmt.Errorf("serve: backend %q is not servable: its pools have no Abort/Reset (sched.Caps.Serve), so a cancelled request could not be interrupted nor a poisoned pool revived; servable backends: %v", o.Backend, servable)
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -507,8 +484,7 @@ func New(o Options) (*Server, error) {
 		tens = []Tenant{{Name: "", Weight: 1}}
 	}
 
-	s := &Server{opts: o, sch: sch, byName: map[string]*tenant{}}
-	s.prep = sch.(sched.Preparer) // what Caps.Serve promises
+	s := &Server{byName: map[string]*tenant{}}
 	s.res = o.Resilience
 	s.qcfg = o.Resilience.Quarantine.Defaulted()
 	s.inj = o.Chaos
@@ -558,7 +534,7 @@ func New(o Options) (*Server, error) {
 	// fail undoes the lanes built so far.
 	fail := func(err error) (*Server, error) {
 		for _, l := range s.lanes {
-			l.pool.Close()
+			l.pool.Load().Close()
 		}
 		return nil, err
 	}
@@ -569,12 +545,12 @@ func New(o Options) (*Server, error) {
 		for k := 0; k < laneCounts[ti]; k++ {
 			po := o.Pool
 			po.Workers = o.LaneWidth
-			po.PrivateTasks = caps.PrivateTasks
+			po.PrivateTasks = true
 			if o.ConfigurePool != nil {
 				o.ConfigurePool(laneIdx, &po)
 			}
-			if err := sched.CheckOptions(caps, po); err != nil {
-				return fail(fmt.Errorf("serve: lane %d options unsupported by backend %s: %w", laneIdx, o.Backend, err))
+			if err := sched.CheckOptions(stack.Caps(), po); err != nil {
+				return fail(fmt.Errorf("serve: lane %d options unsupported by the direct task stack: %w", laneIdx, err))
 			}
 			// A tracer's rings and an injector's agents are single-writer
 			// per worker index, and every lane pool has a worker 0.
@@ -584,8 +560,7 @@ func New(o Options) (*Server, error) {
 				}
 			}
 			l := &lane{srv: s, idx: laneIdx, tn: tn, opts: po, wake: make(chan struct{}, 1)}
-			l.pool = sch.NewPool(po)
-			l.ab = l.pool.Native().(sched.Abortable) // what Caps.Serve promises
+			l.pool.Store(newLanePool(po))
 			s.lanes = append(s.lanes, l)
 			laneIdx++
 		}
@@ -912,8 +887,7 @@ type TenantStats struct {
 
 // Stats is a point-in-time server snapshot.
 type Stats struct {
-	Backend string
-	Lanes   int
+	Lanes int
 	// Quarantines / Replacements total the lanes' self-healing events:
 	// quarantine entries, and the pool replacements they made (a lane
 	// replaces its pool only when Reset failed or failures streaked).
@@ -925,7 +899,7 @@ type Stats struct {
 // Stats snapshots the per-tenant counters. Safe to call concurrently
 // with submissions and while lanes are serving.
 func (s *Server) Stats() Stats {
-	out := Stats{Backend: s.opts.Backend, Lanes: len(s.lanes)}
+	out := Stats{Lanes: len(s.lanes)}
 	for _, l := range s.lanes {
 		out.Quarantines += l.quarantines.Load()
 		out.Replacements += l.replacements.Load()

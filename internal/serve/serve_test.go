@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"gowool/internal/chaos"
+	"gowool/internal/core"
 	"gowool/internal/poolerr"
 	"gowool/internal/sched"
+	"gowool/internal/steal"
 	"gowool/internal/trace"
 	"gowool/internal/workloads/fibw"
 )
@@ -128,51 +130,28 @@ func TestServeBasic(t *testing.T) {
 
 // lanePoolStats sums the counters of the lanes' current pools. Call it
 // with the lanes idle: pool counters are exact only on a quiescent pool.
-func lanePoolStats(s *Server) sched.Stats {
-	sum := sched.Stats{Extra: map[string]int64{}}
+func lanePoolStats(s *Server) (sum core.Stats) {
 	for _, l := range s.lanes {
-		l.mu.Lock()
-		st := l.pool.Stats()
-		l.mu.Unlock()
+		st := l.pool.Load().Stats()
 		sum.Spawns += st.Spawns
-		for k, v := range st.Extra {
-			sum.Extra[k] += v
-		}
+		sum.JoinsInlinedPrivate += st.JoinsInlinedPrivate
+		sum.JoinsInlinedPublic += st.JoinsInlinedPublic
+		sum.Publications += st.Publications
 	}
 	return sum
-}
-
-// TestServeDefaultsToGeneratedPorts: the zero-value server runs the
-// generated ports, and every lane pool has private tasks whatever
-// Options.Pool says — on "wool" too, which stays selectable.
-func TestServeDefaultsToGeneratedPorts(t *testing.T) {
-	for _, c := range []struct{ backend, want string }{{"", "woolgen"}, {"wool", "wool"}} {
-		s, err := New(Options{Backend: c.backend, Workers: 2, Pool: sched.Options{PrivateTasks: false}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Stats().Backend; got != c.want {
-			t.Errorf("Backend %q: Stats().Backend = %q, want %q", c.backend, got, c.want)
-		}
-		for _, l := range s.lanes {
-			if !l.opts.PrivateTasks {
-				t.Errorf("Backend %q: lane %d was built without private tasks", c.backend, l.idx)
-			}
-		}
-		s.Close()
-	}
 }
 
 // TestServeLanesRunPrivate is the served request's cost as a count: on
 // a one-worker lane, which has no thief, none of fib(16)'s 1596
 // spawn/join pairs synchronizes — every join is a private inlined one,
-// whoever runs the request. A wider lane keeps the paper's revocable
-// cut-off: same answer, private joins beyond its public prefix.
+// whoever runs the request and whatever Options.Pool says about private
+// tasks. A wider lane keeps the paper's revocable cut-off: same answer,
+// private joins beyond its public prefix.
 func TestServeLanesRunPrivate(t *testing.T) {
 	const pairs = 1596 // fib(16)'s inner nodes
 	want := fibw.Serial(16)
 	bothTakers(t, func(t *testing.T, m waitMode) {
-		s, err := New(Options{Workers: 1})
+		s, err := New(Options{Workers: 1, Pool: sched.Options{PrivateTasks: false}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,9 +164,9 @@ func TestServeLanesRunPrivate(t *testing.T) {
 			t.Fatalf("fib(16) = %d, %v, want %d", v, err, want)
 		}
 		st := lanePoolStats(s)
-		if st.Spawns != pairs || st.Extra["joins_inlined_private"] != pairs || st.Extra["joins_inlined_public"] != 0 {
+		if st.Spawns != pairs || st.JoinsInlinedPrivate != pairs || st.JoinsInlinedPublic != 0 {
 			t.Errorf("one-worker lane: %d spawns, %d private and %d public inlined joins, want %d, %d and 0",
-				st.Spawns, st.Extra["joins_inlined_private"], st.Extra["joins_inlined_public"], pairs, pairs)
+				st.Spawns, st.JoinsInlinedPrivate, st.JoinsInlinedPublic, pairs, pairs)
 		}
 	})
 
@@ -207,57 +186,23 @@ func TestServeLanesRunPrivate(t *testing.T) {
 			t.Fatalf("request %d on a two-worker lane: fib(16) = %d, %v, want %d", i, v, err, want)
 		}
 	}
-	if st := lanePoolStats(s); st.Extra["joins_inlined_private"] == 0 {
+	if st := lanePoolStats(s); st.JoinsInlinedPrivate == 0 {
 		t.Errorf("two-worker lane made no private join in %d spawns", st.Spawns)
 	}
 }
 
-// TestServeBackends runs the serving layer over every registered
-// scheduler. A servable one (Caps.Serve: Abort and Reset on its pools)
-// must serialize Run calls correctly, never tripping the concurrent-Run
-// guard; every other one must be refused by New with an error naming it
-// and the servable backends — it could not honour a cancellation.
-func TestServeBackends(t *testing.T) {
-	want := fibw.Serial(14)
-	for _, sc := range sched.All() {
-		t.Run(sc.Name(), func(t *testing.T) {
-			s, err := New(Options{Backend: sc.Name(), Workers: 4})
-			if !sc.Caps().Serve {
-				if err == nil {
-					s.Close()
-					t.Fatal("New accepted a backend without Caps.Serve")
-				}
-				for _, name := range []string{sc.Name(), "wool", "woolgen"} {
-					if !strings.Contains(err.Error(), name) {
-						t.Errorf("refusal %q does not name %q", err, name)
-					}
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			bothTakers(t, func(t *testing.T, m waitMode) {
-				var tks []*Ticket
-				for i := 0; i < 8; i++ {
-					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(14, 1)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					tks = append(tks, tk)
-				}
-				for _, tk := range tks {
-					v, err := m.wait(tk)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if v != want {
-						t.Fatalf("fib(14) = %d, want %d", v, want)
-					}
-				}
-			})
-		})
+// TestServeRefusesUnsupportedPoolOptions: Options.Pool is the
+// registry's normalized form, of which a lane honours what the direct
+// task stack does; New refuses the rest before it builds a pool, naming
+// the option.
+func TestServeRefusesUnsupportedPoolOptions(t *testing.T) {
+	s, err := New(Options{Workers: 1, Pool: sched.Options{Steal: steal.Config{Amount: steal.AmountHalf}}})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted Steal.Amount half, which the direct task stack cannot honour")
+	}
+	if !strings.Contains(err.Error(), "Steal.Amount") {
+		t.Errorf("refusal %q does not name Steal.Amount", err)
 	}
 }
 
@@ -462,124 +407,120 @@ func TestServeTenantLanes(t *testing.T) {
 
 // TestServePanicIsolation checks one request's task panic surfaces as
 // its own *PanicError and leaves the server healthy for the next
-// request (pool Reset on wool/woolgen).
+// request (pool Reset).
 func TestServePanicIsolation(t *testing.T) {
-	for _, backend := range []string{"wool", "woolgen"} {
-		t.Run(backend, func(t *testing.T) {
-			bothTakers(t, func(t *testing.T, m waitMode) {
-				s, err := New(Options{Backend: backend, Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				boom := Rec(sched.RecJob{
-					Name: "boom",
-					Root: 6,
-					Leaf: func(n int64) (int64, bool) {
-						if n <= 0 {
-							panic("boom at the leaf")
-						}
-						return 0, false
-					},
-					Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
-				})
-				tk, err := s.Submit(context.Background(), "", boom)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, werr := m.wait(tk)
-				var pe *PanicError
-				if !errors.As(werr, &pe) {
-					t.Fatalf("panicking request: err = %v, want *PanicError", werr)
-				}
-				// The lane must have revived its pool: follow-up requests
-				// complete normally.
-				want := fibw.Serial(15)
-				for i := 0; i < 4; i++ {
-					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
-					if err != nil {
-						t.Fatal(err)
+	t.Run(served, func(t *testing.T) {
+		bothTakers(t, func(t *testing.T, m waitMode) {
+			s, err := New(Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			boom := Rec(sched.RecJob{
+				Name: "boom",
+				Root: 6,
+				Leaf: func(n int64) (int64, bool) {
+					if n <= 0 {
+						panic("boom at the leaf")
 					}
-					if v, err := m.wait(tk); err != nil || v != want {
-						t.Fatalf("post-panic fib(15): v=%d err=%v, want %d, nil", v, err, want)
-					}
-				}
-				st := s.Stats()
-				if st.Tenants[0].Failed != 1 {
-					t.Errorf("failed = %d, want 1", st.Tenants[0].Failed)
-				}
+					return 0, false
+				},
+				Split: func(n int64) (inline, spawned int64) { return n - 1, n - 2 },
 			})
+			tk, err := s.Submit(context.Background(), "", boom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, werr := m.wait(tk)
+			var pe *PanicError
+			if !errors.As(werr, &pe) {
+				t.Fatalf("panicking request: err = %v, want *PanicError", werr)
+			}
+			// The lane must have revived its pool: follow-up requests
+			// complete normally.
+			want := fibw.Serial(15)
+			for i := 0; i < 4; i++ {
+				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, err := m.wait(tk); err != nil || v != want {
+					t.Fatalf("post-panic fib(15): v=%d err=%v, want %d, nil", v, err, want)
+				}
+			}
+			st := s.Stats()
+			if st.Tenants[0].Failed != 1 {
+				t.Errorf("failed = %d, want 1", st.Tenants[0].Failed)
+			}
 		})
-	}
+	})
 }
 
 // TestServeCancelMidFlight is the acceptance check: a request whose
 // context is cancelled mid-run unwinds with context.Canceled while
 // concurrent sibling requests on other lanes complete untouched.
 func TestServeCancelMidFlight(t *testing.T) {
-	for _, backend := range []string{"wool", "woolgen"} {
-		t.Run(backend, func(t *testing.T) {
-			bothTakers(t, func(t *testing.T, m waitMode) {
-				s, err := New(Options{Backend: backend, Workers: 4})
+	t.Run(served, func(t *testing.T) {
+		bothTakers(t, func(t *testing.T, m waitMode) {
+			s, err := New(Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			var gate, started atomic.Bool
+			ctx, cancel := context.WithCancel(context.Background())
+			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := m.waitAsync(victim)
+			waitTrue(t, &started, "victim dispatch")
+			// Siblings on the other lanes keep completing while the
+			// victim spins.
+			want := fibw.Serial(15)
+			var sibs []*Ticket
+			for i := 0; i < 6; i++ {
+				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.Close()
+				sibs = append(sibs, tk)
+			}
+			for _, tk := range sibs {
+				if v, err := m.wait(tk); err != nil || v != want {
+					t.Fatalf("sibling during spin: v=%d err=%v, want %d, nil", v, err, want)
+				}
+			}
 
-				var gate, started atomic.Bool
-				ctx, cancel := context.WithCancel(context.Background())
-				victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
+			cancel()
+			waitLanePoisoned(t, s)
+			gate.Store(true)
+
+			if r := <-res; !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("cancelled request: v=%d err=%v, want context.Canceled", r.v, r.err)
+			}
+			// Only its own request died: fresh requests on every lane
+			// still complete.
+			var after []*Ticket
+			for i := 0; i < 8; i++ {
+				tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := m.waitAsync(victim)
-				waitTrue(t, &started, "victim dispatch")
-				// Siblings on the other lanes keep completing while the
-				// victim spins.
-				want := fibw.Serial(15)
-				var sibs []*Ticket
-				for i := 0; i < 6; i++ {
-					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					sibs = append(sibs, tk)
+				after = append(after, tk)
+			}
+			for _, tk := range after {
+				if v, err := m.wait(tk); err != nil || v != want {
+					t.Fatalf("post-cancel sibling: v=%d err=%v, want %d, nil", v, err, want)
 				}
-				for _, tk := range sibs {
-					if v, err := m.wait(tk); err != nil || v != want {
-						t.Fatalf("sibling during spin: v=%d err=%v, want %d, nil", v, err, want)
-					}
-				}
-
-				cancel()
-				waitLanePoisoned(t, s)
-				gate.Store(true)
-
-				if r := <-res; !errors.Is(r.err, context.Canceled) {
-					t.Fatalf("cancelled request: v=%d err=%v, want context.Canceled", r.v, r.err)
-				}
-				// Only its own request died: fresh requests on every lane
-				// still complete.
-				var after []*Ticket
-				for i := 0; i < 8; i++ {
-					tk, err := s.Submit(context.Background(), "", Rec(fibw.Job(15, 1)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					after = append(after, tk)
-				}
-				for _, tk := range after {
-					if v, err := m.wait(tk); err != nil || v != want {
-						t.Fatalf("post-cancel sibling: v=%d err=%v, want %d, nil", v, err, want)
-					}
-				}
-				st := s.Stats()
-				if st.Tenants[0].Cancelled != 1 {
-					t.Errorf("cancelled = %d, want 1", st.Tenants[0].Cancelled)
-				}
-			})
+			}
+			st := s.Stats()
+			if st.Tenants[0].Cancelled != 1 {
+				t.Errorf("cancelled = %d, want 1", st.Tenants[0].Cancelled)
+			}
 		})
-	}
+	})
 }
 
 // TestServeCancelRevivesSingleLane pins the Reset path: with exactly

@@ -9,7 +9,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -67,6 +66,13 @@ type waited struct {
 // modeOf picks a wait mode from seeded random bits, for the suites that
 // mix both takers per client.
 func modeOf(r uint64) waitMode { return waitMode(r >> 63) }
+
+// served is the subtest level of the suites whose outcome depends on
+// the port layer and the pool under it: the registry's name for what a
+// lane runs. internal/sched pins the same behaviour on bare pools under
+// that name and, for the generic ports, under "wool"
+// (TestAbortableConformance, TestChaosTorture, TestPanic*).
+const served = "woolgen"
 
 // bothTakers runs f once per wait mode, as subtests.
 func bothTakers(t *testing.T, f func(t *testing.T, m waitMode)) {
@@ -364,14 +370,14 @@ func TestServeCloseDuringBorrow(t *testing.T) {
 	// Close is now waiting for the lane. Reset refuses a pool that is
 	// running (typed) and a pool that is closed (untyped): the first is
 	// what a pool still lent out must answer.
-	l := s.lanes[0]
+	pool := s.lanes[0].pool.Load()
 	for i := 0; i < 20; i++ {
 		select {
 		case <-closed:
 			t.Fatal("Close returned while a borrowed lane was still running its request")
 		default:
 		}
-		if err := l.ab.Reset(); !errors.Is(err, poolerr.ErrConcurrentRun) {
+		if err := pool.Reset(); !errors.Is(err, poolerr.ErrConcurrentRun) {
 			t.Fatalf("Reset on the borrowed pool: %v, want ErrConcurrentRun (pool open and running)", err)
 		}
 		time.Sleep(time.Millisecond)
@@ -381,7 +387,7 @@ func TestServeCloseDuringBorrow(t *testing.T) {
 		t.Fatalf("borrowed request across Close: v=%d err=%v, want 5, nil", r.v, r.err)
 	}
 	<-closed
-	if err := l.ab.Reset(); err == nil || errors.Is(err, poolerr.ErrConcurrentRun) {
+	if err := pool.Reset(); err == nil || errors.Is(err, poolerr.ErrConcurrentRun) {
 		t.Fatalf("Reset after Close: %v, want the closed-pool error", err)
 	}
 }
@@ -593,8 +599,8 @@ func TestTenantQueueStaysBounded(t *testing.T) {
 
 // TestServeRequestAllocs is the tier-1 mirror of bench.allocs_per_op on
 // serve-tiny-closed: a Submit + Wait pair under context.Background()
-// allocates the ticket and nothing else that recurs (7 before the
-// prepared port, the lazy done channel and the caller-run join).
+// allocates the ticket and nothing else that recurs (7 before the port
+// built once per Job, the lazy done channel and the caller-run join).
 // AllocsPerRun runs on one P, which keeps the join on the caller (see
 // TestServeWaitIsAJoin); a request the lane goroutine wins costs the
 // done channel too, still inside the bound.
@@ -622,24 +628,24 @@ func TestServeRequestAllocs(t *testing.T) {
 	}
 }
 
-// TestJobPortPerBackend: one Job value submitted to a wool server and a
-// woolgen server builds one port per backend and runs on each through
-// its own — the generated ports on woolgen, the generic ones on wool —
-// however the submissions interleave.
+// TestJobPortPerBackend: a Job is complete when Rec or Range returns it
+// and nothing writes to it afterwards — one value submitted to two
+// servers concurrently, under both takers, returns the serial value on
+// both, and running it allocates nothing.
 func TestJobPortPerBackend(t *testing.T) {
-	servers := map[string]*Server{}
-	for _, backend := range []string{"wool", "woolgen"} {
-		s, err := New(Options{Backend: backend, Workers: 2})
+	servers := make([]*Server, 2)
+	for i := range servers {
+		s, err := New(Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		servers[backend] = s
+		servers[i] = s
 	}
 	jobs := map[string]Job{"rec": Rec(fibw.Job(12, 1)), "range": Range(sched.RangeJob{N: 100, Leaf: func(i int64) int64 { return i }})}
 	wants := map[string]int64{"rec": fibw.Serial(12), "range": 4950}
 	var wg sync.WaitGroup
-	for backend, s := range servers {
+	for si, s := range servers {
 		for name, jb := range jobs {
 			wg.Add(1)
 			go func() {
@@ -651,7 +657,7 @@ func TestJobPortPerBackend(t *testing.T) {
 						return
 					}
 					if v, err := waitMode(i % 2).wait(tk); err != nil || v != wants[name] {
-						t.Errorf("%s on %s: v=%d err=%v, want %d, nil", name, backend, v, err, wants[name])
+						t.Errorf("%s on server %d: v=%d err=%v, want %d, nil", name, si, v, err, wants[name])
 						return
 					}
 				}
@@ -659,24 +665,16 @@ func TestJobPortPerBackend(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	p := newLanePool(sched.Options{Workers: 1, PrivateTasks: true})
+	defer p.Close()
 	for name, jb := range jobs {
-		seen := map[string]bool{}
-		for e := jb.(*job).ports.Load(); e != nil; e = e.next {
-			if seen[e.backend] {
-				t.Errorf("%s: two cached ports for backend %s", name, e.backend)
+		allocs := testing.AllocsPerRun(200, func() {
+			if v, err := runJob(p, jb); err != nil || v != wants[name] {
+				t.Fatalf("%s: v=%d err=%v, want %d, nil", name, v, err, wants[name])
 			}
-			seen[e.backend] = true
-			sch, _ := sched.Lookup(e.backend)
-			fresh := sch.(sched.Preparer).PrepareRec(fibw.Job(1, 1))
-			if name == "range" {
-				fresh = sch.(sched.Preparer).PrepareRange(sched.RangeJob{})
-			}
-			if got, want := fmt.Sprintf("%T", e.port), fmt.Sprintf("%T", fresh); got != want {
-				t.Errorf("%s: port cached for %s is a %s, want that backend's %s", name, e.backend, got, want)
-			}
-		}
-		if !seen["wool"] || !seen["woolgen"] {
-			t.Errorf("%s: cached ports for %v, want wool and woolgen", name, seen)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a run allocates %v times, want 0", name, allocs)
 		}
 	}
 }

@@ -30,7 +30,7 @@ const tortureWorkers = 4
 // lane, run private tasks: the sweep must have crossed both things only
 // such a lane does, a trip-wire publication and an abort that reaches
 // private descriptors. Each subtest name and failure message carries
-// the backend, profile and seed that replay the run byte-for-byte.
+// the profile and seed that replay the run byte-for-byte.
 func TestServeChaosTorture(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -39,66 +39,56 @@ func TestServeChaosTorture(t *testing.T) {
 		t.Fatalf("want at least 3 built-in chaos profiles, have %d", len(profiles))
 	}
 	seeds := []uint64{0x5eed, 0xdead}
-	for _, backend := range []string{"wool", "woolgen"} {
-		t.Run(backend, func(t *testing.T) {
-			var cancelled int
-			var publications int64
-			for _, prof := range profiles {
-				for _, seed := range seeds {
-					prof, seed := prof, seed
-					t.Run(fmt.Sprintf("%s/seed=%#x", prof.Name, seed), func(t *testing.T) {
-						c, p := runServeTorture(t, backend, prof, seed)
-						cancelled += c
-						publications += p
-					})
-				}
+	t.Run(served, func(t *testing.T) {
+		var cancelled int
+		var publications int64
+		for _, prof := range profiles {
+			for _, seed := range seeds {
+				t.Run(fmt.Sprintf("%s/seed=%#x", prof.Name, seed), func(t *testing.T) {
+					c, p := runServeTorture(t, prof, seed)
+					cancelled += c
+					publications += p
+				})
 			}
-			// The short deadlines must actually have interrupted runs
-			// somewhere in the matrix, or the sweep silently stopped
-			// covering the abort/Reset path; likewise the lanes' thieves
-			// must have tripped a wire.
-			if cancelled == 0 {
-				t.Errorf("%s: no request in the whole matrix was cancelled mid-flight", backend)
-			}
-			if publications == 0 {
-				t.Errorf("%s: no trip-wire publication on any lane in the whole matrix", backend)
-			}
+		}
+		// The short deadlines must actually have interrupted runs
+		// somewhere in the matrix, or the sweep silently stopped
+		// covering the abort/Reset path; likewise the lanes' thieves
+		// must have tripped a wire.
+		if cancelled == 0 {
+			t.Error("no request in the whole matrix was cancelled mid-flight")
+		}
+		if publications == 0 {
+			t.Error("no trip-wire publication on any lane in the whole matrix")
+		}
+	})
+}
+
+// TestServeQuarantineTorture is the quarantine matrix: every mid-flight
+// abort's Reset is chaos-failed (forcing quarantine) and a third of the
+// recovery probes fail (forcing probe-retry rounds), under two
+// replayable seeds. Every lane must heal — the fib submitted after each
+// abort must produce the serial answer — and at least one quarantine
+// must have run per cell.
+func TestServeQuarantineTorture(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, seed := range []uint64{0x5eed, 0xdead} {
+		t.Run(fmt.Sprintf("%s/seed=%#x", served, seed), func(t *testing.T) {
+			runQuarantineTorture(t, seed)
 		})
 	}
 }
 
-// TestServeQuarantineTorture is the quarantine matrix: on every
-// Caps.Serve backend, every mid-flight abort's Reset is chaos-failed
-// (forcing quarantine) and a third of the recovery probes fail (forcing
-// probe-retry rounds), under two replayable seeds. Every lane must heal
-// — the fib submitted after each abort must produce the serial answer —
-// and at least one quarantine must have run per cell.
-func TestServeQuarantineTorture(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, sc := range sched.All() {
-		if !sc.Caps().Serve {
-			continue
-		}
-		for _, seed := range []uint64{0x5eed, 0xdead} {
-			sc, seed := sc, seed
-			t.Run(fmt.Sprintf("%s/seed=%#x", sc.Name(), seed), func(t *testing.T) {
-				runQuarantineTorture(t, sc.Name(), seed)
-			})
-		}
-	}
-}
-
 // runQuarantineTorture is one quarantine-torture cell.
-func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
+func runQuarantineTorture(t *testing.T, seed uint64) {
 	t.Helper()
-	replay := fmt.Sprintf("replay: backend=%s seed=%#x", backend, seed)
+	replay := fmt.Sprintf("replay: seed=%#x", seed)
 	var rates chaos.ServeRates
 	rates[chaos.ServeLaneResetFail] = 65535 // every Reset fails
 	rates[chaos.ServeProbeFail] = 21845     // ~1/3 of probes fail
 	inj := chaos.NewServeInjector(rates, seed)
 	s, err := New(Options{
-		Backend:   backend,
 		Workers:   tortureWorkers,
 		LaneWidth: 1,
 		Chaos:     inj,
@@ -182,8 +172,8 @@ func runQuarantineTorture(t *testing.T, backend string, seed uint64) {
 	if st.Completed+st.Cancelled+st.Failed != st.Submitted {
 		t.Fatalf("accounting: %+v (%s)", st, replay)
 	}
-	t.Logf("%s: %d/%d aborted, %d quarantines, %d replacements, %d probes failed (%s)",
-		backend, cancelled, rounds, quarantines, replacements, inj.Injected()[chaos.ServeProbeFail], replay)
+	t.Logf("%d/%d aborted, %d quarantines, %d replacements, %d probes failed (%s)",
+		cancelled, rounds, quarantines, replacements, inj.Injected()[chaos.ServeProbeFail], replay)
 }
 
 // spinJob is the torture sweep's slow request: a small task tree whose
@@ -206,21 +196,20 @@ func spinJob(depth int64, spin time.Duration) Job {
 	})
 }
 
-// runServeTorture is one cell of the matrix: one backend, one chaos
-// profile, one seed. It returns the number of requests cancelled
+// runServeTorture is one cell of the matrix: one chaos profile, one
+// seed. It returns the number of requests cancelled
 // mid-flight and the trip-wire publications on the lanes' pools, so the
 // caller can check the sweep exercised the abort/Reset path, on private
 // lanes, at all.
-func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint64) (cancelled int, publications int64) {
+func runServeTorture(t *testing.T, prof chaos.Profile, seed uint64) (cancelled int, publications int64) {
 	t.Helper()
 	const (
 		laneWidth    = 2
 		submitters   = 4
 		perSubmitter = 10
 	)
-	replay := fmt.Sprintf("replay: backend=%s profile=%s seed=%#x", backend, prof.Name, seed)
+	replay := fmt.Sprintf("replay: profile=%s seed=%#x", prof.Name, seed)
 	s, err := New(Options{
-		Backend:   backend,
 		Workers:   tortureWorkers,
 		LaneWidth: laneWidth,
 		ConfigurePool: func(lane int, o *sched.Options) {
@@ -323,7 +312,7 @@ func runServeTorture(t *testing.T, backend string, prof chaos.Profile, seed uint
 	}
 	// Every ticket has finished, so the lanes are idle and their pools'
 	// counters exact (no Reset fails here: the pools are the first ones).
-	publications = lanePoolStats(s).Extra["publications"]
-	t.Logf("%s: %d completed, %d cancelled, %d publications (%s)", backend, completed, cancelled, publications, replay)
+	publications = lanePoolStats(s).Publications
+	t.Logf("%d completed, %d cancelled, %d publications (%s)", completed, cancelled, publications, replay)
 	return cancelled, publications
 }

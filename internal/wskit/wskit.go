@@ -29,6 +29,9 @@ import (
 // a poisoned pool takes mu, so a Lift cannot clear it under the read.
 type Life struct {
 	Name string
+	// OnPoison, when set with Name, runs in the call that poisons the
+	// pool, once the record is stored: whoever it alerts finds the cause.
+	OnPoison func()
 
 	closed  atomic.Bool
 	running atomic.Bool
@@ -83,13 +86,16 @@ func (l *Life) Running() bool { return l.running.Load() }
 // recorded, and reports whether this call did the poisoning.
 func (l *Life) Poison(r any) bool {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.poisoned.Load() {
-		return false
+	first := !l.poisoned.Load()
+	if first {
+		l.cause = r
+		l.poisoned.Store(true)
 	}
-	l.cause = r
-	l.poisoned.Store(true)
-	return true
+	l.mu.Unlock()
+	if first && l.OnPoison != nil {
+		l.OnPoison()
+	}
+	return first
 }
 
 // Poisoned returns the recorded cause, if any.

@@ -19,10 +19,11 @@ import (
 // pool, so a request that is waited for is not handed between
 // goroutines at all; the lane goroutines serve the requests nobody
 // joined (polled with Ticket.Done, never collected, or queued behind
-// busy lanes). Lanes run the generated ports ("woolgen") with private
-// tasks: a one-worker lane has no thief, so a request's spawn/join
-// pairs are plain stores and direct calls, and a cancellation reaches
-// them through the trip wire, at the request's next spawn.
+// busy lanes). A lane's pool is the direct task stack with private
+// tasks and a request runs on it through woolgen-generated ports: a
+// one-worker lane has no thief, so a request's spawn/join pairs are
+// plain stores and direct calls, and a cancellation reaches them
+// through the trip wire, at the request's next spawn.
 //
 // The server is self-healing (DESIGN.md §17): each tenant gets a
 // circuit breaker that sheds submissions after a failure storm and
@@ -45,9 +46,14 @@ type (
 	Server = serve.Server
 
 	// ServerOptions configures NewServer; the zero value serves a
-	// single anonymous tenant on the woolgen backend with GOMAXPROCS
-	// workers.
+	// single anonymous tenant with GOMAXPROCS workers.
 	ServerOptions = serve.Options
+
+	// LaneOptions is a lane pool's options: the type of
+	// ServerOptions.Pool and of what ServerOptions.ConfigurePool edits,
+	// func(lane int, o *LaneOptions). NewServer refuses a setting the
+	// direct task stack cannot honour.
+	LaneOptions = sched.Options
 
 	// Tenant declares one named request class with a weighted worker
 	// team and its own bounded queue.
@@ -164,9 +170,10 @@ var (
 func NewServer(o ServerOptions) (*Server, error) { return serve.New(o) }
 
 // ServeRec wraps a divide-and-conquer job as a servable request. The
-// Job builds its task definition on its first run and keeps it, so
-// build one Job per request class and submit it many times rather than
-// wrapping the RecJob anew for every request.
+// call builds the job's port, and no run of the Job allocates, so build
+// one Job per request class and submit it many times — from any
+// goroutine, to any server — rather than wrapping the RecJob anew for
+// every request.
 func ServeRec(j RecJob) Job { return serve.Rec(j) }
 
 // ServeRange wraps an index-range job as a servable request; like
