@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos ci
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench ci
 
 all: build test lint
 
@@ -156,6 +156,14 @@ chaos:
 	$(GO) test ./internal/sched/ -race -count=1 -run 'TestChaosSeedSweep' -v \
 		-chaos.sweep=$(CHAOS_SWEEP)
 
+# The evidence for a lane's two wake sources (DESIGN.md §16.1): how long
+# a goroutine woken by a submitter that keeps spinning takes to run, by
+# channel send (runnext), bumped out of runnext, and by timer Reset(0),
+# at p50/p90/p99. 20 samples per case keep it compiling and running;
+# read it with -benchtime 400x. It skips itself on one CPU.
+wake-bench:
+	$(GO) test -run '^$$' -bench WakeFromSpinningSubmitter -benchtime 20x ./internal/serve
+
 # The ci job of .github/workflows/ci.yml, step for step (its lint and
 # chaos jobs are `make lint` and `make chaos serve-soak fuzz-smoke`).
-ci: build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test
+ci: build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench

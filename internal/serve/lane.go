@@ -24,7 +24,10 @@ import (
 // (DESIGN.md §16.1):
 //
 //	idle     in Server.idle: mailbox empty, nobody on the pool
-//	mailed   mail != nil: Submit put a ticket here and sent a wake token
+//	mailed   mail != nil: Submit (or a retry) put a ticket here and
+//	         woke the goroutine: through the timer if it served the
+//	         lane's last ticket polled and unjoined, else with a token
+//	         of its own (chooseWake, rouse)
 //	serving  the goroutine took the ticket (or owns the lane to drain
 //	         the queues, quarantine, or close the pool)
 //	borrowed a Wait caller took the ticket and owns pool and lane
@@ -35,11 +38,12 @@ import (
 //  1. Exactly once: a mailed ticket is taken by exactly one of the
 //     lane's goroutine, a Wait caller and Close — unmail, under the
 //     server mutex, is the only way out of a mailbox.
-//  2. Progress without Wait: Submit always wakes the goroutine of the
-//     mailbox it filled, so a ticket nobody Waits on still runs. Wake
-//     tokens are only hints: a goroutine that wakes to an empty mailbox
-//     and no hand-back parks again and leaves the lane alone — whoever
-//     emptied the mailbox owns the lane's next state.
+//  2. Progress without Wait: whoever fills a mailbox wakes its
+//     goroutine after unlocking — a token it sends itself, or one the
+//     timer sends after its Reset(0) — so a ticket nobody Waits on still
+//     runs. Wake tokens are only hints: a goroutine that wakes to an
+//     empty mailbox and no hand-back parks again and leaves the lane
+//     alone — whoever emptied the mailbox owns the lane's next state.
 //  3. Idle implies nothing queued: a lane enters Server.idle only when
 //     Server.backlog finds no queued work for it, and dispatch mails an
 //     idle lane whenever one exists; so queued tickets always have a
@@ -68,10 +72,22 @@ type lane struct {
 
 	// mail is the mailbox and back the hand-back flag, both guarded by
 	// the server mutex. wake carries the goroutine's wake tokens; one
-	// slot, because a token says "look", not how often.
-	mail *Ticket
-	back bool
-	wake chan struct{}
+	// slot, because a token says "look", not how often. timer is the
+	// second way to send one: stopped until rouse re-arms it with
+	// Reset(0), it runs wakeup on whichever P runs the expired timer.
+	// The goroutine parks on wake alone, because a select over a second
+	// channel would cost every park and wake of the joined path.
+	mail  *Ticket
+	back  bool
+	wake  chan struct{}
+	timer *time.Timer
+
+	// last is the ticket the goroutine served before it parked the lane
+	// in the idle set, kept until the lane is next mailed: chooseWake
+	// reads how its submitter asked for it. timerWakes counts the wakes
+	// chooseWake gave the timer. Both are guarded by the server mutex.
+	last       *Ticket
+	timerWakes int
 
 	// wantQuarantine belongs to the lane's owner: set by the attempt
 	// whose Reset failed or whose failure tripped the streak — on the
@@ -109,6 +125,44 @@ func (l *lane) wakeup() {
 	}
 }
 
+// chooseWake picks how rouse wakes the goroutine of the mailbox
+// dispatch just filled (server mutex held), and reports true for the
+// timer. The timer goes to a goroutine that served the lane's last
+// ticket while its submitter polled Done and no Wait joined it: that
+// submitter keeps running, and its own token would leave the goroutine
+// in its runnext slot until an idle P steals it after the runtime's
+// back-off, where the idle P runs an expired timer at once and the
+// token it sends readies the goroutine there. Everything else gets the
+// submitter's token: a joiner runs the request anyway, and the
+// goroutine readied into its runnext is what keeps closed-loop clients
+// from spinning on the server mutex (DESIGN.md §16.1). So does a
+// ticket nobody asked about before it finished, which is what a joiner
+// descheduled between Submit and Wait leaves too. last lives from next,
+// which parks the goroutine, to this call, so a non-nil last also says
+// the goroutine is parked with no wake armed.
+func (l *lane) chooseWake() (timer bool) {
+	if t := l.last; t != nil {
+		t.mu.Lock()
+		timer = t.done != nil && !t.joined
+		t.mu.Unlock()
+		l.last = nil
+		if timer {
+			l.timerWakes++
+		}
+	}
+	return timer
+}
+
+// rouse wakes the goroutine the way chooseWake picked. Call it after
+// releasing the server mutex.
+func (l *lane) rouse(timer bool) {
+	if timer {
+		l.timer.Reset(0)
+		return
+	}
+	l.wakeup()
+}
+
 // loop is the lane's goroutine, the thief of the pair: it parks on
 // wake, and each token makes it look for something that is its own — a
 // mailed ticket nobody joined, or a lane handed back. Owning the lane,
@@ -135,7 +189,7 @@ func (l *lane) loop() {
 				l.quarantine()
 			}
 			var closed bool
-			if t, closed = l.next(); closed {
+			if t, closed = l.next(t); closed {
 				l.pool.Load().Close()
 				return
 			}
@@ -144,10 +198,12 @@ func (l *lane) loop() {
 	}
 }
 
-// next is the owner goroutine's step after a request: the next queued
-// ticket for this lane (Server.backlog), else the lane goes idle. The
-// second result reports a closed server with nothing left to serve.
-func (l *lane) next() (t *Ticket, closed bool) {
+// next is the owner goroutine's step after serving a request (served,
+// nil after a hand-back): the next queued ticket for this lane
+// (Server.backlog), else the lane goes idle and its goroutine parks.
+// The second result reports a closed server with nothing left to
+// serve.
+func (l *lane) next(served *Ticket) (t *Ticket, closed bool) {
 	s := l.srv
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,6 +214,7 @@ func (l *lane) next() (t *Ticket, closed bool) {
 		return nil, true
 	}
 	s.idle = append(s.idle, l)
+	l.last = served
 	return nil, false
 }
 

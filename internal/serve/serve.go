@@ -16,7 +16,13 @@
 //     goroutine hand-off, as a task that is not stolen costs no
 //     synchronization. The lane's goroutine is the thief: it takes the
 //     mailed requests nobody joined (polled with Ticket.Done, or never
-//     collected) and the ones that queued behind busy lanes.
+//     collected) and the ones that queued behind busy lanes. Its wake
+//     token comes from the submitter, or — when the goroutine served
+//     the lane's last request while its submitter polled Done and no
+//     Wait joined it — from the lane's timer, re-armed to fire at once:
+//     a submitter that keeps running would hold a goroutine it readied
+//     in its own runnext slot, but an idle P runs an expired timer
+//     first (DESIGN.md §16.1).
 //     Serialization onto the single-root pools happens here, not in
 //     user code, which is what turns the backends' concurrent-Run guard
 //     (poolerr.ErrConcurrentRun) from a trap into an internal
@@ -250,7 +256,10 @@ type Ticket struct {
 
 	// box is the lane whose mailbox holds the ticket; nil while it is
 	// queued or backing off and once somebody took it. Guarded by the
-	// server mutex: it is the word the takers race for.
+	// server mutex: it is the word the takers race for. joined, under the
+	// same mutex, records that a Wait asked for the ticket unfinished;
+	// with done it tells a lane goroutine that served the ticket how to
+	// be woken next (lane.chooseWake).
 	box *lane
 
 	// attempt counts completed runs; probe marks the ticket as a half-
@@ -270,6 +279,7 @@ type Ticket struct {
 	mu       sync.Mutex
 	finished atomic.Bool
 	probe    bool
+	joined   bool
 
 	// Retryable records whether the server may re-run this request on a
 	// failure-class outcome: the caller marked it retry-safe
@@ -560,6 +570,8 @@ func New(o Options) (*Server, error) {
 				}
 			}
 			l := &lane{srv: s, idx: laneIdx, tn: tn, opts: po, wake: make(chan struct{}, 1)}
+			l.timer = time.AfterFunc(time.Hour, l.wakeup)
+			l.timer.Stop()
 			l.pool.Store(newLanePool(po))
 			s.lanes = append(s.lanes, l)
 			laneIdx++
@@ -696,10 +708,11 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 		probe: probe, Retryable: so.Retryable && tn.retrier != nil,
 	}
 	l := s.dispatch(t)
+	timer := l != nil && l.chooseWake()
 	tn.submitted.Add(1)
 	s.mu.Unlock()
 	if l != nil {
-		l.wakeup()
+		l.rouse(timer)
 	}
 	return t, nil
 }
@@ -708,9 +721,9 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 // lane — the most recently idle lane of t's own team, else the most
 // recently idle lane of any team (work conservation) — or, with no
 // lane idle, onto its tenant's queue. It returns the lane it mailed,
-// whose goroutine the caller must wake after unlocking: a mailed ticket
-// that nobody Waits on is run by that goroutine and nobody else
-// (invariant 2, progress without Wait).
+// whose goroutine the caller must wake: chooseWake before unlocking,
+// rouse after. A mailed ticket that nobody Waits on is run by that
+// goroutine and nobody else (invariant 2, progress without Wait).
 func (s *Server) dispatch(t *Ticket) *lane {
 	n := len(s.idle)
 	if n == 0 {
@@ -736,9 +749,12 @@ func (s *Server) dispatch(t *Ticket) *lane {
 // join is Wait's side of the race for a mailed ticket: if t still sits
 // in a mailbox the caller takes it, and with it the lane, which is the
 // caller's until it calls release (invariant 4). nil means somebody
-// else has the ticket, or it is queued, and Wait blocks.
+// else has the ticket, or it is queued, and Wait blocks. Either way t
+// is marked joined, so that a lane goroutine that serves it is woken
+// next by its submitter's token, not the timer (lane.chooseWake).
 func (s *Server) join(t *Ticket) *lane {
 	s.mu.Lock()
+	t.joined = true
 	l := t.box
 	if l != nil {
 		l.unmail()
@@ -785,9 +801,10 @@ func (s *Server) scheduleRetry(t *Ticket, backoff time.Duration) bool {
 }
 
 // requeue dispatches a backed-off ticket again, unless Close claimed it
-// first (then Close finalizes it). A tenant that refilled to its bound
-// while the ticket backed off sheds the retry: the ticket fails with
-// ErrOverloaded rather than stretching the bound.
+// first (then Close finalizes it), and wakes a lane it mails the way
+// Submit does. A tenant that refilled to its bound while the ticket
+// backed off sheds the retry: the ticket fails with ErrOverloaded
+// rather than stretching the bound.
 func (s *Server) requeue(t *Ticket) {
 	s.mu.Lock()
 	if s.retryTimers == nil {
@@ -806,9 +823,10 @@ func (s *Server) requeue(t *Ticket) {
 		return
 	}
 	l := s.dispatch(t)
+	timer := l != nil && l.chooseWake()
 	s.mu.Unlock()
 	if l != nil {
-		l.wakeup()
+		l.rouse(timer)
 	}
 }
 

@@ -101,14 +101,14 @@ func stamped(j sched.RecJob, ran *atomic.Int64) sched.RecJob {
 	return j
 }
 
-// mailUnwoken is Submit without the wake token: the ticket sits in an
-// idle lane's mailbox and the lane's goroutine stays parked, so the
-// mailed state — which a real Submit leaves within microseconds — holds
-// still until the test's own Wait or Close takes the ticket.
-func mailUnwoken(t *testing.T, s *Server, job Job) *Ticket {
+// mailUnwoken is Submit without the wake: the ticket sits in an idle
+// lane's mailbox and the lane's goroutine stays parked, so the mailed
+// state — which a real Submit leaves within microseconds — holds still
+// until the test's own Wait or Close takes the ticket.
+func mailUnwoken(t *testing.T, s *Server, ctx context.Context, job Job) *Ticket {
 	t.Helper()
 	tn := s.tenants[0]
-	tk := &Ticket{job: job, ctx: context.Background(), tn: tn, submitted: time.Since(epoch)}
+	tk := &Ticket{job: job, ctx: ctx, tn: tn, submitted: time.Since(epoch)}
 	s.mu.Lock()
 	l := s.dispatch(tk)
 	tn.submitted.Add(1)
@@ -119,36 +119,18 @@ func mailUnwoken(t *testing.T, s *Server, job Job) *Ticket {
 	return tk
 }
 
-// borrowGated gets a gated request running on a Wait caller: it submits
-// job (built around the returned stamp) and Waits on a fresh goroutine,
-// and in the rare round where the lane goroutine won the race for the
-// ticket, lets that request finish and tries again. It returns once the
-// request is mid-flight on the waiter's goroutine.
+// borrowGated gets a gated request running on a Wait caller: it mails
+// job (built around the returned gate) to a lane whose goroutine it
+// does not wake, so the Wait it starts on a fresh goroutine is the only
+// taker, and returns once the request is mid-flight there. Call it on a
+// server whose goroutines have no wake pending: a fresh one.
 func borrowGated(t *testing.T, s *Server, ctx context.Context, build func(g, started *atomic.Bool) sched.RecJob) (g *atomic.Bool, res <-chan waited) {
 	t.Helper()
-	for try := 0; try < 100; try++ {
-		var started atomic.Bool
-		var ran, waiter atomic.Int64
-		g = new(atomic.Bool)
-		tk, err := s.Submit(ctx, "", Rec(stamped(build(g, &started), &ran)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(chan waited, 1)
-		go func() {
-			waiter.Store(goid())
-			v, err := tk.Wait()
-			out <- waited{v, err}
-		}()
-		waitTrue(t, &started, "gated request dispatch")
-		if ran.Load() == waiter.Load() {
-			return g, out
-		}
-		g.Store(true)
-		<-out
-	}
-	t.Fatal("the lane goroutine took the ticket before Wait 100 times in a row")
-	return nil, nil
+	var started atomic.Bool
+	g = new(atomic.Bool)
+	res = join.waitAsync(mailUnwoken(t, s, ctx, Rec(build(g, &started))))
+	waitTrue(t, &started, "gated request dispatch")
+	return g, res
 }
 
 // TestServeWaitIsAJoin: on an idle server, a request that is Waited for
@@ -239,7 +221,7 @@ func TestServePendingCountsMailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTrue(t, &started, "blocker dispatch") // holds lane 0; lane 1 is idle
-	mailed := mailUnwoken(t, s, gateJob(&g, nil, 4))
+	mailed := mailUnwoken(t, s, context.Background(), gateJob(&g, nil, 4))
 	if p := s.Stats().Tenants[0].Pending; p != 1 {
 		t.Fatalf("pending = %d with one ticket mailed, want 1", p)
 	}
@@ -277,7 +259,7 @@ func TestServeCloseFailsMailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran atomic.Int64
-	tk := mailUnwoken(t, s, Rec(stamped(fibw.Job(8, 1), &ran)))
+	tk := mailUnwoken(t, s, context.Background(), Rec(stamped(fibw.Job(8, 1), &ran)))
 	s.Close()
 	bothTakers(t, func(t *testing.T, m waitMode) {
 		if _, err := m.wait(tk); !errors.Is(err, ErrClosed) {
@@ -396,9 +378,7 @@ func TestServeCloseDuringBorrow(t *testing.T) {
 // invariant 4: a failure streak completed by a caller-run attempt
 // quarantines the lane before the lane serves anything else — here a
 // request already queued when the borrower returns, which must find
-// the pool replaced. (The streak is one failure long so that the rounds
-// borrowGated may spend getting onto the caller, which succeed, do not
-// matter.)
+// the pool replaced.
 func TestServeBorrowedStreakQuarantinesFirst(t *testing.T) {
 	s, err := New(Options{
 		Workers: 1,
