@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench ci
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench ci
 
 all: build test lint
 
@@ -164,6 +164,14 @@ chaos:
 wake-bench:
 	$(GO) test -run '^$$' -bench WakeFromSpinningSubmitter -benchtime 20x ./internal/serve
 
+# The unit price of the clock reads a served request makes (DESIGN.md
+# §16.1, *Ledger, one stamp*): ns per time.Since(epoch), per time.Now()
+# and per time.Until on a context deadline. What dropping a read saves
+# on serve-tiny-closed scales with these rows, so read them on the host
+# before comparing that workload across hosts.
+clock-bench:
+	$(GO) test -run '^$$' -bench RequestClock -benchtime 200000x ./internal/serve
+
 # The ci job of .github/workflows/ci.yml, step for step (its lint and
 # chaos jobs are `make lint` and `make chaos serve-soak fuzz-smoke`).
-ci: build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench
+ci: build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench clock-bench

@@ -101,6 +101,8 @@ type BreakerHealth struct {
 type Breaker struct {
 	mu  sync.Mutex
 	cfg BreakerConfig
+	// now is the breaker's clock. Every method reads it but RecordAt,
+	// whose caller passes a reading of it instead.
 	now func() time.Time
 
 	state    BreakerState
@@ -129,7 +131,8 @@ type breakerBucket struct {
 
 // NewBreaker builds a breaker with cfg (zero fields defaulted). now is
 // the clock; nil means time.Now — tests inject a fake to drive the
-// window and cooldown deterministically.
+// window and cooldown deterministically. A caller of RecordAt must read
+// the same clock.
 func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
 	cfg = cfg.Defaulted()
 	if now == nil {
@@ -177,12 +180,22 @@ func (b *Breaker) Allow() (ok, probe bool) {
 // Record feeds a non-probe outcome into the window and, when closed,
 // evaluates the trip condition. Sheds and cancellations must not be
 // recorded — only real successes and failure-class outcomes.
-func (b *Breaker) Record(success bool) {
+func (b *Breaker) Record(success bool) { b.RecordAt(success, b.now()) }
+
+// RecordAt is Record at the caller's reading of the breaker's clock, for
+// a caller that already read it for the outcome (the serving layer's
+// end-of-attempt stamp). A reading older than the current bucket's start
+// — two callers that read the clock and then raced for the lock — counts
+// in the current bucket. A trip opens the breaker at now, and Allow
+// measures the cooldown from it with the breaker's own clock, so with
+// the default clock now must carry time.Now's monotonic reading (as
+// time.Now().Add(d) does, and a time.Unix value does not).
+func (b *Breaker) RecordAt(success bool, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.record(success)
+	b.record(success, now)
 	if b.state == BreakerClosed && !success {
-		b.evaluate()
+		b.evaluate(now)
 	}
 }
 
@@ -195,7 +208,8 @@ func (b *Breaker) ProbeDone(success bool) {
 	if b.probesInFlight > 0 {
 		b.probesInFlight--
 	}
-	b.record(success)
+	now := b.now()
+	b.record(success, now)
 	if b.state != BreakerHalfOpen {
 		// A probe outcome landing after the state already moved (a
 		// concurrent probe re-opened, or we closed) only feeds the
@@ -203,7 +217,7 @@ func (b *Breaker) ProbeDone(success bool) {
 		return
 	}
 	if !success {
-		b.trip()
+		b.trip(now)
 		return
 	}
 	b.probeSuccesses++
@@ -252,9 +266,9 @@ func (b *Breaker) Health() BreakerHealth {
 	}
 }
 
-// record rolls the window and counts one outcome (mu held).
-func (b *Breaker) record(success bool) {
-	b.roll(b.now())
+// record rolls the window to now and counts one outcome (mu held).
+func (b *Breaker) record(success bool, now time.Time) {
+	b.roll(now)
 	if success {
 		b.buckets[b.cur].success++
 	} else {
@@ -262,9 +276,9 @@ func (b *Breaker) record(success bool) {
 	}
 }
 
-// evaluate trips the breaker when the windowed failure rate crosses
-// the threshold with enough samples (mu held, state closed).
-func (b *Breaker) evaluate() {
+// evaluate trips the breaker at now when the windowed failure rate
+// crosses the threshold with enough samples (mu held, state closed).
+func (b *Breaker) evaluate(now time.Time) {
 	var s, f int64
 	for _, bk := range b.buckets {
 		s += bk.success
@@ -275,20 +289,21 @@ func (b *Breaker) evaluate() {
 		return
 	}
 	if float64(f) >= b.cfg.FailureRate*float64(total) {
-		b.trip()
+		b.trip(now)
 	}
 }
 
-// trip opens the breaker (mu held).
-func (b *Breaker) trip() {
+// trip opens the breaker at now (mu held).
+func (b *Breaker) trip(now time.Time) {
 	b.state = BreakerOpen
-	b.openedAt = b.now()
+	b.openedAt = now
 	b.opened++
 	b.probesInFlight = 0
 	b.probeSuccesses = 0
 }
 
-// roll ages the window ring forward to now (mu held).
+// roll ages the window ring forward to now (mu held); a now before
+// curStart leaves the ring where it is.
 func (b *Breaker) roll(now time.Time) {
 	bucketLen := b.cfg.Window / time.Duration(len(b.buckets))
 	elapsed := now.Sub(b.curStart)

@@ -175,3 +175,77 @@ func TestBreakerWindowAges(t *testing.T) {
 		t.Fatalf("window = %d/%d (f/s), want 1/12", h.WindowFailures, h.WindowSuccesses)
 	}
 }
+
+// TestBreakerRecordAtOlderReading: a caller's reading older than the
+// current bucket's start — two lanes read the clock, then race for the
+// lock — is counted in the current bucket, and the ring does not move
+// back to it.
+func TestBreakerRecordAtOlderReading(t *testing.T) {
+	clk := newFakeClock()
+	b := testBreaker(clk) // 4 buckets of 250ms
+	early := clk.now().Add(100 * time.Millisecond)
+	clk.advance(300 * time.Millisecond)
+	b.Record(true) // rolls to the second bucket
+	cur, start := b.cur, b.curStart
+	if cur != 1 || !start.Equal(early.Add(150*time.Millisecond)) {
+		t.Fatalf("setup: cur=%d curStart=%v, want the second bucket", cur, start)
+	}
+	b.RecordAt(false, early)
+	if b.cur != cur || !b.curStart.Equal(start) {
+		t.Fatalf("an older reading moved the ring: cur %d → %d, curStart %v → %v", cur, b.cur, start, b.curStart)
+	}
+	if bk := b.buckets[cur]; bk.success != 1 || bk.failure != 1 {
+		t.Fatalf("current bucket = %+v, want the older failure counted with the success", bk)
+	}
+	if h := b.Health(); h.WindowSuccesses != 1 || h.WindowFailures != 1 {
+		t.Fatalf("window = %d/%d (s/f), want 1/1", h.WindowSuccesses, h.WindowFailures)
+	}
+}
+
+// TestBreakerRecordAtTripsAtReading: a failure that trips with a
+// caller's reading opens the breaker at that reading, and Allow runs
+// the cooldown from it on the breaker's own clock.
+func TestBreakerRecordAtTripsAtReading(t *testing.T) {
+	clk := newFakeClock()
+	b := testBreaker(clk) // 100ms cooldown
+	clk.advance(200 * time.Millisecond)
+	at := clk.now().Add(-50 * time.Millisecond)
+	for i := 0; i < 10; i++ {
+		b.RecordAt(false, at)
+	}
+	if b.State() != BreakerOpen || !b.openedAt.Equal(at) {
+		t.Fatalf("state %v openedAt %v, want open at the caller's reading %v", b.State(), b.openedAt, at)
+	}
+	clk.advance(49 * time.Millisecond) // 99ms after the reading
+	if ok, _ := b.Allow(); ok {
+		t.Fatal("admitted 99ms after the tripping reading, inside the 100ms cooldown")
+	}
+	clk.advance(2 * time.Millisecond) // 101ms
+	if ok, probe := b.Allow(); !ok || !probe {
+		t.Fatalf("Allow 101ms after the tripping reading = (%v, %v), want a probe", ok, probe)
+	}
+}
+
+// TestBreakerRecordMatchesRecordAt: Record and RecordAt given the same
+// reading leave identical Health, step by step, through window aging, a
+// trip and the cooldown.
+func TestBreakerRecordMatchesRecordAt(t *testing.T) {
+	clk := newFakeClock()
+	own, given := testBreaker(clk), testBreaker(clk)
+	for i := 0; i < 60; i++ {
+		success := i%3 != 0 && i < 40 // a trip after 40
+		own.Record(success)
+		given.RecordAt(success, clk.now())
+		if i%7 == 0 {
+			own.Allow()
+			given.Allow()
+		}
+		if ho, hg := own.Health(), given.Health(); ho != hg {
+			t.Fatalf("step %d: Record left %+v, RecordAt %+v", i, ho, hg)
+		}
+		clk.advance(time.Duration(i%5) * 30 * time.Millisecond)
+	}
+	if own.Health().Opened == 0 {
+		t.Fatal("the sequence never tripped the breaker")
+	}
+}

@@ -240,10 +240,21 @@ func (l *lane) release() {
 // threading the request's context through the pool's abort machinery
 // and restoring the pool to health afterwards. It runs on whichever
 // goroutine owns the lane: the lane's own, or a Wait caller's.
+//
+// An attempt reads the clock twice, both times since epoch: start before
+// the run and end right after it. finishAttempt hands end to everything
+// that needs the attempt's finishing time — the estimator (end − start),
+// the breaker's window and trip, and the ticket's latency — instead of
+// each reading the clock itself (DESIGN.md §16.1, *Ledger, one stamp*).
+// end is read again only where work follows the run: waiting out an
+// abort callback, and Resetting a poisoned pool. Latency covers both, as
+// does the estimator's sample of a request that completed while its
+// abort landed.
 func (l *lane) serveOne(t *Ticket) {
 	if err := t.ctx.Err(); err != nil {
 		// Cancelled before it started: fail at dispatch without running.
-		l.finishAttempt(t, 0, err, 0)
+		now := time.Since(epoch)
+		l.finishAttempt(t, 0, err, now, now)
 		return
 	}
 
@@ -266,12 +277,13 @@ func (l *lane) serveOne(t *Ticket) {
 		})
 	}
 
-	start := time.Now()
+	start := time.Since(epoch)
 	val, err := runJob(p, t.job)
-	dur := time.Since(start)
+	end := time.Since(epoch)
 
 	if stop != nil && !stop() {
 		<-fired
+		end = time.Since(epoch)
 	}
 
 	// Restore pool health before touching the next request: Reset is
@@ -294,9 +306,10 @@ func (l *lane) serveOne(t *Ticket) {
 		} else if rerr := p.Reset(); rerr != nil {
 			l.wantQuarantine = true
 		}
+		end = time.Since(epoch)
 	}
 
-	l.finishAttempt(t, val, err, dur)
+	l.finishAttempt(t, val, err, start, end)
 }
 
 // Attempt outcome classes for the resilience accounting: only OK and
@@ -332,8 +345,10 @@ func outcomeOf(err error) outcome {
 
 // finishAttempt feeds one attempt's outcome into the resilience state
 // (breaker, estimator, retry budget, failure streak) and either
-// finishes the ticket or hands it to the retry machinery.
-func (l *lane) finishAttempt(t *Ticket, val int64, err error, dur time.Duration) {
+// finishes the ticket or hands it to the retry machinery. start and end
+// are the attempt's stamps since epoch; end is the one reading of the
+// attempt's finishing time for all of them.
+func (l *lane) finishAttempt(t *Ticket, val int64, err error, start, end time.Duration) {
 	tn := t.tn
 	oc := outcomeOf(err)
 	if t.probe {
@@ -348,19 +363,14 @@ func (l *lane) finishAttempt(t *Ticket, val int64, err error, dur time.Duration)
 				tn.breaker.ProbeSkipped()
 			}
 		}
-	} else if tn.breaker != nil {
-		switch oc {
-		case outcomeOK:
-			tn.breaker.Record(true)
-		case outcomeFailure:
-			tn.breaker.Record(false)
-		}
+	} else if tn.breaker != nil && (oc == outcomeOK || oc == outcomeFailure) {
+		tn.breaker.RecordAt(oc == outcomeOK, epoch.Add(end))
 	}
 	switch oc {
 	case outcomeOK:
 		l.streak.Store(0)
 		if tn.est != nil {
-			tn.est.Observe(t.job.class(), dur)
+			tn.est.Observe(t.job.class(), end-start)
 		}
 		if tn.retrier != nil {
 			tn.retrier.OnSuccess()
@@ -378,7 +388,7 @@ func (l *lane) finishAttempt(t *Ticket, val int64, err error, dur time.Duration)
 			}
 		}
 	}
-	t.finish(val, err)
+	t.finish(val, err, end)
 }
 
 // quarantine pulls the lane from rotation and hot-replaces its pool:

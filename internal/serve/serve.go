@@ -237,9 +237,10 @@ type Options struct {
 	Chaos *chaos.ServeInjector
 }
 
-// epoch is the zero of Ticket.submitted: a ticket keeps an offset on
-// the monotonic clock, a third of a time.Time's size and read without
-// the wall clock.
+// epoch is the zero of the server's clock: a request's stamps are
+// offsets on the monotonic clock, a third of a time.Time's size and read
+// without the wall clock, and epoch.Add turns one back into a time.Time
+// that still carries the monotonic reading (the breaker's).
 var epoch = time.Now()
 
 // Ticket is a submitted request's handle. One is allocated per request
@@ -249,10 +250,13 @@ var epoch = time.Now()
 // not repeated here — 120 bytes, inside the 128-byte size class
 // (TestServeRequestAllocs).
 type Ticket struct {
-	job       Job
-	ctx       context.Context
-	tn        *tenant
-	submitted time.Duration // since epoch
+	job Job
+	ctx context.Context
+	tn  *tenant
+	// submitted is the request's first clock reading, since epoch, taken
+	// once by SubmitWith before admission, which measures the deadline's
+	// remaining budget from it too.
+	submitted time.Duration
 
 	// box is the lane whose mailbox holds the ticket; nil while it is
 	// queued or backing off and once somebody took it. Guarded by the
@@ -269,6 +273,10 @@ type Ticket struct {
 	attempt int
 
 	// val/err/latency are published by finished, which finish sets last.
+	// latency is end − submitted, where end is the last attempt's end-of-
+	// attempt stamp (lane.serveOne, which reads it again after an abort
+	// wait or a Reset), or the clock read by whoever else finishes the
+	// ticket: a retry shed, Close.
 	val     int64
 	err     error
 	latency time.Duration
@@ -344,9 +352,10 @@ func (t *Ticket) Done() <-chan struct{} {
 func (t *Ticket) Latency() time.Duration { return t.latency }
 
 // finish is the one finalizer: it counts the request's final outcome
-// and publishes it. Exactly one party calls it per ticket — whoever ran
-// the last attempt, the retry path shedding it, or Close draining it.
-func (t *Ticket) finish(val int64, err error) {
+// and publishes it, with end (since epoch) as the finishing stamp.
+// Exactly one party calls it per ticket — whoever ran the last attempt,
+// the retry path shedding it, or Close draining it.
+func (t *Ticket) finish(val int64, err error, end time.Duration) {
 	tn := t.tn
 	switch {
 	case err == nil:
@@ -357,7 +366,7 @@ func (t *Ticket) finish(val int64, err error) {
 		tn.failed.Add(1)
 	}
 	t.val, t.err = val, err
-	t.latency = time.Since(epoch) - t.submitted
+	t.latency = end - t.submitted
 	t.mu.Lock()
 	t.finished.Store(true)
 	if t.done != nil {
@@ -660,6 +669,7 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	submitted := time.Since(epoch)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -683,7 +693,7 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 		return nil, fmt.Errorf("%w: tenant %q storm-shed (chaos)", ErrOverloaded, tenantName)
 	}
 	if tn.est != nil {
-		if dl, has := ctx.Deadline(); has && tn.est.Unmeetable(job.class(), time.Until(dl)) {
+		if dl, has := ctx.Deadline(); has && tn.est.Unmeetable(job.class(), dl.Sub(epoch)-submitted) {
 			s.mu.Unlock()
 			tn.rejected.Add(1)
 			tn.shedDeadline.Add(1)
@@ -704,7 +714,7 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 		probe = p
 	}
 	t := &Ticket{
-		job: job, ctx: ctx, tn: tn, submitted: time.Since(epoch),
+		job: job, ctx: ctx, tn: tn, submitted: submitted,
 		probe: probe, Retryable: so.Retryable && tn.retrier != nil,
 	}
 	l := s.dispatch(t)
@@ -819,7 +829,7 @@ func (s *Server) requeue(t *Ticket) {
 	tn := t.tn
 	if tn.pending() >= tn.maxPending {
 		s.mu.Unlock()
-		t.finish(0, fmt.Errorf("%w: tenant %q retry shed, %d pending", ErrOverloaded, tn.name, tn.maxPending))
+		t.finish(0, fmt.Errorf("%w: tenant %q retry shed, %d pending", ErrOverloaded, tn.name, tn.maxPending), time.Since(epoch))
 		return
 	}
 	l := s.dispatch(t)
@@ -876,7 +886,7 @@ func (s *Server) Close() {
 		drained = append(drained, t)
 	}
 	for _, t := range drained {
-		t.finish(0, ErrClosed)
+		t.finish(0, ErrClosed, time.Since(epoch))
 	}
 	s.wg.Wait()
 }

@@ -508,13 +508,13 @@ func TestTicketDoneVersusFinish(t *testing.T) {
 	if isClosed(c) || tk.Done() != c {
 		t.Fatal("Done before finish: want one open channel")
 	}
-	tk.finish(1, nil)
+	tk.finish(1, nil, time.Since(epoch))
 	if !isClosed(c) || !isClosed(tk.Done()) {
 		t.Fatal("finish did not close the channel Done had handed out")
 	}
 
 	tk = newTicket() // finish, then Done
-	tk.finish(1, nil)
+	tk.finish(1, nil, time.Since(epoch))
 	if tk.done != nil || !isClosed(tk.Done()) || tk.done != nil {
 		t.Fatal("Done after finish: want the shared closed channel and none allocated")
 	}
@@ -525,7 +525,7 @@ func TestTicketDoneVersusFinish(t *testing.T) {
 		for g := 0; g < 2; g++ {
 			go func() { got <- tk.Done() }()
 		}
-		tk.finish(int64(i), nil)
+		tk.finish(int64(i), nil, time.Since(epoch))
 		for g := 0; g < 2; g++ {
 			select {
 			case <-<-got:
@@ -591,17 +591,28 @@ func TestServeRequestAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	job, want := Rec(fibw.Job(4, 1)), fibw.Serial(4)
-	allocs := testing.AllocsPerRun(2000, func() {
-		tk, err := s.Submit(context.Background(), "", job)
-		if err != nil {
-			t.Fatal(err)
+	request := func(ctx context.Context) func() {
+		return func() {
+			tk, err := s.Submit(ctx, "", job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := tk.Wait(); err != nil || v != want {
+				t.Fatalf("fib(4): v=%d err=%v", v, err)
+			}
 		}
-		if v, err := tk.Wait(); err != nil || v != want {
-			t.Fatalf("fib(4): v=%d err=%v", v, err)
-		}
-	})
-	if allocs > 2 {
+	}
+	if allocs := testing.AllocsPerRun(2000, request(context.Background())); allocs > 2 {
 		t.Errorf("Submit + Wait allocates %v times per request, want <= 2", allocs)
+	}
+	// Under a deadline, with deadline admission on, admission measures the
+	// remaining budget from the submit stamp and serveOne arms the
+	// context's cancellation (context.AfterFunc, its callback and the fired
+	// channel): 5 allocations, as when admission read the clock itself.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if allocs := testing.AllocsPerRun(2000, request(ctx)); allocs > 5 {
+		t.Errorf("Submit + Wait under a deadline allocates %v times per request, want <= 5", allocs)
 	}
 	if size := unsafe.Sizeof(Ticket{}); size > 128 {
 		t.Errorf("a Ticket is %d bytes, want <= 128: it is the one allocation of a request, and the next size class is 144", size)
