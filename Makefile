@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench ci
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench fmt layout ci
 
 all: build test lint
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -172,6 +176,20 @@ wake-bench:
 clock-bench:
 	$(GO) test -run '^$$' -bench RequestClock -benchtime 200000x ./internal/serve
 
+# Where the linker put the serial reference overhead_ratio divides by
+# (main.serialRec) and the generated pairs fib-tree and a served fib(16)
+# run: each symbol's address in the benchmark binary, and that address
+# mod 64. When overhead_ratio moves on a workload whose code did not
+# change, run this on both checkouts and compare.
+LAYOUT_SYMS = main.serialRec fibw.SpawnFib fibw.JoinFib ports.SpawnRec ports.JoinRec
+layout:
+	bash bench/run.sh -spec >/dev/null
+	@for s in $(LAYOUT_SYMS); do \
+		set -- $$($(GO) tool nm -size -sort address .bench_build/woolbench | grep -E " ([^ ]*/)?$$s$$"); \
+		test -n "$$1" || { echo "$$s: not in .bench_build/woolbench"; exit 1; }; \
+		echo "$$s 0x$$1 mod64=$$((0x$$1 % 64)) size=$$2"; \
+	done
+
 # The ci job of .github/workflows/ci.yml, step for step (its lint and
 # chaos jobs are `make lint` and `make chaos serve-soak fuzz-smoke`).
-ci: build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench clock-bench
+ci: fmt build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench clock-bench

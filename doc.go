@@ -47,21 +47,15 @@
 // Wool's SPAWN/JOIN. Run executes the root on the calling goroutine as
 // worker 0 while the pool's other workers steal.
 //
-// # Idle workers and profiling
+// # Idle workers
 //
 // Between parallel regions, idle workers back off from spinning through
 // yields into capped sleeps (Options.MaxIdleSleep) and finally park on
 // an idle engine, so a quiescent pool consumes ~0% CPU; producers wake
-// parked workers the moment work becomes visible. Options.Parking
-// controls this (ParkOff, or a negative MaxIdleSleep, restores the
-// paper's dedicated-machine spinning), Stats.Parks and Stats.Wakes
-// count it, and Pool.ParkedWorkers observes it live.
-//
-// With Options.Profile enabled, the failed-steal category (ST) of the
-// TimeBreakdown is a sampled estimate: the idle loop times every 64th
-// failed steal attempt and scales it by the sampling period, keeping
-// profiled idle loops as cheap as unprofiled ones. Successful steals
-// and leapfrog searches are always timed exactly.
+// parked workers the moment work becomes visible. A negative
+// MaxIdleSleep restores the paper's dedicated-machine spinning, with no
+// parking; Stats.Parks and Stats.Wakes count parking, and
+// Pool.ParkedWorkers observes it live.
 //
 // # Tracing and abort semantics
 //
@@ -123,21 +117,11 @@ type (
 	// Stats are the scheduler's event counters (spawns, steals, ...).
 	Stats = core.Stats
 
-	// TimeBreakdown is the profiling breakdown (paper Fig. 6).
-	TimeBreakdown = core.TimeBreakdown
-
-	// SpanProfiler measures work and critical path (paper Table I).
-	SpanProfiler = core.SpanProfiler
-
 	// TaskDef1..TaskDef4 are task definitions with 1..4 int64 args.
 	TaskDef1 = core.TaskDef1
 	TaskDef2 = core.TaskDef2
 	TaskDef3 = core.TaskDef3
 	TaskDef4 = core.TaskDef4
-
-	// ParkMode selects the idle-worker parking behaviour
-	// (Options.Parking).
-	ParkMode = core.ParkMode
 
 	// WatchdogError is the failure a tripped Options.Watchdog raises
 	// from Run: no scheduler progress for the interval with a blocked
@@ -152,15 +136,6 @@ type (
 	// (chrome://tracing / Perfetto) or StealMatrix; a nil tracer
 	// disables recording at zero fast-path cost. See DESIGN.md §11.
 	Tracer = trace.Tracer
-)
-
-// Parking modes for Options.Parking: ParkDefault parks unless spin
-// mode (negative MaxIdleSleep) is selected; ParkOn and ParkOff force
-// the choice.
-const (
-	ParkDefault = core.ParkDefault
-	ParkOn      = core.ParkOn
-	ParkOff     = core.ParkOff
 )
 
 // NewPool creates a pool with opts.Workers workers (default

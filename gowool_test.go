@@ -75,7 +75,7 @@ func TestPublicAPISurface(t *testing.T) {
 	c2 := gowool.DefineC2("c2", func(w *gowool.Worker, c *ctx, a, b int64) int64 { return c.mult * (a + b) })
 	c3 := gowool.DefineC3("c3", func(w *gowool.Worker, c *ctx, a, b, d int64) int64 { return c.mult * (a + b + d) })
 
-	p := gowool.NewPool(gowool.Options{Workers: 3, PrivateTasks: true, Profile: true})
+	p := gowool.NewPool(gowool.Options{Workers: 3, PrivateTasks: true})
 	defer p.Close()
 	cx := &ctx{mult: 2}
 	got := p.Run(func(w *gowool.Worker) int64 {
@@ -100,34 +100,6 @@ func TestPublicAPISurface(t *testing.T) {
 	st := p.Stats()
 	if st.Spawns != 7 || st.Joins() != 7 {
 		t.Errorf("stats: %+v", st)
-	}
-	if b := p.Profile(); b.Total() < 0 {
-		t.Errorf("profile: %+v", b)
-	}
-}
-
-func TestSpanProfilerPublic(t *testing.T) {
-	p := gowool.NewPool(gowool.Options{Workers: 1, Span: true})
-	defer p.Close()
-	sp := p.SpanProfiler()
-	if sp == nil {
-		t.Fatal("nil SpanProfiler with Span enabled")
-	}
-	var leaf *gowool.TaskDef1
-	leaf = gowool.Define1("leaf", func(w *gowool.Worker, d int64) int64 {
-		if d == 0 {
-			sp.AddWork(1e6)
-			return 1
-		}
-		leaf.Spawn(w, d-1)
-		a := leaf.Call(w, d-1)
-		return a + leaf.Join(w)
-	})
-	sp.Begin()
-	p.Run(func(w *gowool.Worker) int64 { return leaf.Call(w, 3) })
-	work, span0, spanO := sp.End()
-	if work <= 0 || span0 <= 0 || spanO < span0 || work < spanO {
-		t.Errorf("span invariants violated: work=%v span0=%v spanO=%v", work, span0, spanO)
 	}
 }
 

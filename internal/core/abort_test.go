@@ -122,14 +122,14 @@ func TestResetNotPoisonedIsNoop(t *testing.T) {
 }
 
 // TestClosePoisonedPoolWithParking is the satellite regression for the
-// poison→park leak: with Parking enabled, a pool poisoned by a task
+// poison→park leak: with parking enabled, a pool poisoned by a task
 // panic has its idle workers blocked on the poison gate (or parked on
 // the idle engine); Close must release all of them and return. Run
 // under -race in CI.
 func TestClosePoisonedPoolWithParking(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	p := NewPool(Options{Workers: 4, Parking: ParkOn, MaxIdleSleep: 50 * time.Microsecond})
+	p := NewPool(Options{Workers: 4, MaxIdleSleep: 50 * time.Microsecond})
 
 	var boom *TaskDef1
 	boom = Define1("park-boom", func(w *Worker, depth int64) int64 {
@@ -157,7 +157,7 @@ func TestClosePoisonedPoolWithParking(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung on a poisoned pool with Parking enabled (poison→park leak)")
+		t.Fatal("Close hung on a poisoned pool with parking enabled (poison→park leak)")
 	}
 }
 

@@ -537,106 +537,6 @@ func TestLeapfrogUnderBlockedJoin(t *testing.T) {
 	}
 }
 
-func TestSpanProfilerBalancedTree(t *testing.T) {
-	p := NewPool(Options{Workers: 1, Span: true})
-	defer p.Close()
-	sp := p.SpanProfiler()
-	sp.Overhead = 0 // test the abstract model only here
-
-	var node *TaskDef1
-	node = Define1("node", func(w *Worker, depth int64) int64 {
-		if depth == 0 {
-			sp.AddWork(time.Millisecond)
-			return 1
-		}
-		node.Spawn(w, depth-1)
-		a := node.Call(w, depth-1)
-		b := node.Join(w)
-		return a + b
-	})
-
-	sp.Begin()
-	leaves := p.Run(func(w *Worker) int64 { return node.Call(w, 4) })
-	work, span0, _ := sp.End()
-
-	if leaves != 16 {
-		t.Fatalf("leaves = %d, want 16", leaves)
-	}
-	// Work ≈ 16ms of synthetic leaf work (plus real strand noise);
-	// span ≈ 1ms (the critical path passes through one leaf).
-	if work < 16*time.Millisecond {
-		t.Errorf("work = %v, want >= 16ms", work)
-	}
-	if span0 < time.Millisecond || span0 > 4*time.Millisecond {
-		t.Errorf("span0 = %v, want ≈ 1ms (critical path of one leaf)", span0)
-	}
-	par := float64(work) / float64(span0)
-	if par < 8 || par > 17 {
-		t.Errorf("parallelism = %.1f, want ≈ 16", par)
-	}
-}
-
-func TestSpanProfilerOverheadModel(t *testing.T) {
-	p := NewPool(Options{Workers: 1, Span: true})
-	defer p.Close()
-	sp := p.SpanProfiler()
-	sp.Overhead = 10 * time.Millisecond // huge: everything serializes
-
-	var node *TaskDef1
-	node = Define1("node2", func(w *Worker, depth int64) int64 {
-		if depth == 0 {
-			sp.AddWork(time.Millisecond)
-			return 1
-		}
-		node.Spawn(w, depth-1)
-		a := node.Call(w, depth-1)
-		b := node.Join(w)
-		return a + b
-	})
-
-	sp.Begin()
-	p.Run(func(w *Worker) int64 { return node.Call(w, 4) })
-	work, span0, spanO := sp.End()
-
-	if spanO < work {
-		t.Errorf("with huge overhead, spanO (%v) should equal work (%v): fully serialized", spanO, work)
-	}
-	if span0 >= spanO {
-		t.Errorf("span0 (%v) should be < spanO (%v)", span0, spanO)
-	}
-}
-
-// TestQuickSpanInvariants property-tests span0 ≤ spanO ≤ work for
-// random task trees.
-func TestQuickSpanInvariants(t *testing.T) {
-	err := quick.Check(func(dRaw, seed uint8) bool {
-		depth := int64(dRaw%5) + 1
-		p := NewPool(Options{Workers: 1, Span: true})
-		defer p.Close()
-		sp := p.SpanProfiler()
-		sp.Overhead = 500 * time.Microsecond
-
-		var node *TaskDef2
-		node = Define2("q", func(w *Worker, d, s int64) int64 {
-			if d == 0 {
-				sp.AddWork(time.Duration(s%7+1) * 100 * time.Microsecond)
-				return 1
-			}
-			node.Spawn(w, d-1, s*31+1)
-			a := node.Call(w, d-1, s*17+3)
-			b := node.Join(w)
-			return a + b
-		})
-		sp.Begin()
-		p.Run(func(w *Worker) int64 { return node.Call(w, depth, int64(seed)) })
-		work, span0, spanO := sp.End()
-		return span0 <= spanO && spanO <= work && span0 > 0
-	}, &quick.Config{MaxCount: 40})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 // TestHighContentionStress hammers a pool with many tiny tasks and
 // verifies result integrity — the closest native analogue of the
 // paper's stress benchmark.

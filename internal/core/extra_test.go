@@ -31,7 +31,7 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Errorf("Workers default = %d", o.Workers)
 	}
 	if o.StackSize != 8192 || o.InitialPublic != 2 || o.TripDistance != 1 ||
-		o.PublishAmount != 2 || o.PrivatizeRun != 16 {
+		o.PublishAmount != 2 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 	if o.MaxIdleSleep != 200*time.Microsecond {
@@ -40,59 +40,13 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Steal.Policy != steal.LastVictim || o.Steal.Retain != 1 || o.Steal.Sampling != 1 {
 		t.Errorf("Steal default = %+v, want last-victim, Retain 1, Sampling 1", o.Steal)
 	}
-	if o.Parking != ParkOn {
-		t.Errorf("Parking default = %v, want ParkOn", o.Parking)
-	}
 	// Negative sleep (never sleep) must survive Defaults.
 	if n := (Options{MaxIdleSleep: -1}).Defaults(); n.MaxIdleSleep != -1 {
 		t.Errorf("negative MaxIdleSleep rewritten to %v", n.MaxIdleSleep)
 	}
-	// Spin mode implies parking off: the paper's dedicated-machine
-	// configuration must stay pure spinning.
-	if n := (Options{MaxIdleSleep: -1}).Defaults(); n.Parking != ParkOff {
-		t.Errorf("spin mode Parking = %v, want ParkOff", n.Parking)
-	}
 	// Explicit settings survive Defaults.
-	if n := (Options{Parking: ParkOff}).Defaults(); n.Parking != ParkOff {
-		t.Errorf("explicit ParkOff rewritten to %v", n.Parking)
-	}
 	if n := (Options{Steal: steal.Config{Policy: steal.Random, Retain: -1}}).Defaults(); n.Steal.Policy != steal.Random || n.Steal.Retain != -1 {
 		t.Errorf("explicit Steal rewritten to %+v", n.Steal)
-	}
-}
-
-func TestParkModeString(t *testing.T) {
-	if ParkDefault.String() != "default" || ParkOn.String() != "on" || ParkOff.String() != "off" {
-		t.Error("park mode names wrong")
-	}
-	if ParkMode(9).String() != "ParkMode(9)" {
-		t.Error("unknown park mode formatting wrong")
-	}
-}
-
-func TestWaitPolicyString(t *testing.T) {
-	if WaitLeapfrog.String() != "leapfrog" || WaitSpin.String() != "spin" {
-		t.Error("wait policy names wrong")
-	}
-	if WaitPolicy(9).String() != "WaitPolicy(9)" {
-		t.Error("unknown policy formatting wrong")
-	}
-}
-
-func TestWaitSpinCorrectness(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	p := NewPool(Options{Workers: 4, BlockedJoinWait: WaitSpin})
-	defer p.Close()
-	fib := fibDef()
-	for i := 0; i < 5; i++ {
-		got := p.Run(func(w *Worker) int64 { return fib.Call(w, 20) })
-		if want := serialFib(20); got != want {
-			t.Fatalf("WaitSpin rep %d: got %d want %d", i, got, want)
-		}
-	}
-	if st := p.Stats(); st.LeapSteals != 0 {
-		t.Errorf("WaitSpin recorded %d leapfrog steals", st.LeapSteals)
 	}
 }
 
@@ -104,27 +58,6 @@ func TestLockOSThreadOption(t *testing.T) {
 	fib := fibDef()
 	if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 15) }); got != serialFib(15) {
 		t.Errorf("LockOSThread run wrong: %d", got)
-	}
-}
-
-func TestProfileBreakdown(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	p := NewPool(Options{Workers: 4, Profile: true})
-	defer p.Close()
-	fib := fibDef()
-	p.Run(func(w *Worker) int64 { return fib.Call(w, 24) })
-	b := p.Profile()
-	if b.NA <= 0 {
-		t.Errorf("NA = %v, want > 0", b.NA)
-	}
-	if b.Total() <= 0 {
-		t.Errorf("total = %v", b.Total())
-	}
-	p.ResetStats()
-	b2 := p.Profile()
-	if b2.NA >= b.NA && b.NA > time.Millisecond {
-		t.Errorf("ResetStats did not clear profile: %v", b2.NA)
 	}
 }
 
@@ -154,7 +87,7 @@ func TestPrivatizationShrinksBoundary(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := NewPool(Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, PublishAmount: 8, PrivatizeRun: 4})
+		InitialPublic: 1, PublishAmount: 8})
 	defer p.Close()
 	fib := fibDef()
 	for i := 0; i < 100; i++ {
@@ -175,6 +108,50 @@ func TestPrivatizationShrinksBoundary(t *testing.T) {
 			st.Steals, st.Publications)
 	} else {
 		t.Log("too few steals to exercise privatization on this host; skipping")
+	}
+}
+
+// TestPrivatizeRunThreshold pins the revocable cut-off without a thief:
+// on a one-worker PrivateTasks pool the test raises the boundary by hand
+// (as publications would), then inlines public joins at one depth. The
+// privatizeRun-th consecutive inlined public join pulls the boundary
+// back to top+InitialPublic; a publication midway restarts the count.
+func TestPrivatizeRunThreshold(t *testing.T) {
+	p := NewPool(Options{Workers: 1, PrivateTasks: true})
+	defer p.Close()
+	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
+	check := func(w *Worker, when string, privs, limit int64) {
+		t.Helper()
+		if got := w.stats.Privatizations; got != privs {
+			t.Errorf("%s: Privatizations = %d, want %d", when, got, privs)
+		}
+		if w.pubShadow != limit || w.publicLimit.Load() != limit {
+			t.Errorf("%s: shadow/limit = %d/%d, want %d", when, w.pubShadow, w.publicLimit.Load(), limit)
+		}
+	}
+	joins := func(w *Worker, n int) {
+		for i := 0; i < n; i++ {
+			noop.Spawn(w, int64(i))
+			if w.tasks[w.top-1].priv {
+				t.Fatal("spawn below the raised boundary went private")
+			}
+			noop.Join(w)
+		}
+	}
+	p.Run(func(w *Worker) int64 {
+		w.pubShadow = 64
+		w.publicLimit.Store(64)
+		joins(w, privatizeRun/2)
+		w.publishMore()
+		check(w, "after publishMore", 0, 64+int64(p.opts.PublishAmount))
+		joins(w, privatizeRun-1)
+		check(w, "after privatizeRun-1 joins", 0, 64+int64(p.opts.PublishAmount))
+		joins(w, 1)
+		check(w, "after privatizeRun joins", 1, int64(w.top+p.opts.InitialPublic))
+		return 0
+	})
+	if st := p.Stats(); st.JoinsInlinedPublic != int64(privatizeRun/2+privatizeRun) || st.Publications != 1 {
+		t.Errorf("JoinsInlinedPublic/Publications = %d/%d, want %d/1", st.JoinsInlinedPublic, st.Publications, privatizeRun/2+privatizeRun)
 	}
 }
 

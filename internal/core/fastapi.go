@@ -15,14 +15,14 @@ package core
 // Every prep function is gated on Worker.genFast and returns nil to
 // route the operation to the generic slow path (the TaskDef* methods),
 // which carries the full semantics: trip-wire publication, overflow
-// degradation, public-region publication, tracing, span profiling.
-// The fast path therefore never needs a hook: when any hook could
-// fire, genFast is false and the fast path declines.
+// degradation, public-region publication, tracing. The fast path
+// therefore never needs a hook: when any hook could fire, genFast is
+// false and the fast path declines.
 
 // SpawnPrepPrivate returns the descriptor for a monomorphic private
 // fast-path spawn, or nil when this spawn must take the generic slow
 // path: the trip wire is pending, the stack is full, the slot is in
-// the public region, or tracing/profiling is active (genFast). The
+// the public region, or tracing is active (genFast). The
 // caller fills the descriptor (Task.Set1 and friends) and commits with
 // SpawnCommitPrivate. Owner only.
 //
@@ -61,7 +61,7 @@ func (w *Worker) SpawnCommitPrivate(t *Task) {
 // descriptor eligible for the monomorphic fast path, or returns nil to
 // route the join to the generic path (JoinAcquire): the task is
 // public or stolen, an overflow-inlined result is pending, or
-// tracing/profiling is active. On success the task is claimed (plain
+// tracing is active. On success the task is claimed (plain
 // flag flip, the paper's 3-cycle join) and the caller performs the
 // direct call into the task body. Owner only.
 //
@@ -87,32 +87,18 @@ func (w *Worker) JoinPrepPrivate() *Task {
 // performs the direct, task-specific call, which is what distinguishes
 // it from Worker.JoinAny's indirect wrapper call — and (task, false)
 // when the slow path already ran the task and the result is in the
-// descriptor (Task.Res). A true return must be followed by
-// InlineJoinEnd after the inline call completes.
+// descriptor (Task.Res).
 //
 // woolvet:inline
 // woolvet:acquire state
 func (w *Worker) JoinAcquire() (*Task, bool) { return w.joinAcquire() }
 
-// InlineJoinEnd closes the span-profiling window opened by an inline
-// JoinAcquire claim. Generated code calls it after the direct call
-// into the task body; it is free (one nil check) when profiling is
-// off.
-//
-// woolvet:inline
-func (w *Worker) InlineJoinEnd() {
-	if w.spanProf != nil {
-		w.spanProf.onInlineJoinEnd()
-	}
-}
-
 // BatchPrepPrivate returns a window of up to n free private
 // descriptors for a batch spawn (SpawnN), or nil when batching must
 // fall back to one-at-a-time spawns: the trip wire is pending, the
-// next slot is public or the stack is full, or tracing/profiling is
-// active. The caller fills descriptors [0, k) of the window (Task.Set1
-// and friends) and commits them with BatchCommitPrivate(k). Owner
-// only.
+// next slot is public or the stack is full, or tracing is active. The
+// caller fills descriptors [0, k) of the window (Task.Set1 and
+// friends) and commits them with BatchCommitPrivate(k). Owner only.
 //
 // woolvet:inline
 // woolvet:acquire state

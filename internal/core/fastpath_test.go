@@ -136,7 +136,7 @@ func TestShadowTracksPublicLimit(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := NewPool(Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, PublishAmount: 2, PrivatizeRun: 4})
+		InitialPublic: 1, PublishAmount: 2})
 	defer p.Close()
 	fib := fibDef()
 	for rep := 0; rep < 10; rep++ {

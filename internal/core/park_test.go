@@ -83,15 +83,13 @@ func TestParkingRepeatedCycles(t *testing.T) {
 	}
 }
 
-// TestParkingOff: with Parking off (explicitly, or implied by spin
-// mode's negative MaxIdleSleep) no idle engine exists and no worker
-// ever parks.
+// TestParkingOff: in spin mode (a negative MaxIdleSleep) no idle
+// engine exists and no worker ever parks.
 func TestParkingOff(t *testing.T) {
 	cases := []struct {
 		name string
 		opts Options
 	}{
-		{"explicit", Options{Workers: 2, Parking: ParkOff, MaxIdleSleep: 50 * time.Microsecond}},
 		{"spin-mode", Options{Workers: 2, MaxIdleSleep: -1}},
 	}
 	for _, tc := range cases {

@@ -54,20 +54,6 @@ type Options struct {
 	// publishes. Default 2.
 	PublishAmount int
 
-	// PrivatizeRun is the number of consecutive inlined public joins
-	// after which the owner pulls the public boundary back down
-	// (dynamic, revocable cut-off). Default 16.
-	PrivatizeRun int
-
-	// Profile enables the CPU-time breakdown instrumentation used for
-	// the paper's Figure 6 (categories ST, LF, NA, LA, TR). It costs
-	// two clock reads around every steal attempt and stolen task.
-	Profile bool
-
-	// Span enables the span (critical-path) measurement facility used
-	// for Table I. Valid for single-worker pools; see SpanProfiler.
-	Span bool
-
 	// Steal selects the victim-selection policy layer (internal/steal):
 	// Policy is one of steal.Policies() plus the per-policy parameters
 	// (retention budget, sampling width, localized neighborhood/spill).
@@ -83,26 +69,6 @@ type Options struct {
 	// descriptor CAS claims exactly one bottom task.
 	Steal steal.Config
 
-	// Parking controls whether fully idle workers park on the pool's
-	// idle engine once the back-off ladder is exhausted, dropping a
-	// quiescent pool to ~0% CPU; producers issue a targeted wake when
-	// work appears (see park.go). ParkDefault enables parking unless
-	// MaxIdleSleep is negative (pure spinning — a dedicated machine,
-	// the paper's setup — implies no parking either). ParkOff
-	// reproduces the seed behaviour of sleep-polling forever.
-	Parking ParkMode
-
-	// BlockedJoinWait selects what a join does while its task is
-	// stolen. The default, WaitLeapfrog, steals from the thief (the
-	// paper's choice). WaitSpin just waits — the paper's Figure 6
-	// analysis observes that for its workloads "simply waiting would
-	// be adequate" (the LA category is small); this option exists to
-	// reproduce that ablation. Unrestricted stealing is deliberately
-	// not offered: in a direct-style library it suffers the
-	// buried-join problem (Section I-b) — stolen work would sit above
-	// the blocked join on the worker's stack.
-	BlockedJoinWait WaitPolicy
-
 	// LockOSThread pins each worker goroutine to an OS thread, which
 	// removes Go-runtime migration noise on multi-core hosts. Leave it
 	// off on single-core hosts: pinned spinning threads starve each
@@ -113,6 +79,10 @@ type Options struct {
 	// the default of 200µs, which keeps idle pools cheap while
 	// bounding added steal latency; negative means never sleep (pure
 	// spin + yield), matching a dedicated latency-sensitive machine.
+	// A non-negative MaxIdleSleep also gives a pool of two or more
+	// workers an idle engine: workers that have napped through the
+	// back-off ladder park on it, dropping a quiescent pool to ~0% CPU,
+	// and producers wake them when work appears (see park.go).
 	MaxIdleSleep time.Duration
 
 	// Trace attaches a wooltrace event tracer: every worker records
@@ -145,59 +115,6 @@ type Options struct {
 	Watchdog time.Duration
 }
 
-// ParkMode selects the idle-worker parking behaviour (Options.Parking).
-type ParkMode int
-
-// Parking modes.
-const (
-	// ParkDefault resolves to ParkOn, except when MaxIdleSleep is
-	// negative (pure spinning), which implies ParkOff.
-	ParkDefault ParkMode = iota
-	// ParkOn parks exhausted idle workers on the pool's idle engine.
-	ParkOn
-	// ParkOff never parks: idle workers sleep-poll forever (the seed
-	// behaviour, and the paper's dedicated-machine assumption).
-	ParkOff
-)
-
-// String names the mode.
-func (m ParkMode) String() string {
-	switch m {
-	case ParkDefault:
-		return "default"
-	case ParkOn:
-		return "on"
-	case ParkOff:
-		return "off"
-	default:
-		return fmt.Sprintf("ParkMode(%d)", int(m))
-	}
-}
-
-// WaitPolicy selects the blocked-join behaviour.
-type WaitPolicy int
-
-// Wait policies.
-const (
-	// WaitLeapfrog steals from the thief of the joined task while
-	// blocked (the default; Wagner & Calder's leapfrogging).
-	WaitLeapfrog WaitPolicy = iota
-	// WaitSpin waits without stealing (a non-greedy scheduler).
-	WaitSpin
-)
-
-// String names the policy.
-func (p WaitPolicy) String() string {
-	switch p {
-	case WaitLeapfrog:
-		return "leapfrog"
-	case WaitSpin:
-		return "spin"
-	default:
-		return fmt.Sprintf("WaitPolicy(%d)", int(p))
-	}
-}
-
 // Defaults returns o with every unset field replaced by its default.
 func (o Options) Defaults() Options {
 	if o.Workers <= 0 {
@@ -215,22 +132,12 @@ func (o Options) Defaults() Options {
 	if o.PublishAmount <= 0 {
 		o.PublishAmount = 2
 	}
-	if o.PrivatizeRun <= 0 {
-		o.PrivatizeRun = 16
-	}
 	if o.Steal.Policy == "" {
 		o.Steal.Policy = steal.LastVictim
 	}
 	o.Steal = o.Steal.Defaults()
 	if o.MaxIdleSleep == 0 {
 		o.MaxIdleSleep = 200 * time.Microsecond
-	}
-	if o.Parking == ParkDefault {
-		if o.MaxIdleSleep < 0 {
-			o.Parking = ParkOff
-		} else {
-			o.Parking = ParkOn
-		}
 	}
 	return o
 }
@@ -256,6 +163,11 @@ func (o *Options) initialPublicLimit() int64 {
 // sleep an idle worker pays before parking (default 16 × 200µs ≈ 3.2ms
 // of quiet), keeping parking invisible during normal run-to-run gaps.
 const parkAfterFactor = 16
+
+// privatizeRun is the number of consecutive inlined public joins after
+// which the owner pulls the public boundary back down (the revocable
+// cut-off, noteInlinedPublic).
+const privatizeRun = 16
 
 // Pool is a work-stealing scheduler instance: a set of workers, each
 // with a direct task stack. Create one with NewPool, submit work with
@@ -295,8 +207,6 @@ type Pool struct {
 	wdErr  atomic.Pointer[WatchdogError]
 	wdStop chan struct{}
 	wdDone chan struct{}
-
-	startup time.Duration
 }
 
 // NewPool creates a pool with opts.Workers workers. Worker 0 is driven
@@ -311,10 +221,9 @@ func NewPool(opts Options) *Pool {
 			opts.Workers, maxWorkers, stolenShift))
 	}
 	wskit.CheckSinks("core", opts.Workers, opts.Trace, opts.Chaos)
-	t0 := time.Now()
 	p := &Pool{opts: opts, life: wskit.Life{Name: "core"}}
 	p.life.OnPoison = p.tripWires
-	if opts.Parking == ParkOn && opts.Workers > 1 {
+	if opts.MaxIdleSleep >= 0 && opts.Workers > 1 {
 		p.idle = newIdleEngine(opts.Workers, parkAfterFactor*opts.MaxIdleSleep)
 	}
 	p.workers = make([]*Worker, opts.Workers)
@@ -327,8 +236,7 @@ func NewPool(opts Options) *Pool {
 			pol:   steal.New(opts.Steal, i, opts.Workers),
 		}
 		w.probe = func(v int) bool { return stealableAt(p.workers[v]) }
-		w.prof.on = opts.Profile
-		w.genFast = opts.Trace == nil && !opts.Span
+		w.genFast = opts.Trace == nil
 		if opts.Trace != nil {
 			w.trc = opts.Trace.Ring(i)
 		}
@@ -338,12 +246,6 @@ func NewPool(opts Options) *Pool {
 		w.pubShadow = opts.initialPublicLimit()
 		w.publicLimit.Store(w.pubShadow)
 		p.workers[i] = w
-	}
-	if opts.Span {
-		if opts.Workers != 1 {
-			panic("core: Options.Span requires Workers == 1 (span is schedule-independent; measure it serially)")
-		}
-		p.workers[0].spanProf = NewSpanProfiler()
 	}
 	p.wg.Add(opts.Workers - 1)
 	for _, w := range p.workers[1:] {
@@ -360,7 +262,6 @@ func NewPool(opts Options) *Pool {
 		p.wdDone = make(chan struct{})
 		go p.watchdogLoop(opts.Watchdog)
 	}
-	p.startup = time.Since(t0)
 	return p
 }
 
@@ -393,18 +294,7 @@ func (p *Pool) Run(root func(*Worker) int64) int64 {
 	p.life.Begin()
 	defer p.life.End()
 	w := p.workers[0]
-	var res int64
-	if w.prof.on {
-		// Worker 0's application time is the root's wall time minus
-		// the leapfrogging and stealing time it accrued inside joins.
-		lf0, la0, st0 := w.prof.lf.Load(), w.prof.la.Load(), w.prof.st.Load()
-		t0 := time.Now()
-		res = root(w)
-		wall := int64(time.Since(t0))
-		w.prof.na.Add(wall - ((w.prof.lf.Load() - lf0) + (w.prof.la.Load() - la0) + (w.prof.st.Load() - st0)))
-	} else {
-		res = root(w)
-	}
+	res := root(w)
 	if w.top != int(w.bot.Load()) || len(w.ovf) != 0 {
 		panic(fmt.Sprintf("core: root returned with %d unjoined tasks on worker 0 (%d overflow-inlined)", w.Depth(), len(w.ovf)))
 	}
@@ -514,32 +404,8 @@ func (p *Pool) ResetStats() {
 		w.retainedSteals.Store(0)
 		w.parks.Store(0)
 		w.wakes.Store(0)
-		w.prof.reset()
 	}
 }
-
-// Profile returns the aggregated CPU-time breakdown (Figure 6
-// categories). TR is the pool's startup cost; per-Run shutdown is
-// negligible because the pool stays warm.
-//
-//woolvet:allow ownerprivate -- quiescent-pool accessor; prof's inner counters are atomics besides
-func (p *Pool) Profile() TimeBreakdown {
-	var b TimeBreakdown
-	b.TR = p.startup
-	for _, w := range p.workers {
-		b.ST += time.Duration(w.prof.st.Load())
-		b.LF += time.Duration(w.prof.lf.Load())
-		b.NA += time.Duration(w.prof.na.Load())
-		b.LA += time.Duration(w.prof.la.Load())
-	}
-	return b
-}
-
-// SpanProfiler returns the span measurement facility of worker 0, or
-// nil when Options.Span is off.
-//
-//woolvet:allow ownerprivate -- Span requires Workers == 1; the field is set once in NewPool and immutable after
-func (p *Pool) SpanProfiler() *SpanProfiler { return p.workers[0].spanProf }
 
 // Stats are the scheduler's event counters, the raw material for the
 // paper's N_T (tasks spawned) and N_M (migrations = steals) and thus
@@ -581,35 +447,4 @@ func (s *Stats) add(o *Stats) {
 // Joins returns the total number of joins.
 func (s Stats) Joins() int64 {
 	return s.JoinsInlinedPublic + s.JoinsInlinedPrivate + s.JoinsStolen
-}
-
-// TimeBreakdown is the Figure 6 instrumentation: CPU time spent in
-// startup/shutdown (TR), application code acquired through leapfrogging
-// (LA), other application code (NA), stealing (ST) and leapfrogging
-// search (LF).
-type TimeBreakdown struct {
-	TR, LA, NA, ST, LF time.Duration
-}
-
-// Total returns the sum of all categories.
-func (b TimeBreakdown) Total() time.Duration { return b.TR + b.LA + b.NA + b.ST + b.LF }
-
-// profState accumulates the Figure 6 time categories in nanoseconds.
-// Atomics because idle workers keep charging ST with no happens-before
-// edge to a Profile() reader. ST is a sampled estimate: idleLoop times
-// only every stSamplePeriod-th failed attempt and scales it up, so
-// enabling Profile no longer doubles the idle-loop cost. tick is the
-// sampling phase, owner-private to the idle loop (not reset by
-// ResetStats, which may run while idle loops are live).
-type profState struct {
-	on             bool
-	tick           uint64
-	st, lf, na, la atomic.Int64
-}
-
-func (ps *profState) reset() {
-	ps.st.Store(0)
-	ps.lf.Store(0)
-	ps.na.Store(0)
-	ps.la.Store(0)
 }

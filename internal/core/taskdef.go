@@ -59,11 +59,7 @@ func (d *TaskDef1) Call(w *Worker, a0 int64) int64 { return d.fn(w, a0) }
 func (d *TaskDef1) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
-		r := d.fn(w, t.a0)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
-		return r
+		return d.fn(w, t.a0)
 	}
 	return t.res
 }
@@ -140,11 +136,7 @@ func (d *TaskDef2) Call(w *Worker, a0, a1 int64) int64 { return d.fn(w, a0, a1) 
 func (d *TaskDef2) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
-		r := d.fn(w, t.a0, t.a1)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
-		return r
+		return d.fn(w, t.a0, t.a1)
 	}
 	return t.res
 }
@@ -185,11 +177,7 @@ func (d *TaskDef3) Call(w *Worker, a0, a1, a2 int64) int64 { return d.fn(w, a0, 
 func (d *TaskDef3) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
-		r := d.fn(w, t.a0, t.a1, t.a2)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
-		return r
+		return d.fn(w, t.a0, t.a1, t.a2)
 	}
 	return t.res
 }
@@ -232,11 +220,7 @@ func (d *TaskDef4) Call(w *Worker, a0, a1, a2, a3 int64) int64 {
 func (d *TaskDef4) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
-		r := d.fn(w, t.a0, t.a1, t.a2, t.a3)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
-		return r
+		return d.fn(w, t.a0, t.a1, t.a2, t.a3)
 	}
 	return t.res
 }
@@ -280,11 +264,7 @@ func (d *TaskDefC1[C]) Call(w *Worker, c *C, a0 int64) int64 { return d.fn(w, c,
 func (d *TaskDefC1[C]) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
-		r := d.fn(w, t.ctx.(*C), t.a0)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
-		return r
+		return d.fn(w, t.ctx.(*C), t.a0)
 	}
 	return t.res
 }
@@ -357,11 +337,7 @@ func (d *TaskDefC2[C]) Call(w *Worker, c *C, a0, a1 int64) int64 { return d.fn(w
 func (d *TaskDefC2[C]) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
-		r := d.fn(w, t.ctx.(*C), t.a0, t.a1)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
-		return r
+		return d.fn(w, t.ctx.(*C), t.a0, t.a1)
 	}
 	return t.res
 }
@@ -406,11 +382,7 @@ func (d *TaskDefC3[C]) Call(w *Worker, c *C, a0, a1, a2 int64) int64 {
 func (d *TaskDefC3[C]) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
-		r := d.fn(w, t.ctx.(*C), t.a0, t.a1, t.a2)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
-		return r
+		return d.fn(w, t.ctx.(*C), t.a0, t.a1, t.a2)
 	}
 	return t.res
 }
@@ -426,9 +398,6 @@ func (w *Worker) JoinAny() int64 {
 	if inline {
 		fn := t.fn
 		fn(w, t)
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinEnd()
-		}
 	}
 	return t.res
 }

@@ -24,7 +24,7 @@ import (
 //   - immutable after construction (pool, idx, idle, tasks backing
 //     array): read by everyone, written by nobody after NewPool;
 //   - owner-private (top, pubShadow, steal policy, counters,
-//     profiling state): plain access only, touched exclusively by the
+//     overflow results): plain access only, touched exclusively by the
 //     goroutine driving this worker;
 //   - thief-shared protocol words (bot, publicLimit, morePublic):
 //     atomics probed by every thief on every attempt;
@@ -38,7 +38,7 @@ type Worker struct {
 	idx  int
 
 	// idle is the pool's parking engine, or nil when parking is
-	// disabled (Options.Parking, single-worker pools).
+	// disabled (spin mode's negative MaxIdleSleep, single-worker pools).
 	idle *idleEngine
 
 	// trc is this worker's wooltrace ring, or nil when tracing is
@@ -106,9 +106,8 @@ type Worker struct {
 
 	// genFast gates the monomorphic fast-path API (fastapi.go): true
 	// only when no per-event hook can fire on the private spawn/join
-	// path — tracing and span profiling disabled — so woolgen-generated
-	// code may bypass the generic TaskDef* slow paths. Set once in
-	// NewPool.
+	// path — tracing disabled — so woolgen-generated code may bypass
+	// the generic TaskDef* slow paths. Set once in NewPool.
 	// woolvet:owner
 	genFast bool
 
@@ -121,12 +120,6 @@ type Worker struct {
 	// Stats() reader.
 	// woolvet:owner
 	stats Stats
-
-	// Profiling state (only used when pool.opts.Profile is set).
-	// woolvet:owner
-	prof profState
-	// woolvet:owner
-	spanProf *SpanProfiler
 
 	// ovf holds the results of overflow-inlined spawns (graceful
 	// degradation: a spawn finding the stack full runs the child inline
@@ -294,9 +287,6 @@ func (w *Worker) spawn(t *Task) {
 	if w.trc != nil {
 		w.trc.Record(trace.KindSpawn, int64(w.top-1), 0)
 	}
-	if w.spanProf != nil {
-		w.spanProf.onSpawn()
-	}
 }
 
 // joinAcquire pops the top task and tries to claim it for inlining.
@@ -323,9 +313,6 @@ func (w *Worker) joinAcquire() (*Task, bool) {
 		w.top--
 		t.priv = false
 		w.stats.JoinsInlinedPrivate++
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinStart()
-		}
 		return t, true
 	}
 	if w.chs != nil {
@@ -336,9 +323,6 @@ func (w *Worker) joinAcquire() (*Task, bool) {
 		w.top--
 		w.stats.JoinsInlinedPublic++
 		w.noteInlinedPublic()
-		if w.spanProf != nil {
-			w.spanProf.onInlineJoinStart()
-		}
 		return t, true
 	}
 	// Slow path: leave top unchanged until the join resolves. The
@@ -362,7 +346,7 @@ func (w *Worker) noteInlinedPublic() {
 		return
 	}
 	w.inlineRun++
-	if w.inlineRun >= w.pool.opts.PrivatizeRun {
+	if w.inlineRun >= privatizeRun {
 		w.inlineRun = 0
 		newPL := int64(w.top + w.pool.opts.InitialPublic)
 		if newPL < w.pubShadow {
@@ -472,15 +456,9 @@ func (w *Worker) joinSlow(t *Task, s uint64) {
 			// bot below the live region. Only the stolen paths below
 			// (where the thief did advance bot) restore it.
 			w.stats.JoinsInlinedPublic++
-			if w.spanProf != nil {
-				w.spanProf.onInlineJoinStart()
-			}
 			w.blockedSince.Store(0) // executing the claimed task, not waiting
 			fn := t.fn
 			fn(w, t)
-			if w.spanProf != nil {
-				w.spanProf.onInlineJoinEnd()
-			}
 			return
 		}
 		// Another thief snatched it between our load and swap; loop.
@@ -507,28 +485,8 @@ func (w *Worker) joinSlow(t *Task, s uint64) {
 //
 // woolvet:thief
 func (w *Worker) leapfrog(t *Task, thief int) {
-	if w.pool.opts.BlockedJoinWait == WaitSpin {
-		// Ablation: just wait (see Options.BlockedJoinWait).
-		var start time.Time
-		if w.prof.on {
-			start = time.Now()
-		}
-		spins := 0
-		for t.state.Load() != stateDone {
-			runtime.Gosched()
-			spins++
-			if spins&0x3f == 0 {
-				w.pool.watchdogPoll()
-			}
-		}
-		if w.prof.on {
-			w.prof.lf.Add(int64(time.Since(start)))
-		}
-		return
-	}
 	victim := w.pool.workers[thief]
 	var sc stealCounters
-	var tLF, tLA time.Duration
 	fails := 0
 	for t.state.Load() != stateDone {
 		if w.chs != nil && w.chs.Point(chaos.PointLeapfrogPick) {
@@ -542,20 +500,7 @@ func (w *Worker) leapfrog(t *Task, thief int) {
 			}
 			continue
 		}
-		var start time.Time
-		if w.prof.on {
-			start = time.Now()
-		}
-		ok := w.trySteal(victim, true, &sc)
-		if w.prof.on {
-			d := time.Since(start)
-			if ok {
-				tLA += d
-			} else {
-				tLF += d
-			}
-		}
-		if ok {
+		if w.trySteal(victim, true, &sc) {
 			w.stats.LeapSteals++
 			w.flushStealCounters(&sc)
 			fails = 0
@@ -577,16 +522,12 @@ func (w *Worker) leapfrog(t *Task, thief int) {
 		}
 	}
 	w.flushStealCounters(&sc)
-	if w.prof.on {
-		w.prof.lf.Add(int64(tLF))
-		w.prof.la.Add(int64(tLA))
-	}
 }
 
 // trySteal is RTS_steal from the paper. It attempts to steal the task
 // at victim.bot and run it to completion on w. leap marks steals made
-// from inside a blocked join (leapfrogging) so profiling can attribute
-// the acquired application time to the LA category. sc batches the
+// from inside a blocked join (leapfrogging) so the tracer records them
+// as LEAPFROG rather than STEAL events. sc batches the
 // failure-path counters; the caller flushes them (flushStealCounters).
 //
 // Protocol, in order:
@@ -665,7 +606,7 @@ func (w *Worker) trySteal(victim *Worker, leap bool, sc *stealCounters) bool {
 		w.trc.Record(k, int64(victim.idx), b)
 		w.trc.Record(trace.KindTaskStart, int64(victim.idx), b)
 	}
-	w.runStolen(t, leap)
+	w.runStolen(t)
 	if w.trc != nil {
 		w.trc.Record(trace.KindTaskEnd, int64(victim.idx), b)
 	}
@@ -678,7 +619,7 @@ func (w *Worker) trySteal(victim *Worker, leap bool, sc *stealCounters) bool {
 // runStolen executes a stolen task's wrapper on this worker, converting
 // a panic in user code into a pool-wide abort so the joining owner is
 // not left spinning on a task that will never reach DONE.
-func (w *Worker) runStolen(t *Task, leap bool) {
+func (w *Worker) runStolen(t *Task) {
 	// Watchdog bookkeeping: while the stolen task runs this worker is
 	// executing, not waiting — clear a leapfrogging caller's blocked
 	// stamp for the duration (a long-running stolen leaf must read as
@@ -709,20 +650,8 @@ func (w *Worker) runStolen(t *Task, leap bool) {
 	if !w.pool.life.Healthy() {
 		return
 	}
-	var start time.Time
-	if w.prof.on {
-		start = time.Now()
-	}
 	fn := t.fn
 	fn(w, t)
-	if w.prof.on {
-		d := time.Since(start)
-		if leap {
-			w.prof.la.Add(int64(d))
-		} else {
-			w.prof.na.Add(int64(d))
-		}
-	}
 }
 
 // stealableAt reports whether v's bottom descriptor currently looks
@@ -739,20 +668,14 @@ func (w *Worker) chooseVictim() *Worker {
 	return w.pool.workers[w.pol.Choose(w.probe)]
 }
 
-// stSamplePeriod: when profiling, idleLoop measures only every 64th
-// failed steal attempt and scales the sample by the period, so ST is a
-// sampled estimate and Profile no longer doubles the idle-loop cost
-// with two clock reads per attempt.
-const stSamplePeriod = 64
-
 // idleLoop is the life of workers 1..N-1: steal from random victims
 // until the pool shuts down. Failed attempts climb the shared back-off
 // ladder (wskit.Backoff: spin, yield, naps capped at
 // Options.MaxIdleSleep); once a worker has napped through the engine's
 // idle budget it parks on the pool's idle engine and costs nothing
-// until a producer wakes it (Options.Parking). A negative MaxIdleSleep
-// keeps pure spinning+yield, matching the paper's dedicated-machine
-// setup.
+// until a producer wakes it. A negative MaxIdleSleep keeps pure
+// spinning+yield and no idle engine, matching the paper's
+// dedicated-machine setup.
 //
 // When the pool is poisoned (task panic or request abort) the loop
 // stops stealing — the abandoned tree's descriptors must not keep
@@ -779,20 +702,7 @@ func (w *Worker) idleLoop() {
 			continue
 		}
 		v := w.chooseVictim()
-		var start time.Time
-		sampled := false
-		if w.prof.on {
-			w.prof.tick++
-			if w.prof.tick%stSamplePeriod == 0 {
-				sampled = true
-				start = time.Now()
-			}
-		}
-		ok := w.trySteal(v, false, &sc)
-		if sampled && !ok {
-			w.prof.st.Add(stSamplePeriod * int64(time.Since(start)))
-		}
-		if ok {
+		if w.trySteal(v, false, &sc) {
 			if w.pol.Observe(v.idx, true) {
 				w.retainedSteals.Add(1)
 			}

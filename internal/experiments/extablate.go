@@ -25,8 +25,10 @@ func init() {
 //     (InitialPublic × PublishAmount) on a fine-grained stress run —
 //     the tension between join overhead (more private = cheaper) and
 //     steal latency (more public = thieves fed sooner);
-//  2. the blocked-join wait policy (leapfrog vs unrestricted vs spin)
-//     across the scheduler kinds that support each.
+//  2. the blocked-join wait policy on the simulator: the direct
+//     stack's leapfrogging against the deque kind's unrestricted
+//     helping. The spin policy's ablation is the native
+//     BenchmarkAblationWaitPolicy (chaselev).
 func runXAblate(sc Scale, w io.Writer) error {
 	reps := int64(64)
 	fibN := int64(21)

@@ -55,7 +55,7 @@ func runFig6(sc Scale, w io.Writer) error {
 			t.Row(p, float64(st.NA)/norm, float64(st.LA)/norm,
 				float64(st.ST)/norm, float64(st.LF)/norm, total)
 		}
-		t.Note("TR (startup/shutdown) is zero in the simulator; measure it natively with core.Options.Profile")
+		t.Note("TR (startup/shutdown) is zero in the simulator and omitted")
 		t.Render(w)
 	}
 	return nil

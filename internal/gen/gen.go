@@ -10,7 +10,7 @@
 //     piece inlinable, so the call flattens to plain stores), falling
 //     back to the generic TaskDef* slow path when the trip wire is
 //     pending, the slot is public, the stack is full, or a per-event
-//     hook (tracing, span profiling) could fire;
+//     hook (tracing) could fire;
 //   - Join<Name>: the private fast path (core.JoinPrepPrivate + a
 //     direct, statically-known call into the user body), falling back
 //     to core.JoinAcquire with the same direct call on the generic
@@ -201,7 +201,7 @@ func genSig(p func(string, ...any), s Sig) {
 	if s.Ctx == "" {
 		p("func %s(w *core.Worker, t *core.Task) { t.SetRes(%s(w, %s)) }\n\n", wrap, body, s.taskArgs())
 		p("// %s carries %s's generic slow path: publication, overflow\n", def, name)
-		p("// degradation, tracing and span profiling stay on the TaskDef path.\n")
+		p("// degradation and tracing stay on the TaskDef path.\n")
 		p("// Assigned in init — a declaration initializer would be rejected as an\n")
 		p("// initialization cycle through the recursive body.\n")
 		p("var %s *core.TaskDef%d\n\n", def, s.Args)
@@ -210,7 +210,7 @@ func genSig(p func(string, ...any), s Sig) {
 		p("func %s(w *core.Worker, t *core.Task) { t.SetRes(%s(w, t.Ctx().(%s), %s)) }\n\n",
 			wrap, body, s.Ctx, s.taskArgs())
 		p("// %s carries %s's generic slow path: publication, overflow\n", def, name)
-		p("// degradation, tracing and span profiling stay on the TaskDef path.\n")
+		p("// degradation and tracing stay on the TaskDef path.\n")
 		p("// Assigned in init — a declaration initializer would be rejected as an\n")
 		p("// initialization cycle through the recursive body.\n")
 		p("var %s *core.TaskDefC%d[%s]\n\n", def, s.Args, ctxElem)
@@ -247,7 +247,7 @@ func genSig(p func(string, ...any), s Sig) {
 	}
 	p("\tif t := w.JoinPrepPrivate(); t != nil {\n\t\treturn %s\n\t}\n", joinCall)
 	p("\tt, inline := w.JoinAcquire()\n")
-	p("\tif inline {\n\t\tr := %s\n\t\tw.InlineJoinEnd()\n\t\treturn r\n\t}\n", joinCall)
+	p("\tif inline {\n\t\treturn %s\n\t}\n", joinCall)
 	p("\treturn t.Res()\n}\n")
 
 	// Call.

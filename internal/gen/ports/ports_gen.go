@@ -1,6 +1,6 @@
 // Code generated by woolgen. DO NOT EDIT.
 //
-//woolvet:generated sha256:89f908feaadd995a3b1ee1f524c6d16ba36934d8763eadd924fa8048c63bb723
+//woolvet:generated sha256:c44897c930ce2f281098ca340101af5b1069883394c1f2f376e5888dd6119c4d
 
 package ports
 
@@ -14,7 +14,7 @@ import (
 func noopWrap(w *core.Worker, t *core.Task) { t.SetRes(noopBody(w, t.Arg0())) }
 
 // noopDef carries Noop's generic slow path: publication, overflow
-// degradation, tracing and span profiling stay on the TaskDef path.
+// degradation and tracing stay on the TaskDef path.
 // Assigned in init — a declaration initializer would be rejected as an
 // initialization cycle through the recursive body.
 var noopDef *core.TaskDef1
@@ -46,9 +46,7 @@ func JoinNoop(w *core.Worker) int64 {
 	}
 	t, inline := w.JoinAcquire()
 	if inline {
-		r := noopBody(w, t.Arg0())
-		w.InlineJoinEnd()
-		return r
+		return noopBody(w, t.Arg0())
 	}
 	return t.Res()
 }
@@ -100,7 +98,7 @@ func JoinNoopN(w *core.Worker, n int) int64 {
 func recWrap(w *core.Worker, t *core.Task) { t.SetRes(recBody(w, t.Ctx().(*RecCtx), t.Arg0())) }
 
 // recDef carries Rec's generic slow path: publication, overflow
-// degradation, tracing and span profiling stay on the TaskDef path.
+// degradation and tracing stay on the TaskDef path.
 // Assigned in init — a declaration initializer would be rejected as an
 // initialization cycle through the recursive body.
 var recDef *core.TaskDefC1[RecCtx]
@@ -132,9 +130,7 @@ func JoinRec(w *core.Worker) int64 {
 	}
 	t, inline := w.JoinAcquire()
 	if inline {
-		r := recBody(w, t.Ctx().(*RecCtx), t.Arg0())
-		w.InlineJoinEnd()
-		return r
+		return recBody(w, t.Ctx().(*RecCtx), t.Arg0())
 	}
 	return t.Res()
 }
@@ -152,7 +148,7 @@ func rangeWrap(w *core.Worker, t *core.Task) {
 }
 
 // rangeDef carries Range's generic slow path: publication, overflow
-// degradation, tracing and span profiling stay on the TaskDef path.
+// degradation and tracing stay on the TaskDef path.
 // Assigned in init — a declaration initializer would be rejected as an
 // initialization cycle through the recursive body.
 var rangeDef *core.TaskDefC2[RangeCtx]
@@ -184,9 +180,7 @@ func JoinRange(w *core.Worker) int64 {
 	}
 	t, inline := w.JoinAcquire()
 	if inline {
-		r := rangeBody(w, t.Ctx().(*RangeCtx), t.Arg0(), t.Arg1())
-		w.InlineJoinEnd()
-		return r
+		return rangeBody(w, t.Ctx().(*RangeCtx), t.Arg0(), t.Arg1())
 	}
 	return t.Res()
 }

@@ -1,6 +1,6 @@
 // Code generated by woolgen. DO NOT EDIT.
 //
-//woolvet:generated sha256:96a334438d8e1be355d90988bc421e90859e0e1d83ffd34ed15a6e6474b91261
+//woolvet:generated sha256:c8b559fa93d7ac556ebe0f5a239bff35cecbbf5176549b03008ac5eba1f9b2fa
 
 package fibw
 
@@ -14,7 +14,7 @@ import (
 func fibWrap(w *core.Worker, t *core.Task) { t.SetRes(fibBody(w, t.Arg0())) }
 
 // fibDef carries Fib's generic slow path: publication, overflow
-// degradation, tracing and span profiling stay on the TaskDef path.
+// degradation and tracing stay on the TaskDef path.
 // Assigned in init — a declaration initializer would be rejected as an
 // initialization cycle through the recursive body.
 var fibDef *core.TaskDef1
@@ -46,9 +46,7 @@ func JoinFib(w *core.Worker) int64 {
 	}
 	t, inline := w.JoinAcquire()
 	if inline {
-		r := fibBody(w, t.Arg0())
-		w.InlineJoinEnd()
-		return r
+		return fibBody(w, t.Arg0())
 	}
 	return t.Res()
 }

@@ -1,6 +1,6 @@
 // Code generated by woolgen. DO NOT EDIT.
 //
-//woolvet:generated sha256:571dac766bf66094182f6ea25871262ca3d2fd5af4eeb20020e93d6231758280
+//woolvet:generated sha256:70bd4f069efd8defb111c2c7a19441d47683dbc1d4d4a0c48bf175d32667b0fa
 
 package mm
 
@@ -16,7 +16,7 @@ func rowsWrap(w *core.Worker, t *core.Task) {
 }
 
 // rowsDef carries Rows's generic slow path: publication, overflow
-// degradation, tracing and span profiling stay on the TaskDef path.
+// degradation and tracing stay on the TaskDef path.
 // Assigned in init — a declaration initializer would be rejected as an
 // initialization cycle through the recursive body.
 var rowsDef *core.TaskDefC2[Matrices]
@@ -48,9 +48,7 @@ func JoinRows(w *core.Worker) int64 {
 	}
 	t, inline := w.JoinAcquire()
 	if inline {
-		r := rowsBody(w, t.Ctx().(*Matrices), t.Arg0(), t.Arg1())
-		w.InlineJoinEnd()
-		return r
+		return rowsBody(w, t.Ctx().(*Matrices), t.Arg0(), t.Arg1())
 	}
 	return t.Res()
 }

@@ -1,6 +1,6 @@
 // Code generated by woolgen. DO NOT EDIT.
 //
-//woolvet:generated sha256:e0aa09ce3e4c78dfbafc638a76617c1c6c15ff50b9f547a3d193d693237d536d
+//woolvet:generated sha256:1fe3c80e6d17ed62a341196ebc6891c19c4d3139d360917b1567aabc57043714
 
 package ssf
 
@@ -16,7 +16,7 @@ func scanWrap(w *core.Worker, t *core.Task) {
 }
 
 // scanDef carries Scan's generic slow path: publication, overflow
-// degradation, tracing and span profiling stay on the TaskDef path.
+// degradation and tracing stay on the TaskDef path.
 // Assigned in init — a declaration initializer would be rejected as an
 // initialization cycle through the recursive body.
 var scanDef *core.TaskDefC2[Work]
@@ -48,9 +48,7 @@ func JoinScan(w *core.Worker) int64 {
 	}
 	t, inline := w.JoinAcquire()
 	if inline {
-		r := scanBody(w, t.Ctx().(*Work), t.Arg0(), t.Arg1())
-		w.InlineJoinEnd()
-		return r
+		return scanBody(w, t.Ctx().(*Work), t.Arg0(), t.Arg1())
 	}
 	return t.Res()
 }
