@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench fmt layout ci
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench watch-bench fmt layout ci
 
 all: build test lint
 
@@ -176,6 +176,14 @@ wake-bench:
 clock-bench:
 	$(GO) test -run '^$$' -bench RequestClock -benchtime 200000x ./internal/serve
 
+# The price of the deadline watch (DESIGN.md §16.2): ns per poll of an
+# armed owner — the clock read against the deadline, the non-blocking
+# Done receive and the period's update — and polls per fib(16) under a
+# far deadline, what a healthy served fib(16) pays instead of arming a
+# timer.
+watch-bench:
+	$(GO) test -run '^$$' -bench WatchPoll -benchtime 100000x ./internal/core
+
 # Where the linker put the serial reference overhead_ratio divides by
 # (main.serialRec) and the generated pairs fib-tree and a served fib(16)
 # run: each symbol's address in the benchmark binary, and that address
@@ -192,4 +200,4 @@ layout:
 
 # The ci job of .github/workflows/ci.yml, step for step (its lint and
 # chaos jobs are `make lint` and `make chaos serve-soak fuzz-smoke`).
-ci: fmt build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench clock-bench
+ci: fmt build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench clock-bench watch-bench

@@ -40,10 +40,11 @@ import (
 
 // Abort poisons the pool with a *poolerr.AbortError so the in-flight
 // Run (if any) unwinds and re-raises it. It is safe to call from any
-// goroutine, concurrently with Run; the serving layer calls it from a
-// context-cancellation callback. It returns true when this call did
-// the poisoning, false when the pool was already poisoned (by a task
-// panic or an earlier Abort — first cause wins) or already closed.
+// goroutine, concurrently with Run; for a served request the owner calls
+// it itself, when the context armed with Watch has ended (watch.go). It
+// returns true when this call did the poisoning, false when the pool was
+// already poisoned (by a task panic or an earlier Abort — first cause
+// wins) or already closed.
 //
 // Abort does not wait for the Run to unwind: the abort is observed at
 // each worker's next spawn, or within 32 joins where it only joins

@@ -12,19 +12,22 @@ package core
 // analogue of the paper's per-task-type generated spawn/join code
 // whose fast path is fully visible to the optimizer (Section III-A).
 //
-// Every prep function is gated on Worker.genFast and returns nil to
-// route the operation to the generic slow path (the TaskDef* methods),
-// which carries the full semantics: trip-wire publication, overflow
-// degradation, public-region publication, tracing. The fast path
-// therefore never needs a hook: when any hook could fire, genFast is
-// false and the fast path declines.
+// Every prep function returns nil to route the operation to the generic
+// slow path (the TaskDef* methods), which carries the full semantics:
+// trip-wire publication, overflow degradation, public-region
+// publication, tracing, the deadline watch's poll. The fast path
+// therefore never needs a hook: when any hook could fire, its gate
+// declines. The join's gate is Worker.genFast; the spawns' is one
+// compare of Stats.Spawns against Worker.fastUntil, which is 0 when
+// tracing is on (genFast false) and otherwise the spawn at which an
+// armed watch next polls (Pool.Watch), MaxInt64 when nothing is armed.
 
 // SpawnPrepPrivate returns the descriptor for a monomorphic private
 // fast-path spawn, or nil when this spawn must take the generic slow
 // path: the trip wire is pending, the stack is full, the slot is in
-// the public region, or tracing is active (genFast). The
-// caller fills the descriptor (Task.Set1 and friends) and commits with
-// SpawnCommitPrivate. Owner only.
+// the public region, tracing is active, or the watch polls at this
+// spawn (fastUntil). The caller fills the descriptor (Task.Set1 and
+// friends) and commits with SpawnCommitPrivate. Owner only.
 //
 // The returned descriptor is unclaimed and owner-writable: an acquire
 // of state in the publication pass's model, so generated code may
@@ -33,7 +36,7 @@ package core
 // woolvet:inline
 // woolvet:acquire state
 func (w *Worker) SpawnPrepPrivate() *Task {
-	if !w.genFast || w.morePublic.Load() || w.top >= len(w.tasks) || int64(w.top) < w.pubShadow {
+	if w.stats.Spawns >= w.fastUntil || w.morePublic.Load() || w.top >= len(w.tasks) || int64(w.top) < w.pubShadow {
 		return nil
 	}
 	return &w.tasks[w.top]
@@ -96,14 +99,15 @@ func (w *Worker) JoinAcquire() (*Task, bool) { return w.joinAcquire() }
 // BatchPrepPrivate returns a window of up to n free private
 // descriptors for a batch spawn (SpawnN), or nil when batching must
 // fall back to one-at-a-time spawns: the trip wire is pending, the
-// next slot is public or the stack is full, or tracing is active. The
-// caller fills descriptors [0, k) of the window (Task.Set1 and
-// friends) and commits them with BatchCommitPrivate(k). Owner only.
+// next slot is public or the stack is full, tracing is active, or the
+// watch is due a poll (fastUntil). The caller fills descriptors [0, k)
+// of the window (Task.Set1 and friends) and commits them with
+// BatchCommitPrivate(k). Owner only.
 //
 // woolvet:inline
 // woolvet:acquire state
 func (w *Worker) BatchPrepPrivate(n int) []Task {
-	if !w.genFast || w.morePublic.Load() || int64(w.top) < w.pubShadow {
+	if w.stats.Spawns >= w.fastUntil || w.morePublic.Load() || int64(w.top) < w.pubShadow {
 		return nil
 	}
 	free := len(w.tasks) - w.top

@@ -237,6 +237,7 @@ func NewPool(opts Options) *Pool {
 		}
 		w.probe = func(v int) bool { return stealableAt(p.workers[v]) }
 		w.genFast = opts.Trace == nil
+		w.arm(nil)
 		if opts.Trace != nil {
 			w.trc = opts.Trace.Ring(i)
 		}

@@ -110,6 +110,20 @@ type Worker struct {
 	// the generic TaskDef* slow paths. Set once in NewPool.
 	// woolvet:owner
 	genFast bool
+	// fastUntil is the generated spawn's gate: the private fast path
+	// declines once stats.Spawns reaches it. MaxInt64 on an unarmed
+	// untraced pool, 0 on a traced one, pollAt on an armed one (arm,
+	// watch.go).
+	// woolvet:owner
+	fastUntil int64
+
+	// pollAt is the Spawns count at which push next polls the watched
+	// context, MaxInt64 while unarmed; wt is the watch itself
+	// (Pool.Watch, watch.go). Only worker 0 is ever armed.
+	// woolvet:owner
+	pollAt int64
+	// woolvet:owner
+	wt watch
 
 	// stats holds the owner-path counters (spawns, joins, ...): plain
 	// fields written only by the goroutine driving this worker, and
@@ -230,12 +244,16 @@ func (w *Worker) flushStealCounters(c *stealCounters) {
 	}
 }
 
-// push readies the next descriptor for a spawn, handling the trip-wire
-// flag and pool overflow. It returns the descriptor; the caller fills
-// in arguments and publishes. On overflow it returns nil (the caller
-// degrades the spawn to inline execution, see noteOverflowInlined), or
-// panics under Options.StrictOverflow.
+// push readies the next descriptor for a spawn, handling an armed
+// watch's poll (an ended context trips the wire through Abort), the
+// trip-wire flag and pool overflow. It returns the descriptor; the
+// caller fills in arguments and publishes. On overflow it returns nil
+// (the caller degrades the spawn to inline execution, see
+// noteOverflowInlined), or panics under Options.StrictOverflow.
 func (w *Worker) push() *Task {
+	if w.stats.Spawns >= w.pollAt {
+		w.poll()
+	}
 	if w.morePublic.Load() {
 		w.publishMore()
 	}
@@ -442,6 +460,7 @@ func (w *Worker) joinSlow(t *Task, s uint64) {
 			spins++
 			if spins&0x3f == 0 {
 				w.pool.watchdogPoll()
+				w.pollBlocked()
 			}
 		}
 		if s != stateTask {
@@ -496,6 +515,7 @@ func (w *Worker) leapfrog(t *Task, thief int) {
 			if fails&0x3f == 0 {
 				w.flushStealCounters(&sc)
 				w.pool.watchdogPoll()
+				w.pollBlocked()
 				runtime.Gosched()
 			}
 			continue
@@ -515,6 +535,7 @@ func (w *Worker) leapfrog(t *Task, thief int) {
 			if fails&0x3f == 0 {
 				w.flushStealCounters(&sc)
 				w.pool.watchdogPoll()
+				w.pollBlocked()
 				runtime.Gosched()
 			} else if runtime.GOMAXPROCS(0) == 1 {
 				runtime.Gosched()

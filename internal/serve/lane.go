@@ -241,15 +241,23 @@ func (l *lane) release() {
 // and restoring the pool to health afterwards. It runs on whichever
 // goroutine owns the lane: the lane's own, or a Wait caller's.
 //
+// A context that can end is watched by the pool's owner, the goroutine
+// running the request (core.Pool.Watch): every few spawns it reads the
+// clock against the deadline and polls Done, and once the context has
+// ended it aborts its own pool, so the run unwinds with the
+// *poolerr.AbortError. No other goroutine takes part, so a deadline is
+// kept whether or not a P is spare, and the abort cannot land on a later
+// request: only this run polls this context. A cancellation is seen at
+// the owner's next poll, and a request with no spawn left after its
+// deadline completes normally.
+//
 // An attempt reads the clock twice, both times since epoch: start before
 // the run and end right after it. finishAttempt hands end to everything
 // that needs the attempt's finishing time — the estimator (end − start),
 // the breaker's window and trip, and the ticket's latency — instead of
 // each reading the clock itself (DESIGN.md §16.1, *Ledger, one stamp*).
-// end is read again only where work follows the run: waiting out an
-// abort callback, and Resetting a poisoned pool. Latency covers both, as
-// does the estimator's sample of a request that completed while its
-// abort landed.
+// end is read again only after Resetting a poisoned pool, so Latency
+// covers the Reset.
 func (l *lane) serveOne(t *Ticket) {
 	if err := t.ctx.Err(); err != nil {
 		// Cancelled before it started: fail at dispatch without running.
@@ -258,32 +266,16 @@ func (l *lane) serveOne(t *Ticket) {
 		return
 	}
 
-	// Arm the mid-flight cancellation: the context's cancellation
-	// callback aborts this lane's pool, and the run unwinds with the
-	// *poolerr.AbortError. The fired channel closes only after the
-	// callback's Abort returned, so the stop/wait below guarantees the
-	// abort cannot land on a LATER request of this lane: either we
-	// stop the callback before it ran, or we wait out its poisoning
-	// and Reset it away before the next request starts.
 	p := l.pool.Load()
-	var stop func() bool
-	var fired chan struct{}
-	if t.ctx.Done() != nil {
-		ctx, ch := t.ctx, make(chan struct{})
-		fired = ch
-		stop = context.AfterFunc(ctx, func() {
-			defer close(ch)
-			p.Abort(ctx.Err())
-		})
+	watched := t.ctx.Done() != nil
+	if watched {
+		p.Watch(t.ctx)
 	}
-
 	start := time.Since(epoch)
 	val, err := runJob(p, t.job)
 	end := time.Since(epoch)
-
-	if stop != nil && !stop() {
-		<-fired
-		end = time.Since(epoch)
+	if watched {
+		p.Watch(nil)
 	}
 
 	// Restore pool health before touching the next request: Reset is
@@ -291,9 +283,9 @@ func (l *lane) serveOne(t *Ticket) {
 	// takes over only when it fails.
 	if cause, poisoned := p.Poisoned(); poisoned {
 		if ae, ok := cause.(*poolerr.AbortError); ok && err != nil {
-			// The abort landed before Run's first descriptor (the
-			// poisoned-pool entry panic) or mid-flight; either way the
-			// request's classifying error is the abort reason.
+			// The run unwound with the abort, or with a task panic raised
+			// after it; either way the request's classifying error is the
+			// abort reason.
 			err = ae.Reason
 			if err == nil {
 				err = ae

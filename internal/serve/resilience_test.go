@@ -391,17 +391,15 @@ func TestServeChaosResetFailQuarantine(t *testing.T) {
 			}
 			defer s.Close()
 
-			var gate, started atomic.Bool
+			var started atomic.Bool
 			ctx, cancel := context.WithCancel(context.Background())
-			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
+			victim, err := s.Submit(ctx, "", cancelJob(ctx, &started, 64))
 			if err != nil {
 				t.Fatal(err)
 			}
 			res := m.waitAsync(victim)
 			waitTrue(t, &started, "victim dispatch")
 			cancel()
-			waitLanePoisoned(t, s)
-			gate.Store(true)
 			if r := <-res; !errors.Is(r.err, context.Canceled) {
 				t.Fatalf("victim err = %v, want context.Canceled", r.err)
 			}
@@ -439,7 +437,7 @@ func TestServeSubmitStormChaos(t *testing.T) {
 // TestServeResetErrorReplacement pins the real (non-chaos)
 // Reset-returns-error branch: a Reset that reports an error must
 // quarantine and replace the pool, not leave the poison in place. The
-// error is core's own: the test closes the lane's pool under the
+// error is core's own: the job closes the lane's pool under the
 // aborted request, so the Reset that follows it is refused.
 func TestServeResetErrorReplacement(t *testing.T) {
 	bothTakers(t, func(t *testing.T, m waitMode) {
@@ -454,18 +452,29 @@ func TestServeResetErrorReplacement(t *testing.T) {
 		}
 		defer s.Close()
 
-		var gate, started atomic.Bool
+		var started atomic.Bool
 		ctx, cancel := context.WithCancel(context.Background())
-		victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
+		j := cancelRec(ctx, &started, 64)
+		leaf := j.Leaf
+		j.Leaf = func(n int64) (int64, bool) {
+			v, ok := leaf(n)
+			if n < 0 {
+				// A closed pool refuses Abort, so the leaf aborts first,
+				// for the reason the next spawn's poll would give, then
+				// closes: "core: Reset on closed Pool".
+				p := s.lanes[0].pool.Load()
+				p.Abort(ctx.Err())
+				p.Close()
+			}
+			return v, ok
+		}
+		victim, err := s.Submit(ctx, "", Rec(j))
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := m.waitAsync(victim)
 		waitTrue(t, &started, "victim dispatch")
 		cancel()
-		waitLanePoisoned(t, s)
-		s.lanes[0].pool.Load().Close() // "core: Reset on closed Pool"
-		gate.Store(true)
 		if r := <-res; !errors.Is(r.err, context.Canceled) {
 			t.Fatalf("victim err = %v, want context.Canceled", r.err)
 		}

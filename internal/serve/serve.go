@@ -55,10 +55,13 @@
 //     stall the runtime.
 //
 //   - Per-request cancellation. A request's context cancels or times
-//     out mid-flight: the lane's pool is aborted (core.Pool.Abort, the
-//     request-scoped poison of DESIGN.md §16), the request unwinds with
-//     the context's error, and the pool is Reset back into service for
-//     the next request.
+//     out mid-flight: the goroutine running the request notices at its
+//     next poll of the context, every few spawns (core.Pool.Watch), and
+//     aborts the lane's pool (core.Pool.Abort, the request-scoped poison
+//     of DESIGN.md §16); the request unwinds with the context's error,
+//     and the pool is Reset back into service for the next request. No
+//     other goroutine takes part, so a deadline is kept with every P
+//     busy. A request with no spawn left after its deadline completes.
 //
 //   - Self-healing (DESIGN.md §17, internal/resilience). The per-
 //     request mechanisms above handle one bad request; the resilience

@@ -53,6 +53,32 @@ func gateRec(g, started *atomic.Bool, depth int64) sched.RecJob {
 	}
 }
 
+// cancelJob is the mid-flight cancellation probe: gateJob's recursion,
+// whose first leaf waits for ctx to end instead of for a gate and then
+// returns. The spawn that follows is the owner's next poll of the ended
+// context, and the run unwinds from there; nothing can abort it while
+// the owner sits in the leaf.
+func cancelJob(ctx context.Context, started *atomic.Bool, depth int64) Job {
+	return Rec(cancelRec(ctx, started, depth))
+}
+
+// cancelRec is cancelJob's recursion, for tests that wrap it further.
+func cancelRec(ctx context.Context, started *atomic.Bool, depth int64) sched.RecJob {
+	j := gateRec(nil, nil, depth)
+	leaf := j.Leaf
+	j.Leaf = func(n int64) (int64, bool) {
+		if n >= 0 {
+			return leaf(n)
+		}
+		if started != nil {
+			started.Store(true)
+		}
+		<-ctx.Done()
+		return 1, true
+	}
+	return j
+}
+
 // waitTrue polls an atomic flag (a gate job's started signal).
 func waitTrue(t *testing.T, f *atomic.Bool, what string) {
 	t.Helper()
@@ -63,23 +89,6 @@ func waitTrue(t *testing.T, f *atomic.Bool, what string) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-}
-
-// waitLanePoisoned polls Server.Health until one lane pool reports
-// poisoned — the observable moment a context cancellation's abort has
-// landed.
-func waitLanePoisoned(t *testing.T, s *Server) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, lh := range s.Health().Lanes {
-			if lh.Poisoned {
-				return
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("no lane pool became poisoned after cancellation")
 }
 
 // TestServeBasic submits a burst of concurrent fib requests through
@@ -468,16 +477,16 @@ func TestServeCancelMidFlight(t *testing.T) {
 			}
 			defer s.Close()
 
-			var gate, started atomic.Bool
+			var started atomic.Bool
 			ctx, cancel := context.WithCancel(context.Background())
-			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
+			victim, err := s.Submit(ctx, "", cancelJob(ctx, &started, 256))
 			if err != nil {
 				t.Fatal(err)
 			}
 			res := m.waitAsync(victim)
 			waitTrue(t, &started, "victim dispatch")
 			// Siblings on the other lanes keep completing while the
-			// victim spins.
+			// victim waits in its leaf.
 			want := fibw.Serial(15)
 			var sibs []*Ticket
 			for i := 0; i < 6; i++ {
@@ -494,9 +503,6 @@ func TestServeCancelMidFlight(t *testing.T) {
 			}
 
 			cancel()
-			waitLanePoisoned(t, s)
-			gate.Store(true)
-
 			if r := <-res; !errors.Is(r.err, context.Canceled) {
 				t.Fatalf("cancelled request: v=%d err=%v, want context.Canceled", r.v, r.err)
 			}
@@ -535,17 +541,15 @@ func TestServeCancelRevivesSingleLane(t *testing.T) {
 		defer s.Close()
 
 		for round := 0; round < 3; round++ {
-			var gate, started atomic.Bool
+			var started atomic.Bool
 			ctx, cancel := context.WithCancel(context.Background())
-			victim, err := s.Submit(ctx, "", gateJob(&gate, &started, 256))
+			victim, err := s.Submit(ctx, "", cancelJob(ctx, &started, 256))
 			if err != nil {
 				t.Fatal(err)
 			}
 			res := m.waitAsync(victim)
 			waitTrue(t, &started, "victim dispatch")
 			cancel()
-			waitLanePoisoned(t, s)
-			gate.Store(true)
 			if r := <-res; !errors.Is(r.err, context.Canceled) {
 				t.Fatalf("round %d: err = %v, want context.Canceled", round, r.err)
 			}
@@ -570,17 +574,15 @@ func TestServeDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		var gate, started atomic.Bool
+		var started atomic.Bool
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		tk, err := s.Submit(ctx, "", gateJob(&gate, &started, 64))
+		tk, err := s.Submit(ctx, "", cancelJob(ctx, &started, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := m.waitAsync(tk)
 		waitTrue(t, &started, "request dispatch")
-		waitLanePoisoned(t, s)
-		gate.Store(true)
 		if r := <-res; !errors.Is(r.err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want context.DeadlineExceeded", r.err)
 		}

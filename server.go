@@ -23,7 +23,8 @@ import (
 // tasks and a request runs on it through woolgen-generated ports: a
 // one-worker lane has no thief, so a request's spawn/join pairs are
 // plain stores and direct calls, and a cancellation reaches them
-// through the trip wire, at the request's next spawn.
+// through the goroutine running the request: it polls the context every
+// few spawns and, once it has ended, trips the wire at that spawn.
 //
 // The server is self-healing (DESIGN.md §17): each tenant gets a
 // circuit breaker that sheds submissions after a failure storm and
@@ -37,8 +38,10 @@ import (
 //
 // The underlying per-request abort machinery is also public on Pool
 // itself for programs that manage their own pools: Pool.Abort poisons
-// a running pool so its Run unwinds with an *AbortError, Pool.Poisoned
-// observes the poison, and Pool.Reset returns the pool to service.
+// a running pool so its Run unwinds with an *AbortError, Pool.Watch has
+// the next Run's own goroutine poll a context and Abort when it ends,
+// Pool.Poisoned observes the poison, and Pool.Reset returns the pool to
+// service.
 
 type (
 	// Server is the serving runtime: create with NewServer, submit with
@@ -122,8 +125,8 @@ type (
 	PanicError = serve.PanicError
 
 	// AbortError is the panic value an aborted Run unwinds with
-	// (Pool.Abort, or a Server cancelling a request mid-flight); it
-	// unwraps to the abort reason.
+	// (Pool.Abort, or a Server's lane whose owner found the request's
+	// context ended at one of its polls); it unwraps to the abort reason.
 	AbortError = poolerr.AbortError
 
 	// RecJob describes a binary divide-and-conquer job generically:
