@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench watch-bench fmt layout ci
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench watch-bench serve-scale-bench fmt layout ci
 
 all: build test lint
 
@@ -176,6 +176,14 @@ wake-bench:
 clock-bench:
 	$(GO) test -run '^$$' -bench RequestClock -benchtime 200000x ./internal/serve
 
+# Whether a server scales with its clients (DESIGN.md §16.1, *Ledger,
+# two clients*): req/s and CPUs used for closed-loop fib(4) clients —
+# one client on a two-lane server, two on it, and two on two one-lane
+# servers, the ceiling. 20 000 requests per client keep it short; read
+# it with -benchtime 300000x. It skips itself on one CPU.
+serve-scale-bench:
+	$(GO) test -run '^$$' -bench ServeClients -benchtime 20000x ./internal/serve
+
 # The price of the deadline watch (DESIGN.md §16.2): ns per poll of an
 # armed owner — the clock read against the deadline, the non-blocking
 # Done receive and the period's update — and polls per fib(16) under a
@@ -200,4 +208,4 @@ layout:
 
 # The ci job of .github/workflows/ci.yml, step for step (its lint and
 # chaos jobs are `make lint` and `make chaos serve-soak fuzz-smoke`).
-ci: fmt build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench clock-bench watch-bench
+ci: fmt build vet test race-short trace-smoke stealsweep-smoke bench-quick bench-test wake-bench clock-bench watch-bench serve-scale-bench

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -98,7 +99,17 @@ type BreakerHealth struct {
 // Breaker is one tenant's circuit breaker: a sliding-window
 // failure-rate trip in front of the classic closed → open → half-open
 // machine. All methods are safe for concurrent use.
+//
+// Successes on a closed breaker may also be counted lock-free, each
+// writer in a BreakerShard of its own (NewShard): the window is the
+// breaker's ring plus every shard's ring, summed only where a decision
+// or a snapshot needs it (evaluate, Health).
 type Breaker struct {
+	// closedNow is state == BreakerClosed, for the paths that take no
+	// lock: Allow on a closed breaker and BreakerShard.Success. Written
+	// under mu with every change of state.
+	closedNow atomic.Bool
+
 	mu  sync.Mutex
 	cfg BreakerConfig
 	// now is the breaker's clock. Every method reads it but RecordAt,
@@ -108,11 +119,24 @@ type Breaker struct {
 	state    BreakerState
 	openedAt time.Time
 
-	// The window ring: bucket 0..len-1, cur advances every
-	// Window/Buckets as outcomes arrive.
-	buckets  []breakerBucket
-	cur      int
-	curStart time.Time
+	// The window ring: epoch e covers [start + e·bucketLen, start +
+	// (e+1)·bucketLen) and lives in bucket e mod Buckets. cur is
+	// curEpoch's bucket and curStart its start; they advance as outcomes
+	// arrive, always by whole epochs, so the ring's phase stays the one
+	// it had at construction and agrees with the shards' epoch tags.
+	buckets   []breakerBucket
+	start     time.Time
+	bucketLen time.Duration
+	cur       int
+	curStart  time.Time
+	curEpoch  int64
+
+	// shards are the lock-free success counters NewShard handed out.
+	// resetEpoch is the epoch of the last half-open → closed reset:
+	// shard counts from earlier epochs are excluded from the window, and
+	// so is each shard's base, its count in resetEpoch at the reset.
+	shards     []*BreakerShard
+	resetEpoch int64
 
 	// Half-open probe accounting.
 	probesInFlight int
@@ -139,12 +163,94 @@ func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
 		now = time.Now
 	}
 	b := &Breaker{
-		cfg:     cfg,
-		now:     now,
-		buckets: make([]breakerBucket, cfg.Buckets),
+		cfg:       cfg,
+		now:       now,
+		buckets:   make([]breakerBucket, cfg.Buckets),
+		bucketLen: cfg.Window / time.Duration(cfg.Buckets),
 	}
-	b.curStart = now()
+	b.start = now()
+	b.curStart = b.start
+	b.closedNow.Store(true)
 	return b
+}
+
+// BreakerShard counts one writer's successes on a closed breaker without
+// taking its lock: a ring of Buckets words, each tagged with the epoch it
+// counts (epoch<<32 | count), which a write to a later epoch restarts.
+// Each shard must have a single writer — the serving layer gives one to
+// every (lane, tenant) pair — while evaluate and Health read them all.
+type BreakerShard struct {
+	b     *Breaker
+	words []atomic.Uint64
+	// base is the count this shard had in the reset epoch when the
+	// breaker last closed from half-open (Breaker.mu).
+	base uint64
+}
+
+// NewShard registers a shard with b.
+func (b *Breaker) NewShard() *BreakerShard {
+	n := len(b.buckets)
+	// The spare capacity is never used: it keeps another shard's words,
+	// allocated next to these, off their last cache line.
+	sh := &BreakerShard{b: b, words: make([]atomic.Uint64, n, n+8)}
+	b.mu.Lock()
+	b.shards = append(b.shards, sh)
+	b.mu.Unlock()
+	return sh
+}
+
+// Success counts one success at now (a reading of the breaker's clock)
+// when the breaker is closed, and reports whether it did. On false the
+// caller records the outcome with RecordAt, which also drives the
+// half-open and open states.
+func (sh *BreakerShard) Success(now time.Time) bool {
+	b := sh.b
+	if !b.closedNow.Load() {
+		return false
+	}
+	e := b.epochOf(now)
+	w := &sh.words[e%int64(len(sh.words))]
+	tag := uint64(uint32(e)) << 32
+	if old := w.Load(); old&^0xffffffff == tag {
+		w.Store(old + 1)
+	} else {
+		w.Store(tag | 1)
+	}
+	return true
+}
+
+// epochOf is the window epoch that now falls in; a reading before the
+// breaker was built counts in epoch 0.
+func (b *Breaker) epochOf(now time.Time) int64 {
+	d := now.Sub(b.start)
+	if d < 0 {
+		return 0
+	}
+	return int64(d / b.bucketLen)
+}
+
+// shardSuccesses sums the shards' counts inside the window (mu held,
+// ring rolled): an epoch at most Buckets-1 behind curEpoch, or ahead of
+// it (a writer read the clock after the last roll), and not before the
+// last reset.
+func (b *Breaker) shardSuccesses() (n int64) {
+	nb := int64(len(b.buckets))
+	for _, sh := range b.shards {
+		for i := range sh.words {
+			w := sh.words[i].Load()
+			age := int64(int32(uint32(b.curEpoch) - uint32(w>>32)))
+			e := b.curEpoch - age
+			if age >= nb || e < b.resetEpoch {
+				continue
+			}
+			c := w & 0xffffffff
+			if e == b.resetEpoch {
+				c -= min(c, sh.base)
+			}
+			n += int64(c)
+		}
+	}
+	return n
 }
 
 // Allow decides one admission. ok reports whether the request may
@@ -152,6 +258,9 @@ func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
 // request is one of its probes — the caller must report the probe's
 // outcome with ProbeDone (Record for non-probes).
 func (b *Breaker) Allow() (ok, probe bool) {
+	if b.closedNow.Load() {
+		return true, false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -225,6 +334,17 @@ func (b *Breaker) ProbeDone(success bool) {
 		b.state = BreakerClosed
 		b.closed++
 		b.resetWindow()
+		// The shards start over too: their counts up to now stay out of
+		// the window, those in this very epoch through their bases.
+		b.resetEpoch = b.curEpoch
+		nb := uint32(len(b.buckets))
+		for _, sh := range b.shards {
+			sh.base = 0
+			if w := sh.words[uint32(b.curEpoch)%nb].Load(); w>>32 == uint64(uint32(b.curEpoch)) {
+				sh.base = w & 0xffffffff
+			}
+		}
+		b.closedNow.Store(true)
 	}
 }
 
@@ -251,7 +371,7 @@ func (b *Breaker) Health() BreakerHealth {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.roll(b.now())
-	var s, f int64
+	s, f := b.shardSuccesses(), int64(0)
 	for _, bk := range b.buckets {
 		s += bk.success
 		f += bk.failure
@@ -279,7 +399,7 @@ func (b *Breaker) record(success bool, now time.Time) {
 // evaluate trips the breaker at now when the windowed failure rate
 // crosses the threshold with enough samples (mu held, state closed).
 func (b *Breaker) evaluate(now time.Time) {
-	var s, f int64
+	s, f := b.shardSuccesses(), int64(0)
 	for _, bk := range b.buckets {
 		s += bk.success
 		f += bk.failure
@@ -295,6 +415,7 @@ func (b *Breaker) evaluate(now time.Time) {
 
 // trip opens the breaker at now (mu held).
 func (b *Breaker) trip(now time.Time) {
+	b.closedNow.Store(false)
 	b.state = BreakerOpen
 	b.openedAt = now
 	b.opened++
@@ -302,25 +423,25 @@ func (b *Breaker) trip(now time.Time) {
 	b.probeSuccesses = 0
 }
 
-// roll ages the window ring forward to now (mu held); a now before
-// curStart leaves the ring where it is.
+// roll ages the window ring forward to now (mu held), by whole epochs;
+// a now before curStart leaves the ring where it is.
 func (b *Breaker) roll(now time.Time) {
-	bucketLen := b.cfg.Window / time.Duration(len(b.buckets))
 	elapsed := now.Sub(b.curStart)
-	if elapsed < bucketLen {
+	if elapsed < b.bucketLen {
 		return
 	}
-	steps := int(elapsed / bucketLen)
+	steps := int(elapsed / b.bucketLen)
 	if steps >= len(b.buckets) {
 		b.resetWindow()
-		b.curStart = now
-		return
+		b.cur = (b.cur + steps) % len(b.buckets)
+	} else {
+		for i := 0; i < steps; i++ {
+			b.cur = (b.cur + 1) % len(b.buckets)
+			b.buckets[b.cur] = breakerBucket{}
+		}
 	}
-	for i := 0; i < steps; i++ {
-		b.cur = (b.cur + 1) % len(b.buckets)
-		b.buckets[b.cur] = breakerBucket{}
-	}
-	b.curStart = b.curStart.Add(time.Duration(steps) * bucketLen)
+	b.curStart = b.curStart.Add(time.Duration(steps) * b.bucketLen)
+	b.curEpoch += int64(steps)
 }
 
 // resetWindow clears every bucket (mu held).

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gowool/internal/chaos"
@@ -53,6 +54,11 @@ func (c RetryConfig) Defaulted() RetryConfig {
 // jittered exponential backoff, and the retry-budget token bucket.
 // Safe for concurrent use.
 type Retrier struct {
+	// full is tokens == BudgetCap, so that OnSuccess on a full bucket —
+	// every success while nothing retries — takes no lock. Written under
+	// mu.
+	full atomic.Bool
+
 	mu     sync.Mutex
 	cfg    RetryConfig
 	tokens float64
@@ -63,16 +69,23 @@ type Retrier struct {
 // seeded jitter stream; the bucket starts full.
 func NewRetrier(cfg RetryConfig, seed uint64) *Retrier {
 	cfg = cfg.Defaulted()
-	return &Retrier{cfg: cfg, tokens: cfg.BudgetCap, rng: chaos.NewRNG(seed)}
+	r := &Retrier{cfg: cfg, tokens: cfg.BudgetCap, rng: chaos.NewRNG(seed)}
+	r.full.Store(true)
+	return r
 }
 
-// OnSuccess refills the budget by BudgetPerSuccess, capped.
+// OnSuccess refills the budget by BudgetPerSuccess, capped. On a full
+// bucket it is one load.
 func (r *Retrier) OnSuccess() {
+	if r.full.Load() {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tokens += r.cfg.BudgetPerSuccess
-	if r.tokens > r.cfg.BudgetCap {
+	if r.tokens >= r.cfg.BudgetCap {
 		r.tokens = r.cfg.BudgetCap
+		r.full.Store(true)
 	}
 }
 
@@ -90,6 +103,7 @@ func (r *Retrier) Next(attempt int) (backoff time.Duration, ok bool) {
 		return 0, false
 	}
 	r.tokens--
+	r.full.Store(false)
 	ceil := r.cfg.BaseBackoff << uint(attempt-1)
 	if ceil > r.cfg.MaxBackoff || ceil <= 0 {
 		ceil = r.cfg.MaxBackoff

@@ -110,7 +110,7 @@ func deadlineRound(t *testing.T, s *Server) []time.Duration {
 }
 
 // processCPU is the user and system CPU time the process has used.
-func processCPU(t *testing.T) time.Duration {
+func processCPU(t testing.TB) time.Duration {
 	t.Helper()
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

@@ -85,6 +85,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"gowool/internal/chaos"
 	"gowool/internal/core"
@@ -248,55 +249,123 @@ var epoch = time.Now()
 
 // Ticket is a submitted request's handle. One is allocated per request
 // and it is all a joined request allocates, so its size is the
-// request path's garbage: the fields are ordered to pack, and what the
-// tenant or the job already knows (the server, the estimator class) is
-// not repeated here — 120 bytes, inside the 128-byte size class
-// (TestServeRequestAllocs).
+// request path's garbage: a plain ticket is 64 bytes, one cache line
+// and the 64-byte size class (TestServeRequestAllocs). What only some
+// requests need — a context that can end, an error, a done channel, a
+// retry's attempt count, a probe mark — lives in a ticketExt, made
+// lazily, or allocated with the ticket in one object (fullTicket) when
+// the request carries a cancellable context or a probe. At twice the
+// request rate a 128-byte ticket was enough floating garbage, marked
+// live while the GC's mark phase stretched, to move serve-tiny-closed's
+// mem_peak_mb out of its bound (DESIGN.md §16.1).
 type Ticket struct {
 	job Job
-	ctx context.Context
 	tn  *tenant
-	// submitted is the request's first clock reading, since epoch, taken
+	// stamp is the request's first clock reading, since epoch, taken
 	// once by SubmitWith before admission, which measures the deadline's
-	// remaining budget from it too.
-	submitted time.Duration
+	// remaining budget from it too. finish turns it into the latency:
+	// end − submitted, where end is the last attempt's end-of-attempt
+	// stamp (lane.serveOne, which reads it again after a Reset), or the
+	// clock read by whoever else finishes the ticket: a retry shed,
+	// Close.
+	stamp time.Duration
 
 	// box is the lane whose mailbox holds the ticket; nil while it is
-	// queued or backing off and once somebody took it. Guarded by the
-	// server mutex: it is the word the takers race for. joined, under the
-	// same mutex, records that a Wait asked for the ticket unfinished;
-	// with done it tells a lane goroutine that served the ticket how to
-	// be woken next (lane.chooseWake).
-	box *lane
+	// queued or backing off and once somebody took it. It is the word
+	// the takers race for: the one that wins CompareAndSwap(box, nil)
+	// owns the ticket and the lane (lane.go, invariant 1).
+	//
+	// woolvet:atomic methods=Load,Store,CompareAndSwap
+	box atomic.Pointer[lane]
 
-	// attempt counts completed runs; probe marks the ticket as a half-
-	// open breaker probe whose outcome must be reported via ProbeDone.
-	// Both are touched only by whoever runs the ticket (one attempt at
-	// a time, handed on through the server mutex).
-	attempt int
-
-	// val/err/latency are published by finished, which finish sets last.
-	// latency is end − submitted, where end is the last attempt's end-of-
-	// attempt stamp (lane.serveOne, which reads it again after an abort
-	// wait or a Reset), or the clock read by whoever else finishes the
-	// ticket: a retry shed, Close.
-	val     int64
-	err     error
-	latency time.Duration
-	// done is made by the first Done call that finds the ticket
-	// unfinished. mu orders that against finish, so the channel is
-	// closed exactly once and a channel made late is never left open.
-	done     chan struct{}
-	mu       sync.Mutex
-	finished atomic.Bool
-	probe    bool
-	joined   bool
+	// val is published by finish, with ticketFinished.
+	val int64
+	// ext is the extension, nil until something needs it.
+	ext atomic.Pointer[ticketExt]
+	// flags holds ticketFinished, ticketJoined and ticketPolled.
+	flags atomic.Uint32
 
 	// Retryable records whether the server may re-run this request on a
 	// failure-class outcome: the caller marked it retry-safe
 	// (SubmitOptions.Retryable) and server-side retries are enabled.
 	// Read-only after Submit.
 	Retryable bool
+}
+
+// Ticket flags. ticketJoined records that a Wait asked for the ticket
+// and did not take it, ticketPolled that Done was asked before the
+// ticket finished: with them chooseWake tells how a lane goroutine that
+// served the ticket is to be woken next.
+const (
+	ticketFinished uint32 = 1 << iota
+	ticketJoined
+	ticketPolled
+)
+
+// ticketExt is the part of a ticket only some requests need.
+type ticketExt struct {
+	// ctx is the request's context when it can end (Done non-nil), else
+	// nil.
+	ctx context.Context
+	err error
+	// done holds the chan struct{} made by the first Done call that
+	// found the ticket unfinished, or closedChan once finish has been.
+	done atomic.Value
+	// attempt counts completed runs; probe marks the ticket as a half-
+	// open breaker probe whose outcome must be reported via ProbeDone.
+	// Both are touched only by whoever runs the ticket (one attempt at
+	// a time, handed on through the box CAS or the server mutex).
+	attempt int
+	probe   bool
+}
+
+// fullTicket is a ticket born with its extension, one allocation.
+type fullTicket struct {
+	Ticket
+	x ticketExt
+}
+
+// newTicket builds an accepted request's ticket.
+func newTicket(tn *tenant, ctx context.Context, job Job, submitted time.Duration, probe, retryable bool) *Ticket {
+	done := ctx.Done() != nil
+	if !done && !probe {
+		return &Ticket{job: job, tn: tn, stamp: submitted, Retryable: retryable}
+	}
+	f := &fullTicket{Ticket: Ticket{job: job, tn: tn, stamp: submitted, Retryable: retryable}}
+	if done {
+		f.x.ctx = ctx
+	}
+	f.x.probe = probe
+	f.ext.Store(&f.x)
+	return &f.Ticket
+}
+
+// extension returns the ticket's extension, making it on first use;
+// racing callers agree on one.
+func (t *Ticket) extension() *ticketExt {
+	if x := t.ext.Load(); x != nil {
+		return x
+	}
+	if x := new(ticketExt); t.ext.CompareAndSwap(nil, x) {
+		return x
+	}
+	return t.ext.Load()
+}
+
+// context is the request's context if it can end, else nil.
+func (t *Ticket) context() context.Context {
+	if x := t.ext.Load(); x != nil {
+		return x.ctx
+	}
+	return nil
+}
+
+// drop undoes the admission of a ticket that will not be dispatched:
+// a probe slot it holds goes back to the breaker.
+func (t *Ticket) drop() {
+	if x := t.ext.Load(); x != nil && x.probe {
+		t.tn.breaker.ProbeSkipped()
+	}
 }
 
 // Wait returns the request's result once it finished (completed,
@@ -311,19 +380,57 @@ type Ticket struct {
 // ErrClosed for requests drained by Close. Any number of goroutines may
 // Wait on one ticket.
 func (t *Ticket) Wait() (int64, error) {
-	if !t.finished.Load() {
-		if l := t.tn.srv.join(t); l != nil {
+	if t.flags.Load()&ticketFinished == 0 {
+		if l := t.join(); l != nil {
 			l.serveOne(t)
+			l.joins++
+			yield := l.joins%joinsPerYield == 0
 			l.release()
+			if yield {
+				runtime.Gosched()
+			}
 		}
 		// Unfinished here: another taker has it, it is queued behind busy
 		// lanes, or the attempt above failed into a retry.
-		if !t.finished.Load() {
+		if t.flags.Load()&ticketFinished == 0 {
 			<-t.Done()
 		}
 	}
-	return t.val, t.err
+	var err error
+	if x := t.ext.Load(); x != nil {
+		err = x.err
+	}
+	return t.val, err
 }
+
+// join is Wait's side of the race for a mailed ticket: if t still sits
+// in a mailbox the caller takes it, and with it the lane, which is the
+// caller's until it calls release (invariant 4). nil means somebody
+// else has the ticket, or it is queued, and Wait blocks; t is then
+// marked joined, so that a lane goroutine that serves it is woken next
+// by its submitter's token, not the timer (lane.chooseWake). A retried
+// ticket can be seen in box before its mailbox holds it; join leaves
+// it to the goroutine then.
+func (t *Ticket) join() *lane {
+	if l := t.box.Load(); l != nil && l.mail.Load() == t && t.box.CompareAndSwap(l, nil) {
+		l.took()
+		return l
+	}
+	t.flags.Or(ticketJoined)
+	return nil
+}
+
+// joinsPerYield is how many requests a lane serves on Wait callers
+// between two yields of theirs (runtime.Gosched, after the release). A
+// closed loop of joins never blocks, so its P never schedules, and the
+// GC's background mark worker, which with two Ps runs only when a P
+// schedules, waits for sysmon's preemption, 10 ms away: marking falls
+// to allocation assists, the mark phase stretches to 10-20 ms, and
+// every ticket allocated meanwhile is marked live and multiplied by
+// GOGC into the next heap goal. A yield every 256 joins bounds that
+// floating garbage to 16 KB of tickets per lane and costs well under
+// 1 % (DESIGN.md §16.1, *Ledger, two clients*).
+const joinsPerYield = 256
 
 // closedChan is the Done channel of every ticket that finished before
 // anyone asked for one.
@@ -337,54 +444,95 @@ var closedChan = func() chan struct{} {
 // multiplexing tickets with select. Unlike Wait it never runs the
 // request: a ticket that is only polled is served by a lane goroutine.
 func (t *Ticket) Done() <-chan struct{} {
-	if t.finished.Load() {
+	f := t.flags.Load()
+	if f&ticketFinished != 0 {
 		return closedChan
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.finished.Load() {
-		return closedChan
+	if f&ticketPolled == 0 {
+		t.flags.Or(ticketPolled)
 	}
-	if t.done == nil {
-		t.done = make(chan struct{})
+	x := t.extension()
+	if c, ok := x.done.Load().(chan struct{}); ok {
+		return c
 	}
-	return t.done
+	c := make(chan struct{})
+	if !x.done.CompareAndSwap(nil, c) {
+		return x.done.Load().(chan struct{})
+	}
+	// finish sets finished before it looks for a channel, so if it has
+	// not set it yet it will find c. If it has, it may have looked
+	// before c was there: whichever of finish and this call takes c out
+	// of the cell closes it.
+	if t.flags.Load()&ticketFinished != 0 && x.done.CompareAndSwap(c, closedChan) {
+		close(c)
+	}
+	return c
 }
 
 // Latency returns the submit-to-finish latency; valid after Wait/Done.
-func (t *Ticket) Latency() time.Duration { return t.latency }
+func (t *Ticket) Latency() time.Duration { return t.stamp }
 
 // finish is the one finalizer: it counts the request's final outcome
 // and publishes it, with end (since epoch) as the finishing stamp.
 // Exactly one party calls it per ticket — whoever ran the last attempt,
-// the retry path shedding it, or Close draining it.
-func (t *Ticket) finish(val int64, err error, end time.Duration) {
-	tn := t.tn
+// counting on its lane's cell c, or the retry path shedding it or Close
+// draining it, counting on the tenant (c nil). It sets finished, then
+// swaps closedChan into the done cell and closes the channel it swaps
+// out (Done's side is there).
+func (t *Ticket) finish(val int64, err error, end time.Duration, c *laneCell) {
+	if c != nil {
+		bump(c.outcome(err))
+	} else {
+		t.tn.outcome(err).Add(1)
+	}
+	t.val = val
+	if err != nil {
+		t.extension().err = err
+	}
+	t.stamp = end - t.stamp
+	t.flags.Or(ticketFinished)
+	if x := t.ext.Load(); x != nil && x.done.Load() != nil {
+		if ch := x.done.Swap(closedChan).(chan struct{}); ch != closedChan {
+			close(ch)
+		}
+	}
+}
+
+// counters are a tenant's request counters, and a lane's share of them.
+type counters struct {
+	submitted atomic.Int64
+	completed atomic.Int64
+	cancelled atomic.Int64
+	failed    atomic.Int64
+}
+
+// outcome is the counter a request that finished with err counts on.
+func (c *counters) outcome(err error) *atomic.Int64 {
 	switch {
 	case err == nil:
-		tn.completed.Add(1)
+		return &c.completed
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		tn.cancelled.Add(1)
+		return &c.cancelled
 	default:
-		tn.failed.Add(1)
+		return &c.failed
 	}
-	t.val, t.err = val, err
-	t.latency = end - t.submitted
-	t.mu.Lock()
-	t.finished.Store(true)
-	if t.done != nil {
-		close(t.done)
-	}
-	t.mu.Unlock()
 }
 
 // tenant is the runtime state of one configured Tenant.
 type tenant struct {
 	srv        *Server
 	name       string
+	idx        int // index in Server.tenants and in every lane's cells
 	weight     int
 	maxPending int
 	lanes      int
+	// order is the lanes in the order Submit tries them: the tenant's own
+	// team by index, then the others by index. hints remembers, for each
+	// caller slot (callerSlot), the home lane the caller claimed last, as
+	// its index + 1; claimIdle tries it first and writes it only when it
+	// changes.
+	order []*lane
+	hints [1 << hintBits]atomic.Int32
 
 	// Resilience state; any of these is nil when its subsystem is
 	// disabled server-wide.
@@ -392,19 +540,18 @@ type tenant struct {
 	est     *resilience.Estimator
 	retrier *resilience.Retrier
 
-	// q[head:] is the FIFO of tickets waiting behind busy lanes and
-	// mailed counts this tenant's tickets sitting in lane mailboxes;
-	// together they are the tenant's pending requests. Guarded by the
-	// server mutex.
-	q      []*Ticket
-	head   int
-	mailed int
+	// q[head:] is the FIFO of tickets waiting behind busy lanes; with the
+	// tenant's tickets sitting in lane mailboxes they are its pending
+	// requests. Guarded by the server mutex.
+	q    []*Ticket
+	head int
 
-	submitted atomic.Int64
-	completed atomic.Int64
-	rejected  atomic.Int64
-	cancelled atomic.Int64
-	failed    atomic.Int64
+	// The counts of what no lane's cell counts: submissions that queued
+	// and tickets finished off a lane (a retry shed, Close). Stats adds
+	// the lanes' cells.
+	_ [64]byte
+	counters
+	rejected atomic.Int64
 
 	// Shed-cause breakout: rejected == shedOverload + shedCircuit +
 	// shedDeadline. retried counts server-side re-runs (attempts beyond
@@ -419,7 +566,7 @@ type tenant struct {
 func (tn *tenant) queued() int { return len(tn.q) - tn.head }
 
 // pending is what admission control bounds (server mutex held).
-func (tn *tenant) pending() int { return tn.queued() + tn.mailed }
+func (tn *tenant) pending() int { return tn.queued() + tn.srv.mailed(tn) }
 
 // push appends t to the FIFO (server mutex held). When the array is
 // full and at least half of it is popped slots, the live tail slides to
@@ -464,11 +611,15 @@ type Server struct {
 	// probe backoff never outlives the server.
 	closeCh chan struct{}
 
-	mu     sync.Mutex
-	closed bool
-	// idle is the set of lanes with an empty mailbox and nobody on their
-	// pool; a stack, so the lane released last is mailed first.
-	idle []*lane
+	// queued counts the tickets in every tenant's queue, and closed is
+	// set by Close; both change under mu and are read without it, by
+	// Submit's lock-free path and by release (lane.go, invariant 3).
+	_      [64]byte
+	queued atomic.Int64
+	closed atomic.Bool
+	_      [64]byte
+
+	mu sync.Mutex
 	// retryTimers holds the backoff timer of every ticket waiting to be
 	// re-enqueued. Map presence is the ownership token between requeue
 	// and Close: whoever removes the entry (or finds the map nil)
@@ -521,7 +672,7 @@ func New(o Options) (*Server, error) {
 		if _, dup := s.byName[tc.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", tc.Name)
 		}
-		tn := &tenant{srv: s, name: tc.Name, weight: tc.Weight, maxPending: tc.MaxPending}
+		tn := &tenant{srv: s, name: tc.Name, idx: ti, weight: tc.Weight, maxPending: tc.MaxPending}
 		if tn.weight <= 0 {
 			tn.weight = 1
 		}
@@ -582,6 +733,16 @@ func New(o Options) (*Server, error) {
 				}
 			}
 			l := &lane{srv: s, idx: laneIdx, tn: tn, opts: po, wake: make(chan struct{}, 1)}
+			l.cells = make([]laneCell, len(s.tenants))
+			for _, tn := range s.tenants {
+				c := l.cell(tn)
+				if tn.breaker != nil {
+					c.brk = tn.breaker.NewShard()
+				}
+				if tn.est != nil {
+					c.est = tn.est.NewShard()
+				}
+			}
 			l.timer = time.AfterFunc(time.Hour, l.wakeup)
 			l.timer.Stop()
 			l.pool.Store(newLanePool(po))
@@ -590,9 +751,16 @@ func New(o Options) (*Server, error) {
 		}
 	}
 
-	// Every lane starts idle, lane 0 on top of the stack.
-	for i := len(s.lanes) - 1; i >= 0; i-- {
-		s.idle = append(s.idle, s.lanes[i])
+	// Every lane starts idle (st's zero value). A tenant tries its own
+	// team first.
+	for _, tn := range s.tenants {
+		for _, away := range []bool{false, true} {
+			for _, l := range s.lanes {
+				if (l.tn != tn) == away {
+					tn.order = append(tn.order, l)
+				}
+			}
+		}
 	}
 	for _, l := range s.lanes {
 		s.wg.Add(1)
@@ -668,61 +836,53 @@ func (s *Server) Submit(ctx context.Context, tenantName string, job Job) (*Ticke
 }
 
 // SubmitWith is Submit with per-submission options.
+//
+// While nothing is queued anywhere, a submission takes no lock: it
+// claims an idle lane with a CAS on the lane's state word and mails it,
+// and admission reads the breaker, the estimator and the server's
+// flags without theirs. When MaxPending is within reach of the
+// mailboxes, when something is queued, or when no lane is idle, it
+// takes the server mutex, which orders it behind the queued tickets.
 func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so SubmitOptions) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	submitted := time.Since(epoch)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	tn, ok := s.byName[tenantName]
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantName)
 	}
-	if tn.pending() >= tn.maxPending {
-		s.mu.Unlock()
-		tn.rejected.Add(1)
-		tn.shedOverload.Add(1)
-		return nil, fmt.Errorf("%w: tenant %q has %d pending", ErrOverloaded, tenantName, tn.maxPending)
-	}
-	if s.inj.Fail(chaos.ServeSubmitStorm) {
-		s.mu.Unlock()
-		tn.rejected.Add(1)
-		tn.shedOverload.Add(1)
-		return nil, fmt.Errorf("%w: tenant %q storm-shed (chaos)", ErrOverloaded, tenantName)
-	}
-	if tn.est != nil {
-		if dl, has := ctx.Deadline(); has && tn.est.Unmeetable(job.class(), dl.Sub(epoch)-submitted) {
+	// pending <= mailed <= lanes while nothing is queued.
+	locked := s.queued.Load() != 0 || tn.maxPending <= len(s.lanes)
+	if locked {
+		s.mu.Lock()
+		if err := s.admitPending(tn); err != nil {
 			s.mu.Unlock()
-			tn.rejected.Add(1)
-			tn.shedDeadline.Add(1)
-			return nil, fmt.Errorf("%w: tenant %q class %q", ErrDeadlineUnmeetable, tenantName, job.class())
+			return nil, err
 		}
 	}
-	// The breaker decides last: every earlier check sheds without
-	// having consumed a half-open probe slot.
-	var probe bool
-	if tn.breaker != nil {
-		admit, p := tn.breaker.Allow()
-		if !admit {
+	t, err := s.admit(ctx, tn, job, submitted, so)
+	if err != nil {
+		if locked {
 			s.mu.Unlock()
-			tn.rejected.Add(1)
-			tn.shedCircuit.Add(1)
-			return nil, fmt.Errorf("%w: tenant %q", ErrCircuitOpen, tenantName)
 		}
-		probe = p
+		return nil, err
 	}
-	t := &Ticket{
-		job: job, ctx: ctx, tn: tn, submitted: submitted,
-		probe: probe, Retryable: so.Retryable && tn.retrier != nil,
+	if !locked {
+		if l := s.claimIdle(tn); l != nil {
+			return s.submitClaimed(l, t)
+		}
+		s.mu.Lock()
+		if err := s.admitPending(tn); err != nil {
+			s.mu.Unlock()
+			t.drop()
+			return nil, err
+		}
 	}
-	l := s.dispatch(t)
-	timer := l != nil && l.chooseWake()
-	tn.submitted.Add(1)
+	l, timer := s.dispatch(t, true)
 	s.mu.Unlock()
 	if l != nil {
 		l.rouse(timer)
@@ -730,57 +890,180 @@ func (s *Server) SubmitWith(ctx context.Context, tenantName string, job Job, so 
 	return t, nil
 }
 
-// dispatch routes t (server mutex held): into the mailbox of an idle
-// lane — the most recently idle lane of t's own team, else the most
-// recently idle lane of any team (work conservation) — or, with no
-// lane idle, onto its tenant's queue. It returns the lane it mailed,
-// whose goroutine the caller must wake: chooseWake before unlocking,
-// rouse after. A mailed ticket that nobody Waits on is run by that
-// goroutine and nobody else (invariant 2, progress without Wait).
-func (s *Server) dispatch(t *Ticket) *lane {
-	n := len(s.idle)
-	if n == 0 {
-		t.tn.push(t)
-		return nil
+// admitPending is the admission step that needs the server mutex (held):
+// a closed server, and MaxPending.
+func (s *Server) admitPending(tn *tenant) error {
+	if s.closed.Load() {
+		return ErrClosed
 	}
-	k := n - 1
-	for i := k; i >= 0; i-- {
-		if s.idle[i].tn == t.tn {
-			k = i
-			break
-		}
+	if tn.pending() >= tn.maxPending {
+		tn.shed(&tn.shedOverload)
+		return fmt.Errorf("%w: tenant %q has %d pending", ErrOverloaded, tn.name, tn.maxPending)
 	}
-	l := s.idle[k]
-	copy(s.idle[k:], s.idle[k+1:])
-	s.idle[n-1] = nil
-	s.idle = s.idle[:n-1]
-	l.mail, t.box = t, l
-	t.tn.mailed++
-	return l
+	return nil
 }
 
-// join is Wait's side of the race for a mailed ticket: if t still sits
-// in a mailbox the caller takes it, and with it the lane, which is the
-// caller's until it calls release (invariant 4). nil means somebody
-// else has the ticket, or it is queued, and Wait blocks. Either way t
-// is marked joined, so that a lane goroutine that serves it is woken
-// next by its submitter's token, not the timer (lane.chooseWake).
-func (s *Server) join(t *Ticket) *lane {
-	s.mu.Lock()
-	t.joined = true
-	l := t.box
-	if l != nil {
-		l.unmail()
+// admit is the rest of admission — a chaos storm, a doomed deadline,
+// the breaker, which decides last, so every earlier check sheds without
+// having consumed a half-open probe slot — and builds the ticket.
+func (s *Server) admit(ctx context.Context, tn *tenant, job Job, submitted time.Duration, so SubmitOptions) (*Ticket, error) {
+	if s.inj.Fail(chaos.ServeSubmitStorm) {
+		tn.shed(&tn.shedOverload)
+		return nil, fmt.Errorf("%w: tenant %q storm-shed (chaos)", ErrOverloaded, tn.name)
 	}
-	s.mu.Unlock()
-	return l
+	if tn.est != nil {
+		if dl, has := ctx.Deadline(); has && tn.est.Unmeetable(job.class(), dl.Sub(epoch)-submitted) {
+			tn.shed(&tn.shedDeadline)
+			return nil, fmt.Errorf("%w: tenant %q class %q", ErrDeadlineUnmeetable, tn.name, job.class())
+		}
+	}
+	var probe bool
+	if tn.breaker != nil {
+		admit, p := tn.breaker.Allow()
+		if !admit {
+			tn.shed(&tn.shedCircuit)
+			return nil, fmt.Errorf("%w: tenant %q", ErrCircuitOpen, tn.name)
+		}
+		probe = p
+	}
+	return newTicket(tn, ctx, job, submitted, probe, so.Retryable && tn.retrier != nil), nil
+}
+
+// shed counts a rejected submission under its cause.
+func (tn *tenant) shed(cause *atomic.Int64) {
+	tn.rejected.Add(1)
+	cause.Add(1)
+}
+
+// claimIdle claims an idle lane for a ticket of tn —
+// CompareAndSwap(idle, mailed) — or returns nil when every lane is
+// taken. It tries the home lane the caller claimed last first, then the
+// first idle lane of tn.order. The claimant owns the lane until it
+// mails it (post).
+//
+// The hint keeps a client on one lane. Without it two closed-loop
+// clients on two lanes, scanning in index order, traded lanes on about
+// one request in six (the second client finds the first one's lane
+// idle between two of its requests), and every trade moved the lane's
+// pool, cells and shards between CPUs; the second client also read the
+// first one's state line on every request. That cost a quarter of the
+// CPU per request against two clients on two servers (DESIGN.md
+// §16.1, *Ledger, two clients*).
+func (s *Server) claimIdle(tn *tenant) *lane {
+	hint := &tn.hints[callerSlot()]
+	if h := hint.Load(); h != 0 {
+		if l := s.lanes[h-1]; l.st.Load() == laneIdle && l.st.CompareAndSwap(laneIdle, laneMailed) {
+			return l
+		}
+	}
+	for _, l := range tn.order {
+		if l.st.Load() == laneIdle && l.st.CompareAndSwap(laneIdle, laneMailed) {
+			if h := int32(l.idx + 1); l.tn == tn && hint.Load() != h {
+				hint.Store(h)
+			}
+			return l
+		}
+	}
+	return nil
+}
+
+// hintBits sizes a tenant's lane hints: 1<<hintBits slots, so that two
+// clients share a slot, and trade its lane through it, rarely.
+const hintBits = 6
+
+// callerSlot is the calling goroutine's hint slot: a hash of an address
+// on its stack, an identity that costs no allocation and no shared
+// write. A stack that grows is copied elsewhere, and the goroutine then
+// learns a hint in another slot.
+func callerSlot() uint64 {
+	var onStack byte
+	return uint64(uintptr(unsafe.Pointer(&onStack))>>10) * 0x9e3779b97f4a7c15 >> (64 - hintBits)
+}
+
+// submitClaimed is the end of a lock-free Submit: count the submission
+// on the claimed lane's cell, mail the ticket, wake the goroutine. Close
+// may have begun after the claim and passed this lane already, so the
+// submitter looks at the closed flag after mailing: if it is set and
+// the ticket is still in the mailbox, the submitter takes it back,
+// un-counts it and hands the lane to its goroutine, which closes the
+// pool. If another taker won the ticket, that taker finishes it.
+func (s *Server) submitClaimed(l *lane, t *Ticket) (*Ticket, error) {
+	c := l.cell(t.tn)
+	bump(&c.submitted)
+	timer := l.post(t)
+	if s.closed.Load() && t.box.CompareAndSwap(l, nil) {
+		l.took()
+		c.submitted.Store(c.submitted.Load() - 1)
+		t.drop()
+		l.handBack()
+		return nil, ErrClosed
+	}
+	l.rouse(timer)
+	return t, nil
+}
+
+// dispatch routes t (server mutex held): while nothing is queued, into
+// the mailbox of an idle lane — t's own team's first, else any
+// (claimIdle) — or else onto its tenant's queue. fresh counts the
+// submission (a retry is not one). It returns the lane whose goroutine
+// the caller must wake after unlocking, and how (rouse): the lane it
+// mailed, or an idle lane it found for the queue. A mailed ticket that
+// nobody Waits on is run by that goroutine and nobody else (invariant
+// 2, progress without Wait).
+func (s *Server) dispatch(t *Ticket, fresh bool) (l *lane, timer bool) {
+	tn := t.tn
+	if s.queued.Load() == 0 {
+		if l = s.claimIdle(tn); l != nil {
+			if fresh {
+				bump(&l.cell(tn).submitted)
+			}
+			return l, l.post(t)
+		}
+	}
+	if fresh {
+		tn.submitted.Add(1)
+	}
+	return s.enqueue(t), false
+}
+
+// enqueue queues t (server mutex held). The other half of invariant 3's
+// Dekker pair with release: the count goes up first, then a lane that
+// went idle meanwhile is claimed for the queue and handed to its
+// goroutine, which the caller wakes after unlocking.
+func (s *Server) enqueue(t *Ticket) *lane {
+	t.tn.push(t)
+	s.queued.Add(1)
+	for _, l := range t.tn.order {
+		if l.st.Load() == laneIdle && l.st.CompareAndSwap(laneIdle, laneBusy) {
+			l.back.Store(true)
+			return l
+		}
+	}
+	return nil
+}
+
+// pop takes the oldest ticket from tn's queue (server mutex held).
+func (s *Server) pop(tn *tenant) *Ticket {
+	s.queued.Add(-1)
+	return tn.pop()
+}
+
+// mailed counts tn's tickets sitting in lane mailboxes: a scan, read
+// without a lock (invariant 5).
+func (s *Server) mailed(tn *tenant) (n int) {
+	for _, l := range s.lanes {
+		if t := l.mail.Load(); t != nil && t.tn == tn && t.box.Load() == l {
+			n++
+		}
+	}
+	return n
 }
 
 // backlog returns the tenant whose queue lane l serves next (server
 // mutex held): the home tenant first (team affinity), otherwise the
 // most backlogged queue relative to its weight (work conservation — a
 // free team helps the busiest tenant rather than idling), or nil when
-// nothing is queued anywhere. A lane enters the idle set only on nil
+// nothing is queued anywhere. next parks a lane idle only on nil
 // (invariant 3).
 func (s *Server) backlog(l *lane) *tenant {
 	if l.tn.queued() > 0 {
@@ -832,11 +1115,10 @@ func (s *Server) requeue(t *Ticket) {
 	tn := t.tn
 	if tn.pending() >= tn.maxPending {
 		s.mu.Unlock()
-		t.finish(0, fmt.Errorf("%w: tenant %q retry shed, %d pending", ErrOverloaded, tn.name, tn.maxPending), time.Since(epoch))
+		t.finish(0, fmt.Errorf("%w: tenant %q retry shed, %d pending", ErrOverloaded, tn.name, tn.maxPending), time.Since(epoch), nil)
 		return
 	}
-	l := s.dispatch(t)
-	timer := l != nil && l.chooseWake()
+	l, timer := s.dispatch(t, false)
 	s.mu.Unlock()
 	if l != nil {
 		l.rouse(timer)
@@ -850,46 +1132,38 @@ func (s *Server) requeue(t *Ticket) {
 // Idempotent; Submit after Close returns ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	close(s.closeCh)
 	var drained []*Ticket
 	for _, tn := range s.tenants {
 		drained = append(drained, tn.q[tn.head:]...)
 		tn.q, tn.head = nil, 0
 	}
-	// Close is the third taker of a mailed ticket. Idle lanes and
-	// emptied mailboxes go back to their goroutines, which find nothing
-	// to serve and shut down; a lane that is serving or borrowed gets
-	// there when its request ends (next, release).
-	back := s.idle
-	s.idle = nil
-	for _, l := range s.lanes {
-		if l.mail != nil {
-			drained = append(drained, l.unmail())
-			back = append(back, l)
-		}
-	}
-	for _, l := range back {
-		l.back = true
-	}
+	s.queued.Store(0)
 	// Claim the backing-off tickets: once retryTimers is nil, a timer
 	// that fires anyway finds no entry and leaves finalization to us.
 	timers := s.retryTimers
 	s.retryTimers = nil
 	s.mu.Unlock()
-	for _, l := range back {
-		l.wakeup()
+	// Close is the third taker of a mailed ticket. Idle lanes and
+	// emptied mailboxes go back to their goroutines, which find nothing
+	// to serve and shut down; a lane that is serving or borrowed gets
+	// there when its request ends (next, release).
+	for _, l := range s.lanes {
+		if t := l.shut(); t != nil {
+			drained = append(drained, t)
+		}
 	}
 	for t, tm := range timers {
 		tm.Stop()
 		drained = append(drained, t)
 	}
 	for _, t := range drained {
-		t.finish(0, ErrClosed, time.Since(epoch))
+		t.finish(0, ErrClosed, time.Since(epoch), nil)
 	}
 	s.wg.Wait()
 }
@@ -942,16 +1216,27 @@ func (s *Server) Stats() Stats {
 	}
 	s.mu.Unlock()
 	for i, tn := range s.tenants {
+		var sum [4]int64
+		add := func(c *counters) {
+			sum[0] += c.submitted.Load()
+			sum[1] += c.completed.Load()
+			sum[2] += c.cancelled.Load()
+			sum[3] += c.failed.Load()
+		}
+		add(&tn.counters)
+		for _, l := range s.lanes {
+			add(&l.cell(tn).counters)
+		}
 		out.Tenants = append(out.Tenants, TenantStats{
 			Name:            tn.name,
 			Weight:          tn.weight,
 			Lanes:           tn.lanes,
 			Pending:         pending[i],
-			Submitted:       tn.submitted.Load(),
-			Completed:       tn.completed.Load(),
+			Submitted:       sum[0],
+			Completed:       sum[1],
 			Rejected:        tn.rejected.Load(),
-			Cancelled:       tn.cancelled.Load(),
-			Failed:          tn.failed.Load(),
+			Cancelled:       sum[2],
+			Failed:          sum[3],
 			ShedOverload:    tn.shedOverload.Load(),
 			ShedCircuitOpen: tn.shedCircuit.Load(),
 			ShedDeadline:    tn.shedDeadline.Load(),

@@ -25,23 +25,24 @@ import (
 
 // timerWakes sums the wakes chooseWake gave the timer over s's lanes.
 func timerWakes(s *Server) (n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, l := range s.lanes {
-		n += l.timerWakes
+		n += int(l.timerWakes.Load())
 	}
 	return n
 }
 
-// waitAllIdle returns once every lane of s is back in the idle set, so
-// that the next Submit mails a lane instead of queueing.
+// waitAllIdle returns once every lane of s is idle again, so that the
+// next Submit mails a lane instead of queueing.
 func waitAllIdle(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		s.mu.Lock()
-		idle := len(s.idle)
-		s.mu.Unlock()
+		idle := 0
+		for _, l := range s.lanes {
+			if l.st.Load() == laneIdle {
+				idle++
+			}
+		}
 		if idle == len(s.lanes) {
 			return
 		}
