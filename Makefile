@@ -188,9 +188,10 @@ serve-scale-bench:
 # armed owner — the clock read against the deadline, the non-blocking
 # Done receive and the period's update — and polls per fib(16) under a
 # far deadline, what a healthy served fib(16) pays instead of arming a
-# timer.
+# timer. Then ns per wait-loop poll of a blocked join (DESIGN.md §12):
+# unarmed, watched, with a watchdog, and with both.
 watch-bench:
-	$(GO) test -run '^$$' -bench WatchPoll -benchtime 100000x ./internal/core
+	$(GO) test -run '^$$' -bench 'WatchPoll|WaitPoll' -benchtime 100000x ./internal/core
 
 # Where the linker put the serial reference overhead_ratio divides by
 # (main.serialRec) and the generated pairs fib-tree and a served fib(16)

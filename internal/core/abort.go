@@ -95,8 +95,8 @@ func (p *Pool) Poisoned() (cause any, poisoned bool) { return p.life.Poisoned() 
 // Reset just as it would have blocked the join — then discards the
 // abandoned task trees (unjoined descriptors never run; the serial
 // state they computed into is the caller's to reconcile, which for
-// the serving layer is simply the failed request's), re-arms a
-// tripped watchdog, lifts the poison, and releases the gate.
+// the serving layer is simply the failed request's), clears a tripped
+// watchdog's verdict, lifts the poison, and releases the gate.
 //
 // Reset must not race with Run: like Run it claims the running flag
 // and returns poolerr.ErrConcurrentRun (wrapped) when it loses.
@@ -145,14 +145,7 @@ func (p *Pool) Reset() error {
 		w.resetAfterPoison()
 	}
 
-	// A tripped watchdog's loop has exited (it returns after storing
-	// its verdict); re-arm it for the revived pool.
-	if p.wdErr.Load() != nil && p.wdStop != nil {
-		<-p.wdDone // the old loop has fully stopped
-		p.wdStop = make(chan struct{})
-		p.wdDone = make(chan struct{})
-		go p.watchdogLoop(p.opts.Watchdog)
-	}
+	// A watchdog verdict judged the run that just failed, not the next.
 	p.wdErr.Store(nil)
 
 	// Lift the poison and open the gate in one critical section: a
@@ -256,5 +249,5 @@ func (w *Worker) resetAfterPoison() {
 	w.morePublic.Store(false)
 	w.pubShadow = w.pool.opts.initialPublicLimit()
 	w.publicLimit.Store(w.pubShadow)
-	w.blockedSince.Store(0)
+	w.markBlocked(false) // a blocked join unwound by a panic left its stamp
 }

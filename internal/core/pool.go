@@ -104,14 +104,16 @@ type Options struct {
 	// (TestChaosOverheadDisabled). Never enable on production pools.
 	Chaos *chaos.Injector
 
-	// Watchdog, when positive, arms a stuck-run detector: a background
-	// goroutine that trips when some worker has been continuously
-	// blocked in a join for at least this interval while the pool made
-	// no progress (no steals, no completions, no publications) and no
-	// worker was executing stolen work. On a trip the blocked workers
-	// panic with a *WatchdogError carrying a diagnostic bundle, so a
-	// protocol bug or a lost-wakeup hang fails the Run loudly instead
-	// of spinning forever. Zero (the default) disables it.
+	// Watchdog, when positive, arms a stuck-run detector: a worker
+	// blocked in a join checks, at its wait loop's periodic poll,
+	// whether it has been blocked for at least this interval while the
+	// pool made no progress (no steals, no stolen-task completions, no
+	// publications) and no worker was executing stolen work. If so it
+	// fails the Run with a *WatchdogError carrying a diagnostic bundle,
+	// and every other blocked worker follows, so a protocol bug or a
+	// lost-wakeup hang fails the Run loudly instead of spinning
+	// forever. No goroutine runs for it, and a pool without it keeps no
+	// watchdog state. Zero (the default) disables it.
 	Watchdog time.Duration
 }
 
@@ -195,18 +197,10 @@ type Pool struct {
 	poisonWaiters int
 	poisonGate    chan struct{}
 
-	// progress is the watchdog's heartbeat: bumped on slow-path
-	// milestones (steal commits, stolen-task completions, trip-wire
-	// publications). Deliberately never touched on the spawn/join fast
-	// path — quiescence of this counter plus a blocked worker is what
-	// the watchdog inspects.
-	progress atomic.Int64
-
-	// wdErr is the tripped watchdog's verdict; blocked wait loops poll
-	// it (watchdogPoll) and panic with it, failing the Run.
-	wdErr  atomic.Pointer[WatchdogError]
-	wdStop chan struct{}
-	wdDone chan struct{}
+	// wdErr is the tripped watchdog's verdict (checkStuck), stored by
+	// the blocked worker that found it and raised by every blocked wait
+	// loop until Reset clears it.
+	wdErr atomic.Pointer[WatchdogError]
 }
 
 // NewPool creates a pool with opts.Workers workers. Worker 0 is driven
@@ -258,11 +252,6 @@ func NewPool(opts Options) *Pool {
 			w.idleLoop()
 		}(w)
 	}
-	if opts.Watchdog > 0 {
-		p.wdStop = make(chan struct{})
-		p.wdDone = make(chan struct{})
-		go p.watchdogLoop(opts.Watchdog)
-	}
 	return p
 }
 
@@ -311,10 +300,6 @@ func (p *Pool) Run(root func(*Worker) int64) int64 {
 func (p *Pool) Close() {
 	if !p.life.Shutdown() {
 		return
-	}
-	if p.wdStop != nil {
-		close(p.wdStop)
-		<-p.wdDone
 	}
 	// Release poison-parked workers. Ordering: shutdown is already set,
 	// so a worker that reaches poisonPark after this drain sees it under

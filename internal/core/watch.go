@@ -43,10 +43,10 @@ type watch struct {
 // Watch arms worker 0 to poll ctx during the next Run: when ctx is done,
 // or the clock has passed its deadline, the owner calls Abort at its next
 // poll, which falls every few spawns (at most about watchInterval apart
-// at the live spawn rate) and in the wait loops of a blocked join. A run
-// with no spawn left after that completes normally. Watch(nil) disarms
-// it; so does a ctx that can never end. Only the goroutine that calls Run
-// calls Watch, between runs.
+// at the live spawn rate) and in the wait loops of a blocked join
+// (waitPoll, watchdog.go). A run with no spawn left after that completes
+// normally. Watch(nil) disarms it; so does a ctx that can never end. Only
+// the goroutine that calls Run calls Watch, between runs.
 func (p *Pool) Watch(ctx context.Context) { p.workers[0].arm(ctx) }
 
 // arm sets the watch and the two spawn gates it drives: pollAt, where
@@ -99,15 +99,6 @@ func (w *Worker) poll() {
 	wt.at, wt.spawns = now, w.stats.Spawns
 	w.pollAt = w.stats.Spawns + wt.period
 	w.setFastUntil()
-}
-
-// pollBlocked is the poll of a blocked join's wait loop, where no spawn
-// advances the period: an armed owner waiting on a thief still notices
-// its context ending, and leaves the thief to the trip wire.
-func (w *Worker) pollBlocked() {
-	if w.pollAt != math.MaxInt64 {
-		w.expire(time.Since(epoch))
-	}
 }
 
 // expire aborts the pool when the watched context has ended by now. The

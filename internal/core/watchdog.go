@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -13,103 +14,108 @@ import (
 // so the serving layer can name it without importing the scheduler.
 type WatchdogError = poolerr.WatchdogError
 
-// watchdogPoll panics with the watchdog's verdict if it has tripped.
-// Blocked wait loops (joinSlow, leapfrog) call this periodically; the
-// panic rides the existing abort machinery (the poison record, Run
-// re-raises), so a stuck Run fails instead of hanging. A no-op (one
-// nil pointer load) when the watchdog is disarmed or quiet.
-func (p *Pool) watchdogPoll() {
-	if e := p.wdErr.Load(); e != nil {
-		p.life.Poison(e)
-		panic(e)
-	}
-}
-
-// watchdogLoop is the stuck-run detector (armed by Options.Watchdog).
-// Trip condition, checked every interval/4:
-//
-//   - the pool has a Run in flight, and
-//   - the progress heartbeat has been flat for a full interval, and
-//   - no worker is executing stolen work (a legitimately long-running
-//     stolen leaf keeps counters quiescent but is not a hang), and
-//   - some worker has been continuously blocked in a join for at least
-//     a full interval.
-//
-// A long-running task on worker 0 with nothing blocked never trips: the
-// pool being merely quiescent-but-legal is exactly the false positive
-// the blocked-worker requirement exists to avoid.
-//
-// It reads only atomics (bot, publicLimit, counters, stamps), so a trip
-// snapshot is race-clean; the optional trace section reuses the
-// documented-racy live Snapshot/StealMatrix accessors.
-func (p *Pool) watchdogLoop(interval time.Duration) {
-	// Capture the channels: Reset re-arms a tripped watchdog by
-	// replacing wdStop/wdDone with fresh channels, and this (exited)
-	// loop's deferred close must hit its own generation's channel.
-	stop, done := p.wdStop, p.wdDone
-	defer close(done)
-	tick := interval / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	lastProgress := int64(-1)
-	var quietSince time.Time
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		if !p.life.Running() || !p.life.Healthy() {
-			lastProgress = -1
-			continue
-		}
-		now := time.Now()
-		cur := p.progress.Load()
-		busy := false
-		for _, w := range p.workers {
-			if w.execing.Load() != 0 && w.blockedSince.Load() == 0 {
-				busy = true
-				break
-			}
-		}
-		if cur != lastProgress || busy {
-			lastProgress = cur
-			quietSince = now
-			continue
-		}
-		if now.Sub(quietSince) < interval {
-			continue
-		}
-		stuck := false
-		for _, w := range p.workers {
-			if bs := w.blockedSince.Load(); bs != 0 && now.Sub(time.Unix(0, bs)) >= interval {
-				stuck = true
-				break
-			}
-		}
-		if !stuck {
-			continue
-		}
-		e := &WatchdogError{Interval: interval, Bundle: p.watchdogBundle(now)}
-		p.wdErr.Store(e)
+// waitPoll is the poll of a blocked join's wait loops (joinSlow,
+// leapfrog), every 64 spins. No spawn advances a watch's period there,
+// so an armed owner waiting on a thief reads the clock here to notice
+// its context ending; and the watchdog is this check, made by the
+// blocked worker itself (checkStuck). One clock read serves both; a
+// pool neither watched nor armed with a watchdog reads none.
+func (w *Worker) waitPoll() {
+	watched, armed := w.pollAt != math.MaxInt64, w.pool.opts.Watchdog > 0
+	if !watched && !armed {
 		return
 	}
+	now := time.Since(epoch)
+	if watched {
+		w.expire(now)
+	}
+	if armed {
+		w.checkStuck(now)
+	}
 }
 
-// watchdogBundle renders the trip-time diagnostic dump.
-func (p *Pool) watchdogBundle(now time.Time) string {
+// checkStuck is the stuck-run watchdog (Options.Watchdog). The blocked
+// worker finds the run stuck when, as it sees it at now:
+//
+//   - it has been blocked in a join for at least the interval, and
+//   - the sum of the workers' progress counters (steal commits,
+//     stolen-task completions, trip-wire publications) has stood still
+//     for the interval — the counters only grow, so two equal readings
+//     mean nothing moved between them — and
+//   - no worker is executing stolen work outside a wait loop (a
+//     legitimately long-running stolen leaf keeps the counters still
+//     but is not a hang).
+//
+// A long-running task with nothing blocked never trips: only a blocked
+// worker asks. On a trip the verdict is stored (the first finder's
+// wins), the pool poisoned and the verdict raised from the wait loop,
+// so the Run fails instead of spinning forever; every other blocked
+// worker raises the same verdict at its next poll. The verdict is
+// raised where it is found, so it cannot reach the pool's next Run:
+// Reset clears it with the poison.
+func (w *Worker) checkStuck(now time.Duration) {
+	p := w.pool
+	e := p.wdErr.Load()
+	if e == nil {
+		if !p.life.Healthy() {
+			return
+		}
+		sum, busy := int64(0), false
+		for _, v := range p.workers {
+			sum += v.progress.Load()
+			busy = busy || v.execing.Load() != 0 && v.blockedSince.Load() == 0
+		}
+		if sum != w.wdSum || busy {
+			w.wdSum, w.wdQuiet = sum, now
+			return
+		}
+		interval := p.opts.Watchdog
+		if now-w.wdQuiet < interval || now-time.Duration(w.blockedSince.Load()) < interval {
+			return
+		}
+		e = &WatchdogError{Interval: interval, Bundle: p.watchdogBundle(now, sum)}
+		if !p.wdErr.CompareAndSwap(nil, e) {
+			e = p.wdErr.Load()
+		}
+	}
+	p.life.Poison(e)
+	panic(e)
+}
+
+// markBlocked stamps (on) or clears blockedSince on a pool armed with a
+// watchdog, and writes nothing on one without.
+func (w *Worker) markBlocked(on bool) {
+	if w.pool.opts.Watchdog > 0 {
+		var since int64
+		if on {
+			since = max(int64(time.Since(epoch)), 1)
+		}
+		w.blockedSince.Store(since)
+	}
+}
+
+// noteProgress counts one progress event on a pool armed with a
+// watchdog.
+func (w *Worker) noteProgress() {
+	if w.pool.opts.Watchdog > 0 {
+		w.progress.Add(1)
+	}
+}
+
+// watchdogBundle renders the trip-time diagnostic dump. It reads only
+// atomics (bot, publicLimit, counters, stamps), so it is race-clean;
+// the optional trace section reuses the documented-racy live
+// Snapshot/StealMatrix accessors.
+func (p *Pool) watchdogBundle(now time.Duration, progress int64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "progress=%d parked=%d workers=%d\n", p.progress.Load(), p.ParkedWorkers(), len(p.workers))
+	fmt.Fprintf(&b, "progress=%d parked=%d workers=%d\n", progress, p.ParkedWorkers(), len(p.workers))
 	for _, w := range p.workers {
 		state := "idle"
 		if w.execing.Load() != 0 {
 			state = "executing-stolen"
 		}
 		if bs := w.blockedSince.Load(); bs != 0 {
-			state = fmt.Sprintf("blocked %v", now.Sub(time.Unix(0, bs)).Round(time.Millisecond))
+			state = fmt.Sprintf("blocked %v", (now - time.Duration(bs)).Round(time.Millisecond))
 		}
 		fmt.Fprintf(&b, "worker %d: %s bot=%d publicLimit=%d morePublic=%v steals=%d attempts=%d backoffs=%d parks=%d\n",
 			w.idx, state, w.bot.Load(), w.publicLimit.Load(), w.morePublic.Load(),

@@ -125,6 +125,14 @@ type Worker struct {
 	// woolvet:owner
 	wt watch
 
+	// wdSum is the sum of the workers' progress counters at this
+	// worker's last watchdog check and wdQuiet (since epoch) the check
+	// at which it last changed (checkStuck).
+	// woolvet:owner
+	wdSum int64
+	// woolvet:owner
+	wdQuiet time.Duration
+
 	// stats holds the owner-path counters (spawns, joins, ...): plain
 	// fields written only by the goroutine driving this worker, and
 	// ordered before any Stats() read through the joins that drain the
@@ -198,10 +206,16 @@ type Worker struct {
 	// woolvet:atomic
 	wakes atomic.Int64
 
-	// blockedSince is the wall-clock UnixNano at which this worker
-	// entered a blocked join (joinSlow slow path / leapfrog), or 0 when
-	// not blocked. Cleared while the worker executes acquired work.
-	// Written by the owner path, read by the pool watchdog.
+	// The watchdog's words (checkStuck), written by this worker and
+	// read by blocked ones; a pool without a watchdog leaves them 0.
+	// progress counts this worker's steal commits, stolen-task
+	// completions and trip-wire publications (noteProgress).
+	// woolvet:atomic
+	progress atomic.Int64
+
+	// blockedSince is the time since epoch at which this worker entered
+	// a blocked join (joinSlow slow path / leapfrog), or 0 when not
+	// blocked. Cleared while the worker executes acquired work.
 	// woolvet:atomic
 	blockedSince atomic.Int64
 
@@ -422,7 +436,7 @@ func (w *Worker) publishMore() {
 	w.pubShadow = newPL
 	w.publicLimit.Store(newPL)
 	w.stats.Publications++
-	w.pool.progress.Add(1)
+	w.noteProgress()
 	if w.trc != nil {
 		w.trc.Record(trace.KindPublish, pl, newPL)
 	}
@@ -448,7 +462,7 @@ func (w *Worker) joinSlow(t *Task, s uint64) {
 	// Watchdog stamp: blockedSince is nonzero exactly while this
 	// worker's innermost activity is a wait loop. Every exit path below
 	// clears it (runStolen clears/restores it around acquired work).
-	w.blockedSince.Store(time.Now().UnixNano())
+	w.markBlocked(true)
 	spins := 0
 	for {
 		for s == stateEmpty {
@@ -459,8 +473,7 @@ func (w *Worker) joinSlow(t *Task, s uint64) {
 			s = t.state.Load()
 			spins++
 			if spins&0x3f == 0 {
-				w.pool.watchdogPoll()
-				w.pollBlocked()
+				w.waitPoll()
 			}
 		}
 		if s != stateTask {
@@ -475,7 +488,7 @@ func (w *Worker) joinSlow(t *Task, s uint64) {
 			// bot below the live region. Only the stolen paths below
 			// (where the thief did advance bot) restore it.
 			w.stats.JoinsInlinedPublic++
-			w.blockedSince.Store(0) // executing the claimed task, not waiting
+			w.markBlocked(false) // executing the claimed task, not waiting
 			fn := t.fn
 			fn(w, t)
 			return
@@ -491,7 +504,7 @@ func (w *Worker) joinSlow(t *Task, s uint64) {
 	} else {
 		w.stats.JoinsStolen++
 	}
-	w.blockedSince.Store(0)
+	w.markBlocked(false)
 	w.bot.Add(-1)
 }
 
@@ -514,8 +527,7 @@ func (w *Worker) leapfrog(t *Task, thief int) {
 			fails++
 			if fails&0x3f == 0 {
 				w.flushStealCounters(&sc)
-				w.pool.watchdogPoll()
-				w.pollBlocked()
+				w.waitPoll()
 				runtime.Gosched()
 			}
 			continue
@@ -534,8 +546,7 @@ func (w *Worker) leapfrog(t *Task, thief int) {
 			fails++
 			if fails&0x3f == 0 {
 				w.flushStealCounters(&sc)
-				w.pool.watchdogPoll()
-				w.pollBlocked()
+				w.waitPoll()
 				runtime.Gosched()
 			} else if runtime.GOMAXPROCS(0) == 1 {
 				runtime.Gosched()
@@ -618,7 +629,7 @@ func (w *Worker) trySteal(victim *Worker, leap bool, sc *stealCounters) bool {
 	t.state.Store(stolenState(w.idx))
 	victim.bot.Store(b + 1)
 	w.steals.Add(1)
-	w.pool.progress.Add(1)
+	w.noteProgress()
 	if w.trc != nil {
 		k := trace.KindSteal
 		if leap {
@@ -633,7 +644,7 @@ func (w *Worker) trySteal(victim *Worker, leap bool, sc *stealCounters) bool {
 	}
 	//woolvet:allow atomicfield -- DONE commit: the thief owns the descriptor from CAS until this store
 	t.state.Store(stateDone)
-	w.pool.progress.Add(1)
+	w.noteProgress()
 	return true
 }
 
@@ -641,20 +652,21 @@ func (w *Worker) trySteal(victim *Worker, leap bool, sc *stealCounters) bool {
 // a panic in user code into a pool-wide abort so the joining owner is
 // not left spinning on a task that will never reach DONE.
 func (w *Worker) runStolen(t *Task) {
-	// Watchdog bookkeeping: while the stolen task runs this worker is
-	// executing, not waiting — clear a leapfrogging caller's blocked
-	// stamp for the duration (a long-running stolen leaf must read as
-	// progress, not as a stuck join).
-	w.execing.Add(1)
-	prevBlocked := w.blockedSince.Load()
-	if prevBlocked != 0 {
-		w.blockedSince.Store(0)
+	armed, wasBlocked := w.pool.opts.Watchdog > 0, false
+	if armed {
+		// Executing, not waiting: a long-running stolen leaf must read as
+		// progress, not as a stuck join, so a leapfrogging caller's
+		// blocked stamp is lifted for the duration.
+		w.execing.Add(1)
+		wasBlocked = w.blockedSince.Swap(0) != 0
 	}
 	defer func() {
-		if prevBlocked != 0 {
-			w.blockedSince.Store(time.Now().UnixNano())
+		if armed {
+			if wasBlocked {
+				w.markBlocked(true)
+			}
+			w.execing.Add(-1)
 		}
-		w.execing.Add(-1)
 		if r := recover(); r != nil {
 			// DONE is stored by trySteal after we return; recover so
 			// it executes and the victim unblocks, then the panic is

@@ -76,8 +76,9 @@ type Options struct {
 	// Watchdog arms the stuck-run watchdog on backends with
 	// Caps.Watchdog: a Run making no scheduler progress for this long
 	// while a worker sits blocked fails with a diagnostic bundle
-	// instead of hanging. 0 disables it. Backends without the
-	// capability ignore it.
+	// instead of hanging. The blocked worker checks this itself, in its
+	// wait loop; no goroutine runs for it. 0 disables it. Backends
+	// without the capability ignore it.
 	Watchdog time.Duration
 	// Steal selects the victim policy and steal amount
 	// (internal/steal) on backends that advertise them
