@@ -172,9 +172,14 @@ wake-bench:
 # §16.1, *Ledger, one stamp*): ns per time.Since(epoch), per time.Now()
 # and per time.Until on a context deadline. What dropping a read saves
 # on serve-tiny-closed scales with these rows, so read them on the host
-# before comparing that workload across hosts.
+# before comparing that workload across hosts. Then the price of what a
+# success does with its end stamp: a breaker shard's Success on the
+# time.Time that epoch.Add builds, the cached SuccessSince inside one
+# epoch, an estimator shard's Observe, and the Due check every request
+# makes (BenchmarkSuccessPath).
 clock-bench:
 	$(GO) test -run '^$$' -bench RequestClock -benchtime 200000x ./internal/serve
+	$(GO) test -run '^$$' -bench SuccessPath -benchtime 200000x ./internal/resilience
 
 # Whether a server scales with its clients (DESIGN.md §16.1, *Ledger,
 # two clients*): req/s and CPUs used for closed-loop fib(4) clients —

@@ -185,6 +185,15 @@ type BreakerShard struct {
 	// base is the count this shard had in the reset epoch when the
 	// breaker last closed from half-open (Breaker.mu).
 	base uint64
+
+	// The writer's own cache of its last success, for SuccessSince:
+	// Success leaves the epoch it counted in and that epoch's word, and
+	// SuccessSince the epoch's bounds [lo, hi) as offsets from its
+	// origin. Success empties the bounds, which SuccessSince has not
+	// yet set for that success.
+	epoch  int64
+	word   *atomic.Uint64
+	lo, hi time.Duration
 }
 
 // NewShard registers a shard with b.
@@ -216,6 +225,33 @@ func (sh *BreakerShard) Success(now time.Time) bool {
 	} else {
 		w.Store(tag | 1)
 	}
+	sh.epoch, sh.word, sh.lo, sh.hi = e, w, 0, 0
+	return true
+}
+
+// SuccessSince is Success at origin.Add(d), where d is an offset on the
+// breaker's clock from origin, the same origin on every call to the
+// shard. A success in the epoch of the shard's last one costs no time
+// arithmetic: d against that epoch's cached bounds, then a load and a
+// store on its word, which no other writer touches. Any other reading
+// goes through Success and caches its epoch's bounds. A reading before
+// the breaker's start, which Success counts in epoch 0, always takes
+// that path; the serving layer, whose origin precedes every breaker,
+// makes none.
+func (sh *BreakerShard) SuccessSince(origin time.Time, d time.Duration) bool {
+	if !sh.b.closedNow.Load() {
+		return false
+	}
+	if d >= sh.lo && d < sh.hi {
+		sh.word.Store(sh.word.Load() + 1)
+		return true
+	}
+	if !sh.Success(origin.Add(d)) {
+		return false
+	}
+	b := sh.b
+	sh.lo = b.start.Sub(origin) + time.Duration(sh.epoch)*b.bucketLen
+	sh.hi = sh.lo + b.bucketLen
 	return true
 }
 

@@ -12,11 +12,15 @@ import (
 type EstimatorConfig struct {
 	// Alpha is the EWMA smoothing factor applied to each new
 	// observation (estimate += alpha * (sample - estimate)).
-	// Default 0.2.
+	// Default 0.2. A shard fed through EstimatorShard.Due observes one
+	// request in 16 once it holds MinSamples of a class, so from then
+	// on its EWMA remembers 16 times as many requests as Alpha says.
 	Alpha float64
 	// MinSamples is how many observations a class needs before its
 	// estimate is trusted for admission decisions — an unknown class
-	// is always admitted. Default 8.
+	// is always admitted. Default 8. A shard fed through
+	// EstimatorShard.Due samples every request of a class until it holds
+	// MinSamples of it, so a class is trusted after as many requests.
 	MinSamples int
 	// Margin scales the estimate in the unmeetable test: a submission
 	// is shed when remaining < Margin × estimate. 1.0 sheds exactly at
@@ -46,10 +50,11 @@ func (c EstimatorConfig) Defaulted() EstimatorConfig {
 // EstimatorShard of its own (NewShard), with an EWMA per class per
 // shard. Estimate then weighs each shard's EWMA by its sample count, and
 // MinSamples applies to the total. With one writer that is the EWMA of
-// every sample, bit for bit; with several it is the weighted mean of
-// their EWMAs, which follows each writer's recent samples but, unlike
+// every sample it fed, bit for bit; with several it is the weighted mean
+// of their EWMAs, which follows each writer's recent samples but, unlike
 // one EWMA over the merged stream, does not forget a writer that has
-// stopped (DESIGN.md §17.3).
+// stopped (DESIGN.md §17.3). The serving layer feeds a shard only the
+// requests EstimatorShard.Due samples.
 type Estimator struct {
 	cfg EstimatorConfig
 	// parts maps a class to its per-shard estimates. It is replaced,
@@ -61,13 +66,19 @@ type Estimator struct {
 	own map[string]*classEstimate
 }
 
+// sampleEvery is one in how many requests of a class an EstimatorShard
+// samples once it holds MinSamples of the class.
+const sampleEvery = 16
+
 // classEstimate is one writer's EWMA of one class. The writer stores,
 // Estimate loads; the padding keeps two writers' estimates, allocated
-// side by side, off one cache line.
+// side by side, off one cache line. skipped is the writer's own: the
+// requests Due has passed over since its last sample.
 type classEstimate struct {
 	ewmaNs  atomic.Uint64 // float64 bits
 	samples atomic.Int64
-	_       [48]byte
+	skipped int32
+	_       [44]byte
 }
 
 // observe folds one sample in; its caller is the estimate's one writer.
@@ -121,6 +132,11 @@ func (e *Estimator) Observe(class string, d time.Duration) {
 // lock. It must have a single writer — the serving layer gives one to
 // every (lane, tenant) pair — and caches the last class it saw, so a
 // writer serving one class finds its estimate with one string compare.
+//
+// A writer that pays for each sample (a clock read per request) asks Due
+// first and measures only the requests it says are due: every request of
+// a class until the shard holds MinSamples of it, then one in
+// sampleEvery. The shard's EWMA is then over its sampled requests.
 type EstimatorShard struct {
 	e       *Estimator
 	class   string
@@ -138,6 +154,27 @@ func (sh *EstimatorShard) Observe(class string, d time.Duration) {
 	if d < 0 {
 		return
 	}
+	sh.lookup(class).observe(d, sh.e.cfg.Alpha)
+}
+
+// Due reports whether the writer's next request of class is to be
+// sampled, that is measured and fed to Observe: always while the shard
+// holds fewer than MinSamples of the class, then on every sampleEvery-th
+// request, counted from the one that found MinSamples.
+func (sh *EstimatorShard) Due(class string) bool {
+	ce := sh.lookup(class)
+	if ce.samples.Load() < int64(sh.e.cfg.MinSamples) {
+		return true
+	}
+	if ce.skipped++; ce.skipped < sampleEvery {
+		return false
+	}
+	ce.skipped = 0
+	return true
+}
+
+// lookup is the shard's estimate of class, registered on first use.
+func (sh *EstimatorShard) lookup(class string) *classEstimate {
 	ce := sh.last
 	if ce == nil || class != sh.class {
 		if ce = sh.classes[class]; ce == nil {
@@ -148,7 +185,7 @@ func (sh *EstimatorShard) Observe(class string, d time.Duration) {
 		}
 		sh.class, sh.last = class, ce
 	}
-	ce.observe(d, sh.e.cfg.Alpha)
+	return ce
 }
 
 // Estimate returns the class's current service-time estimate and
@@ -175,6 +212,15 @@ func (e *Estimator) Estimate(class string) (time.Duration, bool) {
 		return time.Duration(sum / float64(n)), true
 	}
 	return time.Duration(only), true
+}
+
+// Samples returns how many samples of class the estimator holds, over
+// all its writers.
+func (e *Estimator) Samples(class string) (n int64) {
+	for _, ce := range (*e.parts.Load())[class] {
+		n += ce.samples.Load()
+	}
+	return n
 }
 
 // Unmeetable reports whether a request of class with the given

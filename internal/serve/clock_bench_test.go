@@ -13,7 +13,9 @@ var clockSink time.Duration
 // or used to make (DESIGN.md §16.1, *Ledger, one stamp*), in ns/op:
 //
 //   - since-epoch: time.Since(epoch), the monotonic offset every stamp of
-//     a request is now (submit, service start, attempt end);
+//     a request is now: submit and attempt end on every request, service
+//     start only on one the estimator samples (every request of a class
+//     until a lane holds MinSamples of it, then one in 16);
 //   - now: time.Now(), which reads the wall clock too, as serveOne's start
 //     and the breaker's default clock did;
 //   - until-deadline: time.Until on a context.WithTimeout deadline, what

@@ -346,20 +346,23 @@ func (l *lane) shut() *Ticket {
 // the owner's next poll, and a request with no spawn left after its
 // deadline completes normally.
 //
-// An attempt reads the clock twice, both times since epoch: start before
-// the run and end right after it. finishAttempt hands end to everything
-// that needs the attempt's finishing time — the estimator (end − start),
-// the breaker's window and trip, and the ticket's latency — instead of
-// each reading the clock itself (DESIGN.md §16.1, *Ledger, one stamp*).
-// end is read again only after Resetting a poisoned pool, so Latency
-// covers the Reset.
+// An attempt reads the clock once, since epoch, right after the run:
+// end. finishAttempt hands it to everything that needs the attempt's
+// finishing time — the breaker's window and trip, the ticket's latency
+// and the estimator — instead of each reading the clock itself
+// (DESIGN.md §16.1, *Ledger, one stamp*). Only an attempt the estimator
+// is due to sample (resilience.EstimatorShard.Due: every request of a
+// class until the lane holds MinSamples of it, then one in 16) reads
+// start before the run as well, for its service time end − start. end
+// is read again only after Resetting a poisoned pool, so Latency covers
+// the Reset.
 func (l *lane) serveOne(t *Ticket) {
 	ctx := t.context()
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			// Cancelled before it started: fail at dispatch without running.
 			now := time.Since(epoch)
-			l.finishAttempt(t, 0, err, now, now)
+			l.finishAttempt(t, 0, err, unsampled, now)
 			return
 		}
 	}
@@ -368,7 +371,10 @@ func (l *lane) serveOne(t *Ticket) {
 	if ctx != nil {
 		p.Watch(ctx)
 	}
-	start := time.Since(epoch)
+	start := unsampled
+	if est := l.cell(t.tn).est; est != nil && est.Due(t.job.class()) {
+		start = time.Since(epoch)
+	}
 	val, err := runJob(p, t.job)
 	end := time.Since(epoch)
 	if ctx != nil {
@@ -432,15 +438,22 @@ func outcomeOf(err error) outcome {
 	}
 }
 
+// unsampled is the start stamp of an attempt the estimator did not
+// sample.
+const unsampled time.Duration = -1
+
 // finishAttempt feeds one attempt's outcome into the resilience state
 // (breaker, estimator, retry budget, failure streak) and either
 // finishes the ticket or hands it to the retry machinery. start and end
-// are the attempt's stamps since epoch; end is the one reading of the
-// attempt's finishing time for all of them. A success on a closed
-// breaker, its service-time sample and its outcome go to the lane's
-// cell of the tenant, whose one writer is the lane's owner; a full
-// retry budget is one load, and so is an unbroken streak. Only a
-// failure, a probe or a breaker that is not closed takes a tenant lock.
+// are the attempt's stamps since epoch, start unsampled unless the
+// estimator is due a sample; end is the one reading of the attempt's
+// finishing time for all of them. A success on a closed breaker, its
+// service-time sample and its outcome go to the lane's cell of the
+// tenant, whose one writer is the lane's owner; within the epoch of the
+// cell's last success the breaker's count is two compares and a store
+// (resilience.BreakerShard.SuccessSince). A full retry budget is one
+// load, and so is an unbroken streak. Only a failure, a probe or a
+// breaker that is not closed takes a tenant lock.
 func (l *lane) finishAttempt(t *Ticket, val int64, err error, start, end time.Duration) {
 	tn := t.tn
 	c := l.cell(tn)
@@ -458,13 +471,13 @@ func (l *lane) finishAttempt(t *Ticket, val int64, err error, start, end time.Du
 			}
 		}
 	} else if tn.breaker != nil {
-		switch now := epoch.Add(end); oc {
+		switch oc {
 		case outcomeOK:
-			if !c.brk.Success(now) {
-				tn.breaker.RecordAt(true, now)
+			if !c.brk.SuccessSince(epoch, end) {
+				tn.breaker.RecordAt(true, epoch.Add(end))
 			}
 		case outcomeFailure:
-			tn.breaker.RecordAt(false, now)
+			tn.breaker.RecordAt(false, epoch.Add(end))
 		}
 	}
 	switch oc {
@@ -472,7 +485,7 @@ func (l *lane) finishAttempt(t *Ticket, val int64, err error, start, end time.Du
 		if l.streak.Load() != 0 {
 			l.streak.Store(0)
 		}
-		if c.est != nil {
+		if start != unsampled {
 			c.est.Observe(t.job.class(), end-start)
 		}
 		if tn.retrier != nil {
