@@ -9,6 +9,7 @@ package sched_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -17,41 +18,84 @@ import (
 	"gowool/internal/core"
 	"gowool/internal/locksched"
 	"gowool/internal/sched"
+	"gowool/internal/steal"
 	"gowool/internal/workloads/cholesky"
 	"gowool/internal/workloads/fibw"
 	"gowool/internal/workloads/ssf"
 )
 
-// TestRegistry checks the registry surface itself: all seven native
+// registryRow is one backend's golden row: what the registry promises
+// about it, field by field.
+type registryRow struct {
+	name, blurb, steal                           string
+	private, stats, taskDefs, trc, chs, watchdog bool
+	policies, amounts                            []string
+}
+
+func rowOf(s interface {
+	Name() string
+	Blurb() string
+	Caps() sched.Caps
+}) registryRow {
+	c := s.Caps()
+	return registryRow{
+		name: s.Name(), blurb: s.Blurb(), steal: c.Steal,
+		private: c.PrivateTasks, stats: c.Stats, taskDefs: c.TaskDefs,
+		trc: c.Trace, chs: c.Chaos, watchdog: c.Watchdog,
+		policies: c.StealPolicies, amounts: c.StealAmounts,
+	}
+}
+
+// TestRegistry pins the registry surface itself: all seven native
 // schedulers present (the direct task stack twice — generic and
-// woolgen-generated ports), in presentation order, each with a name,
-// blurb and steal description.
+// woolgen-generated ports), in presentation order, each with its golden
+// row, and All returning a copy its caller may reorder.
 func TestRegistry(t *testing.T) {
-	want := []string{"wool", "woolgen", "chaselev", "locksched", "cilk", "omp", "gonative"}
+	woolBlurb := "direct task stack (the paper's scheduler): descriptors inline in a per-worker array, thief/victim sync on the descriptor state word, private tasks, leapfrogging"
+	woolSteal := "CAS on the task descriptor's state word; steal child, oldest first"
+	all, one := steal.Policies(), []string{steal.AmountOne}
+	want := []registryRow{
+		{"wool", woolBlurb, woolSteal, true, true, true, true, true, true, all, one},
+		{"woolgen", "direct task stack behind woolgen-generated monomorphic ports: private-path spawn/join flattens to plain stores and direct body calls",
+			woolSteal, true, true, true, true, true, true, all, one},
+		{"chaselev", "Chase-Lev deque, TBB-style: free-list task structures, pointer deque, thief/victim sync on the top/bottom indices, steal-anywhere blocked joins",
+			"CAS on the deque's top index; steal child, oldest first", false, true, true, true, true, false, all, steal.Amounts()},
+		{"locksched", "lock-based ladder: per-worker locked task pools, base/peek/trylock steal strategies, leapfrogging joins",
+			"per-worker lock around the victim's pool; steal child, oldest first", false, true, true, true, true, false, all, steal.Amounts()},
+		{"cilk", "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops",
+			"lock on the victim's continuation deque; steal parent (the continuation), oldest first", false, true, false, true, true, false, all, one},
+		{"omp", "centralized pool, icc OpenMP 3.0-style: closure tasks through one global lock, taskwait helps, loops by work-sharing",
+			"one lock-protected central queue; any idle worker takes the oldest task", false, true, false, true, true, false, nil, nil},
+		{"gonative", "idiomatic Go baseline: goroutines + channels/WaitGroups on the Go runtime, bounded forking for recursion, goroutine-per-chunk loops",
+			"the Go runtime's own scheduler; no explicit task pool", false, false, false, false, false, false, nil, nil},
+	}
 	got := sched.Names()
 	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+		t.Fatalf("Names() = %v, want %d rows", got, len(want))
 	}
-	for i, name := range want {
-		if got[i] != name {
-			t.Fatalf("Names()[%d] = %q, want %q (full: %v)", i, got[i], name, got)
+	for i, w := range want {
+		if got[i] != w.name {
+			t.Fatalf("Names()[%d] = %q, want %q (full: %v)", i, got[i], w.name, got)
 		}
-		s, ok := sched.Lookup(name)
+		s, ok := sched.Lookup(w.name)
 		if !ok {
-			t.Fatalf("Lookup(%q) missing", name)
+			t.Fatalf("Lookup(%q) missing", w.name)
 		}
-		if s.Name() != name {
-			t.Errorf("Lookup(%q).Name() = %q", name, s.Name())
-		}
-		if s.Blurb() == "" {
-			t.Errorf("%s: empty Blurb", name)
-		}
-		if s.Caps().Steal == "" {
-			t.Errorf("%s: empty Caps.Steal description", name)
+		if r := rowOf(s); !reflect.DeepEqual(r, w) {
+			t.Errorf("%s row:\n got %+v\nwant %+v", w.name, r, w)
 		}
 	}
 	if _, ok := sched.Lookup("no-such-scheduler"); ok {
 		t.Error("Lookup of unknown name succeeded")
+	}
+
+	mine := sched.All()
+	mine[0], mine[len(mine)-1] = mine[len(mine)-1], mine[0]
+	if again := sched.Names(); !reflect.DeepEqual(again, got) {
+		t.Errorf("reordering All()'s result changed Names(): %v, was %v", again, got)
+	}
+	if first := sched.All()[0].Name(); first != want[0].name {
+		t.Errorf("All()[0] = %s after a caller reordered its copy, want %s", first, want[0].name)
 	}
 }
 
