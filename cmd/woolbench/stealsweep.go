@@ -136,7 +136,7 @@ func matrixStats(m *trace.StealMatrix) (steals int64, meanDist, localFrac float6
 
 // runNativeCell runs one backend × policy × amount × workload cell on
 // a traced pool and reduces its trace to a cell record.
-func runNativeCell(s sched.Scheduler, pol, amt, workload string, sz sweepSizes) (nativeStealCell, error) {
+func runNativeCell(s *sched.Scheduler, pol, amt, workload string, sz sweepSizes) (nativeStealCell, error) {
 	cell := nativeStealCell{
 		Backend: s.Name(), Policy: pol, Amount: amt,
 		Workload: workload, Workers: sz.workers,

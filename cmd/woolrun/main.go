@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -86,7 +87,7 @@ func stealConfig() steal.Config {
 func main() {
 	flag.Parse()
 	if *list {
-		listSchedulers()
+		listSchedulers(os.Stdout)
 		return
 	}
 	if *checkTrace != "" {
@@ -100,17 +101,18 @@ func main() {
 	runNative()
 }
 
-// listSchedulers prints the registry: one block per scheduler with its
+// listSchedulers writes the registry: one block per scheduler with its
 // capability flags and steal mechanism (the README's scheduler table
-// is generated from this output).
-func listSchedulers() {
+// is checked against this output).
+func listSchedulers(w io.Writer) {
 	for _, s := range sched.All() {
-		fmt.Printf("%-10s %s\n", s.Name(), capsTokens(s.Caps()))
-		fmt.Printf("%-10s %s\n", "", s.Blurb())
-		fmt.Printf("%-10s steal: %s\n", "", s.Caps().Steal)
-		if pols := s.Caps().StealPolicies; len(pols) > 0 {
-			fmt.Printf("%-10s policies: %s | amounts: %s\n", "",
-				strings.Join(pols, " "), strings.Join(s.Caps().StealAmounts, " "))
+		c := s.Caps()
+		fmt.Fprintf(w, "%-10s %s\n", s.Name(), capsTokens(c))
+		fmt.Fprintf(w, "%-10s %s\n", "", s.Blurb())
+		fmt.Fprintf(w, "%-10s steal: %s\n", "", c.Steal)
+		if len(c.StealPolicies) > 0 {
+			fmt.Fprintf(w, "%-10s policies: %s | amounts: %s\n", "",
+				strings.Join(c.StealPolicies, " "), strings.Join(c.StealAmounts, " "))
 		}
 	}
 }
@@ -118,26 +120,14 @@ func listSchedulers() {
 // capsTokens renders the boolean capability flags as a token list.
 func capsTokens(c sched.Caps) string {
 	var t []string
-	if c.StealChild {
-		t = append(t, "steal-child")
-	}
 	if c.PrivateTasks {
 		t = append(t, "private-tasks")
-	}
-	if c.Leapfrog {
-		t = append(t, "leapfrog")
-	}
-	if c.WorkSharing {
-		t = append(t, "work-sharing")
 	}
 	if c.Stats {
 		t = append(t, "stats")
 	}
 	if c.TaskDefs {
 		t = append(t, "taskdefs")
-	}
-	if c.GeneratedPorts {
-		t = append(t, "generated-ports")
 	}
 	if c.Trace {
 		t = append(t, "trace")
@@ -320,7 +310,7 @@ func validateTraceFile(path string) {
 // expose DefineC3-style task constructors (Caps.TaskDefs): the
 // workload's irregular spawn structure doesn't fit the RunRec/RunRange
 // shapes, so it reaches the concrete pool through Pool.Native.
-func runCholesky(s sched.Scheduler, p sched.Pool) int64 {
+func runCholesky(s *sched.Scheduler, p *sched.Pool) int64 {
 	var factor func(m *cholesky.Matrix)
 	switch np := p.Native().(type) {
 	case *core.Pool:
@@ -333,7 +323,13 @@ func runCholesky(s sched.Scheduler, p sched.Pool) int64 {
 		sc := cholesky.New(locksched.DefineC3[cholesky.Arena])
 		factor = func(m *cholesky.Matrix) { sc.Factor(np.Run, m) }
 	default:
-		fmt.Fprintf(os.Stderr, "cholesky needs task definitions; %s has no port (use wool, chaselev or locksched)\n", s.Name())
+		var use []string
+		for _, t := range sched.All() {
+			if t.Caps().TaskDefs {
+				use = append(use, t.Name())
+			}
+		}
+		fmt.Fprintf(os.Stderr, "cholesky needs task definitions; %s has no port (use %s)\n", s.Name(), strings.Join(use, ", "))
 		os.Exit(2)
 	}
 	var total int64
@@ -347,7 +343,7 @@ func runCholesky(s sched.Scheduler, p sched.Pool) int64 {
 
 // printStats prints the normalized counters, plus the backend-specific
 // extras, when the scheduler keeps any.
-func printStats(s sched.Scheduler, p sched.Pool) {
+func printStats(s *sched.Scheduler, p *sched.Pool) {
 	if !s.Caps().Stats {
 		fmt.Printf("(no stats: %s keeps no counters)\n", s.Name())
 		return

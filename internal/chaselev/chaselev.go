@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"gowool/internal/chaos"
-	"gowool/internal/overflow"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
 	"gowool/internal/wskit"
@@ -407,7 +406,7 @@ func (w *Worker) push(t *Task) bool {
 	tp := w.top.Load()
 	if b-tp >= int64(len(w.buf))-1 {
 		if w.pool.opts.StrictOverflow {
-			panic(overflow.PanicMessage("chaselev", w.idx, len(w.buf)))
+			panic(wskit.OverflowPanic("chaselev", w.idx, len(w.buf)))
 		}
 		return false
 	}

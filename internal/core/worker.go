@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gowool/internal/chaos"
-	"gowool/internal/overflow"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
 	"gowool/internal/wskit"
@@ -273,7 +272,7 @@ func (w *Worker) push() *Task {
 	}
 	if w.top == len(w.tasks) {
 		if w.pool.opts.StrictOverflow {
-			panic(overflow.PanicMessage("core", w.idx, len(w.tasks)))
+			panic(wskit.OverflowPanic("core", w.idx, len(w.tasks)))
 		}
 		return nil
 	}

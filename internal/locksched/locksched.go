@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"gowool/internal/chaos"
-	"gowool/internal/overflow"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
 	"gowool/internal/wskit"
@@ -378,7 +377,7 @@ func (w *Worker) push() *Task {
 	top := w.top.Load()
 	if top == int64(len(w.tasks)) {
 		if w.pool.opts.StrictOverflow {
-			panic(overflow.PanicMessage("locksched", w.idx, len(w.tasks)))
+			panic(wskit.OverflowPanic("locksched", w.idx, len(w.tasks)))
 		}
 		return nil
 	}

@@ -3,20 +3,18 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // CheckOptions reports, before pool construction, every way o asks for
-// a capability that caps does not advertise. Historically the adapters
-// silently ignored unsupported options (by design, so registry sweeps
-// can hand one Options to every backend), and the CLIs only rejected a
-// flag when the backend had no capability list at all — so a flag
-// naming an unsupported member of a non-empty list (for example
-// -stealamount half on the direct task stack, which only takes one
-// task per steal) fell back to the default without a word. Callers
-// that want fail-fast semantics — cmd/woolrun and the serving layer's
-// lane construction — run this first and refuse to build the pool on a
-// non-nil error.
+// a capability that caps does not advertise — including an unsupported
+// member of a non-empty list, such as Steal.Amount half on the direct
+// task stack, which takes one task per steal. A pool ignores what its
+// backend cannot honour, so that registry sweeps can hand one Options
+// to every row; callers that want fail-fast semantics (cmd/woolrun and
+// the serving layer's lane construction) run this first and refuse to
+// build the pool on a non-nil error.
 //
 // The returned error joins one entry per violation (errors.Join), each
 // naming the offending option and listing the supported values.
@@ -34,14 +32,14 @@ func CheckOptions(caps Caps, o Options) error {
 	if o.PrivateTasks && !caps.PrivateTasks {
 		errs = append(errs, errors.New("PrivateTasks: backend does not implement the private-task optimization"))
 	}
-	if p := o.Steal.Policy; p != "" && !containsName(caps.StealPolicies, p) {
+	if p := o.Steal.Policy; p != "" && !slices.Contains(caps.StealPolicies, p) {
 		if len(caps.StealPolicies) == 0 {
 			errs = append(errs, fmt.Errorf("Steal.Policy %q: backend has no policy-driven victim selection", p))
 		} else {
 			errs = append(errs, fmt.Errorf("Steal.Policy %q: backend supports %s", p, strings.Join(caps.StealPolicies, ", ")))
 		}
 	}
-	if a := o.Steal.Amount; a != "" && !containsName(caps.StealAmounts, a) {
+	if a := o.Steal.Amount; a != "" && !slices.Contains(caps.StealAmounts, a) {
 		if len(caps.StealAmounts) == 0 {
 			errs = append(errs, fmt.Errorf("Steal.Amount %q: backend has no configurable steal amount", a))
 		} else {
@@ -49,13 +47,4 @@ func CheckOptions(caps Caps, o Options) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-func containsName(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
 }

@@ -1,10 +1,10 @@
 package sched
 
 // Job shapes: a workload's divide-and-conquer body, written once and
-// instantiated per scheduler by the adapters (via the generic builders
-// in port.go, or a backend's native construct where that is what the
-// paper's version would use — work-sharing loops on the OpenMP-style
-// pool, goroutines on the Go-native baseline).
+// instantiated per scheduler by its registry row (via the generic
+// builders in port.go, or a backend's native construct where that is
+// what the paper's version would use — work-sharing loops on the
+// OpenMP-style pool, goroutines on the Go-native baseline).
 
 // RecJob is a binary divide-and-conquer recursion over one int64
 // parameter (fib, the stress tree): Leaf decides whether n is a leaf

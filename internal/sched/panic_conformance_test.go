@@ -40,7 +40,7 @@ func recoverFrom(f func()) (r any) {
 
 // closeWithin fails the test if p.Close does not return in time — the
 // signature of a worker goroutine killed by an unrecovered panic.
-func closeWithin(t *testing.T, name string, p sched.Pool) {
+func closeWithin(t *testing.T, name string, p *sched.Pool) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {

@@ -98,7 +98,7 @@ func TestStealPolicyConformance(t *testing.T) {
 
 // TestStealConfigIgnoredWithoutCapability: backends that advertise no
 // policies must run correctly with a non-default Steal config anyway
-// (the adapter ignores it).
+// (their pools ignore it).
 func TestStealConfigIgnoredWithoutCapability(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

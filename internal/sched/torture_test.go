@@ -28,7 +28,7 @@ const tortureWorkers = 4
 // exactly-once workloads under one chaos profile, seed, and steal
 // config. Every failure message carries the profile, steal policy and
 // seed, which replay the run byte-for-byte.
-func runTorture(t *testing.T, s sched.Scheduler, prof chaos.Profile, seed uint64, stl steal.Config) {
+func runTorture(t *testing.T, s *sched.Scheduler, prof chaos.Profile, seed uint64, stl steal.Config) {
 	t.Helper()
 	polName := stl.Defaults().Policy
 	opts := sched.Options{
@@ -81,7 +81,7 @@ func runTorture(t *testing.T, s sched.Scheduler, prof chaos.Profile, seed uint64
 // TestChaosTorture is the conformance arm of the fault-injection
 // tentpole: every registered scheduler, under every built-in chaos
 // profile, must stay correct. Backends without Caps.Chaos (gonative)
-// still run — their adapters ignore the injector — so the suite shape
+// still run — their pools ignore the injector — so the suite shape
 // stays registry-driven.
 func TestChaosTorture(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)

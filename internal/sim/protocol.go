@@ -1,6 +1,6 @@
 package sim
 
-import "gowool/internal/overflow"
+import "gowool/internal/wskit"
 
 // This file is the simulated scheduling protocol: spawn, join, steal,
 // trip-wire publication and lock modelling. All state is plain data
@@ -14,7 +14,7 @@ func (w *W) spawn(def *Def, a Args) {
 	c := &w.m.cfg.Costs
 	if w.top == len(w.tasks) {
 		if w.m.cfg.StrictOverflow {
-			panic(overflow.PanicMessage("sim", w.p.ID(), len(w.tasks)))
+			panic(wskit.OverflowPanic("sim", w.p.ID(), len(w.tasks)))
 		}
 		// Degrade to inline serial execution (serial elision): charge
 		// the private-spawn cost, run the child now, and stash the

@@ -98,7 +98,7 @@ func RunWool(p *core.Pool, rows *core.TaskDefC2[Matrices], m *Matrices) int64 {
 }
 
 // Job returns the multiply as a generic RangeJob over rows: the task
-// schedulers expand it into a balanced task tree, the OpenMP adapter
+// schedulers expand it into a balanced task tree, the OpenMP row
 // runs it as a static work-sharing loop (regular per-row work), both
 // from this one body.
 func Job(m *Matrices, reps int64) sched.RangeJob {

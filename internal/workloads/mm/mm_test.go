@@ -61,7 +61,7 @@ func TestWoolMatchesSerial(t *testing.T) {
 }
 
 func TestOMPMatchesSerial(t *testing.T) {
-	// The OpenMP adapter runs Job as a static work-sharing loop; check
+	// The OpenMP row runs Job as a static work-sharing loop; check
 	// that path writes the same C as the serial reference.
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

@@ -122,7 +122,7 @@ func RunWool(p *core.Pool, d *core.TaskDefC2[Work], wk *Work) int64 {
 }
 
 // Job returns the scan as a generic RangeJob over positions. Irregular
-// is set: per-position work varies wildly, so the OpenMP adapter uses
+// is set: per-position work varies wildly, so the OpenMP row uses
 // a dynamic work-sharing schedule, as the paper's OpenMP version does.
 func Job(wk *Work, reps int64) sched.RangeJob {
 	return sched.RangeJob{

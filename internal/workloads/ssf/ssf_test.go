@@ -72,7 +72,7 @@ func TestWoolMatchesSerial(t *testing.T) {
 }
 
 func TestOMPMatchesSerial(t *testing.T) {
-	// The scan is irregular, so the OpenMP adapter runs Job as a
+	// The scan is irregular, so the OpenMP row runs Job as a
 	// dynamic work-sharing loop; check that path against the serial
 	// reference.
 	prev := runtime.GOMAXPROCS(4)
