@@ -79,14 +79,12 @@
 //
 // A spawn that finds the task pool full (Options.StackSize) degrades
 // to inline serial execution — a spawn is permission to parallelize,
-// not an obligation — counted in Stats.OverflowInlined;
-// Options.StrictOverflow restores the overflow panic for catching
-// runaway spawn depth. Options.Watchdog arms a stuck-run check that a
-// blocked join makes itself, in its wait loop: if scheduler progress
-// stalls for the interval while the join is blocked and nothing is
-// executing, the run fails with a *WatchdogError carrying a diagnostic
-// dump of per-worker protocol state instead of hanging. See DESIGN.md
-// §12.
+// not an obligation — and counted in Stats.OverflowInlined.
+// Options.Watchdog arms a stuck-run check that a blocked join makes
+// itself, in its wait loop: if scheduler progress stalls for the
+// interval while the join is blocked and nothing is executing, the run
+// fails with a *WatchdogError carrying a diagnostic dump of per-worker
+// protocol state instead of hanging. See DESIGN.md §12.
 //
 // The repository also contains, under internal/, the baseline
 // schedulers (Chase-Lev deque, lock-based ladder, steal-parent

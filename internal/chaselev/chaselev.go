@@ -227,10 +227,6 @@ type Options struct {
 	// protocol (PointDequePop, PointThiefCAS, PointLeapfrogPick,
 	// PointParkDecision). nil disables injection at zero cost.
 	Chaos *chaos.Injector
-	// StrictOverflow restores the pre-degradation behaviour: a spawn
-	// that finds the deque full panics instead of executing the child
-	// inline and counting it in Stats.OverflowInlined.
-	StrictOverflow bool
 	// Steal selects the victim policy and the steal amount
 	// (internal/steal). The zero value is the historical behaviour:
 	// uniform random victims, one task per steal. Amount "half" makes
@@ -393,8 +389,7 @@ func (w *Worker) release(t *Task) {
 
 // push adds t at the bottom of the deque (owner only). Returns false
 // when the deque is full and the caller must degrade the spawn to
-// inline execution (elide); under StrictOverflow a full deque panics
-// instead.
+// inline execution (elide).
 //
 // The buf-slot store is what makes t visible to thieves: every write
 // to t's published fields must already have happened — push is the
@@ -405,9 +400,6 @@ func (w *Worker) push(t *Task) bool {
 	b := w.bottom.Load()
 	tp := w.top.Load()
 	if b-tp >= int64(len(w.buf))-1 {
-		if w.pool.opts.StrictOverflow {
-			panic(wskit.OverflowPanic("chaselev", w.idx, len(w.buf)))
-		}
 		return false
 	}
 	w.buf[b&w.mask].Store(t)
@@ -521,7 +513,7 @@ const stealBatchMax = 15
 // probe (avail), someone else interferes, or the burst cap is hit.
 // Claimed tasks are stamped stolenBy immediately — a blocked joiner
 // leapfrogs to this thief and helps with our own deque while its task
-// waits its turn (the same convoy semantics as locksched's StealHalf).
+// waits its turn (the same convoy semantics as locksched's steal-half).
 //
 // woolvet:thief
 func (w *Worker) stealBatch(victim *Worker, avail int64, countWait bool, out *[stealBatchMax]*Task) int {

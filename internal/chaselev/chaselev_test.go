@@ -2,7 +2,6 @@ package chaselev
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -95,30 +94,6 @@ func TestStatsConservation(t *testing.T) {
 	if st.JoinsStolen > st.Steals {
 		t.Errorf("stolen joins (%d) > steals (%d)", st.JoinsStolen, st.Steals)
 	}
-}
-
-// TestDequeOverflowPanics covers the StrictOverflow arm of the shared
-// degrade-or-panic policy; without the flag the same workload degrades
-// (TestOverflowDegradesToInline).
-func TestDequeOverflowPanics(t *testing.T) {
-	p := NewPool(Options{Workers: 1, DequeSize: 8, StrictOverflow: true})
-	defer p.Close()
-	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic on deque overflow")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "task pool overflow") {
-			t.Fatalf("overflow panic = %v, want the unified task-pool-overflow message", r)
-		}
-	}()
-	p.Run(func(w *Worker) int64 {
-		for i := int64(0); i < 100; i++ {
-			noop.Spawn(w, i)
-		}
-		return 0
-	})
 }
 
 // TestOverflowDegradesToInline: a DequeSize-4 pool completes a deep

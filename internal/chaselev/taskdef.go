@@ -36,8 +36,7 @@ func Define1(name string, fn func(*Worker, int64) int64) *TaskDef1 {
 
 // Spawn allocates a task (free list) and pushes it on w's deque. When
 // the deque is full the spawn degrades to inline serial execution (the
-// child runs now, the join reads its stored result) unless
-// Options.StrictOverflow is set.
+// child runs now, the join reads its stored result).
 func (d *TaskDef1) Spawn(w *Worker, a0 int64) {
 	t := w.alloc()
 	t.a0 = a0

@@ -201,10 +201,10 @@ const abortCheckPeriod = 32
 // unwinds (Run's recover then re-raises it to the caller; a thief's
 // runStolen recover contains it). The amortization keeps the check
 // out of the perf-gated join ladder's measured cost. It bounds a
-// stretch of generic joins with no spawn in it (JoinN); everywhere
-// else the tripped wire gets there first, at the next spawn
-// (tripWires), which is also the only check the generated private
-// path (fastapi.go) has.
+// stretch of joins with no spawn in it (the public joins of a
+// generated batch, ports.JoinNoopN); everywhere else the tripped wire
+// gets there first, at the next spawn (tripWires), which is also the
+// only check the generated private path (fastapi.go) has.
 //
 // woolvet:inline
 func (w *Worker) pollAbort() {

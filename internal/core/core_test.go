@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -271,27 +270,6 @@ func TestJoinAny(t *testing.T) {
 		sq.Spawn(w, 7)
 		if got := w.JoinAny(); got != 49 {
 			t.Errorf("JoinAny = %d, want 49", got)
-		}
-		return 0
-	})
-}
-
-func TestStackOverflowPanics(t *testing.T) {
-	p := NewPool(Options{Workers: 1, StackSize: 8, StrictOverflow: true})
-	defer p.Close()
-	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic on task stack overflow with StrictOverflow")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "task pool overflow") {
-			t.Fatalf("unexpected overflow panic: %v", r)
-		}
-	}()
-	p.Run(func(w *Worker) int64 {
-		for i := int64(0); i < 100; i++ {
-			noop.Spawn(w, i)
 		}
 		return 0
 	})

@@ -37,27 +37,16 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.MaxIdleSleep != 200*time.Microsecond {
 		t.Errorf("MaxIdleSleep default = %v", o.MaxIdleSleep)
 	}
-	if o.Steal.Policy != steal.LastVictim || o.Steal.Retain != 1 || o.Steal.Sampling != 1 {
-		t.Errorf("Steal default = %+v, want last-victim, Retain 1, Sampling 1", o.Steal)
+	if o.Steal.Policy != steal.LastVictim {
+		t.Errorf("Steal default = %+v, want last-victim", o.Steal)
 	}
 	// Negative sleep (never sleep) must survive Defaults.
 	if n := (Options{MaxIdleSleep: -1}).Defaults(); n.MaxIdleSleep != -1 {
 		t.Errorf("negative MaxIdleSleep rewritten to %v", n.MaxIdleSleep)
 	}
 	// Explicit settings survive Defaults.
-	if n := (Options{Steal: steal.Config{Policy: steal.Random, Retain: -1}}).Defaults(); n.Steal.Policy != steal.Random || n.Steal.Retain != -1 {
+	if n := (Options{Steal: steal.Config{Policy: steal.Random}}).Defaults(); n.Steal.Policy != steal.Random {
 		t.Errorf("explicit Steal rewritten to %+v", n.Steal)
-	}
-}
-
-func TestLockOSThreadOption(t *testing.T) {
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-	p := NewPool(Options{Workers: 2, LockOSThread: true})
-	defer p.Close()
-	fib := fibDef()
-	if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 15) }); got != serialFib(15) {
-		t.Errorf("LockOSThread run wrong: %d", got)
 	}
 }
 
@@ -222,21 +211,6 @@ func TestManySmallRunsStressShutdown(t *testing.T) {
 		fib := fibDef()
 		if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 10) }); got != 55 {
 			t.Fatalf("iteration %d: got %d", i, got)
-		}
-		p.Close()
-	}
-}
-
-func TestStealSamplingCorrectness(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, k := range []int{1, 2, 4} {
-		p := NewPool(Options{Workers: 4, Steal: steal.Config{Sampling: k}, PrivateTasks: true})
-		fib := fibDef()
-		for rep := 0; rep < 3; rep++ {
-			if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 20) }); got != serialFib(20) {
-				t.Errorf("sampling=%d: wrong result %d", k, got)
-			}
 		}
 		p.Close()
 	}

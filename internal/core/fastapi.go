@@ -97,7 +97,7 @@ func (w *Worker) JoinPrepPrivate() *Task {
 func (w *Worker) JoinAcquire() (*Task, bool) { return w.joinAcquire() }
 
 // BatchPrepPrivate returns a window of up to n free private
-// descriptors for a batch spawn (SpawnN), or nil when batching must
+// descriptors for a batch spawn (a generated Spawn…N), or nil when batching must
 // fall back to one-at-a-time spawns: the trip wire is pending, the
 // next slot is public or the stack is full, tracing is active, or the
 // watch is due a poll (fastUntil). The caller fills descriptors [0, k)

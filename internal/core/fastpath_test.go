@@ -268,16 +268,12 @@ func stoppedPool(t *testing.T, opts Options) *Pool {
 	return p
 }
 
-// The distinct-k sampling mechanics (pairwise-distinct candidates,
-// enumeration when k covers the pool, single-worker degenerate case)
-// are the steal package's own tests now (internal/steal TestDistinct);
-// here we check the option threads through to policy construction and
-// the probe wiring feeds chooseVictim real stealability.
+// The policy mechanics are the steal package's own tests; here we
+// check the option threads through to policy construction and the
+// probe wiring feeds chooseVictim real stealability.
 
 // TestStealOptionsBuildPolicies pins the option → policy mapping: the
-// default is last-victim retention (whatever the sampling width), a
-// negative Steal.Retain degrades it to plain random, and an explicit
-// Steal.Policy wins.
+// default is last-victim retention and an explicit Steal.Policy wins.
 func TestStealOptionsBuildPolicies(t *testing.T) {
 	cases := []struct {
 		opts Options
@@ -285,8 +281,6 @@ func TestStealOptionsBuildPolicies(t *testing.T) {
 	}{
 		{Options{Workers: 2}, steal.LastVictim},
 		{Options{Workers: 2, Steal: steal.Config{Policy: steal.Random}}, steal.Random},
-		{Options{Workers: 2, Steal: steal.Config{Retain: -1}}, steal.Random},
-		{Options{Workers: 2, Steal: steal.Config{Sampling: 3}}, steal.LastVictim},
 		{Options{Workers: 2, Steal: steal.Config{Policy: steal.Sequential}}, steal.Sequential},
 		{Options{Workers: 2, Steal: steal.Config{Policy: steal.Localized}}, steal.Localized},
 	}
@@ -301,10 +295,10 @@ func TestStealOptionsBuildPolicies(t *testing.T) {
 // TestChooseVictimRetention drives the last-successful-victim policy by
 // hand through the worker's probe wiring: a stealable retained victim
 // is probed first; once it runs dry the policy falls back elsewhere.
-// (The miss-budget drop logic itself is pinned in internal/steal
+// (The drop at the first miss is pinned in internal/steal
 // TestLastVictimRetention.)
 func TestChooseVictimRetention(t *testing.T) {
-	p := stoppedPool(t, Options{Workers: 4}) // Steal.Retain defaults to 1
+	p := stoppedPool(t, Options{Workers: 4}) // last-victim by default
 	w := p.workers[1]
 	target := p.workers[3]
 

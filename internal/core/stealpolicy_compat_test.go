@@ -7,36 +7,32 @@ import (
 )
 
 // This file is the bit-for-bit guard for the steal-policy refactor:
-// the PR-1 victim-selection algorithm (nextVictim / distinctVictims /
-// chooseVictim with inline StealRetain accounting) is reimplemented
-// here verbatim as a test-local replica, and the worker's policy-based
-// chooseVictim must produce the exact same victim sequence for the
-// same seed, the same scripted stealability, and the same outcome
-// feedback — across retention budgets, sampling widths, and the
-// retention opt-out.
+// the original victim-selection algorithm (nextVictim / chooseVictim
+// with inline retention accounting) is reimplemented here as a
+// test-local replica, and the worker's policy-based chooseVictim must
+// produce the exact same victim sequence for the same seed, the same
+// scripted stealability, and the same outcome feedback — with
+// retention (the default last-victim policy) and without it (random).
 
-// legacyChooser is the pre-refactor core victim selection, copied from
-// PR 1 (worker.go) with w.pool.workers[i] replaced by indices and
-// stealableAt by a scripted probe.
+// legacyChooser is the pre-refactor core victim selection with
+// w.pool.workers[i] replaced by indices and stealableAt by a scripted
+// probe. retain is 1 (retention, dropped at the first miss) or -1
+// (retention off).
 type legacyChooser struct {
 	rng          uint64
 	self, n      int
 	lastVictim   int
 	retainMisses int
-	retain       int // Options.StealRetain after Defaults
-	sampling     int // Options.StealSampling after Defaults
+	retain       int
 }
 
-const legacyMaxSampling = 8
-
-func newLegacyChooser(self, n, retain, sampling int) *legacyChooser {
+func newLegacyChooser(self, n, retain int) *legacyChooser {
 	return &legacyChooser{
 		rng:        uint64(self)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		self:       self,
 		n:          n,
 		lastVictim: -1,
 		retain:     retain,
-		sampling:   sampling,
 	}
 }
 
@@ -57,42 +53,6 @@ func (l *legacyChooser) nextVictim() int {
 	return v
 }
 
-func (l *legacyChooser) distinctVictims(k int, out []int) int {
-	n := l.n - 1
-	if n <= 0 {
-		return 0
-	}
-	if k > len(out) {
-		k = len(out)
-	}
-	if k >= n {
-		j := 0
-		for i := 0; i < l.n; i++ {
-			if i != l.self && j < len(out) {
-				out[j] = i
-				j++
-			}
-		}
-		return j
-	}
-	cnt := 0
-	for tries := 0; cnt < k && tries < 4*k+8; tries++ {
-		idx := l.nextVictim()
-		dup := false
-		for j := 0; j < cnt; j++ {
-			if out[j] == idx {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out[cnt] = idx
-			cnt++
-		}
-	}
-	return cnt
-}
-
 func (l *legacyChooser) choose(stealable func(int) bool) int {
 	if lv := l.lastVictim; lv >= 0 {
 		if stealable(lv) {
@@ -104,23 +64,7 @@ func (l *legacyChooser) choose(stealable func(int) bool) int {
 			l.retainMisses = 0
 		}
 	}
-	k := l.sampling
-	if k == 1 {
-		return l.nextVictim()
-	}
-	var buf [legacyMaxSampling]int
-	n := l.distinctVictims(k, buf[:])
-	if n == 0 {
-		return l.nextVictim()
-	}
-	v := -1
-	for i := 0; i < n; i++ {
-		v = buf[i]
-		if stealable(v) {
-			return v
-		}
-	}
-	return v
+	return l.nextVictim()
 }
 
 // observeSuccess is the legacy idleLoop success block.
@@ -149,33 +93,18 @@ func (s *scriptRNG) next() uint64 {
 func TestStealPolicyBitForBitLegacy(t *testing.T) {
 	const workers, self, steps = 6, 1, 3000
 	configs := []struct {
-		name             string
-		retain, sampling int
+		name   string
+		steal  steal.Config
+		retain int
 	}{
-		{"default", 1, 1},
-		{"retain3", 3, 1},
-		{"sampling3", 1, 3},
-		{"retain2-sampling8", 2, 8},
-		{"retain-disabled", -1, 1},
+		{"default", steal.Config{}, 1},
+		{"retain-disabled", steal.Config{Policy: steal.Random}, -1},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			p := stoppedPool(t, Options{
-				Workers: workers,
-				Steal:   steal.Config{Retain: cfg.retain, Sampling: cfg.sampling},
-			})
+			p := stoppedPool(t, Options{Workers: workers, Steal: cfg.steal})
 			w := p.workers[self]
-			// The replica gets the post-Defaults values the legacy code
-			// would have seen.
-			retain := cfg.retain
-			if retain == 0 {
-				retain = 1
-			}
-			sampling := cfg.sampling
-			if sampling <= 0 {
-				sampling = 1
-			}
-			legacy := newLegacyChooser(self, workers, retain, sampling)
+			legacy := newLegacyChooser(self, workers, cfg.retain)
 
 			script := scriptRNG(0xc0ffee)
 			for step := 0; step < steps; step++ {
@@ -228,7 +157,7 @@ func TestStealPolicyBitForBitLegacy(t *testing.T) {
 func TestStealPolicyProbeOrderFixedSeed(t *testing.T) {
 	p := stoppedPool(t, Options{Workers: 6})
 	w := p.workers[1]
-	legacy := newLegacyChooser(1, 6, 1, 1)
+	legacy := newLegacyChooser(1, 6, 1)
 	none := func(int) bool { return false }
 	var got, want [16]int
 	for i := range got {

@@ -37,7 +37,7 @@ func (d *TaskDef1) Name() string { return d.name }
 // Spawn pushes a task on w's pool, making it available for stealing
 // (or, in the private region, deferring that synchronization). When the
 // pool is full the spawn degrades to an inline call executed here (the
-// serial elision; see Options.StrictOverflow for the panicking mode).
+// serial elision).
 func (d *TaskDef1) Spawn(w *Worker, a0 int64) {
 	t := w.push()
 	if t == nil {
@@ -62,42 +62,6 @@ func (d *TaskDef1) Join(w *Worker) int64 {
 		return d.fn(w, t.a0)
 	}
 	return t.res
-}
-
-// SpawnN spawns n tasks with arguments base, base+1, ..., base+n-1 in
-// one batch — the loop-spawn construct regular range workloads expand
-// into. When the whole block lands in the private region the per-spawn
-// bookkeeping (trip-wire check, bounds check, stats bump) is paid once
-// per batch instead of once per task; otherwise the batch degrades to
-// one-at-a-time Spawn calls, which carry the full generic semantics
-// (publication, overflow degradation, tracing). Join the batch with
-// JoinN(w, n).
-func (d *TaskDef1) SpawnN(w *Worker, base int64, n int) {
-	for n > 0 {
-		b := w.BatchPrepPrivate(n)
-		if b == nil {
-			d.Spawn(w, base)
-			base++
-			n--
-			continue
-		}
-		for j := range b {
-			b[j].Set1(d.wrap, base+int64(j))
-		}
-		w.BatchCommitPrivate(len(b))
-		base += int64(len(b))
-		n -= len(b)
-	}
-}
-
-// JoinN joins the n most recently spawned tasks (LIFO, like n Join
-// calls) and returns the sum of their results.
-func (d *TaskDef1) JoinN(w *Worker, n int) int64 {
-	var sum int64
-	for ; n > 0; n-- {
-		sum += d.Join(w)
-	}
-	return sum
 }
 
 // TaskDef2 defines a task taking two int64 arguments.
@@ -267,36 +231,6 @@ func (d *TaskDefC1[C]) Join(w *Worker) int64 {
 		return d.fn(w, t.ctx.(*C), t.a0)
 	}
 	return t.res
-}
-
-// SpawnN spawns n tasks sharing context c with arguments base..base+n-1
-// in one batch (see TaskDef1.SpawnN). Join the batch with JoinN(w, n).
-func (d *TaskDefC1[C]) SpawnN(w *Worker, c *C, base int64, n int) {
-	for n > 0 {
-		b := w.BatchPrepPrivate(n)
-		if b == nil {
-			d.Spawn(w, c, base)
-			base++
-			n--
-			continue
-		}
-		for j := range b {
-			b[j].SetC1(d.wrap, c, base+int64(j))
-		}
-		w.BatchCommitPrivate(len(b))
-		base += int64(len(b))
-		n -= len(b)
-	}
-}
-
-// JoinN joins the n most recently spawned tasks (LIFO) and returns the
-// sum of their results.
-func (d *TaskDefC1[C]) JoinN(w *Worker, n int) int64 {
-	var sum int64
-	for ; n > 0; n-- {
-		sum += d.Join(w)
-	}
-	return sum
 }
 
 // TaskDefC2 defines a task taking a typed context pointer and two

@@ -55,8 +55,7 @@ type Worker struct {
 
 	// tasks is the direct task stack: descriptors stored inline, strict
 	// stack discipline. Fixed capacity (Options.StackSize); an
-	// overflowing spawn degrades to inline serial execution (see ovf),
-	// or panics under Options.StrictOverflow.
+	// overflowing spawn degrades to inline serial execution (see ovf).
 	tasks []Task
 
 	_ [64]byte // pad: end of the immutable group
@@ -262,7 +261,7 @@ func (w *Worker) flushStealCounters(c *stealCounters) {
 // trip-wire flag and pool overflow. It returns the descriptor; the
 // caller fills in arguments and publishes. On overflow it returns nil
 // (the caller degrades the spawn to inline execution, see
-// noteOverflowInlined), or panics under Options.StrictOverflow.
+// noteOverflowInlined).
 func (w *Worker) push() *Task {
 	if w.stats.Spawns >= w.pollAt {
 		w.poll()
@@ -271,9 +270,6 @@ func (w *Worker) push() *Task {
 		w.publishMore()
 	}
 	if w.top == len(w.tasks) {
-		if w.pool.opts.StrictOverflow {
-			panic(wskit.OverflowPanic("core", w.idx, len(w.tasks)))
-		}
 		return nil
 	}
 	return &w.tasks[w.top]

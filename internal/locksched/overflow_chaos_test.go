@@ -2,7 +2,6 @@ package locksched
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"gowool/internal/chaos"
@@ -42,29 +41,6 @@ func TestOverflowDegradesToInline(t *testing.T) {
 				workers, st.Spawns, st.JoinsInlined, st.JoinsStolen)
 		}
 	}
-}
-
-// TestStackOverflowPanics covers the StrictOverflow arm of the shared
-// degrade-or-panic policy.
-func TestStackOverflowPanics(t *testing.T) {
-	p := NewPool(Options{Workers: 1, StackSize: 8, StrictOverflow: true})
-	defer p.Close()
-	noop := Define1("noop", func(w *Worker, x int64) int64 { return x })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic on stack overflow")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "task pool overflow") {
-			t.Fatalf("overflow panic = %v, want the unified task-pool-overflow message", r)
-		}
-	}()
-	p.Run(func(w *Worker) int64 {
-		for i := int64(0); i < 100; i++ {
-			noop.Spawn(w, i)
-		}
-		return 0
-	})
 }
 
 // TestChaosOverheadDisabled pins the zero-cost claim for the disabled

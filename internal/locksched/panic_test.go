@@ -5,9 +5,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gowool/internal/steal"
 )
 
-// TestStealHalfPanicCompletesConvoy: with StealHalf a thief claims a
+// TestStealHalfPanicCompletesConvoy: with steal-half a thief claims a
 // batch of tasks in one critical section; a panic in an early task of
 // the batch must not strand the ones convoying behind it (their done
 // flags must still publish, or their joins deadlock).
@@ -16,7 +18,7 @@ func TestStealHalfPanicCompletesConvoy(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	var ran atomic.Int64
 	for attempt := 0; attempt < 30; attempt++ {
-		p := NewPool(Options{Workers: 2, StealHalf: true, MaxIdleSleep: -1})
+		p := NewPool(Options{Workers: 2, Steal: steal.Config{Amount: steal.AmountHalf}, MaxIdleSleep: -1})
 		var armed, started atomic.Bool
 		bomb := Define1("bomb", func(w *Worker, x int64) int64 {
 			started.Store(true)
@@ -37,7 +39,7 @@ func TestStealHalfPanicCompletesConvoy(t *testing.T) {
 				}
 			}()
 			p.Run(func(w *Worker) int64 {
-				// Four queued tasks; a StealHalf thief claims the oldest
+				// Four queued tasks; a steal-half thief claims the oldest
 				// two (x=0 panics, x=1 convoys behind it).
 				for x := int64(0); x < 4; x++ {
 					bomb.Spawn(w, x)

@@ -4,13 +4,15 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"gowool/internal/steal"
 )
 
 func TestStealHalfCorrectness(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	for _, workers := range []int{2, 4} {
-		p := NewPool(Options{Workers: workers, StealHalf: true})
+		p := NewPool(Options{Workers: workers, Steal: steal.Config{Amount: steal.AmountHalf}})
 		fib := fibDef()
 		for rep := 0; rep < 5; rep++ {
 			got := p.Run(func(w *Worker) int64 { return fib.Call(w, 20) })
@@ -47,8 +49,8 @@ func TestStealHalfWideFrontier(t *testing.T) {
 		return total
 	})
 
-	run := func(half bool) (int64, Stats) {
-		p := NewPool(Options{Workers: 4, StealHalf: half})
+	run := func(amount string) (int64, Stats) {
+		p := NewPool(Options{Workers: 4, Steal: steal.Config{Amount: amount}})
 		defer p.Close()
 		var r int64
 		for rep := 0; rep < 10; rep++ {
@@ -56,8 +58,8 @@ func TestStealHalfWideFrontier(t *testing.T) {
 		}
 		return r, p.Stats()
 	}
-	rOne, _ := run(false)
-	rHalf, _ := run(true)
+	rOne, _ := run(steal.AmountOne)
+	rHalf, _ := run(steal.AmountHalf)
 	if rOne != rHalf {
 		t.Errorf("results differ: %d vs %d", rOne, rHalf)
 	}
@@ -70,7 +72,7 @@ func TestQuickStealHalfEquivalence(t *testing.T) {
 	err := quick.Check(func(nRaw, wRaw uint8) bool {
 		n := int64(nRaw % 15)
 		workers := int(wRaw%3) + 2
-		p := NewPool(Options{Workers: workers, StealHalf: true, Strategy: StealPeek})
+		p := NewPool(Options{Workers: workers, Steal: steal.Config{Amount: steal.AmountHalf}, Strategy: StealPeek})
 		defer p.Close()
 		return p.Run(func(w *Worker) int64 { return fib.Call(w, n) }) == serialFib(n)
 	}, &quick.Config{MaxCount: 20})

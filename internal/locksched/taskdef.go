@@ -21,7 +21,7 @@ func Define1(name string, fn func(*Worker, int64) int64) *TaskDef1 {
 
 // Spawn pushes a task on w's pool. When the pool is full the spawn
 // degrades to inline serial execution (the child runs now, the join
-// replays its result) unless Options.StrictOverflow is set.
+// replays its result).
 func (d *TaskDef1) Spawn(w *Worker, a0 int64) {
 	t := w.push()
 	if t == nil {

@@ -49,11 +49,6 @@ type Options struct {
 	// central queue). gonative has no pool and ignores it. 0 means the
 	// backend default.
 	StackSize int
-	// StrictOverflow makes a spawn that finds a fixed-capacity pool
-	// full panic instead of degrading to inline serial execution
-	// (core, chaselev, locksched). Backends without a fixed-capacity
-	// pool ignore it.
-	StrictOverflow bool
 	// PrivateTasks enables the private-task optimization on backends
 	// that implement it (the direct task stack only).
 	PrivateTasks bool
@@ -92,7 +87,7 @@ type Options struct {
 // Caps declares what a registered scheduler can do, so registry-driven
 // tools degrade gracefully instead of special-casing names. Every flag
 // is one some caller branches on: CheckOptions on the option gates,
-// woolrun and woolstat on Stats and TaskDefs.
+// woolrun on Stats and TaskDefs.
 type Caps struct {
 	// Steal is a one-phrase description of the load-balancing
 	// mechanism (synchronization locus and steal order).
@@ -262,13 +257,12 @@ var registry = []Scheduler{{
 	},
 	newPool: func(p *Pool, o Options) {
 		np := chaselev.NewPool(chaselev.Options{
-			Workers:        o.Workers,
-			DequeSize:      o.StackSize,
-			StrictOverflow: o.StrictOverflow,
-			MaxIdleSleep:   o.MaxIdleSleep,
-			Trace:          o.Trace,
-			Chaos:          o.Chaos,
-			Steal:          o.Steal,
+			Workers:      o.Workers,
+			DequeSize:    o.StackSize,
+			MaxIdleSleep: o.MaxIdleSleep,
+			Trace:        o.Trace,
+			Chaos:        o.Chaos,
+			Steal:        o.Steal,
 		})
 		p.native, p.stats = np, func() Stats {
 			s := np.Stats()
@@ -306,13 +300,12 @@ var registry = []Scheduler{{
 	},
 	newPool: func(p *Pool, o Options) {
 		np := locksched.NewPool(locksched.Options{
-			Workers:        o.Workers,
-			StackSize:      o.StackSize,
-			StrictOverflow: o.StrictOverflow,
-			MaxIdleSleep:   o.MaxIdleSleep,
-			Trace:          o.Trace,
-			Chaos:          o.Chaos,
-			Steal:          o.Steal,
+			Workers:      o.Workers,
+			StackSize:    o.StackSize,
+			MaxIdleSleep: o.MaxIdleSleep,
+			Trace:        o.Trace,
+			Chaos:        o.Chaos,
+			Steal:        o.Steal,
 		})
 		p.native, p.stats = np, func() Stats {
 			s := np.Stats()
@@ -409,9 +402,9 @@ var registry = []Scheduler{{
 }, {
 	// Fork-join with goroutines, channels and WaitGroups, scheduled by
 	// the Go runtime: no pool object, no counters, and nothing for
-	// StackSize, StrictOverflow, Chaos or Watchdog to act on. RunRec
-	// throttles with ForkBounded — the manual granularity control Go
-	// programs need and the paper's scheduler exists to remove.
+	// StackSize, Chaos or Watchdog to act on. RunRec throttles with
+	// ForkBounded — the manual granularity control Go programs need and
+	// the paper's scheduler exists to remove.
 	name:  "gonative",
 	blurb: "idiomatic Go baseline: goroutines + channels/WaitGroups on the Go runtime, bounded forking for recursion, goroutine-per-chunk loops",
 	caps: Caps{
@@ -466,15 +459,14 @@ var registry = []Scheduler{{
 // rows: the option mapping, the native pool and the Stats mapping.
 func newCorePool(p *Pool, o Options) *core.Pool {
 	np := core.NewPool(core.Options{
-		Workers:        o.Workers,
-		StackSize:      o.StackSize,
-		StrictOverflow: o.StrictOverflow,
-		PrivateTasks:   o.PrivateTasks,
-		MaxIdleSleep:   o.MaxIdleSleep,
-		Trace:          o.Trace,
-		Chaos:          o.Chaos,
-		Watchdog:       o.Watchdog,
-		Steal:          o.Steal,
+		Workers:      o.Workers,
+		StackSize:    o.StackSize,
+		PrivateTasks: o.PrivateTasks,
+		MaxIdleSleep: o.MaxIdleSleep,
+		Trace:        o.Trace,
+		Chaos:        o.Chaos,
+		Watchdog:     o.Watchdog,
+		Steal:        o.Steal,
 	})
 	p.native, p.stats = np, func() Stats {
 		s := np.Stats()

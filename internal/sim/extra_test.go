@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"gowool/internal/costmodel"
@@ -129,34 +128,7 @@ func TestUnjoinedRootPanics(t *testing.T) {
 	Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, leak, Args{A0: 1})
 }
 
-// TestStackOverflowPanics covers the StrictOverflow arm of the shared
-// degrade-or-panic policy; TestStackOverflowDegrades covers the default.
-func TestStackOverflowPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "task pool overflow") {
-			t.Fatalf("overflow panic = %v, want the unified task-pool-overflow message", r)
-		}
-	}()
-	leafDef := &Def{Name: "noop"}
-	leafDef.F = func(w *W, a Args) int64 { return 0 }
-	deep := &Def{Name: "deep"}
-	deep.F = func(w *W, a Args) int64 {
-		for i := 0; i < 100; i++ {
-			leafDef.Spawn(w, Args{})
-		}
-		for i := 0; i < 100; i++ {
-			w.Join()
-		}
-		return 0
-	}
-	Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(), StackSize: 8, StrictOverflow: true}, deep, Args{})
-}
-
-// TestStackOverflowDegrades: without StrictOverflow the same workload
+// TestStackOverflowDegrades: a workload that overflows its pool
 // completes, spawns past capacity run inline with their results
 // replayed LIFO by the matching joins, and the elisions are counted.
 func TestStackOverflowDegrades(t *testing.T) {

@@ -1,7 +1,5 @@
 package sim
 
-import "gowool/internal/wskit"
-
 // This file is the simulated scheduling protocol: spawn, join, steal,
 // trip-wire publication and lock modelling. All state is plain data
 // guarded by the vtime token; costs come from the machine's Profile.
@@ -13,9 +11,6 @@ func (w *W) spawn(def *Def, a Args) {
 	}
 	c := &w.m.cfg.Costs
 	if w.top == len(w.tasks) {
-		if w.m.cfg.StrictOverflow {
-			panic(wskit.OverflowPanic("sim", w.p.ID(), len(w.tasks)))
-		}
 		// Degrade to inline serial execution (serial elision): charge
 		// the private-spawn cost, run the child now, and stash the
 		// result for the matching Join to replay LIFO. Not counted in
@@ -190,6 +185,11 @@ func (w *W) joinCentral(t *STask) int64 {
 	return t.res
 }
 
+// privatizeRun is the number of consecutive inlined public joins after
+// which the owner pulls the public boundary back down — core's
+// constant of the same name.
+const privatizeRun = 16
+
 // notePublicInline implements the public→private pull-down of the
 // revocable cut-off (KindDirectStack with PrivateTasks).
 func (w *W) notePublicInline() {
@@ -198,7 +198,7 @@ func (w *W) notePublicInline() {
 		return
 	}
 	w.inlineRun++
-	if w.inlineRun >= cfg.PrivatizeRun {
+	if w.inlineRun >= privatizeRun {
 		w.inlineRun = 0
 		if newPL := w.top + cfg.InitialPublic; newPL < w.publicLimit {
 			w.publicLimit = newPL

@@ -102,16 +102,11 @@ type Config struct {
 	InitialPublic int // default 2
 	TripDistance  int // default 1
 	PublishAmount int // default 2
-	PrivatizeRun  int // default 16
 
 	// StackSize is the per-worker task pool capacity; default 65536.
 	// A spawn that finds the pool full degrades to inline serial
-	// execution (counted in Stats.OverflowInlined) unless
-	// StrictOverflow is set.
+	// execution (counted in Stats.OverflowInlined).
 	StackSize int
-	// StrictOverflow restores the pre-degradation behaviour: a spawn
-	// that finds the pool full panics.
-	StrictOverflow bool
 
 	// Seed drives victim selection; same seed ⇒ identical run.
 	Seed uint64
@@ -153,9 +148,6 @@ func (c Config) defaults() Config {
 	}
 	if c.PublishAmount <= 0 {
 		c.PublishAmount = 2
-	}
-	if c.PrivatizeRun <= 0 {
-		c.PrivatizeRun = 16
 	}
 	if c.StackSize <= 0 {
 		c.StackSize = 65536

@@ -1,9 +1,9 @@
 package steal
 
-// randomPolicy is uniform victim selection with optional distinct-k
-// sampling — the pre-refactor nextVictim / distinctVictims / sampling
-// path of core, reproduced bit for bit, and the base the other
-// policies fall back to. All fields are owner-private per-worker state.
+// randomPolicy is uniform victim selection — the pre-refactor
+// nextVictim path of core, reproduced bit for bit, and the base the
+// other policies fall back to. All fields are owner-private per-worker
+// state.
 type randomPolicy struct {
 	// woolvet:owner
 	rng RNG
@@ -11,10 +11,6 @@ type randomPolicy struct {
 	self int
 	// woolvet:owner
 	n int
-	// woolvet:owner
-	k int
-	// woolvet:owner
-	buf [MaxSampling]int
 }
 
 func (p *randomPolicy) Name() string { return Random }
@@ -37,73 +33,12 @@ func (p *randomPolicy) pick() int {
 	return v
 }
 
-// distinct fills out with up to k pairwise-distinct victim indices —
-// the legacy core distinctVictims, byte for byte: enumerate everyone
-// when k covers the pool, otherwise rejection-sample with a bounded
-// try budget so a streak of duplicates degrades to fewer candidates
-// instead of spinning.
-func (p *randomPolicy) distinct(k int, out []int) int {
-	n := p.n - 1 // candidate victims (everyone but self)
-	if n <= 0 {
-		return 0
-	}
-	if k > len(out) {
-		k = len(out)
-	}
-	if k >= n {
-		j := 0
-		for i := 0; i < p.n; i++ {
-			if i != p.self && j < len(out) {
-				out[j] = i
-				j++
-			}
-		}
-		return j
-	}
-	cnt := 0
-	for tries := 0; cnt < k && tries < 4*k+8; tries++ {
-		idx := p.pick()
-		dup := false
-		for j := 0; j < cnt; j++ {
-			if out[j] == idx {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out[cnt] = idx
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// Choose sits on every steal attempt of every backend: it may not
-// allocate (the candidate buffer is the fixed-size buf array), though
-// the sampling loop is past the inlining budget.
+// Choose sits on every steal attempt of every backend: it ignores the
+// probe and draws a fresh victim.
 //
+// woolvet:inline
 // woolvet:noescape
-func (p *randomPolicy) Choose(stealable func(int) bool) int {
-	if p.k <= 1 || stealable == nil {
-		return p.pick()
-	}
-	cnt := p.distinct(p.k, p.buf[:])
-	if cnt == 0 {
-		return p.pick()
-	}
-	// Probe the candidates read-only and commit to the first that
-	// looks stealable; when all look empty, fall through to the last
-	// candidate anyway — the probe is only a hint and the CAS protocol
-	// rechecks (legacy chooseVictim's fallback).
-	v := -1
-	for i := 0; i < cnt; i++ {
-		v = p.buf[i]
-		if stealable(v) {
-			return v
-		}
-	}
-	return v
-}
+func (p *randomPolicy) Choose(func(int) bool) int { return p.pick() }
 
 // woolvet:inline
 // woolvet:noescape
@@ -112,18 +47,15 @@ func (p *randomPolicy) Observe(int, bool) bool { return false }
 // lastVictimPolicy layers last-successful-victim retention over
 // randomPolicy — the retention logic that used to sit inline in core's
 // chooseVictim/idleLoop, bit for bit (core's stealpolicy_compat_test.go
-// keeps the replica). The probed flag keeps the miss accounting
-// identical to the legacy split: with a probe, misses are counted at
+// keeps the replica). The retained victim is dropped at the first
+// probe that finds nothing. The probed flag keeps the miss accounting
+// identical to the legacy split: with a probe, a miss is found at
 // Choose time (a failed CAS after a positive probe is a race, not a
-// miss); without one (the simulator), misses are counted from Observe.
+// miss); without one (the simulator), it is found from Observe.
 type lastVictimPolicy struct {
 	randomPolicy
 	// woolvet:owner
-	retain int
-	// woolvet:owner
 	last int
-	// woolvet:owner
-	misses int
 	// woolvet:owner
 	probed bool
 }
@@ -137,13 +69,9 @@ func (p *lastVictimPolicy) Choose(stealable func(int) bool) int {
 		if stealable(lv) {
 			return lv
 		}
-		p.misses++
-		if p.misses >= p.retain {
-			p.last = -1
-			p.misses = 0
-		}
+		p.last = -1
 	}
-	return p.randomPolicy.Choose(stealable)
+	return p.pick()
 }
 
 // Observe runs after every steal attempt, hit or miss; it must both
@@ -153,20 +81,12 @@ func (p *lastVictimPolicy) Choose(stealable func(int) bool) int {
 // woolvet:noescape
 func (p *lastVictimPolicy) Observe(v int, ok bool) (retained bool) {
 	if ok {
-		if p.last == v {
-			retained = true
-		} else {
-			p.last = v
-		}
-		p.misses = 0
+		retained = p.last == v
+		p.last = v
 		return retained
 	}
-	if !p.probed && p.last >= 0 && v == p.last {
-		p.misses++
-		if p.misses >= p.retain {
-			p.last = -1
-			p.misses = 0
-		}
+	if !p.probed && v == p.last {
+		p.last = -1
 	}
 	return false
 }
@@ -214,23 +134,21 @@ type localizedPolicy struct {
 	randomPolicy
 	// woolvet:owner
 	h int
-	// woolvet:owner
-	spill uint64
 }
 
 func (p *localizedPolicy) Name() string { return Localized }
 
 // woolvet:noescape
-func (p *localizedPolicy) Choose(stealable func(int) bool) int {
+func (p *localizedPolicy) Choose(func(int) bool) int {
 	if p.n <= 1 {
 		return p.self
 	}
 	if p.h >= p.n-1 {
 		// Neighborhood covers the whole ring: identical to random.
-		return p.randomPolicy.Choose(stealable)
+		return p.pick()
 	}
 	x := p.rng.Next()
-	if x>>32 < p.spill {
+	if x>>32 < localizedSpill {
 		return p.pick() // spill out: uniform over everyone
 	}
 	j := int(uint32(x)) % p.h

@@ -3,8 +3,8 @@
 // virtual-time simulator.
 //
 // Before this package each backend carried its own copy of the same
-// xorshift64 victim generator, and the retention (last-victim) and
-// sampling refinements lived inline in core's chooseVictim. Following
+// xorshift64 victim generator, and the retention (last-victim)
+// refinement lived inline in core's chooseVictim. Following
 // "Configurable Strategies for Work-stealing" (arXiv:1305.6474), victim
 // order decomposes into an independent strategy object: a Policy holds
 // per-worker, owner-private state (an RNG stream, a retention slot, a
@@ -33,14 +33,11 @@ import "fmt"
 // order.
 const (
 	// Random is uniform victim selection over the other workers — the
-	// paper's policy — with optional distinct-k sampling
-	// (Config.Sampling): probe up to k pairwise-distinct candidates
-	// read-only and take the first that looks stealable.
+	// paper's policy.
 	Random = "random"
 	// LastVictim wraps Random with last-successful-victim retention:
 	// after a successful steal return to the same victim first,
-	// dropping it after Config.Retain consecutive probes that find
-	// nothing.
+	// dropping it at the first probe that finds nothing.
 	LastVictim = "last-victim"
 	// Sequential scans the workers round-robin from the thief's right
 	// neighbour: fully deterministic, no RNG. A successful steal keeps
@@ -49,8 +46,7 @@ const (
 	Sequential = "sequential"
 	// Localized steals from a ring neighborhood of the
 	// Config.Neighborhood nearest workers, spilling to a uniformly
-	// random remote victim with probability Config.Spill
-	// (arXiv:1804.04773).
+	// random remote victim with probability 0.05 (arXiv:1804.04773).
 	Localized = "localized"
 )
 
@@ -73,41 +69,23 @@ func Policies() []string {
 // Amounts returns the steal-amount names.
 func Amounts() []string { return []string{AmountOne, AmountHalf} }
 
-// MaxSampling caps Config.Sampling's distinct-victim bookkeeping (the
-// pre-refactor core.maxSampling).
-const MaxSampling = 8
+// localizedSpill is the Localized spill-out probability, 0.05, as the
+// fixed-point threshold the high 32 bits of a draw are compared
+// against: ⌊0.05·2³²⌋.
+const localizedSpill = 214748364
 
 // Config selects and parameterizes a victim policy. The zero value is
-// usable: it resolves to the uniform-random policy with no sampling,
-// taking one task per steal — every backend's historical default.
+// usable: it resolves to the uniform-random policy, taking one task per
+// steal — every backend's historical default.
 type Config struct {
 	// Policy is one of Policies(); "" means Random.
 	Policy string
-
-	// Retain is the LastVictim miss budget: the retained victim is
-	// dropped after this many consecutive probes that find nothing.
-	// 0 means the default of 1; negative disables retention outright
-	// (the policy degenerates to Random).
-	Retain int
-
-	// Sampling makes Random (and the LastVictim fallback) probe up to
-	// this many pairwise-distinct candidates per attempt and take the
-	// first that looks stealable. 0 or 1 means no sampling; capped at
-	// MaxSampling. Only consulted when the backend supplies a
-	// stealable probe.
-	Sampling int
 
 	// Neighborhood is the Localized ring-neighborhood size: the number
 	// of nearest workers (alternating right/left on the worker ring)
 	// eligible for a local steal. 0 means the default of 4; values
 	// >= workers-1 degenerate to Random.
 	Neighborhood int
-
-	// Spill is the Localized spill-out probability: each attempt
-	// escapes the neighborhood to a uniformly random victim with this
-	// probability. 0 means the default of 0.05; negative means never
-	// spill.
-	Spill float64
 
 	// Amount is AmountOne or AmountHalf; "" means AmountOne. Honoured
 	// by backends whose pools support batch extraction (see
@@ -127,20 +105,8 @@ func (c Config) Defaults() Config {
 	if c.Policy == "" {
 		c.Policy = Random
 	}
-	if c.Retain == 0 {
-		c.Retain = 1
-	}
-	if c.Sampling <= 0 {
-		c.Sampling = 1
-	}
-	if c.Sampling > MaxSampling {
-		c.Sampling = MaxSampling
-	}
 	if c.Neighborhood <= 0 {
 		c.Neighborhood = 4
-	}
-	if c.Spill == 0 {
-		c.Spill = 0.05
 	}
 	if c.Amount == "" {
 		c.Amount = AmountOne
@@ -161,9 +127,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("unknown steal amount %q (have %v)", c.Amount, Amounts())
 	}
-	if c.Spill > 1 {
-		return fmt.Errorf("steal spill probability %v > 1", c.Spill)
-	}
 	return nil
 }
 
@@ -180,10 +143,10 @@ type Policy interface {
 	// victim==self check, exactly like the pre-refactor nextVictim).
 	//
 	// stealable, when non-nil, is a read-only probe of a candidate's
-	// pool (e.g. core's stealableAt): the retention check and the
-	// sampling pass use it to skip victims that look empty. nil (the
-	// simulator, lock-guarded pools) disables probing; failures are
-	// then accounted through Observe instead.
+	// pool (e.g. core's stealableAt): the retention check uses it to
+	// skip a retained victim that looks empty. nil (the simulator,
+	// lock-guarded pools) disables probing; failures are then
+	// accounted through Observe instead.
 	Choose(stealable func(int) bool) int
 
 	// Observe feeds back the outcome of the steal attempt at victim v.
@@ -218,22 +181,17 @@ func New(cfg Config, self, workers int) Policy {
 	if workers <= 0 || self < 0 || self >= workers {
 		panic(fmt.Sprintf("steal: worker %d of %d out of range", self, workers))
 	}
-	retainDisabled := cfg.Retain < 0
 	cfg = cfg.Defaults()
 	base := randomPolicy{
 		rng:  NewRNG(WorkerSeed(cfg.Seed, self)),
 		self: self,
 		n:    workers,
-		k:    cfg.Sampling,
 	}
 	switch cfg.Policy {
 	case Random:
 		return &base
 	case LastVictim:
-		if retainDisabled {
-			return &base
-		}
-		return &lastVictimPolicy{randomPolicy: base, retain: cfg.Retain, last: -1}
+		return &lastVictimPolicy{randomPolicy: base, last: -1}
 	case Sequential:
 		cur := self
 		if workers > 1 {
@@ -245,15 +203,7 @@ func New(cfg Config, self, workers int) Policy {
 		if h > workers-1 {
 			h = workers - 1
 		}
-		spill := cfg.Spill
-		if spill < 0 {
-			spill = 0
-		}
-		return &localizedPolicy{
-			randomPolicy: base,
-			h:            h,
-			spill:        uint64(spill * float64(1<<32)),
-		}
+		return &localizedPolicy{randomPolicy: base, h: h}
 	}
 	panic("steal: unreachable policy " + cfg.Policy)
 }

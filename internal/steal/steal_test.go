@@ -7,18 +7,9 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	d := Config{}.Defaults()
-	want := Config{Policy: Random, Retain: 1, Sampling: 1, Neighborhood: 4, Spill: 0.05, Amount: AmountOne}
+	want := Config{Policy: Random, Neighborhood: 4, Amount: AmountOne}
 	if d != want {
 		t.Fatalf("Defaults() = %+v, want %+v", d, want)
-	}
-	if got := (Config{Sampling: 99}).Defaults().Sampling; got != MaxSampling {
-		t.Errorf("Sampling capped at %d, got %d", MaxSampling, got)
-	}
-	if got := (Config{Retain: -3}).Defaults().Retain; got != -3 {
-		t.Errorf("negative Retain must survive Defaults, got %d", got)
-	}
-	if got := (Config{Spill: -1}).Defaults().Spill; got != -1 {
-		t.Errorf("negative Spill must survive Defaults, got %v", got)
 	}
 }
 
@@ -28,7 +19,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = %v, want nil", ok, err)
 		}
 	}
-	for _, bad := range []Config{{Policy: "zigzag"}, {Amount: "all"}, {Spill: 1.5}} {
+	for _, bad := range []Config{{Policy: "zigzag"}, {Amount: "all"}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted, want error", bad)
 		}
@@ -89,71 +80,8 @@ func TestRandomSingleWorker(t *testing.T) {
 	}
 }
 
-// TestDistinct migrates core's TestDistinctVictims: candidates are
-// pairwise distinct, never self, and k >= n-1 enumerates everyone.
-func TestDistinct(t *testing.T) {
-	p := New(Config{Sampling: 4}, 2, 8).(*randomPolicy)
-	var buf [MaxSampling]int
-	for iter := 0; iter < 200; iter++ {
-		cnt := p.distinct(4, buf[:])
-		if cnt == 0 {
-			t.Fatal("no candidates from a 8-worker pool")
-		}
-		seen := map[int]bool{}
-		for i := 0; i < cnt; i++ {
-			v := buf[i]
-			if v == 2 {
-				t.Fatal("distinct returned self")
-			}
-			if seen[v] {
-				t.Fatalf("duplicate candidate %d", v)
-			}
-			seen[v] = true
-		}
-	}
-	// k covering the pool: deterministic enumeration of everyone else.
-	cnt := p.distinct(8, buf[:])
-	if cnt != 7 {
-		t.Fatalf("enumerating 8-worker pool gave %d candidates, want 7", cnt)
-	}
-	want := []int{0, 1, 3, 4, 5, 6, 7}
-	if !reflect.DeepEqual(buf[:cnt], want) {
-		t.Fatalf("enumeration = %v, want %v", buf[:cnt], want)
-	}
-	// Single worker: no candidates.
-	solo := New(Config{Sampling: 4}, 0, 1).(*randomPolicy)
-	if cnt := solo.distinct(4, buf[:]); cnt != 0 {
-		t.Fatalf("single-worker distinct = %d, want 0", cnt)
-	}
-}
-
-func TestSamplingProbePrefersStealable(t *testing.T) {
-	p := New(Config{Sampling: 6}, 0, 8)
-	// Only worker 5 looks stealable: the sampling pass must pick it
-	// whenever it lands in the candidate set, else fall back to the
-	// last candidate (never self, always in range).
-	for i := 0; i < 200; i++ {
-		v := p.Choose(func(i int) bool { return i == 5 })
-		if v == 0 || v < 0 || v >= 8 {
-			t.Fatalf("victim %d out of range or self", v)
-		}
-	}
-	hits := 0
-	for i := 0; i < 200; i++ {
-		if p.Choose(func(i int) bool { return i == 5 }) == 5 {
-			hits++
-		}
-	}
-	// With 6 distinct candidates of 7 the stealable worker is sampled
-	// almost every attempt; anything below half would mean the probe
-	// is being ignored.
-	if hits < 100 {
-		t.Fatalf("stealable victim picked only %d/200 times", hits)
-	}
-}
-
 func TestLastVictimRetention(t *testing.T) {
-	p := New(Config{Policy: LastVictim, Retain: 2}, 1, 4).(*lastVictimPolicy)
+	p := New(Config{Policy: LastVictim}, 1, 4).(*lastVictimPolicy)
 	probeYes := func(int) bool { return true }
 	probeNo := func(int) bool { return false }
 
@@ -166,16 +94,13 @@ func TestLastVictimRetention(t *testing.T) {
 	if !p.Observe(3, true) {
 		t.Fatal("repeat success at the retained victim not reported")
 	}
-	// Two consecutive probe misses (Retain=2) drop the retention.
+	// The first probe that finds the retained victim empty drops it.
 	p.Choose(probeNo)
-	if p.last != 3 || p.misses != 1 {
-		t.Fatalf("after one miss: last=%d misses=%d", p.last, p.misses)
-	}
-	p.Choose(probeNo)
-	if p.last != -1 || p.misses != 0 {
-		t.Fatalf("retention not dropped after %d misses: last=%d misses=%d", 2, p.last, p.misses)
+	if p.last != -1 {
+		t.Fatalf("retention survived a probe miss: last=%d", p.last)
 	}
 	// A success at a different victim moves the slot.
+	p.Observe(3, true)
 	p.Observe(2, true)
 	if p.last != 2 {
 		t.Fatalf("retention slot not moved: last=%d", p.last)
@@ -185,33 +110,19 @@ func TestLastVictimRetention(t *testing.T) {
 func TestLastVictimProbeFreeMissAccounting(t *testing.T) {
 	// Without a probe (the simulator) failures feed retention through
 	// Observe instead of Choose.
-	p := New(Config{Policy: LastVictim, Retain: 2}, 1, 4).(*lastVictimPolicy)
+	p := New(Config{Policy: LastVictim}, 1, 4).(*lastVictimPolicy)
 	p.Observe(3, true)
 	if v := p.Choose(nil); v == 1 {
 		t.Fatal("Choose returned self")
 	}
-	p.Observe(3, false)
-	if p.last != 3 || p.misses != 1 {
-		t.Fatalf("after one probe-free miss: last=%d misses=%d", p.last, p.misses)
+	// Failures at non-retained victims don't count.
+	p.Observe(2, false)
+	if p.last != 3 {
+		t.Fatalf("miss at non-retained victim dropped retention: last=%d", p.last)
 	}
-	p.Choose(nil)
 	p.Observe(3, false)
 	if p.last != -1 {
-		t.Fatalf("retention survived %d probe-free misses: last=%d", 2, p.last)
-	}
-	// Failures at non-retained victims don't count.
-	p.Observe(0, true)
-	p.Observe(2, false)
-	if p.last != 0 || p.misses != 0 {
-		t.Fatalf("miss at non-retained victim counted: last=%d misses=%d", p.last, p.misses)
-	}
-}
-
-func TestLastVictimRetainDisabled(t *testing.T) {
-	// Negative Retain degenerates to plain random.
-	p := New(Config{Policy: LastVictim, Retain: -1}, 0, 4)
-	if _, ok := p.(*randomPolicy); !ok {
-		t.Fatalf("Retain<0 built %T, want *randomPolicy", p)
+		t.Fatalf("retention survived a probe-free miss: last=%d", p.last)
 	}
 }
 
@@ -238,33 +149,50 @@ func TestSequentialCursor(t *testing.T) {
 	}
 }
 
+// TestLocalizedNeighborhood replays the policy's RNG stream: every
+// draw that does not spill lands in the neighborhood, and every draw
+// that spills takes one more step for the uniform pick.
 func TestLocalizedNeighborhood(t *testing.T) {
-	const n, h = 16, 4
-	p := New(Config{Policy: Localized, Neighborhood: h, Spill: -1}, 5, n)
+	const n, h, self = 16, 4, 5
+	p := New(Config{Policy: Localized, Neighborhood: h}, self, n)
+	r := NewRNG(WorkerSeed(0, self))
+	spilled := 0
 	for i := 0; i < 1000; i++ {
 		v := p.Choose(nil)
-		if v == 5 {
+		if v == self {
 			t.Fatal("localized Choose returned self")
 		}
-		if d := RingDistance(5, v, n); d > (h+1)/2 {
-			t.Fatalf("victim %d at ring distance %d, neighborhood %d", v, d, h)
+		if r.Next()>>32 < localizedSpill {
+			r.Next()
+			spilled++
+			continue
 		}
+		if d := RingDistance(self, v, n); d > (h+1)/2 {
+			t.Fatalf("draw %d: victim %d at ring distance %d, neighborhood %d", i, v, d, h)
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("no draw spilled out of the neighborhood in 1000")
 	}
 }
 
 func TestLocalizedSpill(t *testing.T) {
+	spill := 0.05
+	if want := uint64(spill * (1 << 32)); localizedSpill != want {
+		t.Fatalf("spill threshold %d, want ⌊0.05·2³²⌋ = %d", localizedSpill, want)
+	}
 	const n = 16
-	p := New(Config{Policy: Localized, Neighborhood: 2, Spill: 0.5}, 0, n)
+	p := New(Config{Policy: Localized, Neighborhood: 2}, 0, n)
 	far := 0
 	for i := 0; i < 2000; i++ {
 		if RingDistance(0, p.Choose(nil), n) > 1 {
 			far++
 		}
 	}
-	// Spill=0.5 over a 16-ring: roughly half the picks escape the
-	// ±1 neighborhood (spilled picks mostly land far).
-	if far < 400 {
-		t.Fatalf("only %d/2000 picks escaped the neighborhood with spill=0.5", far)
+	// A 0.05 spill over a 16-ring: about 0.05·13/15 of the picks,
+	// some 87 of 2000, escape the ±1 neighborhood.
+	if far < 40 || far > 160 {
+		t.Fatalf("%d/2000 picks escaped the neighborhood, want about 87", far)
 	}
 	// Full-ring neighborhood degenerates to random.
 	q := New(Config{Policy: Localized, Neighborhood: 99}, 0, 4)

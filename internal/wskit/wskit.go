@@ -1,10 +1,9 @@
 // Package wskit is what every pooled backend shares around its two
 // real decisions (where thief and victim synchronize, what is stolen):
 // the pool lifecycle — the closed / running / poisoned record behind
-// Run and Close — the idle back-off ladder, the trace/chaos sink size
-// check, and the strict-overflow panic text. core, chaselev, locksched,
-// cilkstyle and ompstyle each used to carry a copy; a fix now lands
-// once (DESIGN.md §18).
+// Run and Close — the idle back-off ladder and the trace/chaos sink
+// size check. core, chaselev, locksched, cilkstyle and ompstyle each
+// used to carry a copy; a fix now lands once (DESIGN.md §18).
 package wskit
 
 import (
@@ -248,25 +247,4 @@ func CheckSinks(name string, workers int, tr *trace.Tracer, inj *chaos.Injector)
 		panic(fmt.Sprintf("%s: Options.Chaos has %d agents for %d workers; create it with chaos.NewInjector(Workers, profile, seed)",
 			name, inj.Workers(), workers))
 	}
-}
-
-// OverflowPanic is the strict-mode task-pool overflow panic text of the
-// bounded-pool schedulers (core, chaselev, locksched, sim). Their
-// overflow policy has exactly two arms, chosen by StrictOverflow:
-//
-//   - degrade (default): the overflowing spawn is executed inline at
-//     the spawn point — the serial elision, semantically equivalent for
-//     fully-strict spawn/join programs — and an OverflowInlined counter
-//     is bumped. The program completes with reduced parallelism instead
-//     of dying at an input-dependent depth.
-//   - strict: the scheduler panics with this message, so capacity bugs
-//     in tests and benchmarks fail loudly instead of silently
-//     serializing.
-//
-// Keeping the message in one place guarantees every backend names the
-// same two escape hatches.
-func OverflowPanic(sched string, worker, capacity int) string {
-	return fmt.Sprintf(
-		"%s: task pool overflow on worker %d (capacity %d); raise the pool capacity (StackSize/DequeSize), or unset StrictOverflow to degrade overflowing spawns to inline serial execution",
-		sched, worker, capacity)
 }

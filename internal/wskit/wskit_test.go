@@ -3,7 +3,6 @@ package wskit
 import (
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,17 +216,5 @@ func TestCheckSinks(t *testing.T) {
 	}
 	if r := caught(func() { CheckSinks("kit", 3, nil, inj) }); r == nil {
 		t.Error("a 2-agent injector passed for 3 workers")
-	}
-}
-
-func TestOverflowPanic(t *testing.T) {
-	msg := OverflowPanic("core", 3, 8192)
-	for _, want := range []string{
-		"core:", "task pool overflow", "worker 3", "capacity 8192",
-		"StrictOverflow",
-	} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("OverflowPanic missing %q:\n%s", want, msg)
-		}
 	}
 }
