@@ -149,7 +149,7 @@ func runSim() {
 	var args sim.Args
 	switch *workload {
 	case "fib":
-		def, args = fibw.NewSim(), sim.Args{A0: *n}
+		def, args = fibw.NewSimReps(), sim.Args{A0: *n, A1: *reps}
 	case "stress":
 		def, args = stress.NewSimReps(), sim.Args{A0: *height, A1: *iters, A2: *reps}
 	case "mm":

@@ -1,18 +1,14 @@
-// Command woolstat prints workload characteristics in the style of the
-// paper's Table I: parallelism under the abstract and realistic cost
-// models, per-repetition size, task granularity G_T and load-balancing
-// granularity G_L(p) — either for the whole built-in catalog or for a
-// single workload at chosen parameters.
+// Command woolstat prints one workload's characteristics at chosen
+// parameters, in the style of a row of the paper's Table I:
+// parallelism under the abstract and realistic cost models,
+// per-repetition size, task granularity G_T and load-balancing
+// granularity G_L(p), all from the simulator.
 //
-//	woolstat -scale quick
+//	woolstat -workload fib -n 20 -reps 4
 //	woolstat -workload stress -height 9 -iters 256 -reps 64
 //
-// With -native the workload instead runs on the real scheduler and the
-// live Stats counters are printed — spawns, steals, trip-wire
-// publications, parks/wakes from the idle engine and retained-victim
-// steal hits:
-//
-//	woolstat -native -workload fib -n 28 -workers 4
+// The whole built-in catalog is `woolbench table1`; live scheduler
+// counters are `woolrun -stats`.
 package main
 
 import (
@@ -21,7 +17,6 @@ import (
 	"os"
 
 	"gowool/internal/costmodel"
-	"gowool/internal/experiments"
 	"gowool/internal/sim"
 	"gowool/internal/tabulate"
 	"gowool/internal/workloads/cholesky"
@@ -32,48 +27,24 @@ import (
 )
 
 var (
-	scaleFlag = flag.String("scale", "quick", "catalog scale: quick or full")
-	workload  = flag.String("workload", "", "single workload: fib | stress | mm | ssf | cholesky (empty = whole catalog)")
-	n         = flag.Int64("n", 24, "size parameter")
-	nz        = flag.Int64("nz", 1000, "cholesky nonzeros")
-	height    = flag.Int64("height", 8, "stress height")
-	iters     = flag.Int64("iters", 256, "stress leaf iterations")
-	reps      = flag.Int64("reps", 16, "repetitions")
-	native    = flag.Bool("native", false, "run on the real scheduler and print live Stats counters (fib and stress only)")
-	workers   = flag.Int("workers", 4, "worker count for -native runs")
-	schedName = flag.String("sched", "wool", "scheduler for -native runs (any registered name; wool prints the full core counter set, others the normalized one)")
+	workload = flag.String("workload", "fib", "workload: fib | stress | mm | ssf | cholesky")
+	n        = flag.Int64("n", 24, "size parameter")
+	nz       = flag.Int64("nz", 1000, "cholesky nonzeros")
+	height   = flag.Int64("height", 8, "stress height")
+	iters    = flag.Int64("iters", 256, "stress leaf iterations")
+	reps     = flag.Int64("reps", 16, "repetitions")
 )
 
 func main() {
 	flag.Parse()
-	if *native {
-		if err := runNative(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *workload == "" {
-		scale, err := experiments.ParseScale(*scaleFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		e, _ := experiments.ByID("table1")
-		if err := e.Run(scale, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var root *sim.Def
 	var args sim.Args
 	var name string
 	switch *workload {
 	case "fib":
-		root, args = fibw.NewSim(), sim.Args{A0: *n}
-		name = fmt.Sprintf("fib(%d)", *n)
+		root, args = fibw.NewSimReps(), sim.Args{A0: *n, A1: *reps}
+		name = fmt.Sprintf("fib(%d)x%d", *n, *reps)
 	case "stress":
 		root, args = stress.NewSimReps(), sim.Args{A0: *height, A1: *iters, A2: *reps}
 		name = fmt.Sprintf("stress(h=%d,i=%d)x%d", *height, *iters, *reps)

@@ -122,3 +122,18 @@ func NewSim() *sim.Def {
 	}
 	return d
 }
+
+// NewSimReps wraps the simulated fib in reps serialized parallel
+// regions: A0 = n, A1 = reps.
+func NewSimReps() *sim.Def {
+	fib := NewSim()
+	d := &sim.Def{Name: "fib-reps"}
+	d.F = func(w *sim.W, a sim.Args) int64 {
+		var total int64
+		for r := int64(0); r < a.A1; r++ {
+			total += fib.Call(w, sim.Args{A0: a.A0})
+		}
+		return total
+	}
+	return d
+}

@@ -56,6 +56,22 @@ func TestAllSchedulersAgree(t *testing.T) {
 	}
 }
 
+// TestSimReps pins the repetition wrapper: R serialized fib(n) regions
+// return R·Serial(n) and spawn R·Tasks(n) tasks.
+func TestSimReps(t *testing.T) {
+	const n = 12
+	for _, reps := range []int64{1, 4} {
+		res := sim.Run(sim.Config{Procs: 2, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
+			NewSimReps(), sim.Args{A0: n, A1: reps})
+		if want := reps * Serial(n); res.Value != want {
+			t.Errorf("reps=%d: value %d, want %d", reps, res.Value, want)
+		}
+		if want := reps * Tasks(n); res.Total.Spawns != want {
+			t.Errorf("reps=%d: %d spawns, want %d", reps, res.Total.Spawns, want)
+		}
+	}
+}
+
 func TestSimGranularity(t *testing.T) {
 	// G_T = work/tasks must be ≈ NodeWork (the paper's 13 cycles).
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
