@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -312,5 +315,39 @@ func TestServerLaneOptions(t *testing.T) {
 	if s, err := gowool.NewServer(gowool.ServerOptions{Workers: 2, Pool: shared}); err == nil {
 		s.Close()
 		t.Fatal("NewServer accepted one tracer shared by two lanes")
+	}
+}
+
+// TestOptionsMatchREADME checks the README's "### Options" table
+// against gowool.Options: the same fields, in declaration order.
+func TestOptionsMatchREADME(t *testing.T) {
+	var fields []string
+	typ := reflect.TypeOf(gowool.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### Options\n")
+	if !ok {
+		t.Fatal(`README has no "### Options" section`)
+	}
+	var table []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		table = append(table, strings.Trim(strings.TrimSpace(cells[1]), "`"))
+	}
+
+	if !reflect.DeepEqual(table, fields) {
+		t.Errorf("README options table disagrees with gowool.Options:\nREADME:  %v\nOptions: %v", table, fields)
 	}
 }

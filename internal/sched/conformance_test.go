@@ -101,7 +101,11 @@ func TestRegistry(t *testing.T) {
 
 // TestConformanceFib quick-checks every scheduler's RunRec against the
 // job's serial reference over randomized (seeded) sizes, repetition
-// counts and worker counts.
+// counts and worker counts. Every backend with a fixed-capacity task
+// pool (Caps.TaskDefs) also runs fib(12) in an 8-slot pool: the spawns
+// past capacity run inline at their call site, the result is still
+// the serial one, and Extra["overflow_inlined"] counts them — alone
+// (where the overflow is certain) and beside thieves.
 func TestConformanceFib(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -118,6 +122,22 @@ func TestConformanceFib(t *testing.T) {
 				p.Close()
 				if want := j.Serial(); got != want {
 					t.Fatalf("fib(%d)×%d workers=%d: got %d, want %d", n, reps, workers, got, want)
+				}
+			}
+			if !s.Caps().TaskDefs {
+				return
+			}
+			for _, workers := range []int{1, 3} {
+				j := fibw.Job(12, 2)
+				p := s.NewPool(sched.Options{Workers: workers, StackSize: 8})
+				got := p.RunRec(j)
+				ovf := p.Stats().Extra["overflow_inlined"]
+				p.Close()
+				if want := j.Serial(); got != want {
+					t.Fatalf("fib(12) in an 8-slot pool, workers=%d: got %d, want %d", workers, got, want)
+				}
+				if workers == 1 && ovf <= 0 {
+					t.Fatalf("fib(12) in an 8-slot pool, workers=1: overflow_inlined = %d, want > 0", ovf)
 				}
 			}
 		})
