@@ -2,9 +2,29 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// update rewrites the quick catalog's goldens from this run's output:
+// go test ./internal/experiments -run TestQuickExperimentsRun -update.
+// The goldens are the simulator's reproduction pinned byte for byte, so
+// a change that rewrites them says in CHANGES.md which experiments moved
+// and why; a change that claims to keep the simulator's behaviour must
+// pass without -update.
+var update = flag.Bool("update", false, "rewrite testdata/quick/*.golden")
+
+// simulated lists the experiments whose output is a pure function of
+// the simulator: their quick-scale output is compared with a golden.
+// table2, table3 and xgonative print native timings and are left out.
+var simulated = map[string]bool{
+	"fig1": true, "fig4": true, "fig5": true, "fig6": true,
+	"table1": true, "table4": true,
+	"xablate": true, "xcilk": true, "xscale": true,
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig4", "fig5", "fig6", "table1", "table2", "table3", "table4", "xablate", "xcilk", "xgonative", "xscale"}
@@ -55,7 +75,8 @@ func TestParseScale(t *testing.T) {
 }
 
 // TestQuickExperimentsRun executes every experiment at Quick scale and
-// sanity-checks the output. This is the integration test of the whole
+// sanity-checks the output, and compares each simulated experiment's
+// output with its golden. This is the integration test of the whole
 // reproduction pipeline (workloads → sim → analysis → rendering).
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
@@ -74,6 +95,9 @@ func TestQuickExperimentsRun(t *testing.T) {
 			}
 			if !strings.Contains(out, "==") {
 				t.Errorf("%s: no table header in output", e.ID)
+			}
+			if simulated[e.ID] {
+				checkGolden(t, filepath.Join("testdata", "quick", e.ID+".golden"), buf.Bytes())
 			}
 		})
 	}
@@ -102,5 +126,41 @@ func TestStealOverheadGrowsWithProcs(t *testing.T) {
 	}
 	if s8 <= s2 {
 		t.Errorf("steal overhead @8 (%f) should exceed @2 (%f)", s8, s2)
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Errorf("output differs from %s at line %d:\n got: %q\nwant: %q", path, i+1, gl, wl)
+			return
+		}
 	}
 }
