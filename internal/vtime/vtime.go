@@ -4,23 +4,27 @@
 //
 // This is the substrate on which internal/sim runs the paper's
 // schedulers with P ∈ {1..64} virtual processors on any host,
-// including the single-core container this reproduction targets. The
-// scheduling algorithms execute for real — every steal, back-off,
-// trip-wire and leapfrog actually happens — but time is a per-processor
-// cycle counter advanced by an explicit cost model instead of the
-// wall clock.
+// including the 2-CPU host this reproduction is measured on (DESIGN.md
+// §2). The scheduling algorithms execute for real — every steal,
+// back-off, trip-wire and leapfrog actually happens — but time is a
+// per-processor cycle counter advanced by an explicit cost model
+// instead of the wall clock.
 //
-// Concurrency discipline: exactly one processor goroutine runs at a
-// time (it holds the token); all simulated-shared state is therefore
-// plain Go data, data-race-free by construction, and every run with
-// the same seed replays the identical interleaving. Processor code
-// must call Step (or Yield) inside every loop so the coordinator can
-// keep global time moving; between two yields a processor's actions
-// are atomic with respect to the others, which is how the simulated
-// schedulers model their CAS/lock primitives.
+// Concurrency discipline: each processor body runs in a coroutine
+// (iter.Pull), and exactly one coroutine runs at a time (it holds the
+// token); all simulated-shared state is therefore plain Go data,
+// data-race-free by construction, and every run with the same seed
+// replays the identical interleaving. Processor code must call Step
+// (or Yield) inside every loop so the coordinator can keep global time
+// moving; between two yields a processor's actions are atomic with
+// respect to the others, which is how the simulated schedulers model
+// their CAS/lock primitives.
 package vtime
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is one virtual processor. Its methods may only be called from
 // the body function the Machine invoked on it, and only while that
@@ -30,9 +34,9 @@ type Proc struct {
 	m   *Machine
 	now uint64
 
-	resume chan struct{}
-	yield  chan struct{}
-	done   bool
+	yield func(struct{}) bool // the running coroutine's yield
+	next  func() (struct{}, bool)
+	done  bool
 }
 
 // ID returns the processor's index, 0..P-1.
@@ -70,9 +74,20 @@ func (p *Proc) WaitUntil(t uint64) {
 	p.yieldToken()
 }
 
+// unwind is the panic that ends a body whose coroutine Run stopped.
+type unwind struct{}
+
+// yieldToken hands the token back to the coordinator, unless p is
+// still ahead of the runner-up: the coordinator would pick p again.
 func (p *Proc) yieldToken() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if q := p.m.second; q != nil && !p.before(q) && !p.yield(struct{}{}) {
+		panic(unwind{})
+	}
+}
+
+// before orders processors as the coordinator does: by clock, then ID.
+func (p *Proc) before(q *Proc) bool {
+	return p.now < q.now || p.now == q.now && p.id < q.id
 }
 
 // Machine is a set of virtual processors sharing a token.
@@ -81,10 +96,9 @@ type Machine struct {
 	// stop is the cooperative shutdown flag for idle loops (set by the
 	// workload when the root computation completes). Token-guarded.
 	stop bool
-	// panicVal holds the first panic raised by a processor body;
-	// Run re-raises it on its caller.
-	panicVal  any
-	panicking bool
+	// second is the runner-up while a processor holds the token (nil
+	// when it is the only unfinished one). Its clock cannot move then.
+	second *Proc
 }
 
 // NewMachine creates a machine with n processors.
@@ -95,12 +109,7 @@ func NewMachine(n int) *Machine {
 	m := &Machine{}
 	m.procs = make([]*Proc, n)
 	for i := range m.procs {
-		m.procs[i] = &Proc{
-			id:     i,
-			m:      m,
-			resume: make(chan struct{}),
-			yield:  make(chan struct{}),
-		}
+		m.procs[i] = &Proc{id: i, m: m}
 	}
 	return m
 }
@@ -122,40 +131,21 @@ func (m *Machine) Stopped() bool { return m.stop }
 // processor with the smallest clock (ties broken by lowest ID), waits
 // for it to yield or finish, and repeats. Within a call to Run the
 // interleaving is a pure function of the bodies' behaviour.
-// A panic in any body is re-raised from Run on the caller's goroutine;
-// the machine is then unusable (the other processor goroutines are
-// abandoned parked on their resume channels).
+// A panic in any body is re-raised from Run on the caller's goroutine,
+// after the other bodies have been unwound (their deferred calls run);
+// the machine can then run again.
 func (m *Machine) Run(body func(p *Proc)) []uint64 {
 	m.stop = false
-	m.panicVal = nil
-	m.panicking = false
 	for _, p := range m.procs {
-		p.now = 0
-		p.done = false
-		go func(p *Proc) {
-			<-p.resume
-			defer func() {
-				if r := recover(); r != nil && !m.panicking {
-					// Token-held: the coordinator is blocked on our
-					// yield, so this write is ordered.
-					m.panicking = true
-					m.panicVal = r
-				}
-				p.done = true
-				p.yield <- struct{}{}
-			}()
-			body(p)
-		}(p)
+		p.now, p.done = 0, false
+		var stop func()
+		p.next, stop = iter.Pull(p.seq(body))
+		defer stop()
 	}
-	active := len(m.procs)
-	for active > 0 {
-		next := m.minProc()
-		next.resume <- struct{}{}
-		<-next.yield
-		if m.panicking {
-			panic(m.panicVal)
-		}
-		if next.done {
+	for active := len(m.procs); active > 0; {
+		p := m.minProc()
+		if _, ok := p.next(); !ok {
+			p.done = true
 			active--
 		}
 	}
@@ -166,14 +156,32 @@ func (m *Machine) Run(body func(p *Proc)) []uint64 {
 	return times
 }
 
+// seq is body as p's coroutine. Once Run stops the coroutine, yield
+// returns false and yieldToken panics with unwind, which ends here.
+func (p *Proc) seq(body func(p *Proc)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != (unwind{}) {
+				panic(r)
+			}
+		}()
+		p.yield = yield
+		body(p)
+	}
+}
+
+// minProc returns the unfinished processor that comes first by (clock,
+// ID) and records the runner-up in second.
 func (m *Machine) minProc() *Proc {
 	var best *Proc
+	m.second = nil
 	for _, p := range m.procs {
-		if p.done {
-			continue
-		}
-		if best == nil || p.now < best.now {
-			best = p
+		switch {
+		case p.done:
+		case best == nil || p.before(best):
+			best, m.second = p, best
+		case m.second == nil || p.before(m.second):
+			m.second = p
 		}
 	}
 	return best
