@@ -66,7 +66,7 @@ func main() {
 	span := sim.Run(sim.Config{
 		Procs: 1, Kind: sim.KindDirectStack,
 		Costs:     costmodel.Profile{Name: "zero"},
-		TrackSpan: true, SpanOverhead: 2000,
+		TrackSpan: true,
 	}, root, args)
 	work := float64(span.Work)
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"gowool/internal/costmodel"
 	"gowool/internal/steal"
 	"gowool/internal/vtime"
 )
@@ -220,9 +221,8 @@ func (w *CW) popBottom() CStep {
 // chargeProbeC charges a failed probe of victim with the topology's
 // per-hop penalty (same model as the steal-child protocol).
 func (w *CW) chargeProbeC(victim *CW) {
-	topo := &w.m.cfg.Topology
 	cost := w.m.cfg.Costs.StealProbe +
-		topo.ProbePenalty*topo.hops(w.idx, victim.idx, len(w.m.ws))
+		costmodel.RemoteProbePenalty*w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
 	w.St.ST += cost
 	w.p.Step(cost)
 }
@@ -250,8 +250,7 @@ func (w *CW) trySteal(victim *CW) bool {
 	victim.deque[len(victim.deque)-1] = nil
 	victim.deque = victim.deque[:len(victim.deque)-1]
 
-	topo := &w.m.cfg.Topology
-	cost := c.StealWork + topo.StealPenalty*topo.hops(w.idx, victim.idx, len(w.m.ws))
+	cost := c.StealWork + costmodel.RemoteStealPenalty*w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
 	now := w.p.Now()
 	if now-victim.lastSteal < 2*c.StealWork {
 		cost += c.StealWork / 2

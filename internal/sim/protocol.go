@@ -1,5 +1,7 @@
 package sim
 
+import "gowool/internal/costmodel"
+
 // This file is the simulated scheduling protocol: spawn, join, steal,
 // trip-wire publication and lock modelling. All state is plain data
 // guarded by the vtime token; costs come from the machine's Profile.
@@ -234,8 +236,7 @@ func (w *W) publishMore() {
 func (w *W) chargeProbe(victim *W) {
 	cost := w.m.cfg.Costs.StealProbe
 	if victim != nil {
-		t := &w.m.cfg.Topology
-		cost += t.ProbePenalty * t.hops(w.idx, victim.idx, len(w.m.ws))
+		cost += costmodel.RemoteProbePenalty * w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
 	}
 	w.St.ST += cost
 	w.p.Step(cost)
@@ -374,8 +375,7 @@ func (w *W) runSteal(t *STask, victim *W) {
 		// Topology: the descriptor's cache lines cross the interconnect
 		// (central-queue tasks live on the shared queue, not with the
 		// probed victim).
-		topo := &w.m.cfg.Topology
-		cost += topo.StealPenalty * topo.hops(w.idx, victim.idx, len(w.m.ws))
+		cost += costmodel.RemoteStealPenalty * w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
 	}
 	now := w.p.Now()
 	// Coherence model: a victim whose pool was robbed moments ago (or

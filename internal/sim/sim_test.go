@@ -224,7 +224,7 @@ func TestNoLockBeatsLockLadder(t *testing.T) {
 func TestSpanTrackerBalancedTree(t *testing.T) {
 	tree := simTree(1000)
 	res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true, SpanOverhead: 2000}, tree, Args{A0: 4})
+		TrackSpan: true}, tree, Args{A0: 4})
 	if res.Value != 16 {
 		t.Fatalf("value = %d", res.Value)
 	}
@@ -246,7 +246,7 @@ func TestSpanTrackerBalancedTree(t *testing.T) {
 func TestSpanOverheadModelParallelizesCoarse(t *testing.T) {
 	tree := simTree(100000)
 	res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true, SpanOverhead: 2000}, tree, Args{A0: 4})
+		TrackSpan: true}, tree, Args{A0: 4})
 	// min(k,c) = 100k per join >> 2000: parallel, span ≈ leaf + 4×O.
 	want := uint64(100000 + 4*2000)
 	if res.SpanO != want {
@@ -278,7 +278,7 @@ func TestQuickSpanInvariants(t *testing.T) {
 		leaf := uint64(leafRaw%5000) + 100
 		tree := simTree(leaf)
 		res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(),
-			TrackSpan: true, SpanOverhead: 2000}, tree, Args{A0: depth})
+			TrackSpan: true}, tree, Args{A0: depth})
 		return res.Span0 <= res.SpanO && res.SpanO <= res.Work && res.Span0 > 0
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
