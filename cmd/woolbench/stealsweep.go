@@ -241,6 +241,19 @@ func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) simStealCell
 	return cell
 }
 
+// simGrid runs every simKinds × steal.Policies() × {fib, stress} cell.
+func simGrid(sz sweepSizes) []simStealCell {
+	var cells []simStealCell
+	for _, kind := range simKinds {
+		for _, pol := range steal.Policies() {
+			for _, workload := range []string{"fib", "stress"} {
+				cells = append(cells, runSimCell(kind, pol, workload, sz))
+			}
+		}
+	}
+	return cells
+}
+
 // printRankings prints, per backend (native, fib cells at AmountOne)
 // and per protocol (sim, fib cells), the policies ordered fastest
 // first — the side-by-side the sweep exists to produce.
@@ -341,16 +354,11 @@ func runStealSweep(w io.Writer, path string, full bool) error {
 	}
 
 	fmt.Fprintf(w, "stealsweep: sim grid (P=%d, %d shards)\n", sz.simProcs, sz.simShards)
-	for _, kind := range simKinds {
-		for _, pol := range steal.Policies() {
-			for _, workload := range []string{"fib", "stress"} {
-				cell := runSimCell(kind, pol, workload, sz)
-				rep.Sim = append(rep.Sim, cell)
-				fmt.Fprintf(w, "  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%.2f remote=%.2f\n",
-					cell.Kind, cell.Policy, cell.Workload,
-					cell.KCycles, cell.Steals, cell.MeanHops, cell.RemoteFrac)
-			}
-		}
+	rep.Sim = simGrid(sz)
+	for _, cell := range rep.Sim {
+		fmt.Fprintf(w, "  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%.2f remote=%.2f\n",
+			cell.Kind, cell.Policy, cell.Workload,
+			cell.KCycles, cell.Steals, cell.MeanHops, cell.RemoteFrac)
 	}
 
 	printRankings(w, &rep)
