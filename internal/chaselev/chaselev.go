@@ -99,32 +99,19 @@ func (p WaitPolicy) String() string {
 	}
 }
 
-// Stats are the scheduler's event counters.
+// Stats are the scheduler's event counters: the shared ones (joins
+// inline as JoinsInlinedPublic; Backoffs are owner pops that lost the
+// last-element CAS race to a thief) and the task free list's.
 type Stats struct {
-	Spawns        int64
-	JoinsInlined  int64
-	JoinsStolen   int64
-	Steals        int64
-	StealAttempts int64
-	Backoffs      int64 // owner pops that lost the last-element CAS race to a thief
-	WaitSteals    int64 // tasks executed while blocked in a join
-	Allocs        int64 // task structures taken from the heap (not free list)
-
-	// OverflowInlined counts spawns that found the deque full and
-	// degraded to inline serial execution (not counted in Spawns).
-	OverflowInlined int64
+	wskit.Counts
+	WaitSteals int64 // tasks executed while blocked in a join
+	Allocs     int64 // task structures taken from the heap (not free list)
 }
 
 func (s *Stats) add(o *Stats) {
-	s.Spawns += o.Spawns
-	s.JoinsInlined += o.JoinsInlined
-	s.JoinsStolen += o.JoinsStolen
-	s.Steals += o.Steals
-	s.StealAttempts += o.StealAttempts
-	s.Backoffs += o.Backoffs
+	s.Counts.Add(&o.Counts)
 	s.WaitSteals += o.WaitSteals
 	s.Allocs += o.Allocs
-	s.OverflowInlined += o.OverflowInlined
 }
 
 // Worker is one deque-scheduler worker. Like core.Worker, the fields
@@ -588,7 +575,7 @@ func (w *Worker) joinAcquire() (*Task, bool) {
 		if task != expected {
 			panic("chaselev: deque order violated LIFO nesting")
 		}
-		w.stats.JoinsInlined++
+		w.stats.JoinsInlinedPublic++
 		return expected, true
 	}
 

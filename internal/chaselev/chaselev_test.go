@@ -88,8 +88,8 @@ func TestStatsConservation(t *testing.T) {
 	fib := fibDef()
 	p.Run(func(w *Worker) int64 { return fib.Call(w, 21) })
 	st := p.Stats()
-	if st.Spawns != st.JoinsInlined+st.JoinsStolen {
-		t.Errorf("spawns (%d) != joins (%d+%d)", st.Spawns, st.JoinsInlined, st.JoinsStolen)
+	if st.Spawns != st.JoinsInlinedPublic+st.JoinsStolen {
+		t.Errorf("spawns (%d) != joins (%d+%d)", st.Spawns, st.JoinsInlinedPublic, st.JoinsStolen)
 	}
 	if st.JoinsStolen > st.Steals {
 		t.Errorf("stolen joins (%d) > steals (%d)", st.JoinsStolen, st.Steals)
@@ -125,9 +125,9 @@ func TestOverflowDegradesToInline(t *testing.T) {
 		if st.OverflowInlined == 0 {
 			t.Fatalf("workers=%d: OverflowInlined = 0 on a depth-%d tree with DequeSize 4", workers, depth)
 		}
-		if st.Spawns != st.JoinsInlined+st.JoinsStolen {
+		if st.Spawns != st.JoinsInlinedPublic+st.JoinsStolen {
 			t.Fatalf("workers=%d: spawns (%d) != joins (%d+%d) with elision active",
-				workers, st.Spawns, st.JoinsInlined, st.JoinsStolen)
+				workers, st.Spawns, st.JoinsInlinedPublic, st.JoinsStolen)
 		}
 	}
 }

@@ -69,19 +69,17 @@ type Frame struct {
 	done bool // set when the frame's function completed (root tracking)
 }
 
-// Stats are the scheduler's event counters.
+// Stats are the scheduler's event counters. Joins are not events here
+// (a sync suspends or falls through; the last child resumes the
+// parent), so of the shared counts only spawns and steals move.
 type Stats struct {
-	Spawns        int64
-	Steals        int64
-	StealAttempts int64
-	Suspends      int64 // syncs that had to park the frame
-	Resumes       int64 // frames woken by their last returning child
+	wskit.Counts
+	Suspends int64 // syncs that had to park the frame
+	Resumes  int64 // frames woken by their last returning child
 }
 
 func (s *Stats) add(o *Stats) {
-	s.Spawns += o.Spawns
-	s.Steals += o.Steals
-	s.StealAttempts += o.StealAttempts
+	s.Counts.Add(&o.Counts)
 	s.Suspends += o.Suspends
 	s.Resumes += o.Resumes
 }

@@ -68,7 +68,7 @@ func runXAblate(sc Scale, w io.Writer) error {
 		}, root, args)
 		privPct := 0.0
 		if res.Total.Joins() > 0 {
-			privPct = 100 * float64(res.Total.JoinsPrivate) / float64(res.Total.Joins())
+			privPct = 100 * float64(res.Total.JoinsInlinedPrivate) / float64(res.Total.Joins())
 		}
 		t.Row(c.name, float64(res.Makespan)/1000, res.Total.Steals, res.Total.Publications, privPct)
 	}

@@ -93,31 +93,10 @@ type Task struct {
 	done atomic.Bool
 }
 
-// Stats mirror core.Stats for the events this ladder has.
-type Stats struct {
-	Spawns        int64
-	JoinsInlined  int64
-	JoinsStolen   int64
-	Steals        int64
-	StealAttempts int64
-	LockFailures  int64 // TryLock failures (trylock strategy only)
-	LeapSteals    int64
-
-	// OverflowInlined counts spawns that found the pool full and
-	// degraded to inline serial execution (not counted in Spawns).
-	OverflowInlined int64
-}
-
-func (s *Stats) add(o *Stats) {
-	s.Spawns += o.Spawns
-	s.JoinsInlined += o.JoinsInlined
-	s.JoinsStolen += o.JoinsStolen
-	s.Steals += o.Steals
-	s.StealAttempts += o.StealAttempts
-	s.LockFailures += o.LockFailures
-	s.LeapSteals += o.LeapSteals
-	s.OverflowInlined += o.OverflowInlined
-}
+// Stats are core's counters, for the events this ladder has: joins
+// inline as JoinsInlinedPublic, and Backoffs are TryLock failures
+// (trylock strategy only).
+type Stats = wskit.Counts
 
 // Worker is one lock-based worker. The fields are split into
 // pad-separated cache-line groups (enforced by the woolvet layoutguard
@@ -196,7 +175,7 @@ type Worker struct {
 	// woolvet:atomic
 	steals atomic.Int64
 	// woolvet:atomic
-	lockFailures atomic.Int64
+	backoffs atomic.Int64
 }
 
 // Index returns the worker's index.
@@ -337,8 +316,8 @@ func (p *Pool) Stats() Stats {
 		ws := w.stats
 		ws.StealAttempts = w.stealAttempts.Load()
 		ws.Steals = w.steals.Load()
-		ws.LockFailures = w.lockFailures.Load()
-		s.add(&ws)
+		ws.Backoffs = w.backoffs.Load()
+		s.Add(&ws)
 	}
 	return s
 }
@@ -351,7 +330,7 @@ func (p *Pool) ResetStats() {
 		w.stats = Stats{}
 		w.stealAttempts.Store(0)
 		w.steals.Store(0)
-		w.lockFailures.Store(0)
+		w.backoffs.Store(0)
 	}
 }
 
@@ -417,7 +396,7 @@ func (w *Worker) joinAcquire() (*Task, bool) {
 	if w.bot.Load() <= top {
 		w.top.Store(top)
 		w.lock.Unlock()
-		w.stats.JoinsInlined++
+		w.stats.JoinsInlinedPublic++
 		return t, true
 	}
 	// Stolen: bot passed the slot (it is top+1). Leave top alone until
@@ -480,7 +459,7 @@ func (w *Worker) trySteal(victim *Worker) bool {
 	}
 	if strat == StealTryLock {
 		if !victim.lock.TryLock() {
-			w.lockFailures.Add(1)
+			w.backoffs.Add(1)
 			return false
 		}
 	} else {

@@ -66,8 +66,8 @@ func TestStatsConservation(t *testing.T) {
 	fib := fibDef()
 	p.Run(func(w *Worker) int64 { return fib.Call(w, 21) })
 	st := p.Stats()
-	if st.Spawns != st.JoinsInlined+st.JoinsStolen {
-		t.Errorf("spawns (%d) != joins (%d+%d)", st.Spawns, st.JoinsInlined, st.JoinsStolen)
+	if st.Spawns != st.JoinsInlinedPublic+st.JoinsStolen {
+		t.Errorf("spawns (%d) != joins (%d+%d)", st.Spawns, st.JoinsInlinedPublic, st.JoinsStolen)
 	}
 	if st.JoinsStolen != st.Steals {
 		t.Errorf("stolen joins (%d) != steals (%d)", st.JoinsStolen, st.Steals)

@@ -36,9 +36,9 @@ func TestOverflowDegradesToInline(t *testing.T) {
 		if st.OverflowInlined == 0 {
 			t.Fatalf("workers=%d: OverflowInlined = 0 on a depth-%d tree with StackSize 4", workers, depth)
 		}
-		if st.Spawns != st.JoinsInlined+st.JoinsStolen {
+		if st.Spawns != st.JoinsInlinedPublic+st.JoinsStolen {
 			t.Fatalf("workers=%d: spawns (%d) != joins (%d+%d) with elision active",
-				workers, st.Spawns, st.JoinsInlined, st.JoinsStolen)
+				workers, st.Spawns, st.JoinsInlinedPublic, st.JoinsStolen)
 		}
 	}
 }

@@ -43,9 +43,11 @@ type Context struct {
 	wi   int
 }
 
-// Stats are the scheduler's event counters.
+// Stats are the scheduler's event counters. A central pool has no
+// steals and no deque joins, so of the shared counts only Spawns
+// moves; the queue traffic is counted beside it.
 type Stats struct {
-	Spawns     int64
+	wskit.Counts
 	Executed   int64
 	WaitLoops  int64 // Taskwait help-iterations that found nothing to run
 	ChunksRun  int64 // ParallelFor chunks executed
@@ -205,7 +207,7 @@ func (p *Pool) Close() {
 // Stats returns aggregate counters (quiescent pools only).
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Spawns:     p.spawns.Load(),
+		Counts:     wskit.Counts{Spawns: p.spawns.Load()},
 		Executed:   p.executed.Load(),
 		WaitLoops:  p.waitLoops.Load(),
 		ChunksRun:  p.chunksRun.Load(),

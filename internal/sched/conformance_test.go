@@ -11,8 +11,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unicode"
 
 	"gowool/internal/chaselev"
 	"gowool/internal/core"
@@ -22,6 +24,7 @@ import (
 	"gowool/internal/workloads/cholesky"
 	"gowool/internal/workloads/fibw"
 	"gowool/internal/workloads/ssf"
+	"gowool/internal/wskit"
 )
 
 // registryRow is one backend's golden row: what the registry promises
@@ -104,7 +107,7 @@ func TestRegistry(t *testing.T) {
 // counts and worker counts. Every backend with a fixed-capacity task
 // pool (Caps.TaskDefs) also runs fib(12) in an 8-slot pool: the spawns
 // past capacity run inline at their call site, the result is still
-// the serial one, and Extra["overflow_inlined"] counts them — alone
+// the serial one, and Stats().OverflowInlined counts them — alone
 // (where the overflow is certain) and beside thieves.
 func TestConformanceFib(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
@@ -131,7 +134,7 @@ func TestConformanceFib(t *testing.T) {
 				j := fibw.Job(12, 2)
 				p := s.NewPool(sched.Options{Workers: workers, StackSize: 8})
 				got := p.RunRec(j)
-				ovf := p.Stats().Extra["overflow_inlined"]
+				ovf := p.Stats().OverflowInlined
 				p.Close()
 				if want := j.Serial(); got != want {
 					t.Fatalf("fib(12) in an 8-slot pool, workers=%d: got %d, want %d", workers, got, want)
@@ -233,7 +236,9 @@ func TestExactlyOnceRec(t *testing.T) {
 // TestStatsSanity runs a spawn-heavy job and checks the normalized
 // counters of every scheduler that claims to keep them: spawns
 // counted, steals never exceed attempts, joins (where the backend has
-// join events) balance spawns, and ResetStats zeroes everything.
+// join events) balance spawns, Extra holds only counters of the
+// backend's own (no key names a shared wskit.Counts field), and
+// ResetStats zeroes everything.
 func TestStatsSanity(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -248,8 +253,7 @@ func TestStatsSanity(t *testing.T) {
 			}
 			st := p.Stats()
 			if !s.Caps().Stats {
-				if st.Spawns != 0 || st.Joins() != 0 || st.Steals != 0 ||
-					st.StealAttempts != 0 || st.Backoffs != 0 || len(st.Extra) != 0 {
+				if st.Counts != (wskit.Counts{}) || len(st.Extra) != 0 {
 					t.Fatalf("Caps.Stats false but Stats() = %+v", st)
 				}
 				return
@@ -263,7 +267,15 @@ func TestStatsSanity(t *testing.T) {
 			if joins := st.Joins(); joins > 0 && joins != st.Spawns {
 				t.Errorf("Joins() = %d, want %d (one join per spawn)", joins, st.Spawns)
 			}
+			shared := map[string]bool{}
+			ct := reflect.TypeFor[wskit.Counts]()
+			for i := range ct.NumField() {
+				shared[snakeCase(ct.Field(i).Name)] = true
+			}
 			for _, k := range st.ExtraKeys() {
+				if shared[k] {
+					t.Errorf("Extra[%q] repeats a wskit.Counts field", k)
+				}
 				if st.Extra[k] < 0 {
 					t.Errorf("Extra[%q] = %d, want >= 0", k, st.Extra[k])
 				}
@@ -276,6 +288,22 @@ func TestStatsSanity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// snakeCase turns a Go field name into the key style of Extra:
+// OverflowInlined is overflow_inlined.
+func snakeCase(name string) string {
+	var b strings.Builder
+	for i, r := range name {
+		if unicode.IsUpper(r) {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
 }
 
 // TestCholeskyTaskDefSchedulers instantiates the generic cholesky

@@ -266,19 +266,10 @@ var registry = []Scheduler{{
 		})
 		p.native, p.stats = np, func() Stats {
 			s := np.Stats()
-			return Stats{
-				Spawns:        s.Spawns,
-				JoinsInlined:  s.JoinsInlined,
-				JoinsStolen:   s.JoinsStolen,
-				Steals:        s.Steals,
-				StealAttempts: s.StealAttempts,
-				Backoffs:      s.Backoffs,
-				Extra: map[string]int64{
-					"wait_steals":      s.WaitSteals,
-					"allocs":           s.Allocs,
-					"overflow_inlined": s.OverflowInlined,
-				},
-			}
+			return Stats{Counts: s.Counts, Extra: map[string]int64{
+				"wait_steals": s.WaitSteals,
+				"allocs":      s.Allocs,
+			}}
 		}
 		p.runRec = func(j RecJob) int64 { return np.Run(recRoot(chaselev.Define1, j)) }
 		p.runRange = func(j RangeJob) int64 { return np.Run(rangeRoot(chaselev.Define2, j)) }
@@ -307,22 +298,7 @@ var registry = []Scheduler{{
 			Chaos:        o.Chaos,
 			Steal:        o.Steal,
 		})
-		p.native, p.stats = np, func() Stats {
-			s := np.Stats()
-			return Stats{
-				Spawns:        s.Spawns,
-				JoinsInlined:  s.JoinsInlined,
-				JoinsStolen:   s.JoinsStolen,
-				Steals:        s.Steals,
-				StealAttempts: s.StealAttempts,
-				Backoffs:      s.LockFailures,
-				Extra: map[string]int64{
-					"lock_failures":    s.LockFailures,
-					"leap_steals":      s.LeapSteals,
-					"overflow_inlined": s.OverflowInlined,
-				},
-			}
-		}
+		p.native, p.stats = np, func() Stats { return Stats{Counts: np.Stats()} }
 		p.runRec = func(j RecJob) int64 { return np.Run(recRoot(locksched.Define1, j)) }
 		p.runRange = func(j RangeJob) int64 { return np.Run(rangeRoot(locksched.Define2, j)) }
 	},
@@ -351,15 +327,10 @@ var registry = []Scheduler{{
 		})
 		p.native, p.stats = np, func() Stats {
 			s := np.Stats()
-			return Stats{
-				Spawns:        s.Spawns,
-				Steals:        s.Steals,
-				StealAttempts: s.StealAttempts,
-				Extra: map[string]int64{
-					"suspends": s.Suspends,
-					"resumes":  s.Resumes,
-				},
-			}
+			return Stats{Counts: s.Counts, Extra: map[string]int64{
+				"suspends": s.Suspends,
+				"resumes":  s.Resumes,
+			}}
 		}
 		p.runRec = func(j RecJob) int64 { return cilkRunRec(np, j) }
 		p.runRange = func(j RangeJob) int64 { return cilkRunRange(np, j) }
@@ -385,16 +356,13 @@ var registry = []Scheduler{{
 		})
 		p.native, p.stats = np, func() Stats {
 			s := np.Stats()
-			return Stats{
-				Spawns: s.Spawns,
-				Extra: map[string]int64{
-					"executed":    s.Executed,
-					"wait_loops":  s.WaitLoops,
-					"chunks_run":  s.ChunksRun,
-					"max_queued":  s.MaxQueued,
-					"lock_passes": s.LockPasses,
-				},
-			}
+			return Stats{Counts: s.Counts, Extra: map[string]int64{
+				"executed":    s.Executed,
+				"wait_loops":  s.WaitLoops,
+				"chunks_run":  s.ChunksRun,
+				"max_queued":  s.MaxQueued,
+				"lock_passes": s.LockPasses,
+			}}
 		}
 		p.runRec = func(j RecJob) int64 { return ompRunRec(np, j) }
 		p.runRange = func(j RangeJob) int64 { return ompRunRange(np, j) }
@@ -468,28 +436,7 @@ func newCorePool(p *Pool, o Options) *core.Pool {
 		Watchdog:     o.Watchdog,
 		Steal:        o.Steal,
 	})
-	p.native, p.stats = np, func() Stats {
-		s := np.Stats()
-		return Stats{
-			Spawns:        s.Spawns,
-			JoinsInlined:  s.JoinsInlinedPublic + s.JoinsInlinedPrivate,
-			JoinsStolen:   s.JoinsStolen,
-			Steals:        s.Steals,
-			StealAttempts: s.StealAttempts,
-			Backoffs:      s.Backoffs,
-			Extra: map[string]int64{
-				"joins_inlined_private": s.JoinsInlinedPrivate,
-				"joins_inlined_public":  s.JoinsInlinedPublic,
-				"leap_steals":           s.LeapSteals,
-				"publications":          s.Publications,
-				"privatizations":        s.Privatizations,
-				"retained_steals":       s.RetainedSteals,
-				"parks":                 s.Parks,
-				"wakes":                 s.Wakes,
-				"overflow_inlined":      s.OverflowInlined,
-			},
-		}
-	}
+	p.native, p.stats = np, func() Stats { return Stats{Counts: np.Stats()} }
 	return np
 }
 

@@ -1,49 +1,35 @@
 package sched
 
-import "slices"
+import (
+	"slices"
 
-// Stats is the normalized counter set. Each backend maps its native
-// counters onto these fields (the paper's notation in parentheses);
-// counters with no cross-scheduler meaning go to Extra under stable
-// snake_case keys, so registry-driven tools can print everything a
-// backend knows without hard-coding its Stats struct.
+	"gowool/internal/wskit"
+)
+
+// Stats is the normalized counter set: the event vocabulary every
+// backend shares (wskit.Counts, the paper's N_T and N_M among them),
+// plus the counters with no cross-scheduler meaning in Extra under
+// stable snake_case keys, so registry-driven tools can print everything
+// a backend knows without hard-coding its Stats struct. Per backend:
 //
-// The normalization fixes the naming drift the backends grew
-// independently (JoinsInlinedPublic/Private vs JoinsInlined, Backoffs
-// vs LockFailures vs an uncounted CAS loss):
-//
-//   - core: Backoffs are steals aborted by the bot re-check;
-//     JoinsInlined sums the public and private inline joins (the split
-//     is in Extra).
-//   - chaselev: Backoffs are owner pops that lost the last-element CAS
-//     race to a thief — previously dropped on the floor, now counted.
-//   - locksched: Backoffs are TryLock failures.
-//   - cilkstyle: joins are not events (continuations resume instead);
-//     suspends/resumes are in Extra.
-//   - ompstyle: a central pool has no steals; its queue traffic is in
-//     Extra.
+//   - wool, woolgen (core): every Counts field; Backoffs are steals
+//     aborted by the bot re-check. No Extra.
+//   - chaselev: joins inline as JoinsInlinedPublic; Backoffs are owner
+//     pops that lost the last-element CAS race to a thief. Extra:
+//     wait_steals, allocs.
+//   - locksched: joins inline as JoinsInlinedPublic; Backoffs are
+//     TryLock failures (trylock strategy only). No Extra.
+//   - cilk: joins are not events (continuations resume instead).
+//     Extra: suspends, resumes.
+//   - omp: a central pool has no steals or deque joins; only Spawns
+//     moves. Extra: executed, wait_loops, chunks_run, max_queued,
+//     lock_passes.
 //   - gonative: the Go runtime exposes no counters (Caps.Stats false).
 type Stats struct {
-	// Spawns counts tasks created (N_T).
-	Spawns int64
-	// JoinsInlined counts joins that inlined their task.
-	JoinsInlined int64
-	// JoinsStolen counts joins that found their task stolen.
-	JoinsStolen int64
-	// Steals counts successful steals (N_M).
-	Steals int64
-	// StealAttempts counts steal attempts, successful or not.
-	StealAttempts int64
-	// Backoffs counts aborted thief/victim synchronization attempts:
-	// the bot re-check (core), a lost last-element CAS (chaselev), a
-	// failed TryLock (locksched).
-	Backoffs int64
+	wskit.Counts
 	// Extra holds backend-specific counters under stable keys.
 	Extra map[string]int64
 }
-
-// Joins returns the total joins (inlined + stolen).
-func (s Stats) Joins() int64 { return s.JoinsInlined + s.JoinsStolen }
 
 // ExtraKeys returns the Extra keys in sorted order (stable printing).
 func (s Stats) ExtraKeys() []string {

@@ -212,7 +212,7 @@ func (w *CW) popBottom() CStep {
 	s := w.deque[n-1]
 	w.deque[n-1] = nil
 	w.deque = w.deque[:n-1]
-	w.St.JoinsPublic++
+	w.St.JoinsInlinedPublic++
 	w.St.NA += c.JoinPublic
 	w.p.Step(c.JoinPublic)
 	return s
@@ -235,7 +235,7 @@ func (w *CW) trySteal(victim *CW) bool {
 		return false
 	}
 	c := &w.m.cfg.Costs
-	w.St.Attempts++
+	w.St.StealAttempts++
 	if len(victim.deque) == 0 {
 		w.chargeProbeC(victim)
 		return false

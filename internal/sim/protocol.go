@@ -92,7 +92,7 @@ func (w *W) Join() int64 {
 		// Private fast path: no synchronization.
 		w.top--
 		t.priv = false
-		w.St.JoinsPrivate++
+		w.St.JoinsInlinedPrivate++
 		w.chargeApp(c.JoinPrivate)
 		w.spanJoinStart()
 		w.p.Step(c.JoinPrivate)
@@ -110,7 +110,7 @@ func (w *W) Join() int64 {
 	if t.state == sTask {
 		t.state = sEmpty
 		w.top--
-		w.St.JoinsPublic++
+		w.St.JoinsInlinedPublic++
 		w.notePublicInline()
 		w.chargeApp(c.JoinPublic)
 		w.spanJoinStart()
@@ -249,7 +249,7 @@ func (w *W) trySteal(victim *W, mode int) bool {
 	if victim == w {
 		return false
 	}
-	w.St.Attempts++
+	w.St.StealAttempts++
 
 	switch w.m.cfg.Kind {
 	case KindCentral:

@@ -78,9 +78,9 @@ func TestDeterministicReplay(t *testing.T) {
 	cfg := Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 42}
 	a := Run(cfg, fib, Args{A0: 16})
 	b := Run(cfg, fib, Args{A0: 16})
-	if a.Makespan != b.Makespan || a.Total.Steals != b.Total.Steals || a.Total.Attempts != b.Total.Attempts {
+	if a.Makespan != b.Makespan || a.Total.Steals != b.Total.Steals || a.Total.StealAttempts != b.Total.StealAttempts {
 		t.Errorf("replay diverged: makespan %d vs %d, steals %d vs %d, attempts %d vs %d",
-			a.Makespan, b.Makespan, a.Total.Steals, b.Total.Steals, a.Total.Attempts, b.Total.Attempts)
+			a.Makespan, b.Makespan, a.Total.Steals, b.Total.Steals, a.Total.StealAttempts, b.Total.StealAttempts)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestSeedChangesInterleaving(t *testing.T) {
 	if r1.Value != r2.Value {
 		t.Fatalf("values differ: %d vs %d", r1.Value, r2.Value)
 	}
-	if r1.Total.Attempts == r2.Total.Attempts && r1.Makespan == r2.Makespan {
+	if r1.Total.StealAttempts == r2.Total.StealAttempts && r1.Makespan == r2.Makespan {
 		t.Log("different seeds produced identical runs (possible but unlikely)")
 	}
 }
@@ -151,10 +151,10 @@ func TestSingleProcOverheadLadder(t *testing.T) {
 func TestPrivateTasksMostlyPrivateOnOneProc(t *testing.T) {
 	fib := simFib()
 	res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(), PrivateTasks: true}, fib, Args{A0: 18})
-	if res.Total.JoinsPrivate == 0 {
+	if res.Total.JoinsInlinedPrivate == 0 {
 		t.Fatal("no private joins")
 	}
-	frac := float64(res.Total.JoinsPrivate) / float64(res.Total.Joins())
+	frac := float64(res.Total.JoinsInlinedPrivate) / float64(res.Total.Joins())
 	if frac < 0.95 {
 		t.Errorf("private fraction %.3f, want >= 0.95", frac)
 	}

@@ -50,9 +50,9 @@ func TestDefaultStealConfigBitIdentical(t *testing.T) {
 	expl.Steal = steal.Config{Policy: steal.Random}
 	a := Run(base, tree, Args{A0: 10})
 	b := Run(expl, tree, Args{A0: 10})
-	if a.Makespan != b.Makespan || a.Total.Attempts != b.Total.Attempts {
+	if a.Makespan != b.Makespan || a.Total.StealAttempts != b.Total.StealAttempts {
 		t.Fatalf("explicit random diverged from default: makespan %d vs %d, attempts %d vs %d",
-			a.Makespan, b.Makespan, a.Total.Attempts, b.Total.Attempts)
+			a.Makespan, b.Makespan, a.Total.StealAttempts, b.Total.StealAttempts)
 	}
 }
 
