@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gowool/internal/costmodel"
@@ -26,48 +28,59 @@ import (
 	"gowool/internal/workloads/stress"
 )
 
-var (
-	workload = flag.String("workload", "fib", "workload: fib | stress | mm | ssf | cholesky")
-	n        = flag.Int64("n", 24, "size parameter")
-	nz       = flag.Int64("nz", 1000, "cholesky nonzeros")
-	height   = flag.Int64("height", 8, "stress height")
-	iters    = flag.Int64("iters", 256, "stress leaf iterations")
-	reps     = flag.Int64("reps", 16, "repetitions")
-)
-
 func main() {
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it parses args, writes the
+// table to stdout and diagnostics to stderr, and returns the exit code
+// (0 ok, 2 bad usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("woolstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "fib", "workload: fib | stress | mm | ssf | cholesky")
+	n := fs.Int64("n", 24, "size parameter")
+	nz := fs.Int64("nz", 1000, "cholesky nonzeros")
+	height := fs.Int64("height", 8, "stress height")
+	iters := fs.Int64("iters", 256, "stress leaf iterations")
+	reps := fs.Int64("reps", 16, "repetitions")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var root *sim.Def
-	var args sim.Args
+	var simArgs sim.Args
 	var name string
 	switch *workload {
 	case "fib":
-		root, args = fibw.NewSimReps(), sim.Args{A0: *n, A1: *reps}
+		root, simArgs = fibw.NewSimReps(), sim.Args{A0: *n, A1: *reps}
 		name = fmt.Sprintf("fib(%d)x%d", *n, *reps)
 	case "stress":
-		root, args = stress.NewSimReps(), sim.Args{A0: *height, A1: *iters, A2: *reps}
+		root, simArgs = stress.NewSimReps(), sim.Args{A0: *height, A1: *iters, A2: *reps}
 		name = fmt.Sprintf("stress(h=%d,i=%d)x%d", *height, *iters, *reps)
 	case "mm":
-		root, args = mm.NewSimReps(), sim.Args{A0: *n, A1: *reps}
+		root, simArgs = mm.NewSimReps(), sim.Args{A0: *n, A1: *reps}
 		name = fmt.Sprintf("mm(%d)x%d", *n, *reps)
 	case "ssf":
 		wk := &ssf.Work{S: ssf.FibString(*n)}
-		root, args = ssf.NewSimReps(), sim.Args{A0: *reps, Ctx: wk}
+		root, simArgs = ssf.NewSimReps(), sim.Args{A0: *reps, Ctx: wk}
 		name = fmt.Sprintf("ssf(%d)x%d", *n, *reps)
 	case "cholesky":
-		root, args = cholesky.NewSim().RepsDef(), sim.Args{A0: *reps, A1: *n, A2: *nz, A3: 42}
+		root, simArgs = cholesky.NewSim().RepsDef(), sim.Args{A0: *reps, A1: *n, A2: *nz, A3: 42}
 		name = fmt.Sprintf("cholesky(%d,%d)x%d", *n, *nz, *reps)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *workload)
+		return 2
 	}
 
 	span := sim.Run(sim.Config{
 		Procs: 1, Kind: sim.KindDirectStack,
 		Costs:     costmodel.Profile{Name: "zero"},
 		TrackSpan: true,
-	}, root, args)
+	}, root, simArgs)
 	work := float64(span.Work)
 
 	t := tabulate.New("workload characteristics — "+name,
@@ -82,7 +95,7 @@ func main() {
 		res := sim.Run(sim.Config{Procs: p, Kind: sim.KindDirectStack,
 			Costs: costmodel.Wool(), PrivateTasks: true,
 			InitialPublic: 4, TripDistance: 2, PublishAmount: 4,
-			Seed: 0x5eed + uint64(p)*977}, root, args)
+			Seed: 0x5eed + uint64(p)*977}, root, simArgs)
 		gl := "inf"
 		if res.Total.Steals > 0 {
 			gl = fmt.Sprintf("%.0f kcycles/steal (%d steals)",
@@ -90,5 +103,6 @@ func main() {
 		}
 		t.Row(fmt.Sprintf("G_L(%d)", p), gl)
 	}
-	t.Render(os.Stdout)
+	t.Render(stdout)
+	return 0
 }
