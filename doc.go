@@ -113,7 +113,8 @@ type (
 	// Options configures a Pool; zero value means defaults.
 	Options = core.Options
 
-	// Stats are the scheduler's event counters (spawns, steals, ...).
+	// Stats are the scheduler's event counters (spawns, joins, steals,
+	// ...): the vocabulary the simulator and every baseline count too.
 	Stats = core.Stats
 
 	// TaskDef1..TaskDef4 are task definitions with 1..4 int64 args.

@@ -1,9 +1,10 @@
 // Package wskit is what every pooled backend shares around its two
 // real decisions (where thief and victim synchronize, what is stolen):
 // the pool lifecycle — the closed / running / poisoned record behind
-// Run and Close — the idle back-off ladder and the trace/chaos sink
-// size check. core, chaselev, locksched, cilkstyle and ompstyle each
-// used to carry a copy; a fix now lands once (DESIGN.md §18).
+// Run and Close — the idle back-off ladder, the trace/chaos sink size
+// check, and the event counts (Counts) every Stats struct is built on.
+// core, chaselev, locksched, cilkstyle and ompstyle each used to carry
+// a copy; a fix now lands once (DESIGN.md §18).
 package wskit
 
 import (
