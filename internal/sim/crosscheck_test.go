@@ -41,7 +41,7 @@ func TestCountsMatchCoreAtOneWorker(t *testing.T) {
 			func(p *sched.Pool) { p.RunRange(ssf.Job(&ssf.Work{S: ssf.FibString(12)}, 1)) }},
 		{"cholesky", cholesky.NewSim().RepsDef(), sim.Args{A0: 1, A1: 200, A2: 800, A3: 42},
 			func(p *sched.Pool) {
-				cholesky.NewWool().Factor(p.Native().(*core.Pool), cholesky.Generate(200, 800, 42))
+				cholesky.New(core.DefineC3[cholesky.Arena]).Factor(p.Native().(*core.Pool).Run, cholesky.Generate(200, 800, 42))
 			}},
 	}
 	wool, ok := sched.Lookup("wool")

@@ -94,7 +94,7 @@ func TestWoolFactorMatchesSerial(t *testing.T) {
 
 		mPar := Generate(96, 350, 777)
 		p := core.NewPool(core.Options{Workers: workers, PrivateTasks: true})
-		NewWool().Factor(p, mPar)
+		New(core.DefineC3[Arena]).Factor(p.Run, mPar)
 		p.Close()
 		got := mPar.ToDenseLower()
 
@@ -152,7 +152,7 @@ func TestQuickFactorEquivalence(t *testing.T) {
 
 		mPar := Generate(n, nz, uint64(seed)+1)
 		p := core.NewPool(core.Options{Workers: workers})
-		NewWool().Factor(p, mPar)
+		New(core.DefineC3[Arena]).Factor(p.Run, mPar)
 		p.Close()
 		got := mPar.ToDenseLower()
 		return maxAbsDiffLower(want, got) < 1e-9
@@ -243,11 +243,11 @@ func BenchmarkSerialFactor250(b *testing.B) {
 func BenchmarkWoolFactor250(b *testing.B) {
 	p := core.NewPool(core.Options{Workers: 1, PrivateTasks: true})
 	defer p.Close()
-	s := NewWool()
+	s := New(core.DefineC3[Arena])
 	for i := 0; i < b.N; i++ {
 		m := Generate(250, 1000, 42)
 		b.StartTimer()
-		s.Factor(p, m)
+		s.Factor(p.Run, m)
 		b.StopTimer()
 	}
 }

@@ -14,9 +14,8 @@ import (
 // slots, so no allocation happens on the spawn path; fill-in nodes
 // come from the arena's atomic bump allocator. The body is written
 // once here and instantiated per scheduler by handing New the
-// scheduler's DefineC3-style constructor (this file replaces what
-// used to be three hand-maintained copies: wool, chaselev and
-// locksched ports).
+// scheduler's DefineC3-style constructor: core, chaselev, locksched,
+// and the simulator's (NewSim, sim.go).
 
 // pack2 packs two node indices into one int64 argument slot.
 func pack2(a, b int32) int64 { return int64(uint64(uint32(a))<<32 | uint64(uint32(b))) }
@@ -49,6 +48,9 @@ type Sched[W any, D sched.TaskC3[W, Arena]] struct {
 	// mulsub computes r −= a1·b1ᵀ + a2·b2ᵀ (second product optional):
 	// args are (meta, pack2(a1,b1), pack2(a2,b2)).
 	mulsub D
+	// cycles charges a block kernel's virtual cost to the worker; nil
+	// on native pools, where the kernels' time is their own.
+	cycles func(W, uint64)
 }
 
 // New builds the task definitions from a scheduler's DefineC3-style
@@ -79,6 +81,13 @@ func (s *Sched[W, D]) Factor(run func(func(W) int64) int64, m *Matrix) {
 	})
 }
 
+// charge bills a block kernel's cycles where a cost hook is set.
+func (s *Sched[W, D]) charge(w W, cycles uint64) {
+	if s.cycles != nil {
+		s.cycles(w, cycles)
+	}
+}
+
 // chol is the sequential factorization chain over the diagonal.
 func (s *Sched[W, D]) chol(w W, ar *Arena, a int32, size int64) int32 {
 	if a == 0 {
@@ -86,6 +95,7 @@ func (s *Sched[W, D]) chol(w W, ar *Arena, a int32, size int64) int32 {
 	}
 	if size == Block {
 		blockCholesky(ar.Tile(a))
+		s.charge(w, CholeskyKernelCycles)
 		return a
 	}
 	n := ar.Node(a)
@@ -104,6 +114,7 @@ func (s *Sched[W, D]) backsubStep(w W, ar *Arena, a, l int32, size int64) int32 
 	}
 	if size == Block {
 		blockBacksub(ar.Tile(a), ar.Tile(l))
+		s.charge(w, BacksubKernelCycles)
 		return a
 	}
 	na, nl := ar.Node(a), ar.Node(l)
@@ -141,6 +152,11 @@ func (s *Sched[W, D]) mulsubStep(w W, ar *Arena, r, a, b int32, size int64, lowe
 			r = ar.NewLeaf()
 		}
 		blockMulSub(ar.Tile(r), ar.Tile(a), ar.Tile(b), lower)
+		if lower {
+			s.charge(w, MulSubKernelCycles/2)
+		} else {
+			s.charge(w, MulSubKernelCycles)
+		}
 		return r
 	}
 	if r == 0 {

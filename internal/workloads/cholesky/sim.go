@@ -4,40 +4,26 @@ import (
 	"gowool/internal/sim"
 )
 
-// Simulated factorization: the identical task structure as the wool
-// version, executed on the virtual-time machine. The dense kernels run
-// for real (so results stay verifiable) and charge their calibrated
-// cycle costs; everything above them is simulated scheduling.
+// Simulated factorization: the generic body of sched.go instantiated
+// on the virtual-time machine. The dense kernels run for real (so
+// results stay verifiable) and charge their calibrated cycle costs;
+// everything above them is simulated scheduling.
 
-// SimSched bundles the simulated task definitions.
+// SimSched is the factorization on the simulator.
 type SimSched struct {
-	backsub *sim.Def
-	mulsub  *sim.Def
+	*Sched[*sim.W, *sim.TaskDefC3[Arena]]
 }
 
 // NewSim builds the simulated task definitions.
-func NewSim() *SimSched {
-	s := &SimSched{}
-	s.backsub = &sim.Def{Name: "chol-backsub"}
-	s.backsub.F = func(w *sim.W, a sim.Args) int64 {
-		return int64(s.backsubStep(w, a.Ctx.(*Arena), int32(a.A0), int32(a.A1), a.A2))
-	}
-	s.mulsub = &sim.Def{Name: "chol-mulsub"}
-	s.mulsub.F = func(w *sim.W, a sim.Args) int64 {
-		ar := a.Ctx.(*Arena)
-		r, size, lower := unpackMeta(a.A0)
-		a1, b1 := unpack2(a.A1)
-		a2, b2 := unpack2(a.A2)
-		r = s.mulsubStep(w, ar, r, a1, b1, size, lower)
-		r = s.mulsubStep(w, ar, r, a2, b2, size, lower)
-		return int64(r)
-	}
-	return s
+func NewSim() SimSched {
+	s := New(sim.DefineC3[Arena])
+	s.cycles = (*sim.W).Work
+	return SimSched{s}
 }
 
 // RootDef returns a task definition that factors the Ctx matrix — the
 // entry point handed to sim.Run.
-func (s *SimSched) RootDef() *sim.Def {
+func (s SimSched) RootDef() *sim.Def {
 	d := &sim.Def{Name: "cholesky"}
 	d.F = func(w *sim.W, a sim.Args) int64 {
 		m := a.Ctx.(*Matrix)
@@ -53,7 +39,7 @@ func (s *SimSched) RootDef() *sim.Def {
 // happens at zero virtual cost between repetitions, like a benchmark
 // harness resetting state outside the timed kernel, so RepSz matches
 // the factorization work alone.
-func (s *SimSched) RepsDef() *sim.Def {
+func (s SimSched) RepsDef() *sim.Def {
 	d := &sim.Def{Name: "cholesky-reps"}
 	d.F = func(w *sim.W, a sim.Args) int64 {
 		var total int64
@@ -65,94 +51,4 @@ func (s *SimSched) RepsDef() *sim.Def {
 		return total
 	}
 	return d
-}
-
-func (s *SimSched) chol(w *sim.W, ar *Arena, a int32, size int64) int32 {
-	if a == 0 {
-		panic("cholesky: zero diagonal block (matrix is singular)")
-	}
-	if size == Block {
-		blockCholesky(ar.Tile(a))
-		w.Work(CholeskyKernelCycles)
-		return a
-	}
-	n := ar.Node(a)
-	half := size / 2
-	n.Child[q00] = s.chol(w, ar, n.Child[q00], half)
-	n.Child[q10] = int32(s.backsub.Call(w, sim.Args{A0: int64(n.Child[q10]), A1: int64(n.Child[q00]), A2: half, Ctx: ar}))
-	n.Child[q11] = s.mulsubStep(w, ar, n.Child[q11], n.Child[q10], n.Child[q10], half, true)
-	n.Child[q11] = s.chol(w, ar, n.Child[q11], half)
-	return a
-}
-
-func (s *SimSched) backsubStep(w *sim.W, ar *Arena, a, l int32, size int64) int32 {
-	if a == 0 {
-		return 0
-	}
-	if size == Block {
-		blockBacksub(ar.Tile(a), ar.Tile(l))
-		w.Work(BacksubKernelCycles)
-		return a
-	}
-	na, nl := ar.Node(a), ar.Node(l)
-	half := size / 2
-	l00, l10, l11 := nl.Child[q00], nl.Child[q10], nl.Child[q11]
-
-	s.backsub.Spawn(w, sim.Args{A0: int64(na.Child[q00]), A1: int64(l00), A2: half, Ctx: ar})
-	x10 := int32(s.backsub.Call(w, sim.Args{A0: int64(na.Child[q10]), A1: int64(l00), A2: half, Ctx: ar}))
-	x00 := int32(w.Join())
-	na.Child[q00], na.Child[q10] = x00, x10
-
-	s.mulsub.Spawn(w, sim.Args{A0: packMeta(na.Child[q01], half, false), A1: pack2(x00, l10), Ctx: ar})
-	r11 := int32(s.mulsub.Call(w, sim.Args{A0: packMeta(na.Child[q11], half, false), A1: pack2(x10, l10), Ctx: ar}))
-	r01 := int32(w.Join())
-
-	s.backsub.Spawn(w, sim.Args{A0: int64(r01), A1: int64(l11), A2: half, Ctx: ar})
-	x11 := int32(s.backsub.Call(w, sim.Args{A0: int64(r11), A1: int64(l11), A2: half, Ctx: ar}))
-	x01 := int32(w.Join())
-	na.Child[q01], na.Child[q11] = x01, x11
-	return a
-}
-
-func (s *SimSched) mulsubStep(w *sim.W, ar *Arena, r, a, b int32, size int64, lower bool) int32 {
-	if a == 0 || b == 0 {
-		return r
-	}
-	if size == Block {
-		if r == 0 {
-			r = ar.NewLeaf()
-		}
-		blockMulSub(ar.Tile(r), ar.Tile(a), ar.Tile(b), lower)
-		if lower {
-			w.Work(MulSubKernelCycles / 2)
-		} else {
-			w.Work(MulSubKernelCycles)
-		}
-		return r
-	}
-	if r == 0 {
-		r = ar.NewNode()
-	}
-	nr, na, nb := ar.Node(r), ar.Node(a), ar.Node(b)
-	half := size / 2
-
-	s.mulsub.Spawn(w, sim.Args{A0: packMeta(nr.Child[q00], half, lower),
-		A1: pack2(na.Child[q00], nb.Child[q00]), A2: pack2(na.Child[q01], nb.Child[q01]), Ctx: ar})
-	if !lower {
-		s.mulsub.Spawn(w, sim.Args{A0: packMeta(nr.Child[q01], half, false),
-			A1: pack2(na.Child[q00], nb.Child[q10]), A2: pack2(na.Child[q01], nb.Child[q11]), Ctx: ar})
-	}
-	s.mulsub.Spawn(w, sim.Args{A0: packMeta(nr.Child[q10], half, false),
-		A1: pack2(na.Child[q10], nb.Child[q00]), A2: pack2(na.Child[q11], nb.Child[q01]), Ctx: ar})
-	r11 := int32(s.mulsub.Call(w, sim.Args{A0: packMeta(nr.Child[q11], half, lower),
-		A1: pack2(na.Child[q10], nb.Child[q10]), A2: pack2(na.Child[q11], nb.Child[q11]), Ctx: ar}))
-
-	r10 := int32(w.Join())
-	r01 := nr.Child[q01]
-	if !lower {
-		r01 = int32(w.Join())
-	}
-	r00 := int32(w.Join())
-	nr.Child[q00], nr.Child[q01], nr.Child[q10], nr.Child[q11] = r00, r01, r10, r11
-	return r
 }

@@ -7,7 +7,6 @@
 package mm
 
 import (
-	"gowool/internal/core"
 	"gowool/internal/sched"
 	"gowool/internal/sim"
 )
@@ -54,47 +53,6 @@ func Serial(m *Matrices) {
 	for i := int64(0); i < m.N; i++ {
 		m.Row(i)
 	}
-}
-
-//go:generate go run gowool/cmd/woolgen -pkg mm -out mm_gen.go -task Rows:2:ctx=*Matrices
-
-// rowsBody is the row-range recursion behind the woolgen-generated
-// monomorphic port (mm_gen.go): SpawnRows/JoinRows flatten to plain
-// descriptor stores and direct calls back into this function on the
-// private fast path. Run it with CallRows(w, m, 0, m.N).
-func rowsBody(w *core.Worker, m *Matrices, lo, hi int64) int64 {
-	if hi-lo == 1 {
-		m.Row(lo)
-		return 1
-	}
-	mid := (lo + hi) / 2
-	SpawnRows(w, m, mid, hi)
-	a := rowsBody(w, m, lo, mid)
-	b := JoinRows(w)
-	return a + b
-}
-
-// NewWool builds the row-range task: split [A0, A1) until single rows.
-// This is how Wool's loop constructs expand into balanced task trees.
-func NewWool() *core.TaskDefC2[Matrices] {
-	var rows *core.TaskDefC2[Matrices]
-	rows = core.DefineC2("mm-rows", func(w *core.Worker, m *Matrices, lo, hi int64) int64 {
-		if hi-lo == 1 {
-			m.Row(lo)
-			return 1
-		}
-		mid := (lo + hi) / 2
-		rows.Spawn(w, m, mid, hi)
-		a := rows.Call(w, m, lo, mid)
-		b := rows.Join(w)
-		return a + b
-	})
-	return rows
-}
-
-// RunWool multiplies on the pool and returns the number of rows done.
-func RunWool(p *core.Pool, rows *core.TaskDefC2[Matrices], m *Matrices) int64 {
-	return p.Run(func(w *core.Worker) int64 { return rows.Call(w, m, 0, m.N) })
 }
 
 // Job returns the multiply as a generic RangeJob over rows: the task

@@ -9,7 +9,6 @@
 package ssf
 
 import (
-	"gowool/internal/core"
 	"gowool/internal/sched"
 	"gowool/internal/sim"
 )
@@ -73,52 +72,6 @@ func Serial(s string, out []int64) int64 {
 type Work struct {
 	S   string
 	Out []int64
-}
-
-//go:generate go run gowool/cmd/woolgen -pkg ssf -out ssf_gen.go -task Scan:2:ctx=*Work
-
-// scanBody is the position-range recursion behind the woolgen-generated
-// monomorphic port (ssf_gen.go): SpawnScan/JoinScan flatten to plain
-// descriptor stores and direct calls back into this function on the
-// private fast path. Run it with CallScan(w, wk, 0, int64(len(wk.S))).
-func scanBody(w *core.Worker, wk *Work, lo, hi int64) int64 {
-	if hi-lo == 1 {
-		best, _ := Position(wk.S, lo)
-		if wk.Out != nil {
-			wk.Out[lo] = best
-		}
-		return best
-	}
-	mid := (lo + hi) / 2
-	SpawnScan(w, wk, mid, hi)
-	a := scanBody(w, wk, lo, mid)
-	b := JoinScan(w)
-	return a + b
-}
-
-// NewWool builds the position-range task tree (Wool loop style).
-func NewWool() *core.TaskDefC2[Work] {
-	var span *core.TaskDefC2[Work]
-	span = core.DefineC2("ssf-range", func(w *core.Worker, wk *Work, lo, hi int64) int64 {
-		if hi-lo == 1 {
-			best, _ := Position(wk.S, lo)
-			if wk.Out != nil {
-				wk.Out[lo] = best
-			}
-			return best
-		}
-		mid := (lo + hi) / 2
-		span.Spawn(w, wk, mid, hi)
-		a := span.Call(w, wk, lo, mid)
-		b := span.Join(w)
-		return a + b
-	})
-	return span
-}
-
-// RunWool computes all positions on the pool, returning the checksum.
-func RunWool(p *core.Pool, d *core.TaskDefC2[Work], wk *Work) int64 {
-	return p.Run(func(w *core.Worker) int64 { return d.Call(w, wk, 0, int64(len(wk.S))) })
 }
 
 // Job returns the scan as a generic RangeJob over positions. Irregular
