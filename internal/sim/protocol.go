@@ -204,6 +204,7 @@ func (w *W) notePublicInline() {
 		w.inlineRun = 0
 		if newPL := w.top + cfg.InitialPublic; newPL < w.publicLimit {
 			w.publicLimit = newPL
+			w.St.Privatizations++
 		}
 	}
 }
