@@ -15,25 +15,35 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"gowool/internal/gen"
 )
 
 func main() {
-	f, out, err := gen.FromArgs(os.Args[1:])
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it parses args, writes the
+// generated file, reports it on stdout and errors on stderr, and
+// returns the exit code (0 ok, 1 generation or write failed, 2 bad
+// usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	f, out, err := gen.FromArgs(args)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	src, err := gen.Generate(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if err := os.WriteFile(out, src, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("woolgen: wrote %s (%d task signatures)\n", out, len(f.Sigs))
+	fmt.Fprintf(stdout, "woolgen: wrote %s (%d task signatures)\n", out, len(f.Sigs))
+	return 0
 }
