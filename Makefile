@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench watch-bench serve-scale-bench fmt layout ci
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench watch-bench serve-scale-bench fmt layout loc ci
 
 all: build test lint
 
@@ -214,6 +214,18 @@ layout:
 		test -n "$$1" || { echo "$$s: not in .bench_build/woolbench"; exit 1; }; \
 		echo "$$s 0x$$1 mod64=$$((0x$$1 % 64)) size=$$2"; \
 	done
+
+# Go source lines outside bench/ (its own module), testdata/ and hidden
+# directories: hand-written and generated non-test lines, then test
+# lines. A file is generated when its first line starts with
+# "// Code generated", so moving code into generated files shows here
+# as a move, not a reduction.
+loc:
+	@find . -path './.*' -prune -o -path ./bench -prune -o -name testdata -prune -o \
+		-name '*.go' -print | sort | xargs awk ' \
+		FNR == 1 { kind = FILENAME ~ /_test\.go$$/ ? "test" : /^\/\/ Code generated/ ? "generated" : "hand-written" } \
+		{ n[kind]++ } \
+		END { printf "hand-written %d\ngenerated %d\ntest %d\n", n["hand-written"], n["generated"], n["test"] }'
 
 # The ci job of .github/workflows/ci.yml, step for step (its lint and
 # chaos jobs are `make lint` and `make chaos serve-soak fuzz-smoke`).
