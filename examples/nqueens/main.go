@@ -2,7 +2,8 @@
 // paper's introduction motivates, where subtree sizes are unpredictable
 // so manual cut-offs are error-prone but fine-grained spawns are
 // nearly free. Every placement level spawns one branch per column with
-// no granularity control at all.
+// no granularity control at all; the search task, written on the
+// public gowool API, is in internal/workloads/nqueens.
 //
 //	go run ./examples/nqueens [n]
 package main
@@ -15,59 +16,8 @@ import (
 	"time"
 
 	"gowool"
+	"gowool/internal/workloads/nqueens"
 )
-
-// boards are encoded as int64 column lists, 4 bits per row (n ≤ 15);
-// the row count travels alongside, so a whole search state fits the
-// task descriptor's integer slots — no allocation per spawn.
-
-func ok(rows int64, board int64, col int64) bool {
-	for r := int64(0); r < rows; r++ {
-		c := (board >> (4 * r)) & 0xf
-		if c == col || c-col == rows-r || col-c == rows-r {
-			return false
-		}
-	}
-	return true
-}
-
-var nq *gowool.TaskDef3
-
-func init() {
-	// Arguments: board (packed), rows placed, n.
-	nq = gowool.Define3("nqueens", func(w *gowool.Worker, board, rows, n int64) int64 {
-		if rows == n {
-			return 1
-		}
-		spawned := 0
-		for col := int64(0); col < n; col++ {
-			if !ok(rows, board, col) {
-				continue
-			}
-			child := board | col<<(4*rows)
-			nq.Spawn(w, child, rows+1, n)
-			spawned++
-		}
-		var total int64
-		for i := 0; i < spawned; i++ {
-			total += nq.Join(w)
-		}
-		return total
-	})
-}
-
-func serial(board, rows, n int64) int64 {
-	if rows == n {
-		return 1
-	}
-	var total int64
-	for col := int64(0); col < n; col++ {
-		if ok(rows, board, col) {
-			total += serial(board|col<<(4*rows), rows+1, n)
-		}
-	}
-	return total
-}
 
 func main() {
 	n := int64(11)
@@ -76,8 +26,8 @@ func main() {
 			n = v
 		}
 	}
-	if n > 15 {
-		fmt.Println("n must be ≤ 15 (4-bit column packing)")
+	if n > nqueens.MaxN {
+		fmt.Printf("n must be ≤ %d (4-bit column packing)\n", nqueens.MaxN)
 		os.Exit(2)
 	}
 
@@ -92,11 +42,11 @@ func main() {
 	defer pool.Close()
 
 	t0 := time.Now()
-	want := serial(0, 0, n)
+	want := nqueens.Serial(n)
 	serialTime := time.Since(t0)
 
 	t0 = time.Now()
-	got := pool.Run(func(w *gowool.Worker) int64 { return nq.Call(w, 0, 0, n) })
+	got := nqueens.Count(pool, n)
 	parTime := time.Since(t0)
 
 	if got != want {
