@@ -201,12 +201,13 @@ serve-scale-bench:
 watch-bench:
 	$(GO) test -run '^$$' -bench 'WatchPoll|WaitPoll' -benchtime 100000x ./internal/core
 
-# Where the linker put the serial reference overhead_ratio divides by
-# (main.serialRec) and the generated pairs fib-tree and a served fib(16)
-# run: each symbol's address in the benchmark binary, and that address
-# mod 64. When overhead_ratio moves on a workload whose code did not
-# change, run this on both checkouts and compare.
-LAYOUT_SYMS = main.serialRec fibw.SpawnFib fibw.JoinFib ports.SpawnRec ports.JoinRec
+# Where the linker put the serial references overhead_ratio divides by
+# (main.serialRec for the served workloads, fibw.Serial for fib-tree)
+# and the expanded bodies fib-tree and a served fib(16) run: each
+# symbol's address in the benchmark binary, and that address mod 64.
+# When overhead_ratio moves on a workload whose code did not change,
+# run this on both checkouts and compare.
+LAYOUT_SYMS = main.serialRec fibw.Serial fibw.fibExpanded ports.recExpanded
 layout:
 	bash bench/run.sh -spec >/dev/null
 	@for s in $(LAYOUT_SYMS); do \

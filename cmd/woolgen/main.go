@@ -4,16 +4,20 @@
 //
 //	//go:generate go run gowool/cmd/woolgen -pkg fibw -out fib_gen.go -task Fib:1
 //
-// For each -task Name:args[:ctx=TYPE][:batch] the output provides
-// Spawn<Name>, Join<Name> and Call<Name> (plus the Spawn<Name>N /
-// Join<Name>N batch pair with :batch) around a user body function
-// <name>Body defined in the same package. The output carries a
+// For each -task Name:args[:ctx=TYPE][:batch] woolgen reads the user
+// body function <name>Body from the package's hand-written files (the
+// directory of -out) and writes <name>Expanded, the body with each
+// Spawn<Name> statement and Join<Name> assignment expanded in place,
+// plus Spawn<Name>, Join<Name> and Call<Name> (and the Spawn<Name>N /
+// Join<Name>N batch pair with :batch) around it. The output carries a
 // provenance header checked by the woolvet generated pass, and the
 // internal/gen drift tests fail when a committed output goes stale —
 // regenerate with `go generate ./...`.
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -27,12 +31,14 @@ func main() {
 
 // run is the whole command behind main: it parses args, writes the
 // generated file, reports it on stdout and errors on stderr, and
-// returns the exit code (0 ok, 1 generation or write failed, 2 bad
-// usage).
+// returns the exit code (0 ok or -h, 1 generation or write failed, 2
+// bad usage).
 func run(args []string, stdout, stderr io.Writer) int {
-	f, out, err := gen.FromArgs(args)
+	f, out, err := gen.FromArgs(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
 	if err != nil {
-		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	src, err := gen.Generate(f)

@@ -9,11 +9,15 @@ import (
 )
 
 // portsDirective returns the woolgen arguments of internal/gen/ports'
-// go:generate line, with -out pointed at out.
+// go:generate line, with -out pointed at out, and copies the package's
+// hand-written file beside out, where woolgen reads the task bodies.
 func portsDirective(t *testing.T, out string) []string {
 	t.Helper()
 	src, err := os.ReadFile("../../internal/gen/ports/ports.go")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(filepath.Dir(out), "ports.go"), src, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(string(src), "\n") {
@@ -57,6 +61,36 @@ func TestRun(t *testing.T) {
 			}
 			if !strings.Contains(stdout, "woolgen: wrote "+out) {
 				t.Errorf("stdout %q", stdout)
+			}
+		},
+	}, {
+		name: "-h prints the usage",
+		args: func(*testing.T, string) []string { return []string{"-h"} },
+		check: func(t *testing.T, out, stdout, stderr string) {
+			for _, flag := range []string{"usage: woolgen", "-pkg", "-out", "-task", "-import"} {
+				if !strings.Contains(stderr, flag) {
+					t.Errorf("usage lacks %q: %q", flag, stderr)
+				}
+			}
+			if stdout != "" {
+				t.Errorf("stdout %q", stdout)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("-h wrote %s", out)
+			}
+		},
+	}, {
+		name: "no task body beside -out",
+		args: func(_ *testing.T, out string) []string {
+			return []string{"-pkg", "p", "-out", out, "-task", "Fib:1"}
+		},
+		code: 1,
+		check: func(t *testing.T, out, stdout, stderr string) {
+			if stdout != "" || !strings.Contains(stderr, "no func fibBody") {
+				t.Errorf("stdout %q, stderr %q", stdout, stderr)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("a failed generation wrote %s", out)
 			}
 		},
 	}, {

@@ -6,11 +6,13 @@ package core
 // method itself, push or joinAcquire, and the indirect wrapper call on
 // a generic inline join) because their bodies exceed the inliner's
 // budget. Generated code instead composes the tiny prep/commit leaves
-// below, each individually inlinable, so the whole private-path
-// spawn+join pair flattens into one straight-line instruction sequence
-// with a direct, statically-known call into the task body — the Go
-// analogue of the paper's per-task-type generated spawn/join code
-// whose fast path is fully visible to the optimizer (Section III-A).
+// below, each individually inlinable. A wrapper composed of them is
+// still over the budget (`go build -gcflags=-m=2`: "cannot inline
+// SpawnFib: function too complex: cost 140 exceeds budget 80", JoinFib
+// 273), so woolgen writes the composition into the task body itself,
+// as Wool's SPAWN and SYNC macros do (Section III-A): in the expanded
+// body a private spawn+join pair is inlined stores and flag flips
+// around one direct, statically-known call into the task.
 //
 // Every prep function returns nil to route the operation to the generic
 // slow path (the TaskDef* methods), which carries the full semantics:

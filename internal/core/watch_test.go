@@ -14,9 +14,9 @@ import (
 	"gowool/internal/trace"
 )
 
-// genFib is fib written the way woolgen writes it (fibw's SpawnFib and
-// JoinFib): the private fast path first, and the TaskDef path when its
-// gate declines, which is where an armed watch polls.
+// genFib is fib written the way woolgen expands it (fibw's
+// fibExpanded): the private fast path first, and the TaskDef path when
+// its gate declines, which is where an armed watch polls.
 type genFib struct{ def *TaskDef1 }
 
 func newGenFib() *genFib {

@@ -36,9 +36,18 @@ func (l *stringList) Set(s string) error {
 //	-out FILE     output path (required)
 //	-task SPEC    task signature, repeatable (see ParseSpec)
 //	-import PATH  extra import path, repeatable
-func FromArgs(args []string) (File, string, error) {
+//
+// The task bodies are read from the output's directory, the declaring
+// package (File.Dir). Like a flag.FlagSet, FromArgs writes the usage
+// (for -h) and every error it returns to output; a request for help
+// returns flag.ErrHelp.
+func FromArgs(args []string, output io.Writer) (File, string, error) {
 	fs := flag.NewFlagSet("woolgen", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
+	fs.SetOutput(output)
+	fs.Usage = func() {
+		fmt.Fprintln(output, "usage: woolgen -pkg NAME -out FILE -task SPEC [-task SPEC ...] [-import PATH ...]")
+		fs.PrintDefaults()
+	}
 	pkg := fs.String("pkg", "", "output package name")
 	out := fs.String("out", "", "output file path")
 	var tasks, imports stringList
@@ -47,22 +56,26 @@ func FromArgs(args []string) (File, string, error) {
 	if err := fs.Parse(args); err != nil {
 		return File{}, "", err
 	}
+	fail := func(err error) (File, string, error) {
+		fmt.Fprintln(output, err)
+		return File{}, "", err
+	}
 	if *pkg == "" || *out == "" {
-		return File{}, "", fmt.Errorf("woolgen: -pkg and -out are required")
+		return fail(fmt.Errorf("woolgen: -pkg and -out are required"))
 	}
 	if len(fs.Args()) != 0 {
-		return File{}, "", fmt.Errorf("woolgen: unexpected arguments %q", fs.Args())
+		return fail(fmt.Errorf("woolgen: unexpected arguments %q", fs.Args()))
 	}
-	f := File{Package: *pkg, Imports: imports}
+	f := File{Package: *pkg, Imports: imports, Dir: filepath.Dir(*out)}
 	for _, spec := range tasks {
 		sig, err := ParseSpec(spec)
 		if err != nil {
-			return File{}, "", err
+			return fail(err)
 		}
 		f.Sigs = append(f.Sigs, sig)
 	}
 	if len(f.Sigs) == 0 {
-		return File{}, "", fmt.Errorf("woolgen: at least one -task is required")
+		return fail(fmt.Errorf("woolgen: at least one -task is required"))
 	}
 	return f, *out, nil
 }
@@ -124,10 +137,12 @@ func DiscoverDirs(root string) ([]string, error) {
 }
 
 // VerifyDir finds every woolgen go:generate directive in dir's
-// hand-written sources, regenerates each declared output in memory and
-// byte-compares it with the committed file. A non-nil error means the
-// committed output is stale (or hand-edited) and `go generate` must be
-// re-run. It returns the number of directives checked.
+// hand-written sources, regenerates each declared output in memory
+// from the task bodies as they stand and byte-compares it with the
+// committed file. A non-nil error means the committed output is stale
+// (a body or the generator changed, or the output was hand-edited) and
+// `go generate` must be re-run. It returns the number of directives
+// checked.
 func VerifyDir(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -147,10 +162,11 @@ func VerifyDir(dir string) (int, error) {
 			if !strings.HasPrefix(line, generatePrefix) {
 				continue
 			}
-			f, out, err := FromArgs(splitArgs(strings.TrimPrefix(line, generatePrefix)))
+			f, out, err := FromArgs(splitArgs(strings.TrimPrefix(line, generatePrefix)), io.Discard)
 			if err != nil {
 				return checked, fmt.Errorf("%s: %v", e.Name(), err)
 			}
+			f.Dir = filepath.Join(dir, f.Dir)
 			want, err := Generate(f)
 			if err != nil {
 				return checked, fmt.Errorf("%s: %v", e.Name(), err)

@@ -3,30 +3,38 @@
 // analogue of Wool's per-task-type generated spawn and join routines
 // (paper Section III-A; DESIGN.md §13).
 //
-// For each signature the generator emits, into the declaring package:
+// The user writes each task body as a function named <name>Body in the
+// declaring package, spawning and joining with Spawn<Name> and
+// Join<Name>. For each signature the generator emits, into the same
+// package:
 //
-//   - Spawn<Name>: the private fast path (core.SpawnPrepPrivate + a
-//     monomorphic descriptor fill + core.SpawnCommitPrivate — every
-//     piece inlinable, so the call flattens to plain stores), falling
-//     back to the generic TaskDef* slow path when the trip wire is
-//     pending, the slot is public, the stack is full, or a per-event
-//     hook (tracing) could fire;
-//   - Join<Name>: the private fast path (core.JoinPrepPrivate + a
-//     direct, statically-known call into the user body), falling back
-//     to core.JoinAcquire with the same direct call on the generic
-//     inline path;
-//   - Call<Name>: the plain recursive call between SPAWN and JOIN;
-//   - <name>Wrap: the steal handler a thief (or the generic join path)
-//     runs, reading the arguments back out of the descriptor;
+//   - <name>Expanded: the body with every Spawn and Join expanded in
+//     place (expand.go), as Wool's SPAWN and SYNC macros expand
+//     inside the C body. The private spawn is core.SpawnPrepPrivate, a
+//     monomorphic descriptor fill and core.SpawnCommitPrivate; the
+//     private join is core.JoinPrepPrivate and a direct call into the
+//     expanded body. Each falls back to the generic TaskDef* path (or
+//     core.JoinAcquire) when the trip wire is pending, the slot is
+//     public, the stack is full, or a per-event hook could fire. Go's
+//     inliner would not give this through wrappers: `go build
+//     -gcflags=-m=2` reports "cannot inline SpawnFib: function too
+//     complex: cost 140 exceeds budget 80", and JoinFib costs 273, so
+//     each private pair through them made two calls and every inline
+//     join a third frame;
+//   - Spawn<Name> / Join<Name>: the same fast paths as functions, for
+//     code the generator does not expand (the hand-written body
+//     itself, tests, benchmarks);
+//   - Call<Name>: the plain recursive call into the expanded body;
+//   - <name>Wrap: the steal handler a thief (or the generic join
+//     path) runs, reading the arguments back out of the descriptor;
 //   - optionally Spawn<Name>N / Join<Name>N: the batch pair for
 //     regular loops, filling a whole window of private descriptors per
 //     core.BatchPrepPrivate round so the per-spawn bookkeeping
 //     amortizes over the batch.
 //
-// The user supplies the task body as a function named <name>Body in
-// the same package; the generated code calls it directly, which is
-// what makes the fast path monomorphic — no interface values, no
-// indirect calls, no escapes.
+// Everything generated calls the expanded body directly, which is what
+// makes the fast path monomorphic: no interface values, no indirect
+// calls, no escapes. A body that spawns nothing is called as written.
 //
 // Output files carry a provenance header (see provenance.go) so the
 // woolvet generated pass can flag hand-edits.
@@ -71,6 +79,10 @@ type File struct {
 
 	// Sigs are the signatures to generate, emitted in order.
 	Sigs []Sig
+
+	// Dir is the declaring package's directory: Generate reads each
+	// <name>Body from the hand-written Go files there.
+	Dir string
 }
 
 // ParseSpec parses a -task flag value of the form
@@ -167,20 +179,39 @@ func Generate(f File) ([]byte, error) {
 		seen[s.Name] = true
 	}
 
+	bodies, bodyImports, err := readBodies(f)
+	if err != nil {
+		return nil, err
+	}
+
 	var b bytes.Buffer
 	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 
 	p("\npackage %s\n\n", f.Package)
-	imports := append([]string{"gowool/internal/core"}, f.Imports...)
-	sort.Strings(imports)
+	imports := map[string]string{"gowool/internal/core": ""}
+	for _, imp := range f.Imports {
+		imports[imp] = ""
+	}
+	for imp, name := range bodyImports {
+		imports[imp] = name
+	}
+	paths := make([]string, 0, len(imports))
+	for imp := range imports {
+		paths = append(paths, imp)
+	}
+	sort.Strings(paths)
 	p("import (\n")
-	for _, imp := range imports {
-		p("\t%q\n", imp)
+	for _, imp := range paths {
+		if name := imports[imp]; name != "" {
+			p("\t%s %q\n", name, imp)
+		} else {
+			p("\t%q\n", imp)
+		}
 	}
 	p(")\n")
 
-	for _, s := range f.Sigs {
-		genSig(p, s)
+	for _, bd := range bodies {
+		genSig(p, bd)
 	}
 
 	src, err := format.Source(b.Bytes())
@@ -190,9 +221,10 @@ func Generate(f File) ([]byte, error) {
 	return Seal(src), nil
 }
 
-// genSig renders one signature's routines.
-func genSig(p func(string, ...any), s Sig) {
-	name, body, wrap, def := s.Name, s.body(), s.wrap(), s.def()
+// genSig renders one signature's routines around its body.
+func genSig(p func(string, ...any), bd *body) {
+	s := bd.sig
+	name, body, wrap, def := s.Name, bd.call, s.wrap(), s.def()
 	ctxElem := strings.TrimPrefix(s.Ctx, "*")
 
 	// The steal handler and the generic slow-path definition.
@@ -225,9 +257,10 @@ func genSig(p func(string, ...any), s Sig) {
 	}
 
 	// Spawn.
-	p("\n// Spawn%s spawns one %s task. The private fast path flattens to\n", name, name)
-	p("// plain stores into the descriptor; everything else routes through the\n")
-	p("// generic TaskDef path.\n")
+	p("\n// Spawn%s spawns one %s task: the private fast path fills the\n", name, name)
+	p("// descriptor in place, and everything else routes through the generic\n")
+	p("// TaskDef path. An expanded body runs this sequence inline; the\n")
+	p("// function serves the code woolgen does not expand.\n")
 	p("//\n// woolvet:noescape\n")
 	p("func Spawn%s(w *core.Worker, %s%s) {\n", name, ctxParam, s.params())
 	p("\tif t := w.SpawnPrepPrivate(); t != nil {\n")
@@ -238,7 +271,8 @@ func genSig(p func(string, ...any), s Sig) {
 	// Join.
 	p("\n// Join%s joins with the most recently spawned task. Both inline\n", name)
 	p("// paths call the body directly (statically); a stolen task's result is\n")
-	p("// read back from the descriptor.\n")
+	p("// read back from the descriptor. An expanded body runs this sequence\n")
+	p("// inline; the function serves the code woolgen does not expand.\n")
 	p("//\n// woolvet:noescape\n")
 	p("func Join%s(w *core.Worker) int64 {\n", name)
 	joinCall := fmt.Sprintf("%s(w, %s)", body, s.taskArgs())
@@ -255,6 +289,9 @@ func genSig(p func(string, ...any), s Sig) {
 	p("//\n// woolvet:inline\n")
 	p("func Call%s(w *core.Worker, %s%s) int64 { return %s(w, %s%s) }\n",
 		name, ctxParam, s.params(), body, ctxArg, s.argNames())
+
+	// The expanded body.
+	p("%s", bd.src)
 
 	if !s.Batch {
 		return

@@ -9,8 +9,9 @@
 // request through them.
 //
 // The hand-written part of the package is the task bodies and RunRec /
-// RunRange below; the Spawn*/Join*/Call* plumbing around the bodies is
-// generated (ports_gen.go) and regenerated with `go generate ./...`.
+// RunRange below; the bodies' expanded copies and the Spawn*/Join*/Call*
+// plumbing around them are generated (ports_gen.go) and regenerated
+// with `go generate ./...`.
 package ports
 
 //go:generate go run gowool/cmd/woolgen -pkg ports -out ports_gen.go -task Noop:1:batch -task Rec:1:ctx=*RecCtx -task Range:2:ctx=*RangeCtx
@@ -27,7 +28,9 @@ type RecCtx struct {
 }
 
 // recBody is the SPAWN/CALL/JOIN recursion of the paper's Figure 2
-// over a RecCtx. SpawnRec/JoinRec around it are generated.
+// over a RecCtx. woolgen expands it into recExpanded (ports_gen.go),
+// with the SpawnRec and JoinRec fast paths in place; CallRec and every
+// other generated routine run the expansion.
 func recBody(w *core.Worker, c *RecCtx, n int64) int64 {
 	if v, ok := c.Leaf(n); ok {
 		return v
@@ -62,7 +65,8 @@ type RangeCtx struct {
 }
 
 // rangeBody is the balanced range splitter over [lo, hi) — the task
-// tree Wool's loop constructs expand into.
+// tree Wool's loop constructs expand into. woolgen expands it into
+// rangeExpanded, as recBody.
 func rangeBody(w *core.Worker, c *RangeCtx, lo, hi int64) int64 {
 	if hi-lo <= 1 {
 		if hi <= lo {

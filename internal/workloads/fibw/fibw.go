@@ -30,11 +30,12 @@ func Tasks(n int64) int64 {
 
 //go:generate go run gowool/cmd/woolgen -pkg fibw -out fib_gen.go -task Fib:1
 
-// fibBody is fib behind the woolgen-generated monomorphic port
-// (fib_gen.go): SpawnFib/JoinFib flatten to plain descriptor stores
-// and a direct call back into this function on the private fast path,
-// where NewWool's TaskDef1 pays the generic method-call frames. Run it
-// with CallFib(w, n).
+// fibBody is fib as written for woolgen, which expands it into
+// fibExpanded (fib_gen.go): each SpawnFib and JoinFib becomes the
+// private fast path in place, plain descriptor stores and a direct
+// call back into the expansion, where NewWool's TaskDef1 pays the
+// generic method-call frames. Everything generated calls the
+// expansion; run it with CallFib(w, n).
 func fibBody(w *core.Worker, n int64) int64 {
 	if n < 2 {
 		return n
