@@ -14,8 +14,7 @@ import (
 	"gowool/internal/sim"
 	"gowool/internal/steal"
 	"gowool/internal/trace"
-	"gowool/internal/workloads/fibw"
-	"gowool/internal/workloads/stress"
+	"gowool/internal/workloads"
 )
 
 // The steal-policy sweep (woolbench -stealsweep FILE) runs the full
@@ -83,76 +82,75 @@ type simStealCell struct {
 	RemoteFrac float64 `json:"remote_frac"`
 }
 
+// sweepWorkload is one workload of the grid at its native and its
+// simulated inputs.
+type sweepWorkload struct {
+	wl          *workloads.Workload
+	native, sim workloads.Params
+}
+
 // sweepSizes holds the per-scale workload parameters.
 type sweepSizes struct {
-	fibN                            int64
-	stressHeight, stressIters, reps int64
-	workers, timedReps              int
-	simFibN, simHeight, simIters    int64
-	simProcs, simShards             int
+	workloads           []sweepWorkload
+	workers, timedReps  int
+	simProcs, simShards int
 }
 
 func sweepScale(full bool) sweepSizes {
+	fib, stress := workloads.MustLookup("fib"), workloads.MustLookup("stress")
 	if full {
 		return sweepSizes{
-			fibN: 27, stressHeight: 8, stressIters: 256, reps: 10,
+			workloads: []sweepWorkload{
+				{fib, workloads.Params{N: 27, Reps: 10}, workloads.Params{N: 24}},
+				{stress, workloads.Params{Height: 8, Iters: 256, Reps: 10}, workloads.Params{Height: 11, Iters: 64}},
+			},
 			workers: 8, timedReps: 2,
-			simFibN: 24, simHeight: 11, simIters: 64,
 			simProcs: 64, simShards: 8,
 		}
 	}
 	return sweepSizes{
-		fibN: 22, stressHeight: 7, stressIters: 64, reps: 4,
+		workloads: []sweepWorkload{
+			{fib, workloads.Params{N: 22, Reps: 4}, workloads.Params{N: 18}},
+			{stress, workloads.Params{Height: 7, Iters: 64, Reps: 4}, workloads.Params{Height: 9, Iters: 32}},
+		},
 		workers: 4, timedReps: 1,
-		simFibN: 18, simHeight: 9, simIters: 32,
 		simProcs: 64, simShards: 8,
 	}
 }
 
-// matrixStats reduces a steal matrix to the locality numbers: total
-// victim steals, steal-weighted mean ring distance, and the fraction
-// within the Localized neighborhood radius.
-func matrixStats(m *trace.StealMatrix) (steals int64, meanDist, localFrac float64) {
-	var distSum, local int64
-	for thief := range m.Steals {
-		for victim, c := range m.Steals[thief] {
+// matrixStats reduces a steals[thief][victim] matrix to the locality
+// numbers under a distance: total steals, the steal-weighted mean
+// distance, and the fraction of steals whose distance in accepts.
+func matrixStats(steals [][]int64, dist func(thief, victim int) int, in func(d int) bool) (total int64, mean, frac float64) {
+	var distSum, within int64
+	for thief := range steals {
+		for victim, c := range steals[thief] {
 			if c == 0 {
 				continue
 			}
-			d := steal.RingDistance(thief, victim, m.Workers)
-			steals += c
+			d := dist(thief, victim)
+			total += c
 			distSum += c * int64(d)
-			if d <= sweepNeighborhood {
-				local += c
+			if in(d) {
+				within += c
 			}
 		}
 	}
-	if steals > 0 {
-		meanDist = float64(distSum) / float64(steals)
-		localFrac = float64(local) / float64(steals)
+	if total > 0 {
+		mean = float64(distSum) / float64(total)
+		frac = float64(within) / float64(total)
 	}
-	return steals, meanDist, localFrac
+	return total, mean, frac
 }
 
 // runNativeCell runs one backend × policy × amount × workload cell on
 // a traced pool and reduces its trace to a cell record.
-func runNativeCell(s *sched.Scheduler, pol, amt, workload string, sz sweepSizes) (nativeStealCell, error) {
+func runNativeCell(s *sched.Scheduler, pol, amt string, sw sweepWorkload, sz sweepSizes) (nativeStealCell, error) {
 	cell := nativeStealCell{
 		Backend: s.Name(), Policy: pol, Amount: amt,
-		Workload: workload, Workers: sz.workers,
+		Workload: sw.wl.Name(), Workers: sz.workers,
 	}
-	var job sched.RecJob
-	var want int64
-	switch workload {
-	case "fib":
-		job = fibw.Job(sz.fibN, sz.reps)
-		want = fibw.Serial(sz.fibN) * sz.reps
-	case "stress":
-		job = stress.Job(sz.stressHeight, sz.stressIters, sz.reps)
-		want = stress.SerialReps(sz.stressHeight, sz.stressIters, sz.reps)
-	default:
-		return cell, fmt.Errorf("unknown sweep workload %q", workload)
-	}
+	want := sw.wl.Serial(sw.native)
 	tr := trace.New(sz.workers, 0)
 	p := s.NewPool(sched.Options{
 		Workers: sz.workers,
@@ -167,10 +165,13 @@ func runNativeCell(s *sched.Scheduler, pol, amt, workload string, sz sweepSizes)
 	best := time.Duration(1<<63 - 1)
 	for rep := 0; rep < sz.timedReps; rep++ {
 		t0 := time.Now()
-		got := p.RunRec(job)
+		got, err := sw.wl.Native(p, sw.native)
 		d := time.Since(t0)
+		if err != nil {
+			return cell, err
+		}
 		if got != want {
-			return cell, fmt.Errorf("%s/%s/%s %s = %d, want %d", s.Name(), pol, amt, workload, got, want)
+			return cell, fmt.Errorf("%s/%s/%s %s = %d, want %d", s.Name(), pol, amt, cell.Workload, got, want)
 		}
 		if d < best {
 			best = d
@@ -179,7 +180,9 @@ func runNativeCell(s *sched.Scheduler, pol, amt, workload string, sz sweepSizes)
 	cell.BestMs = float64(best) / float64(time.Millisecond)
 	m := tr.StealMatrix()
 	cell.Matrix = m.Steals
-	cell.Steals, cell.MeanRingDist, cell.LocalFrac = matrixStats(m)
+	cell.Steals, cell.MeanRingDist, cell.LocalFrac = matrixStats(m.Steals,
+		func(thief, victim int) int { return steal.RingDistance(thief, victim, m.Workers) },
+		func(d int) bool { return d <= sweepNeighborhood })
 	for thief := range m.Leap {
 		cell.Central += m.Central[thief]
 		for _, c := range m.Leap[thief] {
@@ -195,15 +198,8 @@ var simKinds = []sim.Kind{sim.KindDirectStack, sim.KindDeque, sim.KindLock}
 
 // runSimCell runs one protocol × policy × workload cell at sz.simProcs
 // on the sharded topology and reduces Result.StealsFrom to hop stats.
-func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) simStealCell {
-	var def *sim.Def
-	var args sim.Args
-	switch workload {
-	case "fib":
-		def, args = fibw.NewSim(), sim.Args{A0: sz.simFibN}
-	case "stress":
-		def, args = stress.NewSimReps(), sim.Args{A0: sz.simHeight, A1: sz.simIters, A2: 1}
-	}
+func runSimCell(kind sim.Kind, pol string, sw sweepWorkload, sz sweepSizes) simStealCell {
+	def, args := sw.wl.Sim(sw.sim)
 	cfg := sim.Config{
 		Procs: sz.simProcs, Kind: kind, Costs: costmodel.Wool(),
 		Steal:    steal.Config{Policy: pol},
@@ -211,43 +207,24 @@ func runSimCell(kind sim.Kind, pol, workload string, sz sweepSizes) simStealCell
 	}
 	res := sim.Run(cfg, def, args)
 	cell := simStealCell{
-		Kind: kind.String(), Policy: pol, Workload: workload,
+		Kind: kind.String(), Policy: pol, Workload: sw.wl.Name(),
 		Procs: sz.simProcs, Shards: sz.simShards,
 		KCycles: float64(res.Makespan) / 1e3,
 	}
-	var hopSum, remote int64
-	for thief := range res.StealsFrom {
-		for victim, c := range res.StealsFrom[thief] {
-			if c == 0 {
-				continue
-			}
-			sa := thief * sz.simShards / sz.simProcs
-			sb := victim * sz.simShards / sz.simProcs
-			h := sa - sb
-			if h < 0 {
-				h = -h
-			}
-			cell.Steals += c
-			hopSum += c * int64(h)
-			if h > 0 {
-				remote += c
-			}
-		}
-	}
-	if cell.Steals > 0 {
-		cell.MeanHops = float64(hopSum) / float64(cell.Steals)
-		cell.RemoteFrac = float64(remote) / float64(cell.Steals)
-	}
+	// MeanHops and RemoteFrac use the hop rule the simulator charges.
+	cell.Steals, cell.MeanHops, cell.RemoteFrac = matrixStats(res.StealsFrom,
+		func(thief, victim int) int { return int(cfg.Topology.Hops(thief, victim, sz.simProcs)) },
+		func(h int) bool { return h > 0 })
 	return cell
 }
 
-// simGrid runs every simKinds × steal.Policies() × {fib, stress} cell.
+// simGrid runs every simKinds × steal.Policies() × sz.workloads cell.
 func simGrid(sz sweepSizes) []simStealCell {
 	var cells []simStealCell
 	for _, kind := range simKinds {
 		for _, pol := range steal.Policies() {
-			for _, workload := range []string{"fib", "stress"} {
-				cells = append(cells, runSimCell(kind, pol, workload, sz))
+			for _, sw := range sz.workloads {
+				cells = append(cells, runSimCell(kind, pol, sw, sz))
 			}
 		}
 	}
@@ -339,8 +316,8 @@ func runStealSweep(w io.Writer, path string, full bool) error {
 		}
 		for _, pol := range caps.StealPolicies {
 			for _, amt := range caps.StealAmounts {
-				for _, workload := range []string{"fib", "stress"} {
-					cell, err := runNativeCell(s, pol, amt, workload, sz)
+				for _, sw := range sz.workloads {
+					cell, err := runNativeCell(s, pol, amt, sw, sz)
 					if err != nil {
 						return err
 					}

@@ -22,8 +22,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,26 +43,45 @@ type finding struct {
 }
 
 func main() {
-	listFlag := flag.Bool("list", false, "list the analyzers and exit")
-	onlyFlag := flag.String("only", "", "comma-separated subset of analyzers to run")
-	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	ghFlag := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
-	mlogFlag := flag.String("mlog", "", "directory to write the raw -gcflags=-m compiler logs into")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: woolvet [-list] [-only a,b] [-json] [-github] [-mlog dir] [packages]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it parses args, writes findings
+// to stdout and diagnostics to stderr, and returns the exit code (0
+// clean, 1 findings reported, 2 usage or load error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("woolvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listFlag := fs.Bool("list", false, "list the analyzers and exit")
+	onlyFlag := fs.String("only", "", "comma-separated subset of analyzers to run")
+	jsonFlag := fs.Bool("json", false, "emit findings as a JSON array on stdout")
+	ghFlag := fs.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
+	mlogFlag := fs.String("mlog", "", "directory to write the raw -gcflags=-m compiler logs into")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: woolvet [-list] [-only a,b] [-json] [-github] [-mlog dir] [packages]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	// fail reports a usage or load error.
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "woolvet:", err)
+		return 2
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *listFlag {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 	if *jsonFlag && *ghFlag {
-		fmt.Fprintln(os.Stderr, "woolvet: -json and -github are mutually exclusive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "woolvet: -json and -github are mutually exclusive")
+		return 2
 	}
 
 	analyzers := analysis.All()
@@ -68,30 +89,26 @@ func main() {
 		var err error
 		analyzers, err = analysis.ByName(strings.Split(*onlyFlag, ","))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "woolvet:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "woolvet:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	loader, err := analysis.NewLoader(wd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "woolvet:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	pkgs, err := loader.LoadPatterns(patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "woolvet:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	var findings []finding
@@ -110,8 +127,7 @@ func main() {
 
 	if *mlogFlag != "" {
 		if err := writeMLogs(*mlogFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "woolvet:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	}
 
@@ -122,27 +138,27 @@ func main() {
 		if findings == nil {
 			findings = []finding{}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "woolvet:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	case *ghFlag:
 		for _, f := range findings {
 			// GitHub Actions workflow-command format; %0A would encode
 			// newlines, but diagnostics are single-line.
-			fmt.Printf("::error file=%s,line=%d,col=%d,title=woolvet/%s::%s\n",
+			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d,title=woolvet/%s::%s\n",
 				f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	default:
 		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
 	if len(findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // relPath makes filenames repo-relative so GitHub annotations attach

@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"gowool/internal/analysis"
+)
+
+// TestRun drives the command through its flags. The package rows run
+// in a module of their own in a temp dir: a clean package, and one
+// with a single woolvet:atomic field declared as a plain int64.
+func TestRun(t *testing.T) {
+	mod := t.TempDir()
+	files := map[string]string{
+		"go.mod":         "module vetseed\n\ngo 1.24\n",
+		"clean/clean.go": "package clean\n\n// Twice doubles n.\nfunc Twice(n int) int { return 2 * n }\n",
+		"seeded/seeded.go": "package seeded\n\ntype worker struct {\n" +
+			"\t// woolvet:atomic\n\tbot int64\n}\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(mod, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var names []string
+	for _, a := range analysis.All() {
+		names = append(names, a.Name)
+	}
+	tests := []struct {
+		name   string
+		args   []string
+		code   int
+		stdout []string // substrings stdout must contain
+		stderr string   // a substring stderr must contain
+	}{
+		{name: "list names every analyzer", args: []string{"-list"}, stdout: names},
+		{name: "unknown analyzer", args: []string{"-only", "bogus"}, code: 2, stderr: `unknown analyzer "bogus"`},
+		{name: "json and github", args: []string{"-json", "-github"}, code: 2, stderr: "mutually exclusive"},
+		{name: "clean package", args: []string{"./clean"}},
+		{name: "seeded violation", args: []string{"./seeded"}, code: 1,
+			stdout: []string{"seeded/seeded.go:5:2: atomicfield: field bot is tagged woolvet:atomic but declared as int64"}},
+	}
+	t.Chdir(mod)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d; stdout %q, stderr %q", code, tc.code, stdout.String(), stderr.String())
+			}
+			for _, want := range tc.stdout {
+				if !strings.Contains(stdout.String(), want) {
+					t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+				}
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr.String())
+			}
+		})
+	}
+}

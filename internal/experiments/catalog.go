@@ -4,15 +4,11 @@ import (
 	"fmt"
 
 	"gowool/internal/sim"
-	"gowool/internal/workloads/cholesky"
-	"gowool/internal/workloads/fibw"
-	"gowool/internal/workloads/mm"
-	"gowool/internal/workloads/ssf"
-	"gowool/internal/workloads/stress"
+	"gowool/internal/workloads"
 )
 
 // Workload is one row of the paper's workload catalog (Table I): a
-// benchmark kernel at specific parameters, repeated Reps times with
+// table workload at specific inputs, repeated Reps times with
 // serialization between repetitions. Root builds a fresh simulated
 // root task (fresh state per call so runs never share mutable data).
 type Workload struct {
@@ -25,68 +21,14 @@ type Workload struct {
 // Name returns "family(params)".
 func (wl Workload) Name() string { return fmt.Sprintf("%s(%s)", wl.Family, wl.Params) }
 
-// choleskyWL builds a cholesky workload row.
-func choleskyWL(n, nz, reps int64) Workload {
+// workload is the catalog row of the named table workload at p.
+func workload(name string, p workloads.Params) Workload {
+	w := workloads.MustLookup(name)
+	p = p.Norm()
+	family, params := w.TableI(p)
 	return Workload{
-		Family: "cholesky",
-		Params: fmt.Sprintf("%d,%d", n, nz),
-		Reps:   reps,
-		Root: func() (*sim.Def, sim.Args) {
-			return cholesky.NewSim().RepsDef(), sim.Args{A0: reps, A1: n, A2: nz, A3: 42}
-		},
-	}
-}
-
-// mmWL builds an mm workload row.
-func mmWL(n, reps int64) Workload {
-	return Workload{
-		Family: "mm",
-		Params: fmt.Sprintf("%d", n),
-		Reps:   reps,
-		Root: func() (*sim.Def, sim.Args) {
-			return mm.NewSimReps(), sim.Args{A0: n, A1: reps}
-		},
-	}
-}
-
-// ssfWL builds an ssf workload row.
-func ssfWL(n, reps int64) Workload {
-	return Workload{
-		Family: "ssf",
-		Params: fmt.Sprintf("%d", n),
-		Reps:   reps,
-		Root: func() (*sim.Def, sim.Args) {
-			wk := &ssf.Work{S: ssf.FibString(n)}
-			return ssf.NewSimReps(), sim.Args{A0: reps, Ctx: wk}
-		},
-	}
-}
-
-// stressWL builds a stress workload row at the given leaf iterations.
-func stressWL(iters, height, reps int64) Workload {
-	family := "stress256"
-	if iters == 4096 {
-		family = "stress4096"
-	}
-	return Workload{
-		Family: family,
-		Params: fmt.Sprintf("%d", height),
-		Reps:   reps,
-		Root: func() (*sim.Def, sim.Args) {
-			return stress.NewSimReps(), sim.Args{A0: height, A1: iters, A2: reps}
-		},
-	}
-}
-
-// fibWL builds the fib workload (Figure 1 left).
-func fibWL(n int64) Workload {
-	return Workload{
-		Family: "fib",
-		Params: fmt.Sprintf("%d", n),
-		Reps:   1,
-		Root: func() (*sim.Def, sim.Args) {
-			return fibw.NewSim(), sim.Args{A0: n}
-		},
+		Family: family, Params: params, Reps: p.Reps,
+		Root: func() (*sim.Def, sim.Args) { return w.Sim(p) },
 	}
 }
 
@@ -97,50 +39,50 @@ func fibWL(n int64) Workload {
 func Catalog(sc Scale) []Workload {
 	if sc == Quick {
 		return []Workload{
-			choleskyWL(250, 1000, 2),
-			choleskyWL(500, 2000, 1),
-			mmWL(64, 64),
-			mmWL(128, 8),
-			mmWL(256, 2),
-			ssfWL(12, 32),
-			ssfWL(13, 16),
-			ssfWL(14, 8),
-			stressWL(256, 7, 256),
-			stressWL(256, 8, 128),
-			stressWL(256, 9, 64),
-			stressWL(4096, 3, 256),
-			stressWL(4096, 4, 128),
-			stressWL(4096, 5, 64),
+			workload("cholesky", workloads.Params{N: 250, NZ: 1000, Reps: 2}),
+			workload("cholesky", workloads.Params{N: 500, NZ: 2000, Reps: 1}),
+			workload("mm", workloads.Params{N: 64, Reps: 64}),
+			workload("mm", workloads.Params{N: 128, Reps: 8}),
+			workload("mm", workloads.Params{N: 256, Reps: 2}),
+			workload("ssf", workloads.Params{N: 12, Reps: 32}),
+			workload("ssf", workloads.Params{N: 13, Reps: 16}),
+			workload("ssf", workloads.Params{N: 14, Reps: 8}),
+			workload("stress", workloads.Params{Height: 7, Iters: 256, Reps: 256}),
+			workload("stress", workloads.Params{Height: 8, Iters: 256, Reps: 128}),
+			workload("stress", workloads.Params{Height: 9, Iters: 256, Reps: 64}),
+			workload("stress", workloads.Params{Height: 3, Iters: 4096, Reps: 256}),
+			workload("stress", workloads.Params{Height: 4, Iters: 4096, Reps: 128}),
+			workload("stress", workloads.Params{Height: 5, Iters: 4096, Reps: 64}),
 		}
 	}
 	return []Workload{
 		// cholesky: paper runs 250..4k rows; simulating beyond 1k rows
 		// exceeds the task budget, so the two largest rows are omitted.
-		choleskyWL(250, 1000, 8),
-		choleskyWL(500, 2000, 4),
-		choleskyWL(1000, 4000, 1),
+		workload("cholesky", workloads.Params{N: 250, NZ: 1000, Reps: 8}),
+		workload("cholesky", workloads.Params{N: 500, NZ: 2000, Reps: 4}),
+		workload("cholesky", workloads.Params{N: 1000, NZ: 4000, Reps: 1}),
 		// mm: paper reps 16K/2K/256/32, scaled by 16.
-		mmWL(64, 1024),
-		mmWL(128, 128),
-		mmWL(256, 16),
-		mmWL(512, 2),
+		workload("mm", workloads.Params{N: 64, Reps: 1024}),
+		workload("mm", workloads.Params{N: 128, Reps: 128}),
+		workload("mm", workloads.Params{N: 256, Reps: 16}),
+		workload("mm", workloads.Params{N: 512, Reps: 2}),
 		// ssf: paper reps 16K..1K, scaled by 64.
-		ssfWL(12, 256),
-		ssfWL(13, 128),
-		ssfWL(14, 64),
-		ssfWL(15, 32),
-		ssfWL(16, 16),
+		workload("ssf", workloads.Params{N: 12, Reps: 256}),
+		workload("ssf", workloads.Params{N: 13, Reps: 128}),
+		workload("ssf", workloads.Params{N: 14, Reps: 64}),
+		workload("ssf", workloads.Params{N: 15, Reps: 32}),
+		workload("ssf", workloads.Params{N: 16, Reps: 16}),
 		// stress leaf 256: paper reps 128K..8K, scaled by 64.
-		stressWL(256, 7, 2048),
-		stressWL(256, 8, 1024),
-		stressWL(256, 9, 512),
-		stressWL(256, 10, 256),
-		stressWL(256, 11, 128),
+		workload("stress", workloads.Params{Height: 7, Iters: 256, Reps: 2048}),
+		workload("stress", workloads.Params{Height: 8, Iters: 256, Reps: 1024}),
+		workload("stress", workloads.Params{Height: 9, Iters: 256, Reps: 512}),
+		workload("stress", workloads.Params{Height: 10, Iters: 256, Reps: 256}),
+		workload("stress", workloads.Params{Height: 11, Iters: 256, Reps: 128}),
 		// stress leaf 4096: same scaling.
-		stressWL(4096, 3, 2048),
-		stressWL(4096, 4, 1024),
-		stressWL(4096, 5, 512),
-		stressWL(4096, 6, 256),
-		stressWL(4096, 7, 128),
+		workload("stress", workloads.Params{Height: 3, Iters: 4096, Reps: 2048}),
+		workload("stress", workloads.Params{Height: 4, Iters: 4096, Reps: 1024}),
+		workload("stress", workloads.Params{Height: 5, Iters: 4096, Reps: 512}),
+		workload("stress", workloads.Params{Height: 6, Iters: 4096, Reps: 256}),
+		workload("stress", workloads.Params{Height: 7, Iters: 4096, Reps: 128}),
 	}
 }

@@ -112,6 +112,17 @@ func (s System) run(p int, root *sim.Def, args sim.Args) sim.Result {
 	return sim.Run(c, root, args)
 }
 
+// speedups returns base/makespan of run on a fresh root of wl at each
+// of procs.
+func speedups(run func(int, *sim.Def, sim.Args) sim.Result, wl Workload, procs []int, base float64) []float64 {
+	vals := make([]float64, len(procs))
+	for i, p := range procs {
+		root, args := wl.Root()
+		vals[i] = base / float64(run(p, root, args).Makespan)
+	}
+	return vals
+}
+
 // serialWork measures T_S: the pure application work of root(args) in
 // cycles, from a single-processor run under a zero-overhead profile
 // with span tracking (Work counts only Work() charges).
@@ -121,6 +132,20 @@ func serialWork(root *sim.Def, args sim.Args) sim.Result {
 		Costs:     costmodel.Profile{Name: "zero"},
 		TrackSpan: true,
 	}, root, args)
+}
+
+// Characterize measures a workload's Table I row, each run on a fresh
+// root from root: serialWork's run (Work is T_S, Span0 and SpanO the
+// spans at overhead 0 and 2000 cycles, Total.Spawns is N_T), and the
+// steals of a Wool run at each of procs.
+func Characterize(root func() (*sim.Def, sim.Args), procs []int) (serial sim.Result, steals []int64) {
+	serial = serialWork(root())
+	wool := Systems()[0]
+	for _, p := range procs {
+		def, args := root()
+		steals = append(steals, wool.run(p, def, args).Total.Steals)
+	}
+	return serial, steals
 }
 
 // procsFor returns the processor counts plotted at this scale.

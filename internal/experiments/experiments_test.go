@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gowool/internal/workloads"
 )
 
 // update rewrites the quick catalog's goldens from this run's output:
@@ -104,7 +106,7 @@ func TestQuickExperimentsRun(t *testing.T) {
 }
 
 func TestSerialWorkStable(t *testing.T) {
-	wl := mmWL(32, 4)
+	wl := workload("mm", workloads.Params{N: 32, Reps: 4})
 	root, args := wl.Root()
 	a := serialWork(root, args)
 	root, args = wl.Root()

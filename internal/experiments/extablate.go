@@ -7,6 +7,7 @@ import (
 	"gowool/internal/costmodel"
 	"gowool/internal/sim"
 	"gowool/internal/tabulate"
+	"gowool/internal/workloads"
 )
 
 func init() {
@@ -41,7 +42,7 @@ func runXAblate(sc Scale, w io.Writer) error {
 	// 1. Trip-wire parameter sweep — on fib, whose ~13-cycle tasks
 	// make the public-join atomic a first-order cost, so the tension
 	// between cheap joins (private) and fed thieves (public) shows.
-	wl := fibWL(fibN)
+	wl := workload("fib", workloads.Params{N: fibN})
 	t := tabulate.New(
 		fmt.Sprintf("Ablation — private-task parameters, fib(%d) at %d procs", fibN, procs),
 		"config", "makespan[kcyc]", "steals", "publications", "private joins %",
@@ -78,7 +79,7 @@ func runXAblate(sc Scale, w io.Writer) error {
 	// 2. Wait-policy sweep: the direct stack with leapfrog vs the
 	// deque kind's unrestricted helping, same costs, so only the
 	// blocked-join behaviour differs.
-	swl := stressWL(256, 8, reps)
+	swl := workload("stress", workloads.Params{Height: 8, Iters: 256, Reps: reps})
 	t2 := tabulate.New(
 		fmt.Sprintf("Ablation — blocked-join policy, stress256(8)x%d at %d procs (Wool costs)", reps, procs),
 		"policy", "makespan[kcyc]", "leap/help steals", "LF wait[kcyc]",

@@ -7,6 +7,7 @@ import (
 	"gowool/internal/costmodel"
 	"gowool/internal/sim"
 	"gowool/internal/tabulate"
+	"gowool/internal/workloads"
 	"gowool/internal/workloads/stress"
 )
 
@@ -46,15 +47,10 @@ func runXCilk(sc Scale, w io.Writer) error {
 
 		// Steal-child approximation (the catalog's Cilk++).
 		approx := Systems()[1]
-		wl := stressWL(c.iters, c.height, reps)
+		wl := workload("stress", workloads.Params{Height: c.height, Iters: c.iters, Reps: reps})
 		root, args := wl.Root()
 		t1 := float64(approx.run(1, root, args).Makespan)
-		vals := make([]float64, len(procs))
-		for i, p := range procs {
-			root, args := wl.Root()
-			vals[i] = t1 / float64(approx.run(p, root, args).Makespan)
-		}
-		plot.Add("steal-child approx", vals)
+		plot.Add("steal-child approx", speedups(approx.run, wl, procs, t1))
 
 		// True steal-parent engine, same cost profile.
 		base := sim.Config{Procs: 1, Costs: costmodel.CilkPP(), Seed: 0x51ed}

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"gowool/internal/tabulate"
+	"gowool/internal/workloads"
 )
 
 func init() {
@@ -28,13 +29,11 @@ func runXScale(sc Scale, w io.Writer) error {
 		procs = []int{1, 4, 16, 64}
 	}
 
-	workloads := []Workload{
-		mmWL(256, 4),
-		stressWL(256, 9, 64),
-	}
-	for _, wl := range workloads {
-		root, args := wl.Root()
-		span := serialWork(root, args)
+	for _, wl := range []Workload{
+		workload("mm", workloads.Params{N: 256, Reps: 4}),
+		workload("stress", workloads.Params{Height: 9, Iters: 256, Reps: 64}),
+	} {
+		span, steals := Characterize(wl.Root, procs[1:])
 
 		plot := tabulate.NewPlot("Extension — "+wl.Name()+" beyond 8 processors",
 			"procs", "absolute speedup", floatProcs(procs))
@@ -47,13 +46,7 @@ func runXScale(sc Scale, w io.Writer) error {
 		woolPublic.Private = false
 		systems = append(systems, woolPublic)
 		for _, sys := range systems {
-			vals := make([]float64, len(procs))
-			for i, p := range procs {
-				root, args := wl.Root()
-				res := sys.run(p, root, args)
-				vals[i] = float64(span.Work) / float64(res.Makespan)
-			}
-			plot.Add(sys.Name, vals)
+			plot.Add(sys.Name, speedups(sys.run, wl, procs, float64(span.Work)))
 		}
 		plot.Render(w)
 
@@ -61,15 +54,12 @@ func runXScale(sc Scale, w io.Writer) error {
 		// extended.
 		t := tabulate.New("G_L(p) for "+wl.Name()+" [kcycles/steal]",
 			"procs", "G_L", "steals")
-		wool := Systems()[0]
-		for _, p := range procs[1:] {
-			root, args := wl.Root()
-			res := wool.run(p, root, args)
-			if res.Total.Steals == 0 {
+		for i, p := range procs[1:] {
+			if steals[i] == 0 {
 				t.Row(p, "inf", 0)
 				continue
 			}
-			t.Row(p, float64(span.Work)/float64(res.Total.Steals)/1000, res.Total.Steals)
+			t.Row(p, float64(span.Work)/float64(steals[i])/1000, steals[i])
 		}
 		t.Render(w)
 	}

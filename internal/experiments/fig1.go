@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"gowool/internal/tabulate"
+	"gowool/internal/workloads"
 )
 
 func init() {
@@ -31,19 +32,12 @@ func runFig1(sc Scale, w io.Writer) error {
 	if sc == Full {
 		fibN = 27
 	}
-	wl := fibWL(fibN)
-	root, args := wl.Root()
-	span := serialWork(root, args)
+	wl := workload("fib", workloads.Params{N: fibN})
+	span := serialWork(wl.Root())
 	left := tabulate.NewPlot("Figure 1 (left) — absolute speedup of fib("+wl.Params+"), no cutoff",
 		"procs", "absolute speedup", floatProcs(procs))
 	for _, sys := range Systems() {
-		vals := make([]float64, len(procs))
-		for i, p := range procs {
-			root, args := wl.Root()
-			res := sys.run(p, root, args)
-			vals[i] = float64(span.Work) / float64(res.Makespan)
-		}
-		left.Add(sys.Name, vals)
+		left.Add(sys.Name, speedups(sys.run, wl, procs, float64(span.Work)))
 	}
 	left.Render(w)
 
@@ -52,20 +46,14 @@ func runFig1(sc Scale, w io.Writer) error {
 	if sc == Full {
 		reps = 2048 // paper: 128K
 	}
-	swl := stressWL(4096, 3, reps)
+	swl := workload("stress", workloads.Params{Height: 3, Iters: 4096, Reps: reps})
 	right := tabulate.NewPlot(
 		fmt.Sprintf("Figure 1 (right) — relative speedup of stress(4096,3,%d reps)", swl.Reps),
 		"procs", "speedup vs own 1-proc", floatProcs(procs))
 	for _, sys := range Systems() {
 		root, args := swl.Root()
 		t1 := float64(sys.run(1, root, args).Makespan)
-		vals := make([]float64, len(procs))
-		for i, p := range procs {
-			root, args := swl.Root()
-			res := sys.run(p, root, args)
-			vals[i] = t1 / float64(res.Makespan)
-		}
-		right.Add(sys.Name, vals)
+		right.Add(sys.Name, speedups(sys.run, swl, procs, t1))
 	}
 	right.Render(w)
 	return nil

@@ -7,7 +7,7 @@ import (
 	"gowool/internal/costmodel"
 	"gowool/internal/sim"
 	"gowool/internal/tabulate"
-	"gowool/internal/workloads/stress"
+	"gowool/internal/workloads"
 )
 
 func init() {
@@ -59,15 +59,11 @@ func runFig4(sc Scale, w io.Writer) error {
 		// As with the paper's stress plots, all strategies are
 		// normalized to the single-processor direct-task-stack run, so
 		// a slower single-processor baseline cannot flatter a strategy.
-		args := sim.Args{A0: cfg.height, A1: 256, A2: cfg.reps}
-		t1 := float64(strategies[3].run(1, stress.NewSimReps(), args).Makespan)
+		wl := workload("stress", workloads.Params{Height: cfg.height, Iters: 256, Reps: cfg.reps})
+		root, args := wl.Root()
+		t1 := float64(strategies[3].run(1, root, args).Makespan)
 		for _, strat := range strategies {
-			vals := make([]float64, len(procs))
-			for i, p := range procs {
-				res := strat.run(p, stress.NewSimReps(), args)
-				vals[i] = t1 / float64(res.Makespan)
-			}
-			plot.Add(strat.name, vals)
+			plot.Add(strat.name, speedups(strat.run, wl, procs, t1))
 		}
 		plot.Render(w)
 	}

@@ -32,8 +32,7 @@ func runFig5(sc Scale, w io.Writer) error {
 			root, args := wl.Root()
 			base = float64(systems[0].run(1, root, args).Makespan)
 		} else {
-			root, args := wl.Root()
-			base = float64(serialWork(root, args).Work)
+			base = float64(serialWork(wl.Root()).Work)
 		}
 
 		ylabel := "absolute speedup"
@@ -42,13 +41,7 @@ func runFig5(sc Scale, w io.Writer) error {
 		}
 		plot := tabulate.NewPlot("Figure 5 — "+wl.Name(), "procs", ylabel, floatProcs(procs))
 		for _, sys := range systems {
-			vals := make([]float64, len(procs))
-			for i, p := range procs {
-				root, args := wl.Root()
-				res := sys.run(p, root, args)
-				vals[i] = base / float64(res.Makespan)
-			}
-			plot.Add(sys.Name, vals)
+			plot.Add(sys.Name, speedups(sys.run, wl, procs, base))
 		}
 		plot.Render(w)
 	}

@@ -28,10 +28,9 @@ func runTable1(sc Scale, w io.Writer) error {
 		"workload", "reps", "par(0)", "par(2k)", "RepSz[kcyc]", "G_T[cyc]",
 		"G_L(2)", "G_L(3)", "G_L(4)", "G_L(5)", "G_L(6)", "G_L(7)", "G_L(8)",
 	)
-	wool := Systems()[0]
+	procs := []int{2, 3, 4, 5, 6, 7, 8}
 	for _, wl := range Catalog(sc) {
-		root, args := wl.Root()
-		span := serialWork(root, args)
+		span, steals := Characterize(wl.Root, procs)
 		work := float64(span.Work)
 		par0 := work / float64(span.Span0)
 		parO := work / float64(span.SpanO)
@@ -39,14 +38,12 @@ func runTable1(sc Scale, w io.Writer) error {
 		gt := work / float64(span.Total.Spawns)
 
 		row := []any{wl.Name(), wl.Reps, par0, parO, repSz, gt}
-		for p := 2; p <= 8; p++ {
-			root, args := wl.Root()
-			res := wool.run(p, root, args)
-			if res.Total.Steals == 0 {
+		for _, steals := range steals {
+			if steals == 0 {
 				row = append(row, "inf")
 				continue
 			}
-			row = append(row, work/float64(res.Total.Steals)/1000)
+			row = append(row, work/float64(steals)/1000)
 		}
 		t.Row(row...)
 	}

@@ -4,8 +4,8 @@ import (
 	"io"
 
 	"gowool/internal/costmodel"
-	"gowool/internal/sim"
 	"gowool/internal/tabulate"
+	"gowool/internal/workloads"
 	"gowool/internal/workloads/stress"
 )
 
@@ -30,7 +30,7 @@ const stealLeafCycles = 200_000
 func stealOverhead(sys System, k int) float64 {
 	procs := 1 << k
 	iters := int64(stealLeafCycles / stress.CyclesPerIter)
-	root, args := stress.NewSim(), sim.Args{A0: int64(k), A1: iters}
+	root, args := workload("stress", workloads.Params{Height: int64(k), Iters: iters}).Root()
 	res := sys.run(procs, root, args)
 	return float64(res.Makespan) - stealLeafCycles
 }

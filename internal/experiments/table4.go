@@ -6,6 +6,7 @@ import (
 
 	"gowool/internal/stealmodel"
 	"gowool/internal/tabulate"
+	"gowool/internal/workloads"
 )
 
 func init() {
@@ -28,46 +29,33 @@ func runTable4(sc Scale, w io.Writer) error {
 	if sc == Full {
 		reps = 512
 	}
-	wl := mmWL(64, reps)
+	wl := workload("mm", workloads.Params{N: 64, Reps: reps})
 
-	root, args := wl.Root()
-	span := serialWork(root, args)
+	procs := []int{2, 4, 8}
+	span, steals := Characterize(wl.Root, procs)
 	work := float64(span.Work) / float64(reps) // W per repetition
-
-	wool := Systems()[0]
 	stealsAt := map[int]float64{}
-	measured := map[string]map[int]float64{}
-	for _, p := range []int{2, 4, 8} {
-		root, args := wl.Root()
-		res := wool.run(p, root, args)
-		stealsAt[p] = float64(res.Total.Steals) / float64(reps)
-	}
-
-	// Measured speedups per system (absolute, against pure work).
-	for _, sys := range Systems()[:3] { // paper Table IV has Wool, Cilk++, TBB
-		measured[sys.Name] = map[int]float64{}
-		for _, p := range []int{2, 4, 8} {
-			root, args := wl.Root()
-			res := sys.run(p, root, args)
-			measured[sys.Name][p] = float64(span.Work) / float64(res.Makespan)
-		}
+	for i, p := range procs {
+		stealsAt[p] = float64(steals[i]) / float64(reps)
 	}
 
 	t := tabulate.New(
 		"Table IV — steal-cost model vs measured speedup, mm(64): model (measured)",
 		"system", "2", "4", "8",
 	)
-	for _, sys := range Systems()[:3] {
+	for _, sys := range Systems()[:3] { // paper Table IV has Wool, Cilk++, TBB
+		// Measured speedups (absolute, against pure work).
+		measured := speedups(sys.run, wl, procs, float64(span.Work))
 		c2 := stealOverhead(sys, 1)
 		row := []any{sys.Name}
-		for _, p := range []int{2, 4, 8} {
+		for i, p := range procs {
 			k := 0
 			for 1<<k < p {
 				k++
 			}
 			cp := stealOverhead(sys, k)
 			est := stealmodel.Predict(work, stealsAt[p], c2, cp, p)
-			row = append(row, fmt.Sprintf("%.1f (%.1f)", est.SpeedupP, measured[sys.Name][p]))
+			row = append(row, fmt.Sprintf("%.1f (%.1f)", est.SpeedupP, measured[i]))
 		}
 		t.Row(row...)
 	}

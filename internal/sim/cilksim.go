@@ -222,7 +222,7 @@ func (w *CW) popBottom() CStep {
 // per-hop penalty (same model as the steal-child protocol).
 func (w *CW) chargeProbeC(victim *CW) {
 	cost := w.m.cfg.Costs.StealProbe +
-		costmodel.RemoteProbePenalty*w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
+		costmodel.RemoteProbePenalty*w.m.cfg.Topology.Hops(w.idx, victim.idx, len(w.m.ws))
 	w.St.ST += cost
 	w.p.Step(cost)
 }
@@ -250,7 +250,7 @@ func (w *CW) trySteal(victim *CW) bool {
 	victim.deque[len(victim.deque)-1] = nil
 	victim.deque = victim.deque[:len(victim.deque)-1]
 
-	cost := c.StealWork + costmodel.RemoteStealPenalty*w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
+	cost := c.StealWork + costmodel.RemoteStealPenalty*w.m.cfg.Topology.Hops(w.idx, victim.idx, len(w.m.ws))
 	now := w.p.Now()
 	if now-victim.lastSteal < 2*c.StealWork {
 		cost += c.StealWork / 2

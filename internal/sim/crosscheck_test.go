@@ -3,15 +3,10 @@ package sim_test
 import (
 	"testing"
 
-	"gowool/internal/core"
 	"gowool/internal/costmodel"
 	"gowool/internal/sched"
 	"gowool/internal/sim"
-	"gowool/internal/workloads/cholesky"
-	"gowool/internal/workloads/fibw"
-	"gowool/internal/workloads/mm"
-	"gowool/internal/workloads/ssf"
-	"gowool/internal/workloads/stress"
+	"gowool/internal/workloads"
 	"gowool/internal/wskit"
 )
 
@@ -24,52 +19,47 @@ import (
 // a public prefix that a one-worker pool does not), but the sum must
 // agree.
 func TestCountsMatchCoreAtOneWorker(t *testing.T) {
-	type workload struct {
-		name   string
-		def    *sim.Def
-		args   sim.Args
-		native func(*sched.Pool)
-	}
-	workloads := []workload{
-		{"fib", fibw.NewSimReps(), sim.Args{A0: 18, A1: 1},
-			func(p *sched.Pool) { p.RunRec(fibw.Job(18, 1)) }},
-		{"stress", stress.NewSimReps(), sim.Args{A0: 6, A1: 16, A2: 1},
-			func(p *sched.Pool) { p.RunRec(stress.Job(6, 16, 1)) }},
-		{"mm", mm.NewSimReps(), sim.Args{A0: 64, A1: 1},
-			func(p *sched.Pool) { p.RunRange(mm.Job(mm.New(64), 1)) }},
-		{"ssf", ssf.NewSimReps(), sim.Args{A0: 1, Ctx: &ssf.Work{S: ssf.FibString(12)}},
-			func(p *sched.Pool) { p.RunRange(ssf.Job(&ssf.Work{S: ssf.FibString(12)}, 1)) }},
-		{"cholesky", cholesky.NewSim().RepsDef(), sim.Args{A0: 1, A1: 200, A2: 800, A3: 42},
-			func(p *sched.Pool) {
-				cholesky.New(core.DefineC3[cholesky.Arena]).Factor(p.Native().(*core.Pool).Run, cholesky.Generate(200, 800, 42))
-			}},
+	params := map[string]workloads.Params{
+		"fib":      {N: 18},
+		"stress":   {Height: 6, Iters: 16},
+		"mm":       {N: 64},
+		"ssf":      {N: 12},
+		"cholesky": {N: 200, NZ: 800},
 	}
 	wool, ok := sched.Lookup("wool")
 	if !ok {
 		t.Fatal(`no "wool" scheduler registered`)
 	}
-	for _, w := range workloads {
+	for _, name := range workloads.Names() {
+		w := workloads.MustLookup(name)
+		in, ok := params[w.Name()]
+		if !ok {
+			t.Fatalf("no inputs for table workload %q", w.Name())
+		}
 		for _, private := range []bool{false, true} {
 			p := wool.NewPool(sched.Options{Workers: 1, PrivateTasks: private})
-			w.native(p)
+			if _, err := w.Native(p, in); err != nil {
+				t.Fatal(err)
+			}
 			native := p.Stats().Counts
 			p.Close()
+			def, args := w.Sim(in)
 			simulated := sim.Run(sim.Config{
 				Procs: 1, Kind: sim.KindDirectStack,
 				Costs: costmodel.Wool(), PrivateTasks: private,
-			}, w.def, w.args).Total.Counts
+			}, def, args).Total.Counts
 
 			if native.Spawns == 0 {
-				t.Fatalf("%s private=%v: native run spawned nothing", w.name, private)
+				t.Fatalf("%s private=%v: native run spawned nothing", w.Name(), private)
 			}
 			if private {
-				t.Logf("%s: inlined joins public/private: native %d/%d, sim %d/%d", w.name,
+				t.Logf("%s: inlined joins public/private: native %d/%d, sim %d/%d", w.Name(),
 					native.JoinsInlinedPublic, native.JoinsInlinedPrivate,
 					simulated.JoinsInlinedPublic, simulated.JoinsInlinedPrivate)
 				native, simulated = mergeSplit(native), mergeSplit(simulated)
 			}
 			if native != simulated {
-				t.Errorf("%s private=%v:\nnative %+v\nsim    %+v", w.name, private, native, simulated)
+				t.Errorf("%s private=%v:\nnative %+v\nsim    %+v", w.Name(), private, native, simulated)
 			}
 		}
 	}

@@ -237,7 +237,7 @@ func (w *W) publishMore() {
 func (w *W) chargeProbe(victim *W) {
 	cost := w.m.cfg.Costs.StealProbe
 	if victim != nil {
-		cost += costmodel.RemoteProbePenalty * w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
+		cost += costmodel.RemoteProbePenalty * w.m.cfg.Topology.Hops(w.idx, victim.idx, len(w.m.ws))
 	}
 	w.St.ST += cost
 	w.p.Step(cost)
@@ -376,7 +376,7 @@ func (w *W) runSteal(t *STask, victim *W) {
 		// Topology: the descriptor's cache lines cross the interconnect
 		// (central-queue tasks live on the shared queue, not with the
 		// probed victim).
-		cost += costmodel.RemoteStealPenalty * w.m.cfg.Topology.hops(w.idx, victim.idx, len(w.m.ws))
+		cost += costmodel.RemoteStealPenalty * w.m.cfg.Topology.Hops(w.idx, victim.idx, len(w.m.ws))
 	}
 	now := w.p.Now()
 	// Coherence model: a victim whose pool was robbed moments ago (or

@@ -184,9 +184,9 @@ type Topology struct {
 	Shards int
 }
 
-// hops returns the interconnect distance between workers a and b of an
+// Hops returns the interconnect distance between workers a and b of an
 // n-worker machine: the shard-index difference, 0 on a flat machine.
-func (t Topology) hops(a, b, n int) uint64 {
+func (t Topology) Hops(a, b, n int) uint64 {
 	if t.Shards <= 1 || n <= 0 {
 		return 0
 	}

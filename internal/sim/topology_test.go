@@ -85,7 +85,7 @@ func meanHops(res Result, topo Topology, procs int) float64 {
 	for i, row := range res.StealsFrom {
 		for v, n := range row {
 			total += n
-			weighted += n * int64(topo.hops(i, v, procs))
+			weighted += n * int64(topo.Hops(i, v, procs))
 		}
 	}
 	if total == 0 {
@@ -147,11 +147,11 @@ func TestTopologyHops(t *testing.T) {
 		{7, 8, 1},  // shard boundary
 	}
 	for _, c := range cases {
-		if got := topo.hops(c.a, c.b, 16); got != c.want {
+		if got := topo.Hops(c.a, c.b, 16); got != c.want {
 			t.Errorf("hops(%d,%d,16) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if flat := (Topology{}); flat.hops(0, 15, 16) != 0 {
+	if flat := (Topology{}); flat.Hops(0, 15, 16) != 0 {
 		t.Error("flat machine has nonzero hops")
 	}
 }
