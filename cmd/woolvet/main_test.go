@@ -11,15 +11,22 @@ import (
 )
 
 // TestRun drives the command through its flags. The package rows run
-// in a module of their own in a temp dir: a clean package, and one
-// with a single woolvet:atomic field declared as a plain int64.
+// in a module of their own in a temp dir: a clean package, and
+// packages with a single woolvet:atomic field declared as a plain
+// int64. Rows run from the module root unless they name a directory,
+// where local patterns resolve as go vet resolves them.
 func TestRun(t *testing.T) {
 	mod := t.TempDir()
+	seeded := func(pkg string) string {
+		return "package " + pkg + "\n\ntype worker struct {\n\t// woolvet:atomic\n\tbot int64\n}\n"
+	}
 	files := map[string]string{
-		"go.mod":         "module vetseed\n\ngo 1.24\n",
-		"clean/clean.go": "package clean\n\n// Twice doubles n.\nfunc Twice(n int) int { return 2 * n }\n",
-		"seeded/seeded.go": "package seeded\n\ntype worker struct {\n" +
-			"\t// woolvet:atomic\n\tbot int64\n}\n",
+		"go.mod":                           "module vetseed\n\ngo 1.24\n",
+		"clean/clean.go":                   "package clean\n\n// Twice doubles n.\nfunc Twice(n int) int { return 2 * n }\n",
+		"seeded/seeded.go":                 seeded("seeded"),
+		"internal/core/core.go":            seeded("core"),
+		"internal/workloads/fib/fib.go":    seeded("fib"),
+		"internal/workloads/stress/str.go": seeded("stress"),
 	}
 	for name, body := range files {
 		path := filepath.Join(mod, name)
@@ -35,8 +42,10 @@ func TestRun(t *testing.T) {
 	for _, a := range analysis.All() {
 		names = append(names, a.Name)
 	}
+	const violation = ": atomicfield: field bot is tagged woolvet:atomic but declared as int64"
 	tests := []struct {
 		name   string
+		dir    string // working directory, relative to the module root
 		args   []string
 		code   int
 		stdout []string // substrings stdout must contain
@@ -47,11 +56,17 @@ func TestRun(t *testing.T) {
 		{name: "json and github", args: []string{"-json", "-github"}, code: 2, stderr: "mutually exclusive"},
 		{name: "clean package", args: []string{"./clean"}},
 		{name: "seeded violation", args: []string{"./seeded"}, code: 1,
-			stdout: []string{"seeded/seeded.go:5:2: atomicfield: field bot is tagged woolvet:atomic but declared as int64"}},
+			stdout: []string{"seeded/seeded.go:5:2" + violation}},
+		{name: "local patterns from a subdirectory", dir: "internal", args: []string{"./core", "./workloads/..."}, code: 1,
+			stdout: []string{"core/core.go:5:2" + violation, "workloads/fib/fib.go:5:2" + violation,
+				"workloads/stress/str.go:5:2" + violation}},
+		{name: "parent pattern from a subdirectory", dir: "internal/core", args: []string{"../workloads/fib"}, code: 1,
+			stdout: []string{"internal/workloads/fib/fib.go:5:2" + violation}},
+		{name: "pattern outside the module", dir: "internal", args: []string{"../.."}, code: 2, stderr: "outside the module"},
 	}
-	t.Chdir(mod)
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Chdir(filepath.Join(mod, tc.dir))
 			var stdout, stderr bytes.Buffer
 			if code := run(tc.args, &stdout, &stderr); code != tc.code {
 				t.Fatalf("exit %d, want %d; stdout %q, stderr %q", code, tc.code, stdout.String(), stderr.String())

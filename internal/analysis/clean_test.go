@@ -14,7 +14,9 @@ func TestRepoIsWoolvetClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.LoadPatterns("./...")
+	// "..." is the whole module; "./..." would be this directory's
+	// packages only.
+	pkgs, err := loader.LoadPatterns("...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,6 +65,9 @@ type Loader struct {
 	Fset    *token.FileSet
 	ModRoot string
 	ModPath string
+	// WorkDir is the directory the loader was created in: local
+	// patterns (".", "./…", "../…") resolve against it.
+	WorkDir string
 
 	std     types.Importer
 	sizes   types.Sizes
@@ -76,11 +79,11 @@ type Loader struct {
 // NewLoader creates a loader for the module containing startDir,
 // located by walking up to the nearest go.mod.
 func NewLoader(startDir string) (*Loader, error) {
-	dir, err := filepath.Abs(startDir)
+	workDir, err := filepath.Abs(startDir)
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for dir := workDir; ; {
 		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 		if err == nil {
 			modPath := modulePath(string(data))
@@ -101,6 +104,7 @@ func NewLoader(startDir string) (*Loader, error) {
 				Fset:    fset,
 				ModRoot: dir,
 				ModPath: modPath,
+				WorkDir: workDir,
 				std:     importer.ForCompiler(fset, "source", nil),
 				sizes:   types.SizesFor("gc", runtime.GOARCH),
 				ctx:     ctx,
@@ -127,21 +131,29 @@ func modulePath(mod string) string {
 	return ""
 }
 
-// LoadPatterns loads the packages matching the go-style patterns
-// ("./...", "./internal/core", "internal/core/..."), resolved
-// relative to the module root. Directories named testdata, or whose
-// name starts with "." or "_", are skipped, as the go tool does.
+// LoadPatterns loads the packages matching the go-style patterns. As
+// with go vet, a local pattern (".", "./...", "./core",
+// "../workloads/...") names directories relative to WorkDir; any other
+// ("...", "internal/core/...") is relative to the module root.
+// Directories named testdata, or whose name starts with "." or "_",
+// are skipped, as the go tool does.
 func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
 	dirSet := map[string]bool{}
 	for _, pat := range patterns {
-		pat = strings.TrimPrefix(pat, "./")
-		recursive := false
-		if pat == "..." {
-			pat, recursive = "", true
-		} else if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			pat, recursive = rest, true
+		base := l.ModRoot
+		if build.IsLocalImport(pat) {
+			base = l.WorkDir
 		}
-		root := filepath.Join(l.ModRoot, filepath.FromSlash(pat))
+		dir, recursive := pat, false
+		if dir == "..." {
+			dir, recursive = ".", true
+		} else if rest, ok := strings.CutSuffix(dir, "/..."); ok {
+			dir, recursive = rest, true
+		}
+		root := filepath.Join(base, filepath.FromSlash(dir))
+		if rel, err := filepath.Rel(l.ModRoot, root); err != nil || !filepath.IsLocal(rel) {
+			return nil, fmt.Errorf("pattern %q: %s is outside the module at %s", pat, root, l.ModRoot)
+		}
 		if !recursive {
 			dirSet[root] = true
 			continue
