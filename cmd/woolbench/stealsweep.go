@@ -199,13 +199,12 @@ var simKinds = []sim.Kind{sim.KindDirectStack, sim.KindDeque, sim.KindLock}
 // runSimCell runs one protocol × policy × workload cell at sz.simProcs
 // on the sharded topology and reduces Result.StealsFrom to hop stats.
 func runSimCell(kind sim.Kind, pol string, sw sweepWorkload, sz sweepSizes) simStealCell {
-	def, args := sw.wl.Sim(sw.sim)
 	cfg := sim.Config{
 		Procs: sz.simProcs, Kind: kind, Costs: costmodel.Wool(),
 		Steal:    steal.Config{Policy: pol},
 		Topology: sim.Topology{Shards: sz.simShards},
 	}
-	res := sim.Run(cfg, def, args)
+	res := sim.Run(cfg, sw.wl.Sim(sw.sim), sim.Args{})
 	cell := simStealCell{
 		Kind: kind.String(), Policy: pol, Workload: sw.wl.Name(),
 		Procs: sz.simProcs, Shards: sz.simShards,

@@ -159,12 +159,11 @@ func capsTokens(c sched.Caps) string {
 }
 
 func (c *config) runSim(w io.Writer, wl *workloads.Workload) {
-	def, args := wl.Sim(c.params)
 	res := sim.Run(sim.Config{
 		Procs: c.workers, Kind: sim.KindDirectStack,
 		Costs: costmodel.Wool(), PrivateTasks: c.private,
 		Steal: c.steal,
-	}, def, args)
+	}, wl.Sim(c.params), sim.Args{})
 	fmt.Fprintf(w, "result=%d makespan=%d cycles (%.3f ms at 2.5GHz)\n",
 		res.Value, res.Makespan, float64(res.Makespan)/costmodel.CyclesPerNS/1e6)
 	if c.stats {

@@ -56,8 +56,7 @@ func TestCatalogBuilds(t *testing.T) {
 			if wl.Name() == "" || wl.Reps <= 0 {
 				t.Errorf("bad workload %+v", wl)
 			}
-			root, _ := wl.Root()
-			if root == nil {
+			if wl.Root() == nil {
 				t.Errorf("%s: nil root", wl.Name())
 			}
 		}
@@ -107,10 +106,8 @@ func TestQuickExperimentsRun(t *testing.T) {
 
 func TestSerialWorkStable(t *testing.T) {
 	wl := workload("mm", workloads.Params{N: 32, Reps: 4})
-	root, args := wl.Root()
-	a := serialWork(root, args)
-	root, args = wl.Root()
-	b := serialWork(root, args)
+	a := serialWork(wl.Root())
+	b := serialWork(wl.Root())
 	if a.Work != b.Work || a.Span0 != b.Span0 {
 		t.Errorf("serialWork not deterministic: %d/%d vs %d/%d", a.Work, a.Span0, b.Work, b.Span0)
 	}

@@ -61,12 +61,11 @@ func runXAblate(sc Scale, w io.Writer) error {
 		{"private ip=16 pa=16", true, 16, 16},
 	}
 	for _, c := range cfgs {
-		root, args := wl.Root()
 		res := sim.Run(sim.Config{
 			Procs: procs, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
 			PrivateTasks: c.private, InitialPublic: c.initial, PublishAmount: c.amount,
 			Seed: 0xab1a7e,
-		}, root, args)
+		}, wl.Root(), sim.Args{})
 		privPct := 0.0
 		if res.Total.Joins() > 0 {
 			privPct = 100 * float64(res.Total.JoinsInlinedPrivate) / float64(res.Total.Joins())
@@ -91,10 +90,9 @@ func runXAblate(sc Scale, w io.Writer) error {
 		{"leapfrog (direct stack)", sim.KindDirectStack},
 		{"steal-anywhere (deque kind)", sim.KindDeque},
 	} {
-		root, args := swl.Root()
 		res := sim.Run(sim.Config{
 			Procs: procs, Kind: pc.kind, Costs: costmodel.Wool(), Seed: 0xab1a7e,
-		}, root, args)
+		}, swl.Root(), sim.Args{})
 		t2.Row(pc.name, float64(res.Makespan)/1000, res.Total.LeapSteals, float64(res.Total.LF)/1000)
 	}
 	t2.Note("paper Fig 6: LF stays small — 'simply waiting would be adequate' for these workloads")

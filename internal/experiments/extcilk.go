@@ -8,7 +8,6 @@ import (
 	"gowool/internal/sim"
 	"gowool/internal/tabulate"
 	"gowool/internal/workloads"
-	"gowool/internal/workloads/stress"
 )
 
 func init() {
@@ -47,20 +46,20 @@ func runXCilk(sc Scale, w io.Writer) error {
 
 		// Steal-child approximation (the catalog's Cilk++).
 		approx := Systems()[1]
-		wl := workload("stress", workloads.Params{Height: c.height, Iters: c.iters, Reps: reps})
-		root, args := wl.Root()
-		t1 := float64(approx.run(1, root, args).Makespan)
+		in := workloads.Params{Height: c.height, Iters: c.iters, Reps: reps}
+		wl := workload("stress", in)
+		t1 := float64(approx.run(1, wl.Root()).Makespan)
 		plot.Add("steal-child approx", speedups(approx.run, wl, procs, t1))
 
-		// True steal-parent engine, same cost profile.
-		base := sim.Config{Procs: 1, Costs: costmodel.CilkPP(), Seed: 0x51ed}
-		_, r1 := stress.RunCilkSimReps(base, c.height, c.iters, reps)
-		cp1 := float64(r1.Makespan)
+		// True steal-parent engine, same cost profile, on the same job.
+		cilk := func(cfg sim.Config) float64 {
+			_, r, _ := workloads.MustLookup("stress").Cilk(cfg, in)
+			return float64(r.Makespan)
+		}
+		cp1 := cilk(sim.Config{Procs: 1, Costs: costmodel.CilkPP(), Seed: 0x51ed})
 		vals2 := make([]float64, len(procs))
 		for i, p := range procs {
-			cfg := sim.Config{Procs: p, Costs: costmodel.CilkPP(), Seed: 0x51ed + uint64(p)}
-			_, r := stress.RunCilkSimReps(cfg, c.height, c.iters, reps)
-			vals2[i] = cp1 / float64(r.Makespan)
+			vals2[i] = cp1 / cilk(sim.Config{Procs: p, Costs: costmodel.CilkPP(), Seed: 0x51ed + uint64(p)})
 		}
 		plot.Add("steal-parent (true)", vals2)
 		plot.Render(w)

@@ -51,8 +51,7 @@ func runFig1(sc Scale, w io.Writer) error {
 		fmt.Sprintf("Figure 1 (right) — relative speedup of stress(4096,3,%d reps)", swl.Reps),
 		"procs", "speedup vs own 1-proc", floatProcs(procs))
 	for _, sys := range Systems() {
-		root, args := swl.Root()
-		t1 := float64(sys.run(1, root, args).Makespan)
+		t1 := float64(sys.run(1, swl.Root()).Makespan)
 		right.Add(sys.Name, speedups(sys.run, swl, procs, t1))
 	}
 	right.Render(w)

@@ -40,15 +40,15 @@ func runFig4(sc Scale, w io.Writer) error {
 	}
 	strategies := []struct {
 		name string
-		run  func(p int, root *sim.Def, args sim.Args) sim.Result
+		run  func(p int, root *sim.Def) sim.Result
 	}{
 		{"base", lockStratRunner(sim.LockBase)},
 		{"peek", lockStratRunner(sim.LockPeek)},
 		{"trylock", lockStratRunner(sim.LockTryLock)},
-		{"nolock", func(p int, root *sim.Def, args sim.Args) sim.Result {
+		{"nolock", func(p int, root *sim.Def) sim.Result {
 			return sim.Run(sim.Config{Procs: p, Kind: sim.KindDirectStack,
 				Costs: costmodel.Wool(), Seed: 0x5eed + uint64(p)*977, IdleBackoffCap: 256},
-				root, args)
+				root, sim.Args{})
 		}},
 	}
 
@@ -60,8 +60,7 @@ func runFig4(sc Scale, w io.Writer) error {
 		// normalized to the single-processor direct-task-stack run, so
 		// a slower single-processor baseline cannot flatter a strategy.
 		wl := workload("stress", workloads.Params{Height: cfg.height, Iters: 256, Reps: cfg.reps})
-		root, args := wl.Root()
-		t1 := float64(strategies[3].run(1, root, args).Makespan)
+		t1 := float64(strategies[3].run(1, wl.Root()).Makespan)
 		for _, strat := range strategies {
 			plot.Add(strat.name, speedups(strat.run, wl, procs, t1))
 		}
@@ -70,10 +69,10 @@ func runFig4(sc Scale, w io.Writer) error {
 	return nil
 }
 
-func lockStratRunner(strat sim.LockStrategy) func(p int, root *sim.Def, args sim.Args) sim.Result {
-	return func(p int, root *sim.Def, args sim.Args) sim.Result {
+func lockStratRunner(strat sim.LockStrategy) func(p int, root *sim.Def) sim.Result {
+	return func(p int, root *sim.Def) sim.Result {
 		return sim.Run(sim.Config{Procs: p, Kind: sim.KindLock, LockStrategy: strat,
 			Costs: costmodel.LockBase(), Seed: 0x5eed + uint64(p)*977, IdleBackoffCap: 256},
-			root, args)
+			root, sim.Args{})
 	}
 }

@@ -29,8 +29,7 @@ func runFig5(sc Scale, w io.Writer) error {
 
 		var base float64
 		if relativeToWool {
-			root, args := wl.Root()
-			base = float64(systems[0].run(1, root, args).Makespan)
+			base = float64(systems[0].run(1, wl.Root()).Makespan)
 		} else {
 			base = float64(serialWork(wl.Root()).Work)
 		}

@@ -42,8 +42,7 @@ func runFig6(sc Scale, w io.Writer) error {
 		)
 		var norm float64
 		for _, p := range procs {
-			root, args := wl.Root()
-			res := wool.run(p, root, args)
+			res := wool.run(p, wl.Root())
 			st := res.Total
 			if p == 1 {
 				norm = float64(st.NA)

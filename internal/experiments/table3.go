@@ -30,8 +30,7 @@ const stealLeafCycles = 200_000
 func stealOverhead(sys System, k int) float64 {
 	procs := 1 << k
 	iters := int64(stealLeafCycles / stress.CyclesPerIter)
-	root, args := workload("stress", workloads.Params{Height: int64(k), Iters: iters}).Root()
-	res := sys.run(procs, root, args)
+	res := sys.run(procs, workload("stress", workloads.Params{Height: int64(k), Iters: iters}).Root())
 	return float64(res.Makespan) - stealLeafCycles
 }
 

@@ -19,23 +19,34 @@ import (
 // a public prefix that a one-worker pool does not), but the sum must
 // agree.
 func TestCountsMatchCoreAtOneWorker(t *testing.T) {
-	params := map[string]workloads.Params{
-		"fib":      {N: 18},
-		"stress":   {Height: 6, Iters: 16},
-		"mm":       {N: 64},
-		"ssf":      {N: 12},
-		"cholesky": {N: 200, NZ: 800},
+	inputs := []struct {
+		name string
+		in   workloads.Params
+	}{
+		{"fib", workloads.Params{N: 18}},
+		{"stress", workloads.Params{Height: 6, Iters: 16}},
+		{"mm", workloads.Params{N: 64}},
+		{"ssf", workloads.Params{N: 12}},
+		{"cholesky", workloads.Params{N: 200, NZ: 800}},
+		// Two repetitions factor two generated matrices: both machines
+		// must seed them alike.
+		{"cholesky", workloads.Params{N: 300, NZ: 100, Reps: 2}},
+	}
+	covered := map[string]bool{}
+	for _, c := range inputs {
+		covered[c.name] = true
+	}
+	for _, name := range workloads.Names() {
+		if !covered[name] {
+			t.Fatalf("no inputs for table workload %q", name)
+		}
 	}
 	wool, ok := sched.Lookup("wool")
 	if !ok {
 		t.Fatal(`no "wool" scheduler registered`)
 	}
-	for _, name := range workloads.Names() {
-		w := workloads.MustLookup(name)
-		in, ok := params[w.Name()]
-		if !ok {
-			t.Fatalf("no inputs for table workload %q", w.Name())
-		}
+	for _, c := range inputs {
+		w, in := workloads.MustLookup(c.name), c.in
 		for _, private := range []bool{false, true} {
 			p := wool.NewPool(sched.Options{Workers: 1, PrivateTasks: private})
 			if _, err := w.Native(p, in); err != nil {
@@ -43,11 +54,10 @@ func TestCountsMatchCoreAtOneWorker(t *testing.T) {
 			}
 			native := p.Stats().Counts
 			p.Close()
-			def, args := w.Sim(in)
 			simulated := sim.Run(sim.Config{
 				Procs: 1, Kind: sim.KindDirectStack,
 				Costs: costmodel.Wool(), PrivateTasks: private,
-			}, def, args).Total.Counts
+			}, w.Sim(in), sim.Args{}).Total.Counts
 
 			if native.Spawns == 0 {
 				t.Fatalf("%s private=%v: native run spawned nothing", w.Name(), private)

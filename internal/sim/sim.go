@@ -218,6 +218,69 @@ func (d *Def) Spawn(w *W, a Args) { w.spawn(d, a) }
 // Call invokes the task function directly — the CALL of the Wool idiom.
 func (d *Def) Call(w *W, a Args) int64 { return d.F(w, a) }
 
+// Reps returns a root that runs region reps times in sequence, passing
+// the repetition's index, and sums the results: the serialized
+// parallel regions of the paper's repeated-kernel measurements.
+func Reps(name string, reps int64, region func(w *W, r int64) int64) *Def {
+	return &Def{Name: name, F: func(w *W, _ Args) int64 {
+		var total int64
+		for r := range reps {
+			total += region(w, r)
+		}
+		return total
+	}}
+}
+
+// TaskDef1 is a Def in the native schedulers' one-argument shape
+// (sched.Task1[*W]): sched.BuildRec instantiates a RecJob on the
+// simulator through Define1, with the argument in A0.
+type TaskDef1 struct {
+	def Def
+	fn  func(*W, int64) int64
+}
+
+// Define1 is the simulator's Define1-style constructor, the
+// counterpart of core.Define1.
+func Define1(name string, fn func(*W, int64) int64) *TaskDef1 {
+	d := &TaskDef1{fn: fn}
+	d.def = Def{Name: name, F: func(w *W, a Args) int64 { return fn(w, a.A0) }}
+	return d
+}
+
+// Spawn pushes a task on w's pool.
+func (d *TaskDef1) Spawn(w *W, a0 int64) { d.def.Spawn(w, Args{A0: a0}) }
+
+// Call invokes the task function directly.
+func (d *TaskDef1) Call(w *W, a0 int64) int64 { return d.fn(w, a0) }
+
+// Join joins the youngest spawned task.
+func (d *TaskDef1) Join(w *W) int64 { return w.Join() }
+
+// TaskDef2 is a Def in the native schedulers' two-argument shape
+// (sched.Task2[*W]): sched.BuildRange instantiates a RangeJob on the
+// simulator through Define2, with the arguments in A0 and A1.
+type TaskDef2 struct {
+	def Def
+	fn  func(*W, int64, int64) int64
+}
+
+// Define2 is the simulator's Define2-style constructor, the
+// counterpart of core.Define2.
+func Define2(name string, fn func(*W, int64, int64) int64) *TaskDef2 {
+	d := &TaskDef2{fn: fn}
+	d.def = Def{Name: name, F: func(w *W, a Args) int64 { return fn(w, a.A0, a.A1) }}
+	return d
+}
+
+// Spawn pushes a task on w's pool.
+func (d *TaskDef2) Spawn(w *W, a0, a1 int64) { d.def.Spawn(w, Args{A0: a0, A1: a1}) }
+
+// Call invokes the task function directly.
+func (d *TaskDef2) Call(w *W, a0, a1 int64) int64 { return d.fn(w, a0, a1) }
+
+// Join joins the youngest spawned task.
+func (d *TaskDef2) Join(w *W) int64 { return w.Join() }
+
 // TaskDefC3 is a Def in the native schedulers' three-argument,
 // context-carrying shape (sched.TaskC3[*W, C]): a body written once
 // against that shape runs on the simulator through DefineC3, with the

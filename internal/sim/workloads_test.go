@@ -5,7 +5,7 @@ import (
 
 	"gowool/internal/costmodel"
 	"gowool/internal/sim"
-	"gowool/internal/workloads/fibw"
+	"gowool/internal/workloads"
 	"gowool/internal/workloads/ssf"
 )
 
@@ -43,10 +43,10 @@ func TestPublicWindowSensitivity(t *testing.T) {
 			balNarrow.Makespan, balWide.Makespan)
 	}
 
-	wk := &ssf.Work{S: ssf.FibString(12)}
-	want := ssf.Serial(wk.S, nil)
+	scan := workloads.MustLookup("ssf")
+	want := ssf.Serial(ssf.FibString(12), nil)
 	for _, ip := range []int{1, 2, 8, 16} {
-		res := run(ssf.NewSim(), sim.Args{A1: int64(len(wk.S)), Ctx: wk}, ip)
+		res := run(scan.Sim(workloads.Params{N: 12}), sim.Args{}, ip)
 		if res.Value != want {
 			t.Errorf("ssf ip=%d: %d, want %d", ip, res.Value, want)
 		}
@@ -62,7 +62,8 @@ func TestPublicWindowSensitivity(t *testing.T) {
 // joins between steals, and each pull-down is a privatization.
 func TestPrivatizationsCounted(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 8, Kind: sim.KindDirectStack,
-		Costs: costmodel.Wool(), PrivateTasks: true}, fibw.NewSimReps(), sim.Args{A0: 22, A1: 1})
+		Costs: costmodel.Wool(), PrivateTasks: true},
+		workloads.MustLookup("fib").Sim(workloads.Params{N: 22}), sim.Args{})
 	if res.Total.Privatizations == 0 {
 		t.Errorf("no privatizations counted: %+v", res.Total.Counts)
 	}

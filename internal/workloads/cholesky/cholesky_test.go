@@ -104,6 +104,14 @@ func TestWoolFactorMatchesSerial(t *testing.T) {
 	}
 }
 
+// simFactor is a simulated root that factors m.
+func simFactor(s SimSched, m *Matrix) *sim.Def {
+	return sim.Reps("cholesky", 1, func(w *sim.W, _ int64) int64 {
+		s.FactorOn(w, m)
+		return m.Ar.NodesInUse()
+	})
+}
+
 func TestSimFactorMatchesSerial(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		mSerial := Generate(64, 250, 4242)
@@ -111,9 +119,8 @@ func TestSimFactorMatchesSerial(t *testing.T) {
 		want := mSerial.ToDenseLower()
 
 		mSim := Generate(64, 250, 4242)
-		s := NewSim()
 		res := sim.Run(sim.Config{Procs: procs, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-			s.RootDef(), sim.Args{Ctx: mSim})
+			simFactor(NewSim(), mSim), sim.Args{})
 		got := mSim.ToDenseLower()
 		if d := maxAbsDiffLower(want, got); d > 1e-9 {
 			t.Errorf("procs=%d: max diff vs serial = %g", procs, d)
@@ -129,7 +136,7 @@ func TestSimSpeedup(t *testing.T) {
 	run := func(procs int) uint64 {
 		m := Generate(128, 500, 31337)
 		return sim.Run(sim.Config{Procs: procs, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-			s.RootDef(), sim.Args{Ctx: m}).Makespan
+			simFactor(s, m), sim.Args{}).Makespan
 	}
 	t1 := run(1)
 	t4 := run(4)

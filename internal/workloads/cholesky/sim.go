@@ -21,34 +21,5 @@ func NewSim() SimSched {
 	return SimSched{s}
 }
 
-// RootDef returns a task definition that factors the Ctx matrix — the
-// entry point handed to sim.Run.
-func (s SimSched) RootDef() *sim.Def {
-	d := &sim.Def{Name: "cholesky"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		m := a.Ctx.(*Matrix)
-		m.Root = s.chol(w, m.Ar, m.Root, m.Ar.Size)
-		return int64(m.Ar.NodesInUse())
-	}
-	return d
-}
-
-// RepsDef returns a definition running A0 serialized factorizations of
-// freshly generated matrices (n = A1, nonzeros = A2, seed = A3) — the
-// repeated-kernel structure of the paper's measurements. Generation
-// happens at zero virtual cost between repetitions, like a benchmark
-// harness resetting state outside the timed kernel, so RepSz matches
-// the factorization work alone.
-func (s SimSched) RepsDef() *sim.Def {
-	d := &sim.Def{Name: "cholesky-reps"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		var total int64
-		for r := int64(0); r < a.A0; r++ {
-			m := Generate(a.A1, a.A2, uint64(a.A3)+uint64(r)*977)
-			m.Root = s.chol(w, m.Ar, m.Root, m.Ar.Size)
-			total += m.Ar.NodesInUse()
-		}
-		return total
-	}
-	return d
-}
+// FactorOn factors m on w, the simulated worker of the calling task.
+func (s SimSched) FactorOn(w *sim.W, m *Matrix) { m.Root = s.chol(w, m.Ar, m.Root, m.Ar.Size) }

@@ -8,7 +8,6 @@ package fibw
 import (
 	"gowool/internal/core"
 	"gowool/internal/sched"
-	"gowool/internal/sim"
 )
 
 // Serial is the reference implementation with no task constructs.
@@ -106,35 +105,11 @@ const (
 	NodeWork = 13
 )
 
-// NewSim builds the simulated fib.
-func NewSim() *sim.Def {
-	d := &sim.Def{Name: "fib"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		n := a.A0
-		if n < 2 {
-			w.Work(LeafWork)
-			return n
-		}
-		d.Spawn(w, sim.Args{A0: n - 2})
-		x := d.Call(w, sim.Args{A0: n - 1})
-		y := w.Join()
-		w.Work(NodeWork)
-		return x + y
+// SimCycles is the virtual work the simulator charges once the body
+// of fib(n) returns: LeafWork at a leaf, NodeWork at an inner node.
+func SimCycles(n int64) uint64 {
+	if n < 2 {
+		return LeafWork
 	}
-	return d
-}
-
-// NewSimReps wraps the simulated fib in reps serialized parallel
-// regions: A0 = n, A1 = reps.
-func NewSimReps() *sim.Def {
-	fib := NewSim()
-	d := &sim.Def{Name: "fib-reps"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		var total int64
-		for r := int64(0); r < a.A1; r++ {
-			total += fib.Call(w, sim.Args{A0: a.A0})
-		}
-		return total
-	}
-	return d
+	return NodeWork
 }

@@ -6,10 +6,7 @@
 // loops rather than using tasks trees to implement loops").
 package mm
 
-import (
-	"gowool/internal/sched"
-	"gowool/internal/sim"
-)
+import "gowool/internal/sched"
 
 // Matrices holds the operands and result as flat row-major n×n slices.
 type Matrices struct {
@@ -74,37 +71,15 @@ func Job(m *Matrices, reps int64) sched.RangeJob {
 // 64 rows × 64² × 4 ≈ 1.05M).
 func RowCycles(n int64) uint64 { return uint64(4 * n * n) }
 
-// NewSim builds the simulated row-range task over an n×n multiply:
-// A0 = lo, A1 = hi, A2 = n. Only time is simulated; the arithmetic
-// itself is the native packages' job.
-func NewSim() *sim.Def {
-	d := &sim.Def{Name: "mm-rows"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		lo, hi, n := a.A0, a.A1, a.A2
+// SimCycles returns the virtual work the simulator charges once the
+// body of the row range [lo, hi) of an n×n multiply returns: one row's
+// RowCycles(n) at a leaf, nothing at an inner node. Only time is
+// simulated; the arithmetic itself is the native pools' job.
+func SimCycles(n int64) func(lo, hi int64) uint64 {
+	return func(lo, hi int64) uint64 {
 		if hi-lo == 1 {
-			w.Work(RowCycles(n))
-			return 1
+			return RowCycles(n)
 		}
-		mid := (lo + hi) / 2
-		d.Spawn(w, sim.Args{A0: mid, A1: hi, A2: n})
-		x := d.Call(w, sim.Args{A0: lo, A1: mid, A2: n})
-		y := w.Join()
-		return x + y
+		return 0
 	}
-	return d
-}
-
-// NewSimReps wraps the simulated multiply in reps serialized parallel
-// regions: A0 = n, A1 = reps.
-func NewSimReps() *sim.Def {
-	rows := NewSim()
-	d := &sim.Def{Name: "mm-reps"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		var total int64
-		for r := int64(0); r < a.A1; r++ {
-			total += rows.Call(w, sim.Args{A0: 0, A1: a.A0, A2: a.A0})
-		}
-		return total
-	}
-	return d
 }

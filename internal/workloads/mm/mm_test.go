@@ -1,4 +1,4 @@
-package mm
+package mm_test
 
 import (
 	"math"
@@ -8,9 +8,11 @@ import (
 	"gowool/internal/costmodel"
 	"gowool/internal/sched"
 	"gowool/internal/sim"
+	"gowool/internal/workloads"
+	"gowool/internal/workloads/mm"
 )
 
-func referenceMultiply(m *Matrices) []float64 {
+func referenceMultiply(m *mm.Matrices) []float64 {
 	n := m.N
 	out := make([]float64, n*n)
 	for i := int64(0); i < n; i++ {
@@ -36,8 +38,8 @@ func maxDiff(a, b []float64) float64 {
 }
 
 func TestSerial(t *testing.T) {
-	m := New(33)
-	Serial(m)
+	m := mm.New(33)
+	mm.Serial(m)
 	if d := maxDiff(m.C, referenceMultiply(m)); d > 1e-9 {
 		t.Errorf("serial multiply differs from reference by %g", d)
 	}
@@ -53,11 +55,11 @@ func checkRow(t *testing.T, name string, o sched.Options, n int64) {
 	if !ok {
 		t.Fatalf("%s not registered", name)
 	}
-	m := New(n)
+	m := mm.New(n)
 	want := referenceMultiply(m)
 	p := s.NewPool(o)
 	defer p.Close()
-	if got := p.RunRange(Job(m, 1)); got != n {
+	if got := p.RunRange(mm.Job(m, 1)); got != n {
 		t.Fatalf("%s: rows computed = %d, want %d", name, got, n)
 	}
 	if d := maxDiff(m.C, want); d > 1e-9 {
@@ -85,8 +87,8 @@ func TestOMPMatchesSerial(t *testing.T) {
 }
 
 func TestResetAndRepeat(t *testing.T) {
-	m := New(20)
-	Serial(m)
+	m := mm.New(20)
+	mm.Serial(m)
 	first := append([]float64(nil), m.C...)
 	m.Reset()
 	for _, v := range m.C {
@@ -94,7 +96,7 @@ func TestResetAndRepeat(t *testing.T) {
 			t.Fatal("Reset left nonzero C")
 		}
 	}
-	Serial(m)
+	mm.Serial(m)
 	if d := maxDiff(m.C, first); d != 0 {
 		t.Errorf("repeat differs by %g", d)
 	}
@@ -104,7 +106,7 @@ func TestSimWorkMatchesPaperRepSz(t *testing.T) {
 	// Paper Table I: mm with 64 rows has RepSz ≈ 976k cycles. Our
 	// model (4·n² per row) gives 64·4·64² ≈ 1.05M — same ballpark.
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, NewSim(), sim.Args{A0: 0, A1: 64, A2: 64})
+		TrackSpan: true}, workloads.MustLookup("mm").Sim(workloads.Params{N: 64}), sim.Args{})
 	if res.Value != 64 {
 		t.Fatalf("rows = %d", res.Value)
 	}
@@ -120,7 +122,7 @@ func TestSimWorkMatchesPaperRepSz(t *testing.T) {
 
 func TestSimRepsValue(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 4, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-		NewSimReps(), sim.Args{A0: 16, A1: 10})
+		workloads.MustLookup("mm").Sim(workloads.Params{N: 16, Reps: 10}), sim.Args{})
 	if res.Value != 160 {
 		t.Errorf("rows over reps = %d, want 160", res.Value)
 	}

@@ -8,10 +8,7 @@
 // benchmark exists to exercise.
 package ssf
 
-import (
-	"gowool/internal/sched"
-	"gowool/internal/sim"
-)
+import "gowool/internal/sched"
 
 // FibString returns s_n of the Fibonacci word recurrence.
 func FibString(n int64) string {
@@ -68,10 +65,13 @@ func Serial(s string, out []int64) int64 {
 	return sum
 }
 
-// Work holds the string and output shared by the parallel versions.
+// Work holds the string and outputs shared by the parallel versions:
+// a position's best match length, and the comparisons its scan made,
+// each stored where the slice is non-nil.
 type Work struct {
-	S   string
-	Out []int64
+	S           string
+	Out         []int64
+	Comparisons []int64
 }
 
 // Job returns the scan as a generic RangeJob over positions. Irregular
@@ -84,9 +84,12 @@ func Job(wk *Work, reps int64) sched.RangeJob {
 		Reps:      reps,
 		Irregular: true,
 		Leaf: func(i int64) int64 {
-			best, _ := Position(wk.S, i)
+			best, comparisons := Position(wk.S, i)
 			if wk.Out != nil {
 				wk.Out[i] = best
+			}
+			if wk.Comparisons != nil {
+				wk.Comparisons[i] = comparisons
 			}
 			return best
 		},
@@ -97,40 +100,15 @@ func Job(wk *Work, reps int64) sched.RangeJob {
 // comparison (load + compare + branch on cached data).
 const CyclesPerComparison = 2
 
-// NewSim builds the simulated position-range task: A0 = lo, A1 = hi,
-// Ctx = *Work. The real scan runs to obtain the data-dependent work,
-// which is charged at CyclesPerComparison.
-func NewSim() *sim.Def {
-	d := &sim.Def{Name: "ssf-range"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		wk := a.Ctx.(*Work)
-		lo, hi := a.A0, a.A1
-		if hi-lo == 1 {
-			best, comparisons := Position(wk.S, lo)
-			w.Work(uint64(comparisons) * CyclesPerComparison)
-			return best
+// SimCycles returns the virtual work the simulator charges once the
+// body of the position range [lo, hi) of a Job over wk returns: the
+// comparisons the leaf's scan made (wk.Comparisons must be allocated),
+// at CyclesPerComparison each, and nothing at an inner node.
+func SimCycles(wk *Work) func(lo, hi int64) uint64 {
+	return func(lo, hi int64) uint64 {
+		if hi-lo != 1 {
+			return 0
 		}
-		mid := (lo + hi) / 2
-		d.Spawn(w, sim.Args{A0: mid, A1: hi, Ctx: wk})
-		x := d.Call(w, sim.Args{A0: lo, A1: mid, Ctx: wk})
-		y := w.Join()
-		return x + y
+		return uint64(wk.Comparisons[lo]) * CyclesPerComparison
 	}
-	return d
-}
-
-// NewSimReps wraps the simulated scan in reps serialized regions:
-// A0 = reps, Ctx = *Work.
-func NewSimReps() *sim.Def {
-	scan := NewSim()
-	d := &sim.Def{Name: "ssf-reps"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		wk := a.Ctx.(*Work)
-		var total int64
-		for r := int64(0); r < a.A0; r++ {
-			total += scan.Call(w, sim.Args{A0: 0, A1: int64(len(wk.S)), Ctx: wk})
-		}
-		return total
-	}
-	return d
 }

@@ -1,4 +1,4 @@
-package ssf
+package ssf_test
 
 import (
 	"runtime"
@@ -7,6 +7,8 @@ import (
 	"gowool/internal/costmodel"
 	"gowool/internal/sched"
 	"gowool/internal/sim"
+	"gowool/internal/workloads"
+	"gowool/internal/workloads/ssf"
 )
 
 func TestFibString(t *testing.T) {
@@ -14,21 +16,21 @@ func TestFibString(t *testing.T) {
 		0: "a", 1: "b", 2: "ba", 3: "bab", 4: "babba", 5: "babbabab",
 	}
 	for n, want := range cases {
-		if got := FibString(n); got != want {
+		if got := ssf.FibString(n); got != want {
 			t.Errorf("FibString(%d) = %q, want %q", n, got, want)
 		}
 	}
 	// |s_n| follows the Fibonacci numbers.
-	if got := len(FibString(12)); got != 233 {
+	if got := len(ssf.FibString(12)); got != 233 {
 		t.Errorf("|s_12| = %d, want 233", got)
 	}
 }
 
 func TestPositionBruteForce(t *testing.T) {
-	s := FibString(7)
+	s := ssf.FibString(7)
 	n := int64(len(s))
 	for i := int64(0); i < n; i++ {
-		best, _ := Position(s, i)
+		best, _ := ssf.Position(s, i)
 		// Brute force reference.
 		var want int64
 		for j := int64(0); j < n; j++ {
@@ -59,13 +61,13 @@ func checkRow(t *testing.T, name string, o sched.Options, n int64) {
 	if !ok {
 		t.Fatalf("%s not registered", name)
 	}
-	s := FibString(n)
+	s := ssf.FibString(n)
 	serialOut := make([]int64, len(s))
-	want := Serial(s, serialOut)
-	wk := &Work{S: s, Out: make([]int64, len(s))}
+	want := ssf.Serial(s, serialOut)
+	wk := &ssf.Work{S: s, Out: make([]int64, len(s))}
 	p := sc.NewPool(o)
 	defer p.Close()
-	if got := p.RunRange(Job(wk, 1)); got != want {
+	if got := p.RunRange(ssf.Job(wk, 1)); got != want {
 		t.Errorf("%s checksum = %d, want %d", name, got, want)
 	}
 	for i := range serialOut {
@@ -96,11 +98,9 @@ func TestOMPMatchesSerial(t *testing.T) {
 }
 
 func TestSimMatchesSerial(t *testing.T) {
-	s := FibString(10)
-	want := Serial(s, nil)
-	wk := &Work{S: s}
+	want := ssf.Serial(ssf.FibString(10), nil)
 	res := sim.Run(sim.Config{Procs: 4, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-		NewSim(), sim.Args{A0: 0, A1: int64(len(s)), Ctx: wk})
+		workloads.MustLookup("ssf").Sim(workloads.Params{N: 10}), sim.Args{})
 	if res.Value != want {
 		t.Errorf("sim checksum = %d, want %d", res.Value, want)
 	}
@@ -109,9 +109,8 @@ func TestSimMatchesSerial(t *testing.T) {
 func TestSimWorkBallpark(t *testing.T) {
 	// Paper Table I: ssf n=12 has RepSz ≈ 552k cycles. Our comparison
 	// model should land within a factor of ~2.
-	wk := &Work{S: FibString(12)}
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, NewSim(), sim.Args{A0: 0, A1: int64(len(wk.S)), Ctx: wk})
+		TrackSpan: true}, workloads.MustLookup("ssf").Sim(workloads.Params{N: 12}), sim.Args{})
 	if res.Work < 250_000 || res.Work > 1_200_000 {
 		t.Errorf("ssf(12) work model = %d cycles, want ≈ 552k ± 2x", res.Work)
 	}

@@ -2,83 +2,10 @@ package stress
 
 import "gowool/internal/sim"
 
-// The stress kernel as a continuation state machine for the
-// steal-parent simulator, plus the paper's Section I-a spawn-loop
-// (whose steal-parent task pool stays constant-size).
-
-// CilkSimFrame is the cactus-stack frame of one tree node.
-type CilkSimFrame struct {
-	sim.CFrame
-	height, iters int64
-	a, b          int64
-	res           *int64
-}
-
-// Step0 is the entry step.
-func (f *CilkSimFrame) Step0(w *sim.CW) sim.CStep {
-	if f.height == 0 {
-		w.Work(uint64(f.iters) * CyclesPerIter)
-		*f.res = 1
-		return w.Return(&f.CFrame)
-	}
-	child := &CilkSimFrame{height: f.height - 1, iters: f.iters, res: &f.a}
-	sim.NewCChild(&f.CFrame, &child.CFrame)
-	return w.Spawn(&f.CFrame, f.step1, child.Step0)
-}
-
-func (f *CilkSimFrame) step1(w *sim.CW) sim.CStep {
-	child := &CilkSimFrame{height: f.height - 1, iters: f.iters, res: &f.b}
-	sim.NewCChild(&f.CFrame, &child.CFrame)
-	return w.Spawn(&f.CFrame, f.step2, child.Step0)
-}
-
-func (f *CilkSimFrame) step2(w *sim.CW) sim.CStep {
-	return w.Sync(&f.CFrame, f.step3)
-}
-
-func (f *CilkSimFrame) step3(w *sim.CW) sim.CStep {
-	*f.res = f.a + f.b
-	return w.Return(&f.CFrame)
-}
-
-// repsFrame serializes reps trees — the repeated-region driver.
-type repsFrame struct {
-	sim.CFrame
-	height, iters, reps int64
-	r                   int64
-	sub                 int64
-	total               *int64
-}
-
-func (f *repsFrame) loop(w *sim.CW) sim.CStep {
-	if f.r >= f.reps {
-		return w.Return(&f.CFrame)
-	}
-	f.r++
-	child := &CilkSimFrame{height: f.height, iters: f.iters, res: &f.sub}
-	sim.NewCChild(&f.CFrame, &child.CFrame)
-	return w.Spawn(&f.CFrame, f.afterTree, child.Step0)
-}
-
-func (f *repsFrame) afterTree(w *sim.CW) sim.CStep {
-	return w.Sync(&f.CFrame, f.accumulate)
-}
-
-func (f *repsFrame) accumulate(w *sim.CW) sim.CStep {
-	*f.total += f.sub
-	return f.loop(w)
-}
-
-// RunCilkSimReps runs reps serialized trees under steal-parent
-// simulation, returning the leaf count and the run's result.
-func RunCilkSimReps(cfg sim.Config, height, iters, reps int64) (int64, sim.CResult) {
-	var total int64
-	res := sim.RunCilkSim(cfg, func(w *sim.CW) sim.CStep {
-		root := &repsFrame{height: height, iters: iters, reps: reps, total: &total}
-		return root.loop
-	})
-	return total, res
-}
+// The paper's Section I-a spawn loop as a continuation state machine
+// for the steal-parent simulator (sim.RunCilkSim), whose task pool
+// stays constant-size. The stress tree itself runs there through the
+// workload table (workloads.Workload.Cilk).
 
 // spawnLoopFrame is the paper's Section I-a example:
 //

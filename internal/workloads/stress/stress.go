@@ -15,7 +15,6 @@ package stress
 import (
 	"gowool/internal/core"
 	"gowool/internal/sched"
-	"gowool/internal/sim"
 )
 
 // CyclesPerIter is the paper's cost of one leaf loop iteration (a
@@ -101,35 +100,14 @@ func Job(height, iters, reps int64) sched.RecJob {
 	}
 }
 
-// NewSim builds the simulated kernel: A0 = height, A1 = leaf
-// iterations (charged at CyclesPerIter virtual cycles each).
-func NewSim() *sim.Def {
-	d := &sim.Def{Name: "stress"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		height, iters := a.A0, a.A1
-		if height == 0 {
-			w.Work(uint64(iters) * CyclesPerIter)
-			return 1
+// SimCycles returns the virtual work the simulator charges once the
+// body of a tree node of height h returns: iters iterations at
+// CyclesPerIter at a leaf, nothing at an inner node.
+func SimCycles(iters int64) func(h int64) uint64 {
+	return func(h int64) uint64 {
+		if h == 0 {
+			return uint64(iters) * CyclesPerIter
 		}
-		d.Spawn(w, sim.Args{A0: height - 1, A1: iters})
-		x := d.Call(w, sim.Args{A0: height - 1, A1: iters})
-		y := w.Join()
-		return x + y
+		return 0
 	}
-	return d
-}
-
-// NewSimReps wraps the simulated kernel in reps serialized parallel
-// regions: A0 = height, A1 = iters, A2 = reps.
-func NewSimReps() *sim.Def {
-	tree := NewSim()
-	d := &sim.Def{Name: "stress-reps"}
-	d.F = func(w *sim.W, a sim.Args) int64 {
-		var total int64
-		for r := int64(0); r < a.A2; r++ {
-			total += tree.Call(w, sim.Args{A0: a.A0, A1: a.A1})
-		}
-		return total
-	}
-	return d
 }

@@ -1,4 +1,4 @@
-package stress
+package stress_test
 
 import (
 	"runtime"
@@ -7,13 +7,18 @@ import (
 	"gowool/internal/core"
 	"gowool/internal/costmodel"
 	"gowool/internal/sim"
+	"gowool/internal/workloads"
+	"gowool/internal/workloads/stress"
 )
 
+// table is the workload table's stress row.
+var table = workloads.MustLookup("stress")
+
 func TestSerialCountsLeaves(t *testing.T) {
-	if got := Serial(5, 16); got != 32 {
+	if got := stress.Serial(5, 16); got != 32 {
 		t.Errorf("Serial(5) = %d leaves, want 32", got)
 	}
-	if got := SerialReps(3, 16, 10); got != 80 {
+	if got := stress.SerialReps(3, 16, 10); got != 80 {
 		t.Errorf("SerialReps = %d, want 80", got)
 	}
 }
@@ -23,19 +28,19 @@ func TestWoolMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	p := core.NewPool(core.Options{Workers: 4, PrivateTasks: true})
 	defer p.Close()
-	tree := NewWool()
-	if got := RunWool(p, tree, 7, 256, 20); got != 20*128 {
+	tree := stress.NewWool()
+	if got := stress.RunWool(p, tree, 7, 256, 20); got != 20*128 {
 		t.Errorf("wool: %d, want %d", got, 20*128)
 	}
 }
 
 func TestSimLeafWorkCharged(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, NewSim(), sim.Args{A0: 6, A1: 256})
+		TrackSpan: true}, table.Sim(workloads.Params{Height: 6, Iters: 256}), sim.Args{})
 	if res.Value != 64 {
 		t.Fatalf("leaves = %d, want 64", res.Value)
 	}
-	wantWork := uint64(64 * 256 * CyclesPerIter)
+	wantWork := uint64(64 * 256 * stress.CyclesPerIter)
 	if res.Work != wantWork {
 		t.Errorf("work = %d, want %d", res.Work, wantWork)
 	}
@@ -47,7 +52,7 @@ func TestSimLeafWorkCharged(t *testing.T) {
 
 func TestSimRepsSerializeRegions(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 8, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-		NewSimReps(), sim.Args{A0: 3, A1: 4096, A2: 50})
+		table.Sim(workloads.Params{Height: 3, Iters: 4096, Reps: 50}), sim.Args{})
 	if res.Value != 50*8 {
 		t.Fatalf("leaves = %d, want 400", res.Value)
 	}
@@ -59,7 +64,7 @@ func TestSimRepsSerializeRegions(t *testing.T) {
 }
 
 func TestSpinLeafScalesLinearly(t *testing.T) {
-	if SpinLeaf(0) != 1 || SpinLeaf(100000) != 1 {
+	if stress.SpinLeaf(0) != 1 || stress.SpinLeaf(100000) != 1 {
 		t.Error("SpinLeaf result wrong")
 	}
 }
@@ -67,7 +72,7 @@ func TestSpinLeafScalesLinearly(t *testing.T) {
 func TestCilkSimTreeMatchesSerial(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		cfg := sim.Config{Procs: procs, Costs: costmodel.CilkPP(), Seed: 5}
-		got, _ := RunCilkSimReps(cfg, 6, 256, 10)
+		got, _, _ := table.Cilk(cfg, workloads.Params{Height: 6, Iters: 256, Reps: 10})
 		if want := int64(10 * 64); got != want {
 			t.Errorf("procs=%d: leaves = %d, want %d", procs, got, want)
 		}
@@ -80,7 +85,7 @@ func TestCilkSimTreeMatchesSerial(t *testing.T) {
 // a steal-child pool would hold one task per element.
 func TestCilkSimConstantSpaceSpawnLoop(t *testing.T) {
 	cfg := sim.Config{Procs: 1, Costs: costmodel.CilkPP()}
-	hits, res := RunCilkSimSpawnLoop(cfg, 5000, 16)
+	hits, res := stress.RunCilkSimSpawnLoop(cfg, 5000, 16)
 	if hits != 5000 {
 		t.Fatalf("leaves = %d, want 5000", hits)
 	}

@@ -2,8 +2,9 @@
 // (Table I): fib, stress, mm, ssf and cholesky. A row declares, for its
 // family, the serial reference, the job on a registry pool, the
 // simulated root and the names the tools print. The family packages
-// hold the kernels; this table is the one place outside them that knows
-// how a family's inputs fill the simulator's sim.Args slots, so
+// hold the kernels and their cycle costs; the simulated root runs the
+// row's own job body, instantiated on the simulator, with a cost hook
+// charging the cycles of the kernels the simulator does not run.
 // woolrun, woolstat, woolbench and the experiment catalog look a family
 // up by name. Adding a family is one package and one row.
 package workloads
@@ -52,7 +53,12 @@ type Workload struct {
 	// serial is repetition rep of the serial reference.
 	serial func(p Params, rep int64) int64
 	native func(*sched.Pool, Params) (int64, error)
-	sim    func(Params) (*sim.Def, sim.Args)
+	// rec is a recursion family's job as the simulator runs it, with
+	// the cycles its node n charges after the body returns; both
+	// simulators instantiate it. Nil for the other rows.
+	rec func(Params) (sched.RecJob, func(n int64) uint64)
+	// sim is the simulated root of a row without rec.
+	sim func(Params) *sim.Def
 }
 
 // Name is the table key (also the -workload value).
@@ -82,12 +88,34 @@ func (w *Workload) Native(pool *sched.Pool, p Params) (int64, error) {
 	return w.native(pool, p.Norm())
 }
 
-// Sim returns a fresh simulated root and its arguments: runs never share
-// mutable state. Its value is the same sum as Serial.
-func (w *Workload) Sim(p Params) (*sim.Def, sim.Args) { return w.sim(p.Norm()) }
+// Sim returns a fresh simulated root, to run with empty sim.Args: runs
+// never share mutable state. Its value is the same sum as Serial.
+func (w *Workload) Sim(p Params) *sim.Def {
+	p = p.Norm()
+	if w.rec != nil {
+		return simRec(w.rec(p))
+	}
+	return w.sim(p)
+}
 
-// choleskySeed seeds the first repetition's generated matrix.
-const choleskySeed = 42
+// Cilk runs the row's job under steal-parent simulation (sim.RunCilkSim)
+// and returns its value, the same sum as Serial, with the run's result.
+// ok is false for a row whose job is not a recursion.
+func (w *Workload) Cilk(cfg sim.Config, p Params) (value int64, res sim.CResult, ok bool) {
+	if w.rec == nil {
+		return 0, sim.CResult{}, false
+	}
+	j, cost := w.rec(p.Norm())
+	value, res = cilkRec(cfg, j, cost)
+	return value, res, true
+}
+
+// choleskySeed seeds the first repetition's generated matrix; each
+// further repetition adds choleskySeedStep.
+const (
+	choleskySeed     = 42
+	choleskySeedStep = 977
+)
 
 var table = []Workload{{
 	name:   "fib",
@@ -95,7 +123,9 @@ var table = []Workload{{
 	tableI: func(p Params) (string, string) { return "fib", fmt.Sprint(p.N) },
 	serial: func(p Params, _ int64) int64 { return fibw.Serial(p.N) },
 	native: func(pool *sched.Pool, p Params) (int64, error) { return pool.RunRec(fibw.Job(p.N, p.Reps)), nil },
-	sim:    func(p Params) (*sim.Def, sim.Args) { return fibw.NewSimReps(), sim.Args{A0: p.N, A1: p.Reps} },
+	rec: func(p Params) (sched.RecJob, func(int64) uint64) {
+		return fibw.Job(p.N, p.Reps), fibw.SimCycles
+	},
 }, {
 	name:   "stress",
 	label:  func(p Params) string { return fmt.Sprintf("stress(h=%d,i=%d)x%d", p.Height, p.Iters, p.Reps) },
@@ -104,8 +134,10 @@ var table = []Workload{{
 	native: func(pool *sched.Pool, p Params) (int64, error) {
 		return pool.RunRec(stress.Job(p.Height, p.Iters, p.Reps)), nil
 	},
-	sim: func(p Params) (*sim.Def, sim.Args) {
-		return stress.NewSimReps(), sim.Args{A0: p.Height, A1: p.Iters, A2: p.Reps}
+	// The simulator charges the leaf loop rather than spinning it:
+	// SpinLeaf(0) still returns the leaf's 1.
+	rec: func(p Params) (sched.RecJob, func(int64) uint64) {
+		return stress.Job(p.Height, 0, p.Reps), stress.SimCycles(p.Iters)
 	},
 }, {
 	name:   "mm",
@@ -115,7 +147,13 @@ var table = []Workload{{
 	native: func(pool *sched.Pool, p Params) (int64, error) {
 		return pool.RunRange(mm.Job(mm.New(p.N), p.Reps)), nil
 	},
-	sim: func(p Params) (*sim.Def, sim.Args) { return mm.NewSimReps(), sim.Args{A0: p.N, A1: p.Reps} },
+	// The simulator charges each row rather than multiplying it: the
+	// leaf keeps only the row count the native leaf returns.
+	sim: func(p Params) *sim.Def {
+		j := mm.Job(&mm.Matrices{N: p.N}, p.Reps)
+		j.Leaf = func(int64) int64 { return 1 }
+		return simRange(j, mm.SimCycles(p.N))
+	},
 }, {
 	name:   "ssf",
 	label:  func(p Params) string { return fmt.Sprintf("ssf(%d)x%d", p.N, p.Reps) },
@@ -124,8 +162,10 @@ var table = []Workload{{
 	native: func(pool *sched.Pool, p Params) (int64, error) {
 		return pool.RunRange(ssf.Job(&ssf.Work{S: ssf.FibString(p.N)}, p.Reps)), nil
 	},
-	sim: func(p Params) (*sim.Def, sim.Args) {
-		return ssf.NewSimReps(), sim.Args{A0: p.Reps, Ctx: &ssf.Work{S: ssf.FibString(p.N)}}
+	sim: func(p Params) *sim.Def {
+		s := ssf.FibString(p.N)
+		wk := &ssf.Work{S: s, Comparisons: make([]int64, len(s))}
+		return simRange(ssf.Job(wk, p.Reps), ssf.SimCycles(wk))
 	},
 }, {
 	name:   "cholesky",
@@ -133,15 +173,21 @@ var table = []Workload{{
 	tableI: func(p Params) (string, string) { return "cholesky", fmt.Sprintf("%d,%d", p.N, p.NZ) },
 	serial: func(p Params, rep int64) int64 { return choleskyRep(p, rep, (*cholesky.Matrix).Factor) },
 	native: choleskyNative,
-	sim: func(p Params) (*sim.Def, sim.Args) {
-		return cholesky.NewSim().RepsDef(), sim.Args{A0: p.Reps, A1: p.N, A2: p.NZ, A3: choleskySeed}
+	// Generating a repetition's matrix costs no virtual time, like a
+	// harness resetting state outside the timed kernel, so RepSz is
+	// the factorization alone.
+	sim: func(p Params) *sim.Def {
+		sc := cholesky.NewSim()
+		return sim.Reps("cholesky-reps", p.Reps, func(w *sim.W, r int64) int64 {
+			return choleskyRep(p, r, func(m *cholesky.Matrix) { sc.FactorOn(w, m) })
+		})
 	},
 }}
 
 // choleskyRep generates repetition rep's matrix, factors it with factor
 // and returns the nodes its factor uses.
 func choleskyRep(p Params, rep int64, factor func(*cholesky.Matrix)) int64 {
-	m := cholesky.Generate(p.N, p.NZ, choleskySeed+uint64(rep))
+	m := cholesky.Generate(p.N, p.NZ, choleskySeed+uint64(rep)*choleskySeedStep)
 	factor(m)
 	return m.Ar.NodesInUse()
 }
