@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench watch-bench serve-scale-bench fmt layout loc ci
+.PHONY: all build vet test race race-short lint lint-fast lint-perfbudget bench bench-quick bench-check bench-test generate stealsweep stealsweep-smoke serve-soak trace-smoke fuzz-smoke chaos wake-bench clock-bench watch-bench serve-scale-bench fmt layout loc sim-goldens ci
 
 all: build test lint
 
@@ -200,6 +200,16 @@ serve-scale-bench:
 # unarmed, watched, with a watchdog, and with both.
 watch-bench:
 	$(GO) test -run '^$$' -bench 'WatchPoll|WaitPoll' -benchtime 100000x ./internal/core
+
+# Every test that judges simulated behaviour, uncached: the nine
+# simulated quick experiments and -stealsweep's sim grid against their
+# goldens, woolrun -sim -stats and woolstat's table against theirs, and
+# the simulator's counts against core's at one worker. A change meant
+# to keep the simulator's behaviour passes it without -update.
+SIM_GOLDENS = ^(TestQuickExperimentsRun|TestStealSweepSimGolden|TestStatsGolden|TestGolden|TestCountsMatchCoreAtOneWorker)$$
+sim-goldens:
+	$(GO) test -count=1 -run '$(SIM_GOLDENS)' ./internal/experiments ./cmd/woolbench \
+		./cmd/woolrun ./cmd/woolstat ./internal/sim
 
 # Where the linker put the serial references overhead_ratio divides by
 # (main.serialRec for the served workloads, fibw.Serial for fib-tree)
