@@ -3,6 +3,7 @@ package gowool_test
 import (
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -27,5 +28,32 @@ func TestBenchModuleVets(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
+	}
+}
+
+// TestBenchLinksNoSimulator keeps the virtual-time simulator out of
+// the benchmark's binary: bench/ measures the native schedulers, and a
+// package it links only through an unused helper would let a simulator
+// edit move the binary's code layout.
+func TestBenchLinksNoSimulator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go list")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	cmd := exec.Command(goTool, "list", "-deps", ".")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps . in bench/: %v", err)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		switch dep {
+		case "gowool/internal/sim", "gowool/internal/vtime", "gowool/internal/costmodel":
+			t.Errorf("bench/ links %s", dep)
+		}
 	}
 }

@@ -204,7 +204,7 @@ func runSimCell(kind sim.Kind, pol string, sw sweepWorkload, sz sweepSizes) simS
 		Steal:    steal.Config{Policy: pol},
 		Topology: sim.Topology{Shards: sz.simShards},
 	}
-	res := sim.Run(cfg, sw.wl.Sim(sw.sim), sim.Args{})
+	res := sim.Run(cfg, sw.wl.Sim(sw.sim))
 	cell := simStealCell{
 		Kind: kind.String(), Policy: pol, Workload: sw.wl.Name(),
 		Procs: sz.simProcs, Shards: sz.simShards,

@@ -163,7 +163,7 @@ func (c *config) runSim(w io.Writer, wl *workloads.Workload) {
 		Procs: c.workers, Kind: sim.KindDirectStack,
 		Costs: costmodel.Wool(), PrivateTasks: c.private,
 		Steal: c.steal,
-	}, wl.Sim(c.params), sim.Args{})
+	}, wl.Sim(c.params))
 	fmt.Fprintf(w, "result=%d makespan=%d cycles (%.3f ms at 2.5GHz)\n",
 		res.Value, res.Makespan, float64(res.Makespan)/costmodel.CyclesPerNS/1e6)
 	if c.stats {

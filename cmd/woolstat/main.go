@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p = p.Norm()
 
 	procs := []int{2, 4, 8}
-	span, steals := experiments.Characterize(func() *sim.Def { return wl.Sim(p) }, procs)
+	span, steals := experiments.Characterize(func() sim.Root { return wl.Sim(p) }, procs)
 	work := float64(span.Work)
 
 	t := tabulate.New("workload characteristics — "+wl.Label(p),

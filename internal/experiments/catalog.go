@@ -15,7 +15,7 @@ type Workload struct {
 	Family string // "cholesky", "mm", "ssf", "stress256", "stress4096"
 	Params string // the paper's parameter column
 	Reps   int64  // scaled-down repetition count
-	Root   func() *sim.Def
+	Root   func() sim.Root
 }
 
 // Name returns "family(params)".
@@ -28,7 +28,7 @@ func workload(name string, p workloads.Params) Workload {
 	family, params := w.TableI(p)
 	return Workload{
 		Family: family, Params: params, Reps: p.Reps,
-		Root: func() *sim.Def { return w.Sim(p) },
+		Root: func() sim.Root { return w.Sim(p) },
 	}
 }
 

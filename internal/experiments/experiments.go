@@ -97,7 +97,7 @@ func Systems() []System {
 // is balanced, fewer public task descriptors suffice... very
 // unbalanced trees require more"), and an owner deep in a coarse leaf
 // cannot answer the trip wire until its next task operation.
-func (s System) run(p int, root *sim.Def) sim.Result {
+func (s System) run(p int, root sim.Root) sim.Result {
 	c := sim.Config{
 		Procs:         p,
 		Kind:          s.Kind,
@@ -109,12 +109,12 @@ func (s System) run(p int, root *sim.Def) sim.Result {
 		PublishAmount: 4,
 		Seed:          0x5eed + uint64(p)*977,
 	}
-	return sim.Run(c, root, sim.Args{})
+	return sim.Run(c, root)
 }
 
 // speedups returns base/makespan of run on a fresh root of wl at each
 // of procs.
-func speedups(run func(int, *sim.Def) sim.Result, wl Workload, procs []int, base float64) []float64 {
+func speedups(run func(int, sim.Root) sim.Result, wl Workload, procs []int, base float64) []float64 {
 	vals := make([]float64, len(procs))
 	for i, p := range procs {
 		vals[i] = base / float64(run(p, wl.Root()).Makespan)
@@ -125,19 +125,19 @@ func speedups(run func(int, *sim.Def) sim.Result, wl Workload, procs []int, base
 // serialWork measures T_S: the pure application work of root in
 // cycles, from a single-processor run under a zero-overhead profile
 // with span tracking (Work counts only Work() charges).
-func serialWork(root *sim.Def) sim.Result {
+func serialWork(root sim.Root) sim.Result {
 	return sim.Run(sim.Config{
 		Procs: 1, Kind: sim.KindDirectStack,
 		Costs:     costmodel.Profile{Name: "zero"},
 		TrackSpan: true,
-	}, root, sim.Args{})
+	}, root)
 }
 
 // Characterize measures a workload's Table I row, each run on a fresh
 // root from root: serialWork's run (Work is T_S, Span0 and SpanO the
 // spans at overhead 0 and 2000 cycles, Total.Spawns is N_T), and the
 // steals of a Wool run at each of procs.
-func Characterize(root func() *sim.Def, procs []int) (serial sim.Result, steals []int64) {
+func Characterize(root func() sim.Root, procs []int) (serial sim.Result, steals []int64) {
 	serial = serialWork(root())
 	wool := Systems()[0]
 	for _, p := range procs {

@@ -65,7 +65,7 @@ func runXAblate(sc Scale, w io.Writer) error {
 			Procs: procs, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
 			PrivateTasks: c.private, InitialPublic: c.initial, PublishAmount: c.amount,
 			Seed: 0xab1a7e,
-		}, wl.Root(), sim.Args{})
+		}, wl.Root())
 		privPct := 0.0
 		if res.Total.Joins() > 0 {
 			privPct = 100 * float64(res.Total.JoinsInlinedPrivate) / float64(res.Total.Joins())
@@ -92,7 +92,7 @@ func runXAblate(sc Scale, w io.Writer) error {
 	} {
 		res := sim.Run(sim.Config{
 			Procs: procs, Kind: pc.kind, Costs: costmodel.Wool(), Seed: 0xab1a7e,
-		}, swl.Root(), sim.Args{})
+		}, swl.Root())
 		t2.Row(pc.name, float64(res.Makespan)/1000, res.Total.LeapSteals, float64(res.Total.LF)/1000)
 	}
 	t2.Note("paper Fig 6: LF stays small — 'simply waiting would be adequate' for these workloads")

@@ -40,15 +40,15 @@ func runFig4(sc Scale, w io.Writer) error {
 	}
 	strategies := []struct {
 		name string
-		run  func(p int, root *sim.Def) sim.Result
+		run  func(p int, root sim.Root) sim.Result
 	}{
 		{"base", lockStratRunner(sim.LockBase)},
 		{"peek", lockStratRunner(sim.LockPeek)},
 		{"trylock", lockStratRunner(sim.LockTryLock)},
-		{"nolock", func(p int, root *sim.Def) sim.Result {
+		{"nolock", func(p int, root sim.Root) sim.Result {
 			return sim.Run(sim.Config{Procs: p, Kind: sim.KindDirectStack,
 				Costs: costmodel.Wool(), Seed: 0x5eed + uint64(p)*977, IdleBackoffCap: 256},
-				root, sim.Args{})
+				root)
 		}},
 	}
 
@@ -69,10 +69,10 @@ func runFig4(sc Scale, w io.Writer) error {
 	return nil
 }
 
-func lockStratRunner(strat sim.LockStrategy) func(p int, root *sim.Def) sim.Result {
-	return func(p int, root *sim.Def) sim.Result {
+func lockStratRunner(strat sim.LockStrategy) func(p int, root sim.Root) sim.Result {
+	return func(p int, root sim.Root) sim.Result {
 		return sim.Run(sim.Config{Procs: p, Kind: sim.KindLock, LockStrategy: strat,
 			Costs: costmodel.LockBase(), Seed: 0x5eed + uint64(p)*977, IdleBackoffCap: 256},
-			root, sim.Args{})
+			root)
 	}
 }

@@ -57,7 +57,7 @@ func TestCountsMatchCoreAtOneWorker(t *testing.T) {
 			simulated := sim.Run(sim.Config{
 				Procs: 1, Kind: sim.KindDirectStack,
 				Costs: costmodel.Wool(), PrivateTasks: private,
-			}, w.Sim(in), sim.Args{}).Total.Counts
+			}, w.Sim(in)).Total.Counts
 
 			if native.Spawns == 0 {
 				t.Fatalf("%s private=%v: native run spawned nothing", w.Name(), private)

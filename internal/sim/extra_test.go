@@ -33,24 +33,21 @@ func TestKindStrings(t *testing.T) {
 func TestCentralQueueHelping(t *testing.T) {
 	// A wide frontier on the central kind: the blocked root must help
 	// by executing queued tasks itself (LeapSteals counts them).
-	wide := &Def{Name: "wide"}
-	leaf := &Def{Name: "leaf"}
-	leaf.F = func(w *W, a Args) int64 {
+	leaf := Define1("leaf", func(w *W, _ int64) int64 {
 		w.Work(500)
 		return 1
-	}
-	wide.F = func(w *W, a Args) int64 {
-		n := a.A0
+	})
+	wide := Define1("wide", func(w *W, n int64) int64 {
 		for i := int64(0); i < n; i++ {
-			leaf.Spawn(w, Args{})
+			leaf.Spawn(w, 0)
 		}
 		var total int64
 		for i := int64(0); i < n; i++ {
 			total += w.Join()
 		}
 		return total
-	}
-	res := Run(Config{Procs: 1, Kind: KindCentral, Costs: costmodel.OpenMP()}, wide, Args{A0: 40})
+	})
+	res := Run(Config{Procs: 1, Kind: KindCentral, Costs: costmodel.OpenMP()}, call(wide, 40))
 	if res.Value != 40 {
 		t.Fatalf("value = %d, want 40", res.Value)
 	}
@@ -68,8 +65,8 @@ func TestCentralQueueHelping(t *testing.T) {
 
 func TestCentralMultiProcContention(t *testing.T) {
 	fib := simFib()
-	r1 := Run(Config{Procs: 1, Kind: KindCentral, Costs: costmodel.OpenMP()}, fib, Args{A0: 15})
-	r8 := Run(Config{Procs: 8, Kind: KindCentral, Costs: costmodel.OpenMP()}, fib, Args{A0: 15})
+	r1 := Run(Config{Procs: 1, Kind: KindCentral, Costs: costmodel.OpenMP()}, call(fib, 15))
+	r8 := Run(Config{Procs: 8, Kind: KindCentral, Costs: costmodel.OpenMP()}, call(fib, 15))
 	if r1.Value != r8.Value {
 		t.Fatalf("values differ")
 	}
@@ -83,23 +80,10 @@ func TestDequeKindUnrestrictedWait(t *testing.T) {
 	// and fine tasks it must still be exact.
 	tree := simTree(256)
 	for _, procs := range []int{2, 5, 8} {
-		res := Run(Config{Procs: procs, Kind: KindDeque, Costs: costmodel.TBB(), Seed: 3}, tree, Args{A0: 9})
+		res := Run(Config{Procs: procs, Kind: KindDeque, Costs: costmodel.TBB(), Seed: 3}, call(tree, 9))
 		if res.Value != 512 {
 			t.Errorf("procs=%d: %d leaves, want 512", procs, res.Value)
 		}
-	}
-}
-
-func TestWorkerAccessors(t *testing.T) {
-	d := &Def{Name: "acc"}
-	d.F = func(w *W, a Args) int64 {
-		if w.Proc() == nil || w.Machine() == nil {
-			t.Error("nil accessors")
-		}
-		return 1
-	}
-	if res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, d, Args{}); res.Value != 1 {
-		t.Error("run failed")
 	}
 }
 
@@ -109,9 +93,7 @@ func TestJoinWithoutSpawnPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	bad := &Def{Name: "bad"}
-	bad.F = func(w *W, a Args) int64 { return w.Join() }
-	Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, bad, Args{})
+	Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, func(w *W) int64 { return w.Join() })
 }
 
 func TestUnjoinedRootPanics(t *testing.T) {
@@ -120,24 +102,22 @@ func TestUnjoinedRootPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	leak := &Def{Name: "leak"}
-	leak.F = func(w *W, a Args) int64 {
-		leak.Spawn(w, Args{A0: -1})
+	var leak *TaskDef1
+	leak = Define1("leak", func(w *W, _ int64) int64 {
+		leak.Spawn(w, -1)
 		return 0
-	}
-	Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, leak, Args{A0: 1})
+	})
+	Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, call(leak, 1))
 }
 
 // TestStackOverflowDegrades: a workload that overflows its pool
 // completes, spawns past capacity run inline with their results
 // replayed LIFO by the matching joins, and the elisions are counted.
 func TestStackOverflowDegrades(t *testing.T) {
-	leafDef := &Def{Name: "val"}
-	leafDef.F = func(w *W, a Args) int64 { return a.A0 }
-	deep := &Def{Name: "deep"}
-	deep.F = func(w *W, a Args) int64 {
+	leafDef := Define1("val", func(w *W, i int64) int64 { return i })
+	deep := func(w *W) int64 {
 		for i := int64(0); i < 100; i++ {
-			leafDef.Spawn(w, Args{A0: i})
+			leafDef.Spawn(w, i)
 		}
 		var sum int64
 		for i := 0; i < 100; i++ {
@@ -146,7 +126,7 @@ func TestStackOverflowDegrades(t *testing.T) {
 		return sum
 	}
 	for _, kind := range []Kind{KindDirectStack, KindDeque, KindLock, KindCentral} {
-		res := Run(Config{Procs: 1, Kind: kind, Costs: costmodel.Wool(), StackSize: 8}, deep, Args{})
+		res := Run(Config{Procs: 1, Kind: kind, Costs: costmodel.Wool(), StackSize: 8}, deep)
 		if want := int64(99 * 100 / 2); res.Value != want {
 			t.Fatalf("kind %v: sum = %d, want %d", kind, res.Value, want)
 		}
@@ -161,7 +141,7 @@ func TestStackOverflowDegrades(t *testing.T) {
 
 func TestFig6CategoriesSum(t *testing.T) {
 	tree := simTree(2000)
-	res := Run(Config{Procs: 4, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 11}, tree, Args{A0: 10})
+	res := Run(Config{Procs: 4, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 11}, call(tree, 10))
 	st := res.Total
 	if st.NA == 0 {
 		t.Error("no NA cycles recorded")

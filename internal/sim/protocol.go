@@ -2,12 +2,13 @@ package sim
 
 import "gowool/internal/costmodel"
 
-// This file is the simulated scheduling protocol: spawn, join, steal,
-// trip-wire publication and lock modelling. All state is plain data
-// guarded by the vtime token; costs come from the machine's Profile.
+// This file is the simulated steal-child protocol (spawn, join,
+// trip-wire publication), and the steal and lock model both steal
+// orders share. All state is plain data guarded by the vtime token;
+// costs come from the machine's Profile.
 
-// spawn pushes a task for def with the given args.
-func (w *W) spawn(def *Def, a Args) {
+// spawn pushes a task running fn on a.
+func (w *W) spawn(fn taskFn, a args) {
 	if w.morePublic {
 		w.publishMore()
 	}
@@ -19,12 +20,12 @@ func (w *W) spawn(def *Def, a Args) {
 		// Spawns — the replaying join is not counted either.
 		w.chargeApp(c.SpawnPrivate)
 		w.p.Step(c.SpawnPrivate)
-		w.ovf = append(w.ovf, def.F(w, a))
+		w.ovf = append(w.ovf, fn(w, a))
 		w.St.OverflowInlined++
 		return
 	}
 	t := &w.tasks[w.top]
-	t.fn, t.args = def, a
+	t.fn, t.args = fn, a
 	t.thief = 0
 
 	if w.m.cfg.Kind == KindCentral {
@@ -96,7 +97,7 @@ func (w *W) Join() int64 {
 		w.chargeApp(c.JoinPrivate)
 		w.spanJoinStart()
 		w.p.Step(c.JoinPrivate)
-		res := t.fn.F(w, t.args)
+		res := t.fn(w, t.args)
 		w.spanJoinEnd()
 		return res
 	}
@@ -115,7 +116,7 @@ func (w *W) Join() int64 {
 		w.chargeApp(c.JoinPublic)
 		w.spanJoinStart()
 		w.p.Step(c.JoinPublic)
-		res := t.fn.F(w, t.args)
+		res := t.fn(w, t.args)
 		w.spanJoinEnd()
 		return res
 	}
@@ -126,32 +127,22 @@ func (w *W) Join() int64 {
 	w.chargeApp(c.JoinStolen)
 	w.p.Step(c.JoinStolen)
 	thief := w.m.ws[t.thief]
-	probeBackoff := uint64(16)
-	for t.state != sDone {
+	w.poll(t.done, func() bool {
 		var ok bool
 		if w.m.cfg.Kind == KindDeque {
 			// TBB-like: unrestricted stealing while blocked.
-			v := w.nextVictim()
-			ok = w.trySteal(v, modeLA)
-			w.pol.Observe(v.idx, ok)
+			ok = w.stealAny(modeLA)
 		} else {
 			// Wool and the lock ladder: leapfrog off the thief.
 			ok = w.trySteal(thief, modeLA)
 		}
 		if ok {
 			w.St.LeapSteals++
-			probeBackoff = 16
-			continue
 		}
-		if t.state == sDone {
-			break
-		}
-		w.St.LF += probeBackoff
-		w.p.Step(probeBackoff)
-		if probeBackoff < w.m.cfg.IdleBackoffCap {
-			probeBackoff *= 2
-		}
-	}
+		// A failed try that finds the task done ends the wait
+		// without backing off.
+		return ok || t.done()
+	}, &w.St.LF)
 	w.top--
 	w.bot--
 	return t.res
@@ -160,26 +151,21 @@ func (w *W) Join() int64 {
 // joinCentral is the OpenMP-style join: wait for this child, helping
 // by executing arbitrary queued tasks (untied taskwait semantics).
 func (w *W) joinCentral(t *STask) int64 {
+	w.poll(t.done, func() bool {
+		got := w.centralPop()
+		if got == nil {
+			return false
+		}
+		mode := w.mode
+		if got != t {
+			w.mode = modeLA
+			w.St.LeapSteals++
+		}
+		w.runTask(got)
+		w.mode = mode
+		return true
+	}, &w.St.LF)
 	c := &w.m.cfg.Costs
-	probeBackoff := uint64(16)
-	for t.state != sDone {
-		if got := w.centralPop(); got != nil {
-			mode := w.mode
-			if got != t {
-				w.mode = modeLA
-				w.St.LeapSteals++
-			}
-			w.runTask(got)
-			w.mode = mode
-			probeBackoff = 16
-			continue
-		}
-		w.St.LF += probeBackoff
-		w.p.Step(probeBackoff)
-		if probeBackoff < w.m.cfg.IdleBackoffCap {
-			probeBackoff *= 2
-		}
-	}
 	w.St.JoinsStolen++
 	w.chargeApp(c.JoinStolen)
 	w.p.Step(c.JoinStolen)
@@ -243,45 +229,51 @@ func (w *W) chargeProbe(victim *W) {
 	w.p.Step(cost)
 }
 
-// trySteal attempts one steal from victim under the machine's kind,
-// running the stolen task to completion on w in the given mode.
-// Returns whether a task was stolen and executed.
+// stealAny tries the victim the worker's policy chooses, in the given
+// mode, and reports the outcome back to the policy. The policy gets no
+// probe: trySteal charges probe cycles itself, so policies run on
+// Observe feedback alone.
+func (w *W) stealAny(mode int) bool {
+	v := w.m.ws[w.pol.Choose(nil)]
+	ok := w.trySteal(v, mode)
+	w.pol.Observe(v.idx, ok)
+	return ok
+}
+
+// trySteal attempts one steal from victim, running the stolen work to
+// completion on w in the given mode. Returns whether anything was
+// stolen.
 func (w *W) trySteal(victim *W, mode int) bool {
 	if victim == w {
 		return false
 	}
 	w.St.StealAttempts++
 
-	switch w.m.cfg.Kind {
-	case KindCentral:
-		if got := w.centralPop(); got != nil {
-			prev := w.mode
-			w.mode = mode
-			w.runSteal(got, victim)
-			w.mode = prev
-			return true
-		}
-		w.chargeProbe(nil)
-		return false
-
-	case KindLock:
-		return w.tryStealLocked(victim, mode)
-
-	default: // KindDirectStack, KindDeque
-		if victim.bot >= victim.top || victim.bot >= victim.publicLimit {
-			w.chargeProbe(victim)
+	switch {
+	case w.m.parent:
+		// Cilk++ thieves peek at the victim's deque before they take
+		// its lock: the peek rung of Figure 4.
+		return w.tryStealLocked(victim, mode, LockPeek)
+	case w.m.cfg.Kind == KindLock:
+		return w.tryStealLocked(victim, mode, w.m.cfg.LockStrategy)
+	case w.m.cfg.Kind == KindCentral:
+		got := w.centralPop()
+		if got == nil {
+			w.chargeProbe(nil)
 			return false
 		}
-		t := &victim.tasks[victim.bot]
-		if t.state != sTask {
-			w.chargeProbe(victim)
-			return false
-		}
-		w.claim(t, victim)
 		prev := w.mode
 		w.mode = mode
-		w.runSteal(t, victim)
+		w.chargeSteal(victim)
+		w.runTask(got)
 		w.mode = prev
+		return true
+	default: // KindDirectStack, KindDeque
+		if !victim.stealable() {
+			w.chargeProbe(victim)
+			return false
+		}
+		w.steal(victim, mode)
 		return true
 	}
 }
@@ -306,22 +298,17 @@ func (w *W) lockTicket(l *uint64, occupy uint64) {
 }
 
 // tryStealLocked is the Figure 4 ladder: how a thief approaches the
-// victim's lock.
-func (w *W) tryStealLocked(victim *W, mode int) bool {
+// victim's lock under strategy.
+func (w *W) tryStealLocked(victim *W, mode int, strategy LockStrategy) bool {
 	c := &w.m.cfg.Costs
-	stealable := func() bool {
-		return victim.bot < victim.top && victim.bot < victim.publicLimit &&
-			victim.tasks[victim.bot].state == sTask
-	}
-
-	switch w.m.cfg.LockStrategy {
+	switch strategy {
 	case LockPeek, LockTryLock:
 		// Peek at the indices without the lock first.
-		if !stealable() {
+		if !victim.stealable() {
 			w.chargeProbe(victim)
 			return false
 		}
-		if w.m.cfg.LockStrategy == LockTryLock && w.p.Now() < victim.lockUntil {
+		if strategy == LockTryLock && w.p.Now() < victim.lockUntil {
 			// Contended: abort rather than wait.
 			w.St.LockWaits++
 			w.chargeProbe(victim)
@@ -339,17 +326,44 @@ func (w *W) tryStealLocked(victim *W, mode int) bool {
 	// ticket contributes only the queueing delay.
 	w.lockTicket(&victim.lockUntil, c.LockAcquire+c.LockHold)
 
-	if !stealable() {
+	if !victim.stealable() {
 		w.chargeProbe(victim)
 		return false
 	}
-	t := &victim.tasks[victim.bot]
-	w.claim(t, victim)
+	w.steal(victim, mode)
+	return true
+}
+
+// stealable reports whether a thief would find work on w: a public,
+// unclaimed descriptor at bot, or a ready continuation.
+func (w *W) stealable() bool {
+	if w.m.parent {
+		return len(w.deque) != 0
+	}
+	return w.bot < w.top && w.bot < w.publicLimit && w.tasks[w.bot].state == sTask
+}
+
+// steal takes victim's oldest work — the descriptor at bot, or the
+// continuation at the head of the deque — pays for the steal and runs
+// the work on w in the given mode. victim must be stealable.
+func (w *W) steal(victim *W, mode int) {
 	prev := w.mode
 	w.mode = mode
-	w.runSteal(t, victim)
+	w.stealsFrom[victim.idx]++
+	if w.m.parent {
+		s := victim.deque[0]
+		copy(victim.deque, victim.deque[1:])
+		victim.deque[len(victim.deque)-1] = nil
+		victim.deque = victim.deque[:len(victim.deque)-1]
+		w.chargeSteal(victim)
+		w.runChain(s)
+	} else {
+		t := &victim.tasks[victim.bot]
+		w.claim(t, victim)
+		w.chargeSteal(victim)
+		w.runTask(t)
+	}
 	w.mode = prev
-	return true
 }
 
 // claim marks t stolen by w and advances the victim's bot — the atomic
@@ -357,7 +371,6 @@ func (w *W) tryStealLocked(victim *W, mode int) bool {
 func (w *W) claim(t *STask, victim *W) {
 	t.state = sStolen
 	t.thief = int32(w.p.ID())
-	w.stealsFrom[victim.idx]++
 	victim.bot++
 	// Trip wire: a steal at or past the wire asks the owner to publish.
 	cfg := &w.m.cfg
@@ -367,42 +380,43 @@ func (w *W) claim(t *STask, victim *W) {
 	}
 }
 
-// runSteal pays the steal cost (with the coherence and topology
-// models) and executes the stolen task.
-func (w *W) runSteal(t *STask, victim *W) {
+// chargeSteal pays a successful steal from victim, under both steal
+// orders: the profile's StealWork, the topology's per-hop penalty, and
+// the coherence model's penalties.
+func (w *W) chargeSteal(victim *W) {
 	c := &w.m.cfg.Costs
 	cost := c.StealWork
-	if victim != nil && w.m.cfg.Kind != KindCentral {
-		// Topology: the descriptor's cache lines cross the interconnect
-		// (central-queue tasks live on the shared queue, not with the
-		// probed victim).
+	if w.m.cfg.Kind != KindCentral {
+		// Topology: the stolen work's cache lines cross the
+		// interconnect (central-queue tasks live on the shared queue,
+		// not with the probed victim).
 		cost += costmodel.RemoteStealPenalty * w.m.cfg.Topology.Hops(w.idx, victim.idx, len(w.m.ws))
 	}
 	now := w.p.Now()
 	// Coherence model: a victim whose pool was robbed moments ago (or
-	// a machine with steal traffic in flight) serves the descriptor
+	// a machine with steal traffic in flight) serves the stolen work
 	// from a contended cache line.
-	if victim != nil && now-victim.lastSteal < 2*c.StealWork {
+	if now-victim.lastSteal < 2*c.StealWork {
 		cost += c.StealWork / 2
 	}
 	if now-w.m.lastAnySteal < c.StealWork/2 {
 		cost += c.StealWork / 4
 	}
-	if victim != nil {
-		victim.lastSteal = now
-	}
+	victim.lastSteal = now
 	w.m.lastAnySteal = now
 	w.St.Steals++
 	w.St.ST += cost
 	w.p.Step(cost)
-	w.runTask(t)
 }
 
 // runTask executes t's function on w and marks it done.
 func (w *W) runTask(t *STask) {
-	t.res = t.fn.F(w, t.args)
+	t.res = t.fn(w, t.args)
 	t.state = sDone
 }
+
+// done reports whether t's execution has finished.
+func (t *STask) done() bool { return t.state == sDone }
 
 // centralPop takes the newest task from the central queue (behind the
 // queue lock), or nil.
@@ -433,8 +447,9 @@ func (m *Machine) centralLock(w *W) {
 	w.lockTicket(&m.centralLockUntil, m.cfg.Costs.LockAcquire)
 }
 
-// acquireOwnLock is the victim-side join lock of the lock ladder: the
-// owner occupies its lock only for the brief index comparison (its
+// acquireOwnLock is the owner's side of its own lock: the join lock of
+// the lock ladder, and the steal-parent deque's push and pop. The
+// owner occupies the lock only for the brief index comparison (its
 // processor time is part of JoinPublic — the paper's 77-cycle base
 // join includes its lock).
 func (w *W) acquireOwnLock() {

@@ -6,6 +6,13 @@
 // time breakdowns for 1..64 processors all come out of this package,
 // bit-identical across runs.
 //
+// It is one machine with two steal orders. Under steal-child (Run, the
+// four Kinds) a spawn pushes the child and thieves take it; under
+// steal-parent (RunCilkSim, true Cilk order) a spawn runs the child
+// and thieves take the parent's continuation. Both orders share the
+// workers, victim choice, back-off ladder, lock model and steal
+// charge.
+//
 // The scheduling protocols execute for real — per-worker task stacks,
 // bottom-up stealing, trip-wired private tasks, leapfrogging,
 // lock-held windows — but synchronization primitives are modelled:
@@ -197,58 +204,52 @@ func (t Topology) Hops(a, b, n int) uint64 {
 	return uint64(sb - sa)
 }
 
-// Args are a task's arguments: four integer slots and a context
-// pointer, mirroring the native schedulers' task descriptors.
-type Args struct {
-	A0, A1, A2, A3 int64
-	Ctx            any
+// args are a task descriptor's payload: three integer slots and a
+// context pointer, the widest task shape of the native schedulers
+// (sched.TaskC3).
+type args struct {
+	a0, a1, a2 int64
+	ctx        any
 }
 
-// Def is a task definition: a named function from worker+args to a
-// result. Definitions are shared across runs and kinds.
-type Def struct {
-	Name string
-	F    func(w *W, a Args) int64
-}
+// taskFn is a descriptor's task function: a Define* body reading its
+// arguments out of the payload.
+type taskFn func(w *W, a args) int64
 
-// Spawn pushes a task on w's pool (made stealable now, or deferred to
-// the trip wire when it lands in the private region).
-func (d *Def) Spawn(w *W, a Args) { w.spawn(d, a) }
-
-// Call invokes the task function directly — the CALL of the Wool idiom.
-func (d *Def) Call(w *W, a Args) int64 { return d.F(w, a) }
+// Root is a simulated run's root task. It runs on processor 0, and its
+// result is the run's Value.
+type Root func(w *W) int64
 
 // Reps returns a root that runs region reps times in sequence, passing
 // the repetition's index, and sums the results: the serialized
 // parallel regions of the paper's repeated-kernel measurements.
-func Reps(name string, reps int64, region func(w *W, r int64) int64) *Def {
-	return &Def{Name: name, F: func(w *W, _ Args) int64 {
+func Reps(reps int64, region func(w *W, r int64) int64) Root {
+	return func(w *W) int64 {
 		var total int64
 		for r := range reps {
 			total += region(w, r)
 		}
 		return total
-	}}
+	}
 }
 
-// TaskDef1 is a Def in the native schedulers' one-argument shape
+// TaskDef1 is a task in the native schedulers' one-argument shape
 // (sched.Task1[*W]): sched.BuildRec instantiates a RecJob on the
-// simulator through Define1, with the argument in A0.
+// simulator through Define1.
 type TaskDef1 struct {
-	def Def
-	fn  func(*W, int64) int64
+	task taskFn
+	fn   func(*W, int64) int64
 }
 
 // Define1 is the simulator's Define1-style constructor, the
-// counterpart of core.Define1.
-func Define1(name string, fn func(*W, int64) int64) *TaskDef1 {
-	d := &TaskDef1{fn: fn}
-	d.def = Def{Name: name, F: func(w *W, a Args) int64 { return fn(w, a.A0) }}
-	return d
+// counterpart of core.Define1. The name keeps core's signature; the
+// simulator does not use it.
+func Define1(_ string, fn func(*W, int64) int64) *TaskDef1 {
+	return &TaskDef1{fn: fn, task: func(w *W, a args) int64 { return fn(w, a.a0) }}
 }
 
 // Spawn pushes a task on w's pool.
-func (d *TaskDef1) Spawn(w *W, a0 int64) { d.def.Spawn(w, Args{A0: a0}) }
+func (d *TaskDef1) Spawn(w *W, a0 int64) { w.spawn(d.task, args{a0: a0}) }
 
 // Call invokes the task function directly.
 func (d *TaskDef1) Call(w *W, a0 int64) int64 { return d.fn(w, a0) }
@@ -256,24 +257,23 @@ func (d *TaskDef1) Call(w *W, a0 int64) int64 { return d.fn(w, a0) }
 // Join joins the youngest spawned task.
 func (d *TaskDef1) Join(w *W) int64 { return w.Join() }
 
-// TaskDef2 is a Def in the native schedulers' two-argument shape
+// TaskDef2 is a task in the native schedulers' two-argument shape
 // (sched.Task2[*W]): sched.BuildRange instantiates a RangeJob on the
-// simulator through Define2, with the arguments in A0 and A1.
+// simulator through Define2.
 type TaskDef2 struct {
-	def Def
-	fn  func(*W, int64, int64) int64
+	task taskFn
+	fn   func(*W, int64, int64) int64
 }
 
 // Define2 is the simulator's Define2-style constructor, the
-// counterpart of core.Define2.
-func Define2(name string, fn func(*W, int64, int64) int64) *TaskDef2 {
-	d := &TaskDef2{fn: fn}
-	d.def = Def{Name: name, F: func(w *W, a Args) int64 { return fn(w, a.A0, a.A1) }}
-	return d
+// counterpart of core.Define2. The name keeps core's signature; the
+// simulator does not use it.
+func Define2(_ string, fn func(*W, int64, int64) int64) *TaskDef2 {
+	return &TaskDef2{fn: fn, task: func(w *W, a args) int64 { return fn(w, a.a0, a.a1) }}
 }
 
 // Spawn pushes a task on w's pool.
-func (d *TaskDef2) Spawn(w *W, a0, a1 int64) { d.def.Spawn(w, Args{A0: a0, A1: a1}) }
+func (d *TaskDef2) Spawn(w *W, a0, a1 int64) { w.spawn(d.task, args{a0: a0, a1: a1}) }
 
 // Call invokes the task function directly.
 func (d *TaskDef2) Call(w *W, a0, a1 int64) int64 { return d.fn(w, a0, a1) }
@@ -281,26 +281,24 @@ func (d *TaskDef2) Call(w *W, a0, a1 int64) int64 { return d.fn(w, a0, a1) }
 // Join joins the youngest spawned task.
 func (d *TaskDef2) Join(w *W) int64 { return w.Join() }
 
-// TaskDefC3 is a Def in the native schedulers' three-argument,
+// TaskDefC3 is a task in the native schedulers' three-argument,
 // context-carrying shape (sched.TaskC3[*W, C]): a body written once
-// against that shape runs on the simulator through DefineC3, with the
-// arguments in A0..A2 and the context in Ctx.
+// against that shape runs on the simulator through DefineC3.
 type TaskDefC3[C any] struct {
-	def Def
-	fn  func(*W, *C, int64, int64, int64) int64
+	task taskFn
+	fn   func(*W, *C, int64, int64, int64) int64
 }
 
 // DefineC3 is the simulator's DefineC3-style constructor, the
-// counterpart of core.DefineC3.
-func DefineC3[C any](name string, fn func(*W, *C, int64, int64, int64) int64) *TaskDefC3[C] {
-	d := &TaskDefC3[C]{fn: fn}
-	d.def = Def{Name: name, F: func(w *W, a Args) int64 { return fn(w, a.Ctx.(*C), a.A0, a.A1, a.A2) }}
-	return d
+// counterpart of core.DefineC3. The name keeps core's signature; the
+// simulator does not use it.
+func DefineC3[C any](_ string, fn func(*W, *C, int64, int64, int64) int64) *TaskDefC3[C] {
+	return &TaskDefC3[C]{fn: fn, task: func(w *W, a args) int64 { return fn(w, a.ctx.(*C), a.a0, a.a1, a.a2) }}
 }
 
 // Spawn pushes a task on w's pool.
 func (d *TaskDefC3[C]) Spawn(w *W, c *C, a0, a1, a2 int64) {
-	d.def.Spawn(w, Args{A0: a0, A1: a1, A2: a2, Ctx: c})
+	w.spawn(d.task, args{a0: a0, a1: a1, a2: a2, ctx: c})
 }
 
 // Call invokes the task function directly.
@@ -322,8 +320,8 @@ type STask struct {
 	state uint8
 	priv  bool
 	thief int32
-	fn    *Def
-	args  Args
+	fn    taskFn
+	args  args
 	res   int64
 }
 
@@ -358,7 +356,9 @@ func (s *Stats) add(o *Stats) {
 	s.LA += o.LA
 }
 
-// W is one simulated worker.
+// W is one simulated worker. Under the steal-child order (Run) its
+// pool is the descriptor stack tasks[bot:top]; under the steal-parent
+// order (RunCilkSim) it is the continuation deque.
 type W struct {
 	m *Machine
 	p *vtime.Proc
@@ -369,7 +369,17 @@ type W struct {
 	morePublic  bool
 	inlineRun   int
 
-	lockUntil uint64 // victim-lock model (KindLock, Cilk-style costs)
+	// ovf holds the results of overflow-inlined spawns, youngest last.
+	// Non-empty only while top == StackSize (entries are created only
+	// when the pool is full, and joins drain them before touching the
+	// stack), so Join only needs a length check at its head.
+	ovf []int64
+
+	// deque holds the steal-parent worker's ready continuations,
+	// oldest first.
+	deque []CStep
+
+	lockUntil uint64 // victim-lock model (KindLock, the steal-parent deque)
 	lastSteal uint64 // time of the last successful steal from this worker (coherence model)
 
 	idx  int
@@ -380,20 +390,8 @@ type W struct {
 	// thief's row of the run's steal matrix.
 	stealsFrom []int64
 
-	// ovf holds the results of overflow-inlined spawns, youngest last.
-	// Non-empty only while top == StackSize (entries are created only
-	// when the pool is full, and joins drain them before touching the
-	// stack), so Join only needs a length check at its head.
-	ovf []int64
-
 	St Stats
 }
-
-// Proc returns the underlying virtual processor (for Work/clock access).
-func (w *W) Proc() *vtime.Proc { return w.p }
-
-// Machine returns the machine.
-func (w *W) Machine() *Machine { return w.m }
 
 // Work advances this worker's clock by cycles of application work,
 // charging the current Figure 6 category and the span strand.
@@ -420,6 +418,10 @@ type Machine struct {
 	vm  *vtime.Machine
 	ws  []*W
 
+	// parent selects the steal-parent order: thieves take a parent's
+	// continuation instead of a spawned child.
+	parent bool
+
 	central          []*STask // KindCentral shared queue
 	centralLockUntil uint64
 	lastAnySteal     uint64 // global steal-traffic timestamp (coherence model)
@@ -428,6 +430,7 @@ type Machine struct {
 
 	result   int64
 	makespan uint64
+	maxDeque int
 }
 
 // Result is everything one simulated run produces.
@@ -445,25 +448,33 @@ type Result struct {
 	// Span data (TrackSpan runs): total work, critical path in the
 	// abstract (O=0) and realistic (O=spanOverhead) models.
 	Work, Span0, SpanO uint64
+
+	// MaxDeque is the high-water mark of ready continuations on any
+	// single worker of a steal-parent run — its space guarantee, made
+	// observable (the paper's Section I-a: Cilk's constant-space spawn
+	// loop).
+	MaxDeque int
 }
 
-// NewMachine builds a machine for cfg.
-func NewMachine(cfg Config) *Machine {
+// newMachine builds a machine for cfg, in the steal-parent order when
+// parent is set. A steal-parent machine has no descriptor stacks.
+func newMachine(cfg Config, parent bool) *Machine {
 	cfg = cfg.defaults()
-	m := &Machine{cfg: cfg, vm: vtime.NewMachine(cfg.Procs)}
+	m := &Machine{cfg: cfg, vm: vtime.NewMachine(cfg.Procs), parent: parent}
 	m.ws = make([]*W, cfg.Procs)
 	for i := range m.ws {
 		w := &W{
-			m:          m,
-			idx:        i,
-			tasks:      make([]STask, cfg.StackSize),
-			pol:        steal.New(cfg.Steal, i, cfg.Procs),
-			stealsFrom: make([]int64, cfg.Procs),
+			m:           m,
+			idx:         i,
+			publicLimit: int(^uint(0) >> 1),
+			pol:         steal.New(cfg.Steal, i, cfg.Procs),
+			stealsFrom:  make([]int64, cfg.Procs),
+		}
+		if !parent {
+			w.tasks = make([]STask, cfg.StackSize)
 		}
 		if cfg.PrivateTasks && cfg.Kind == KindDirectStack {
 			w.publicLimit = cfg.InitialPublic
-		} else {
-			w.publicLimit = int(^uint(0) >> 1)
 		}
 		m.ws[i] = w
 	}
@@ -476,30 +487,34 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
-// Run executes root(args) to completion and returns the run's Result.
-func Run(cfg Config, root *Def, args Args) Result {
-	m := NewMachine(cfg)
-	return m.run(root, args)
+// Run executes root to completion under the steal-child order of
+// cfg.Kind and returns the run's Result.
+func Run(cfg Config, root Root) Result {
+	m := newMachine(cfg, false)
+	return m.run(func(w *W) {
+		if m.span != nil {
+			m.span.begin()
+		}
+		m.result = root(w)
+		if w.top != w.bot || len(w.ovf) != 0 {
+			panic("sim: root returned with unjoined tasks")
+		}
+		m.makespan = w.p.Now()
+		m.vm.SetStop()
+		if m.span != nil {
+			m.span.end(w)
+		}
+	})
 }
 
-func (m *Machine) run(root *Def, args Args) Result {
+// run starts root on processor 0, lets every processor steal until the
+// root raises the machine's stop flag, and gathers the Result.
+func (m *Machine) run(root func(w *W)) Result {
 	times := m.vm.Run(func(p *vtime.Proc) {
 		w := m.ws[p.ID()]
 		w.p = p
 		if p.ID() == 0 {
-			if m.span != nil {
-				m.span.begin()
-			}
-			m.result = root.F(w, args)
-			if w.top != w.bot || len(w.ovf) != 0 {
-				panic("sim: root returned with unjoined tasks")
-			}
-			m.makespan = p.Now()
-			m.vm.SetStop()
-			if m.span != nil {
-				m.span.end(w)
-			}
-			return
+			root(w)
 		}
 		w.idleLoop()
 	})
@@ -509,6 +524,7 @@ func (m *Machine) run(root *Def, args Args) Result {
 		Times:      times,
 		Workers:    make([]Stats, len(m.ws)),
 		StealsFrom: make([][]int64, len(m.ws)),
+		MaxDeque:   m.maxDeque,
 	}
 	for i, w := range m.ws {
 		res.Workers[i] = w.St
@@ -523,28 +539,41 @@ func (m *Machine) run(root *Def, args Args) Result {
 	return res
 }
 
-// nextVictim asks the worker's policy for the next victim. The probe
-// is nil: the simulator charges probe cycles explicitly in trySteal,
-// so policies run on Observe feedback alone.
-func (w *W) nextVictim() *W {
-	return w.m.ws[w.pol.Choose(nil)]
+// idleLoop looks for work until the root completes.
+func (w *W) idleLoop() {
+	w.poll(w.m.vm.Stopped, w.findWork, &w.St.ST)
 }
 
-// idleLoop steals until the root completes.
-func (w *W) idleLoop() {
-	cap := w.m.cfg.IdleBackoffCap
-	backoff := uint64(16)
-	for !w.m.vm.Stopped() {
-		v := w.nextVictim()
-		ok := w.trySteal(v, modeNA)
-		w.pol.Observe(v.idx, ok)
-		if ok {
-			backoff = 16
+// findWork is one try of an idle worker: a steal-parent worker first
+// resumes its own youngest continuation; then it steals.
+func (w *W) findWork() bool {
+	if w.m.parent {
+		if s := w.popBottom(); s != nil {
+			w.runChain(s)
+			return true
+		}
+	}
+	return w.stealAny(modeNA)
+}
+
+// firstBackoff is where the back-off ladder starts, and where every
+// successful try puts it back.
+const firstBackoff = 16
+
+// poll is the back-off ladder of a worker that waits for work: of the
+// idle loop and of a blocked join. It calls try until done, and after
+// each failed try it waits out the back-off, charged to *wait, which
+// doubles up to Config.IdleBackoffCap.
+func (w *W) poll(done, try func() bool, wait *uint64) {
+	backoff := uint64(firstBackoff)
+	for !done() {
+		if try() {
+			backoff = firstBackoff
 			continue
 		}
-		w.St.ST += backoff
+		*wait += backoff
 		w.p.Step(backoff)
-		if backoff < cap {
+		if backoff < w.m.cfg.IdleBackoffCap {
 			backoff *= 2
 		}
 	}

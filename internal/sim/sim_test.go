@@ -10,39 +10,42 @@ import (
 // simFib builds the fib workload against the sim API: ~13 cycles of
 // work per spawned task, matching the paper's measured fib task
 // granularity (Table I: G_T(fib) ≈ 13 cycles).
-func simFib() *Def {
-	d := &Def{Name: "fib"}
-	d.F = func(w *W, a Args) int64 {
-		n := a.A0
+func simFib() *TaskDef1 {
+	var d *TaskDef1
+	d = Define1("fib", func(w *W, n int64) int64 {
 		if n < 2 {
 			w.Work(4)
 			return n
 		}
-		d.Spawn(w, Args{A0: n - 2})
-		x := d.Call(w, Args{A0: n - 1})
-		y := w.Join()
+		d.Spawn(w, n-2)
+		x := d.Call(w, n-1)
+		y := d.Join(w)
 		w.Work(13)
 		return x + y
-	}
+	})
 	return d
 }
 
 // simTree builds a balanced binary tree of the given leaf work — the
 // sim analogue of the paper's stress benchmark kernel.
-func simTree(leafWork uint64) *Def {
-	d := &Def{Name: "tree"}
-	d.F = func(w *W, a Args) int64 {
-		depth := a.A0
+func simTree(leafWork uint64) *TaskDef1 {
+	var d *TaskDef1
+	d = Define1("tree", func(w *W, depth int64) int64 {
 		if depth == 0 {
 			w.Work(leafWork)
 			return 1
 		}
-		d.Spawn(w, Args{A0: depth - 1})
-		x := d.Call(w, Args{A0: depth - 1})
-		y := w.Join()
+		d.Spawn(w, depth-1)
+		x := d.Call(w, depth-1)
+		y := d.Join(w)
 		return x + y
-	}
+	})
 	return d
+}
+
+// call is the root that calls d on n.
+func call(d *TaskDef1, n int64) Root {
+	return func(w *W) int64 { return d.Call(w, n) }
 }
 
 func serialFib(n int64) int64 {
@@ -65,7 +68,7 @@ func TestFibValueAllKindsAndProcs(t *testing.T) {
 	}
 	for _, k := range kinds {
 		for _, procs := range []int{1, 2, 4, 8} {
-			res := Run(Config{Procs: procs, Kind: k.kind, Costs: k.costs}, fib, Args{A0: 15})
+			res := Run(Config{Procs: procs, Kind: k.kind, Costs: k.costs}, call(fib, 15))
 			if want := serialFib(15); res.Value != want {
 				t.Errorf("%v procs=%d: got %d want %d", k.kind, procs, res.Value, want)
 			}
@@ -76,8 +79,8 @@ func TestFibValueAllKindsAndProcs(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	fib := simFib()
 	cfg := Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 42}
-	a := Run(cfg, fib, Args{A0: 16})
-	b := Run(cfg, fib, Args{A0: 16})
+	a := Run(cfg, call(fib, 16))
+	b := Run(cfg, call(fib, 16))
 	if a.Makespan != b.Makespan || a.Total.Steals != b.Total.Steals || a.Total.StealAttempts != b.Total.StealAttempts {
 		t.Errorf("replay diverged: makespan %d vs %d, steals %d vs %d, attempts %d vs %d",
 			a.Makespan, b.Makespan, a.Total.Steals, b.Total.Steals, a.Total.StealAttempts, b.Total.StealAttempts)
@@ -86,8 +89,8 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestSeedChangesInterleaving(t *testing.T) {
 	tree := simTree(512)
-	r1 := Run(Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 1}, tree, Args{A0: 10})
-	r2 := Run(Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 99}, tree, Args{A0: 10})
+	r1 := Run(Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 1}, call(tree, 10))
+	r2 := Run(Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 99}, call(tree, 10))
 	if r1.Value != r2.Value {
 		t.Fatalf("values differ: %d vs %d", r1.Value, r2.Value)
 	}
@@ -98,9 +101,9 @@ func TestSeedChangesInterleaving(t *testing.T) {
 
 func TestSpeedupScalesForCoarseWork(t *testing.T) {
 	tree := simTree(50000) // 50k-cycle leaves: plenty of parallel slack
-	base := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, tree, Args{A0: 8})
+	base := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, call(tree, 8))
 	for _, procs := range []int{2, 4, 8} {
-		res := Run(Config{Procs: procs, Kind: KindDirectStack, Costs: costmodel.Wool()}, tree, Args{A0: 8})
+		res := Run(Config{Procs: procs, Kind: KindDirectStack, Costs: costmodel.Wool()}, call(tree, 8))
 		speedup := float64(base.Makespan) / float64(res.Makespan)
 		if speedup < 0.75*float64(procs) {
 			t.Errorf("procs=%d: speedup %.2f, want >= %.2f", procs, speedup, 0.75*float64(procs))
@@ -116,7 +119,7 @@ func TestWoolBeatsOthersOnFineGrain(t *testing.T) {
 	// wool's low overheads must beat the baselines at 8 processors.
 	tree := simTree(512)
 	run := func(kind Kind, costs costmodel.Profile, private bool) uint64 {
-		return Run(Config{Procs: 8, Kind: kind, Costs: costs, PrivateTasks: private}, tree, Args{A0: 12}).Makespan
+		return Run(Config{Procs: 8, Kind: kind, Costs: costs, PrivateTasks: private}, call(tree, 12)).Makespan
 	}
 	wool := run(KindDirectStack, costmodel.Wool(), true)
 	cilk := run(KindDeque, costmodel.CilkPP(), false)
@@ -138,10 +141,10 @@ func TestSingleProcOverheadLadder(t *testing.T) {
 	// private < task-specific public < sync-on-task < lock base.
 	fib := simFib()
 	n := int64(18)
-	private := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(), PrivateTasks: true}, fib, Args{A0: n}).Makespan
-	public := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, fib, Args{A0: n}).Makespan
-	syncOnTask := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.WoolSyncOnTask()}, fib, Args{A0: n}).Makespan
-	lockBase := Run(Config{Procs: 1, Kind: KindLock, Costs: costmodel.LockBase()}, fib, Args{A0: n}).Makespan
+	private := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(), PrivateTasks: true}, call(fib, n)).Makespan
+	public := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool()}, call(fib, n)).Makespan
+	syncOnTask := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.WoolSyncOnTask()}, call(fib, n)).Makespan
+	lockBase := Run(Config{Procs: 1, Kind: KindLock, Costs: costmodel.LockBase()}, call(fib, n)).Makespan
 	if !(private < public && public < syncOnTask && syncOnTask < lockBase) {
 		t.Errorf("ladder out of order: private=%d public=%d syncOnTask=%d lockBase=%d",
 			private, public, syncOnTask, lockBase)
@@ -150,7 +153,7 @@ func TestSingleProcOverheadLadder(t *testing.T) {
 
 func TestPrivateTasksMostlyPrivateOnOneProc(t *testing.T) {
 	fib := simFib()
-	res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(), PrivateTasks: true}, fib, Args{A0: 18})
+	res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(), PrivateTasks: true}, call(fib, 18))
 	if res.Total.JoinsInlinedPrivate == 0 {
 		t.Fatal("no private joins")
 	}
@@ -162,7 +165,7 @@ func TestPrivateTasksMostlyPrivateOnOneProc(t *testing.T) {
 
 func TestTripWirePublishesUnderSteals(t *testing.T) {
 	tree := simTree(2000)
-	res := Run(Config{Procs: 4, Kind: KindDirectStack, Costs: costmodel.Wool(), PrivateTasks: true}, tree, Args{A0: 10})
+	res := Run(Config{Procs: 4, Kind: KindDirectStack, Costs: costmodel.Wool(), PrivateTasks: true}, call(tree, 10))
 	if res.Total.Steals == 0 {
 		t.Fatal("no steals")
 	}
@@ -178,16 +181,8 @@ func TestTripWirePublishesUnderSteals(t *testing.T) {
 // structure of the paper's stress benchmark (a sequence of small
 // parallel regions), which is what exposes the steal-path differences
 // in Figure 4.
-func simRegions(tree *Def, reps, depth int64) *Def {
-	d := &Def{Name: "regions"}
-	d.F = func(w *W, a Args) int64 {
-		var total int64
-		for r := int64(0); r < reps; r++ {
-			total += tree.Call(w, Args{A0: depth})
-		}
-		return total
-	}
-	return d
+func simRegions(tree *TaskDef1, reps, depth int64) Root {
+	return Reps(reps, func(w *W, _ int64) int64 { return tree.Call(w, depth) })
 }
 
 func TestLockStrategies(t *testing.T) {
@@ -197,7 +192,7 @@ func TestLockStrategies(t *testing.T) {
 	var makespans []uint64
 	for _, strat := range []LockStrategy{LockBase, LockPeek, LockTryLock} {
 		res := Run(Config{Procs: 8, Kind: KindLock, Costs: costmodel.LockBase(),
-			LockStrategy: strat, IdleBackoffCap: 256}, regions, Args{})
+			LockStrategy: strat, IdleBackoffCap: 256}, regions)
 		if res.Value != 100*16 {
 			t.Errorf("%v: value = %d, want 1600", strat, res.Value)
 		}
@@ -213,9 +208,9 @@ func TestLockStrategies(t *testing.T) {
 func TestNoLockBeatsLockLadder(t *testing.T) {
 	regions := simRegions(simTree(512), 100, 4)
 	nolock := Run(Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), IdleBackoffCap: 256},
-		regions, Args{}).Makespan
+		regions).Makespan
 	peek := Run(Config{Procs: 8, Kind: KindLock, Costs: costmodel.LockBase(), LockStrategy: LockPeek,
-		IdleBackoffCap: 256}, regions, Args{}).Makespan
+		IdleBackoffCap: 256}, regions).Makespan
 	if nolock >= peek {
 		t.Errorf("nolock (%d) should beat peek (%d) on fine grain", nolock, peek)
 	}
@@ -224,7 +219,7 @@ func TestNoLockBeatsLockLadder(t *testing.T) {
 func TestSpanTrackerBalancedTree(t *testing.T) {
 	tree := simTree(1000)
 	res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, tree, Args{A0: 4})
+		TrackSpan: true}, call(tree, 4))
 	if res.Value != 16 {
 		t.Fatalf("value = %d", res.Value)
 	}
@@ -246,7 +241,7 @@ func TestSpanTrackerBalancedTree(t *testing.T) {
 func TestSpanOverheadModelParallelizesCoarse(t *testing.T) {
 	tree := simTree(100000)
 	res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, tree, Args{A0: 4})
+		TrackSpan: true}, call(tree, 4))
 	// min(k,c) = 100k per join >> 2000: parallel, span ≈ leaf + 4×O.
 	want := uint64(100000 + 4*2000)
 	if res.SpanO != want {
@@ -264,7 +259,7 @@ func TestQuickFibEquivalence(t *testing.T) {
 		procs := int(pRaw%8) + 1
 		kind := []Kind{KindDirectStack, KindDeque, KindLock, KindCentral}[kRaw%4]
 		costs := []costmodel.Profile{costmodel.Wool(), costmodel.TBB(), costmodel.LockBase(), costmodel.OpenMP()}[kRaw%4]
-		res := Run(Config{Procs: procs, Kind: kind, Costs: costs, Seed: seed}, fib, Args{A0: n})
+		res := Run(Config{Procs: procs, Kind: kind, Costs: costs, Seed: seed}, call(fib, n))
 		return res.Value == serialFib(n)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
@@ -278,7 +273,7 @@ func TestQuickSpanInvariants(t *testing.T) {
 		leaf := uint64(leafRaw%5000) + 100
 		tree := simTree(leaf)
 		res := Run(Config{Procs: 1, Kind: KindDirectStack, Costs: costmodel.Wool(),
-			TrackSpan: true}, tree, Args{A0: depth})
+			TrackSpan: true}, call(tree, depth))
 		return res.Span0 <= res.SpanO && res.SpanO <= res.Work && res.Span0 > 0
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
@@ -288,7 +283,7 @@ func TestQuickSpanInvariants(t *testing.T) {
 
 func TestStatsConservation(t *testing.T) {
 	fib := simFib()
-	res := Run(Config{Procs: 4, Kind: KindDirectStack, Costs: costmodel.Wool()}, fib, Args{A0: 16})
+	res := Run(Config{Procs: 4, Kind: KindDirectStack, Costs: costmodel.Wool()}, call(fib, 16))
 	if res.Total.Spawns != res.Total.Joins() {
 		t.Errorf("spawns (%d) != joins (%d)", res.Total.Spawns, res.Total.Joins())
 	}
@@ -303,7 +298,7 @@ func TestMoreProcsMoreSteals(t *testing.T) {
 	tree := simTree(2000)
 	prev := int64(0)
 	for _, procs := range []int{2, 4, 8} {
-		res := Run(Config{Procs: procs, Kind: KindDirectStack, Costs: costmodel.Wool()}, tree, Args{A0: 12})
+		res := Run(Config{Procs: procs, Kind: KindDirectStack, Costs: costmodel.Wool()}, call(tree, 12))
 		if res.Total.Steals <= prev {
 			t.Errorf("procs=%d: steals %d did not grow (prev %d)", procs, res.Total.Steals, prev)
 		}

@@ -27,11 +27,11 @@ func TestStealPolicyAllKindsCorrect(t *testing.T) {
 				Procs: 8, Kind: k.kind, Costs: k.costs,
 				Steal: steal.Config{Policy: pol, Neighborhood: 2},
 			}
-			a := Run(cfg, fib, Args{A0: 15})
+			a := Run(cfg, call(fib, 15))
 			if a.Value != want {
 				t.Errorf("%v/%s: got %d want %d", k.kind, pol, a.Value, want)
 			}
-			b := Run(cfg, fib, Args{A0: 15})
+			b := Run(cfg, call(fib, 15))
 			if a.Makespan != b.Makespan || a.Total.Steals != b.Total.Steals {
 				t.Errorf("%v/%s: replay diverged", k.kind, pol)
 			}
@@ -48,8 +48,8 @@ func TestDefaultStealConfigBitIdentical(t *testing.T) {
 	base := Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool(), Seed: 7}
 	expl := base
 	expl.Steal = steal.Config{Policy: steal.Random}
-	a := Run(base, tree, Args{A0: 10})
-	b := Run(expl, tree, Args{A0: 10})
+	a := Run(base, call(tree, 10))
+	b := Run(expl, call(tree, 10))
 	if a.Makespan != b.Makespan || a.Total.StealAttempts != b.Total.StealAttempts {
 		t.Fatalf("explicit random diverged from default: makespan %d vs %d, attempts %d vs %d",
 			a.Makespan, b.Makespan, a.Total.StealAttempts, b.Total.StealAttempts)
@@ -61,7 +61,7 @@ func TestDefaultStealConfigBitIdentical(t *testing.T) {
 // from a victim).
 func TestStealMatrixAccountsAllSteals(t *testing.T) {
 	tree := simTree(512)
-	res := Run(Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool()}, tree, Args{A0: 10})
+	res := Run(Config{Procs: 8, Kind: KindDirectStack, Costs: costmodel.Wool()}, call(tree, 10))
 	var sum int64
 	for i, row := range res.StealsFrom {
 		for v, n := range row {
@@ -101,11 +101,11 @@ func TestTopologyPenaltiesSlowStealHeavyRuns(t *testing.T) {
 	tree := simTree(512)
 	const procs = 16
 	flat := Run(Config{Procs: procs, Kind: KindDirectStack, Costs: costmodel.Wool()},
-		tree, Args{A0: 11})
+		call(tree, 11))
 	sharded := Run(Config{
 		Procs: procs, Kind: KindDirectStack, Costs: costmodel.Wool(),
 		Topology: Topology{Shards: 4},
-	}, tree, Args{A0: 11})
+	}, call(tree, 11))
 	if sharded.Makespan <= flat.Makespan {
 		t.Errorf("sharded makespan %d not above flat %d", sharded.Makespan, flat.Makespan)
 	}
@@ -123,7 +123,7 @@ func TestLocalizedStaysLocalOnShardedMachine(t *testing.T) {
 			Procs: procs, Kind: KindDirectStack, Costs: costmodel.Wool(),
 			Steal:    steal.Config{Policy: pol},
 			Topology: topo,
-		}, tree, Args{A0: 12})
+		}, call(tree, 12))
 	}
 	random, localized := run(steal.Random), run(steal.Localized)
 	hr, hl := meanHops(random, topo, procs), meanHops(localized, topo, procs)

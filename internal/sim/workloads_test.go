@@ -17,24 +17,25 @@ import (
 // ssf scan must stay correct — and keep publishing through the trip
 // wire — across the whole sweep.
 func TestPublicWindowSensitivity(t *testing.T) {
-	run := func(def *sim.Def, args sim.Args, ip int) sim.Result {
+	run := func(root sim.Root, ip int) sim.Result {
 		return sim.Run(sim.Config{Procs: 8, Kind: sim.KindDirectStack,
 			Costs: costmodel.Wool(), PrivateTasks: true,
-			InitialPublic: ip, PublishAmount: ip, Seed: 31}, def, args)
+			InitialPublic: ip, PublishAmount: ip, Seed: 31}, root)
 	}
-	balanced := &sim.Def{Name: "balanced"}
-	balanced.F = func(w *sim.W, a sim.Args) int64 {
-		if a.A0 == 0 {
+	var balanced *sim.TaskDef1
+	balanced = sim.Define1("balanced", func(w *sim.W, depth int64) int64 {
+		if depth == 0 {
 			w.Work(180)
 			return 1
 		}
-		balanced.Spawn(w, sim.Args{A0: a.A0 - 1})
-		x := balanced.Call(w, sim.Args{A0: a.A0 - 1})
-		y := w.Join()
+		balanced.Spawn(w, depth-1)
+		x := balanced.Call(w, depth-1)
+		y := balanced.Join(w)
 		return x + y
-	}
-	balNarrow := run(balanced, sim.Args{A0: 12}, 1)
-	balWide := run(balanced, sim.Args{A0: 12}, 16)
+	})
+	root := func(w *sim.W) int64 { return balanced.Call(w, 12) }
+	balNarrow := run(root, 1)
+	balWide := run(root, 16)
 	if balNarrow.Value != 4096 || balWide.Value != 4096 {
 		t.Fatalf("balanced tree wrong: %d / %d", balNarrow.Value, balWide.Value)
 	}
@@ -46,7 +47,7 @@ func TestPublicWindowSensitivity(t *testing.T) {
 	scan := workloads.MustLookup("ssf")
 	want := ssf.Serial(ssf.FibString(12), nil)
 	for _, ip := range []int{1, 2, 8, 16} {
-		res := run(scan.Sim(workloads.Params{N: 12}), sim.Args{}, ip)
+		res := run(scan.Sim(workloads.Params{N: 12}), ip)
 		if res.Value != want {
 			t.Errorf("ssf ip=%d: %d, want %d", ip, res.Value, want)
 		}
@@ -63,7 +64,7 @@ func TestPublicWindowSensitivity(t *testing.T) {
 func TestPrivatizationsCounted(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 8, Kind: sim.KindDirectStack,
 		Costs: costmodel.Wool(), PrivateTasks: true},
-		workloads.MustLookup("fib").Sim(workloads.Params{N: 22}), sim.Args{})
+		workloads.MustLookup("fib").Sim(workloads.Params{N: 22}))
 	if res.Total.Privatizations == 0 {
 		t.Errorf("no privatizations counted: %+v", res.Total.Counts)
 	}

@@ -105,11 +105,11 @@ func TestWoolFactorMatchesSerial(t *testing.T) {
 }
 
 // simFactor is a simulated root that factors m.
-func simFactor(s SimSched, m *Matrix) *sim.Def {
-	return sim.Reps("cholesky", 1, func(w *sim.W, _ int64) int64 {
+func simFactor(s SimSched, m *Matrix) sim.Root {
+	return func(w *sim.W) int64 {
 		s.FactorOn(w, m)
 		return m.Ar.NodesInUse()
-	})
+	}
 }
 
 func TestSimFactorMatchesSerial(t *testing.T) {
@@ -120,7 +120,7 @@ func TestSimFactorMatchesSerial(t *testing.T) {
 
 		mSim := Generate(64, 250, 4242)
 		res := sim.Run(sim.Config{Procs: procs, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-			simFactor(NewSim(), mSim), sim.Args{})
+			simFactor(NewSim(), mSim))
 		got := mSim.ToDenseLower()
 		if d := maxAbsDiffLower(want, got); d > 1e-9 {
 			t.Errorf("procs=%d: max diff vs serial = %g", procs, d)
@@ -136,7 +136,7 @@ func TestSimSpeedup(t *testing.T) {
 	run := func(procs int) uint64 {
 		m := Generate(128, 500, 31337)
 		return sim.Run(sim.Config{Procs: procs, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-			simFactor(s, m), sim.Args{}).Makespan
+			simFactor(s, m)).Makespan
 	}
 	t1 := run(1)
 	t4 := run(4)

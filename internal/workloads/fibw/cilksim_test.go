@@ -11,7 +11,7 @@ import (
 
 // cilkFib runs the workload table's fib(n) under steal-parent
 // simulation.
-func cilkFib(t *testing.T, cfg sim.Config, n int64) (int64, sim.CResult) {
+func cilkFib(t *testing.T, cfg sim.Config, n int64) (int64, sim.Result) {
 	t.Helper()
 	v, res, ok := workloads.MustLookup("fib").Cilk(cfg, workloads.Params{N: n})
 	if !ok {

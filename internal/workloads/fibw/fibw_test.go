@@ -12,7 +12,7 @@ import (
 )
 
 // simFib is the workload table's simulated fib(n), reps times.
-func simFib(n, reps int64) *sim.Def {
+func simFib(n, reps int64) sim.Root {
 	return workloads.MustLookup("fib").Sim(workloads.Params{N: n, Reps: reps})
 }
 
@@ -57,7 +57,7 @@ func TestAllSchedulersAgree(t *testing.T) {
 	wg.Close()
 
 	res := sim.Run(sim.Config{Procs: 4, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-		simFib(n, 1), sim.Args{})
+		simFib(n, 1))
 	if res.Value != want {
 		t.Errorf("sim: %d, want %d", res.Value, want)
 	}
@@ -69,7 +69,7 @@ func TestSimReps(t *testing.T) {
 	const n = 12
 	for _, reps := range []int64{1, 4} {
 		res := sim.Run(sim.Config{Procs: 2, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-			simFib(n, reps), sim.Args{})
+			simFib(n, reps))
 		if want := reps * fibw.Serial(n); res.Value != want {
 			t.Errorf("reps=%d: value %d, want %d", reps, res.Value, want)
 		}
@@ -82,7 +82,7 @@ func TestSimReps(t *testing.T) {
 func TestSimGranularity(t *testing.T) {
 	// G_T = work/tasks must be ≈ NodeWork (the paper's 13 cycles).
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, simFib(20, 1), sim.Args{})
+		TrackSpan: true}, simFib(20, 1))
 	tasks := res.Total.Spawns
 	if tasks != fibw.Tasks(20) {
 		t.Fatalf("spawns = %d, want %d", tasks, fibw.Tasks(20))

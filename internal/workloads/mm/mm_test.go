@@ -106,7 +106,7 @@ func TestSimWorkMatchesPaperRepSz(t *testing.T) {
 	// Paper Table I: mm with 64 rows has RepSz ≈ 976k cycles. Our
 	// model (4·n² per row) gives 64·4·64² ≈ 1.05M — same ballpark.
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, workloads.MustLookup("mm").Sim(workloads.Params{N: 64}), sim.Args{})
+		TrackSpan: true}, workloads.MustLookup("mm").Sim(workloads.Params{N: 64}))
 	if res.Value != 64 {
 		t.Fatalf("rows = %d", res.Value)
 	}
@@ -122,7 +122,7 @@ func TestSimWorkMatchesPaperRepSz(t *testing.T) {
 
 func TestSimRepsValue(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 4, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-		workloads.MustLookup("mm").Sim(workloads.Params{N: 16, Reps: 10}), sim.Args{})
+		workloads.MustLookup("mm").Sim(workloads.Params{N: 16, Reps: 10}))
 	if res.Value != 160 {
 		t.Errorf("rows over reps = %d, want 160", res.Value)
 	}

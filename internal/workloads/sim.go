@@ -15,7 +15,7 @@ import (
 // simRec is the simulated root of j: sched.BuildRec on sim.Define1,
 // charging cost(n) after the body of n returns, run for j's
 // repetitions.
-func simRec(j sched.RecJob, cost func(n int64) uint64) *sim.Def {
+func simRec(j sched.RecJob, cost func(n int64) uint64) sim.Root {
 	d := sched.BuildRec(func(name string, body func(*sim.W, int64) int64) *sim.TaskDef1 {
 		return sim.Define1(name, func(w *sim.W, n int64) int64 {
 			v := body(w, n)
@@ -23,12 +23,12 @@ func simRec(j sched.RecJob, cost func(n int64) uint64) *sim.Def {
 			return v
 		})
 	}, j)
-	return sim.Reps(j.Name+"-reps", max(j.Reps, 1), func(w *sim.W, _ int64) int64 { return d.Call(w, j.Root) })
+	return sim.Reps(max(j.Reps, 1), func(w *sim.W, _ int64) int64 { return d.Call(w, j.Root) })
 }
 
 // simRange is simRec for a RangeJob, on sim.Define2: cost(lo, hi) is
 // charged after the body of [lo, hi) returns.
-func simRange(j sched.RangeJob, cost func(lo, hi int64) uint64) *sim.Def {
+func simRange(j sched.RangeJob, cost func(lo, hi int64) uint64) sim.Root {
 	d := sched.BuildRange(func(name string, body func(*sim.W, int64, int64) int64) *sim.TaskDef2 {
 		return sim.Define2(name, func(w *sim.W, lo, hi int64) int64 {
 			v := body(w, lo, hi)
@@ -36,15 +36,15 @@ func simRange(j sched.RangeJob, cost func(lo, hi int64) uint64) *sim.Def {
 			return v
 		})
 	}, j)
-	return sim.Reps(j.Name+"-reps", max(j.Reps, 1), func(w *sim.W, _ int64) int64 { return d.Call(w, 0, j.N) })
+	return sim.Reps(max(j.Reps, 1), func(w *sim.W, _ int64) int64 { return d.Call(w, 0, j.N) })
 }
 
 // cilkRec runs j under steal-parent simulation: a driver frame spawns
 // each repetition's tree and syncs it before the next. It returns the
 // summed value and the run's result.
-func cilkRec(cfg sim.Config, j sched.RecJob, cost func(n int64) uint64) (int64, sim.CResult) {
+func cilkRec(cfg sim.Config, j sched.RecJob, cost func(n int64) uint64) (int64, sim.Result) {
 	var total int64
-	res := sim.RunCilkSim(cfg, func(*sim.CW) sim.CStep {
+	res := sim.RunCilkSim(cfg, func(*sim.W) sim.CStep {
 		reps := &cilkReps{job: &j, cost: cost, reps: max(j.Reps, 1), total: &total}
 		return reps.loop
 	})
@@ -61,7 +61,7 @@ type cilkReps struct {
 	total   *int64
 }
 
-func (f *cilkReps) loop(w *sim.CW) sim.CStep {
+func (f *cilkReps) loop(w *sim.W) sim.CStep {
 	if f.r >= f.reps {
 		return w.Return(&f.CFrame)
 	}
@@ -71,11 +71,11 @@ func (f *cilkReps) loop(w *sim.CW) sim.CStep {
 	return w.Spawn(&f.CFrame, f.afterTree, tree.step0)
 }
 
-func (f *cilkReps) afterTree(w *sim.CW) sim.CStep {
+func (f *cilkReps) afterTree(w *sim.W) sim.CStep {
 	return w.Sync(&f.CFrame, f.accumulate)
 }
 
-func (f *cilkReps) accumulate(w *sim.CW) sim.CStep {
+func (f *cilkReps) accumulate(w *sim.W) sim.CStep {
 	*f.total += f.sub
 	return f.loop(w)
 }
@@ -92,7 +92,7 @@ type cilkNode struct {
 	res  *int64
 }
 
-func (f *cilkNode) step0(w *sim.CW) sim.CStep {
+func (f *cilkNode) step0(w *sim.W) sim.CStep {
 	if v, ok := f.job.Leaf(f.n); ok {
 		w.Work(f.cost(f.n))
 		*f.res = v
@@ -102,24 +102,24 @@ func (f *cilkNode) step0(w *sim.CW) sim.CStep {
 	return f.spawn(w, inline, &f.a, f.step1)
 }
 
-func (f *cilkNode) step1(w *sim.CW) sim.CStep {
+func (f *cilkNode) step1(w *sim.W) sim.CStep {
 	_, spawned := f.job.Split(f.n)
 	return f.spawn(w, spawned, &f.b, f.step2)
 }
 
 // spawn starts the child frame for subproblem n, its result going to
 // res, with cont as this frame's stealable continuation.
-func (f *cilkNode) spawn(w *sim.CW, n int64, res *int64, cont sim.CStep) sim.CStep {
+func (f *cilkNode) spawn(w *sim.W, n int64, res *int64, cont sim.CStep) sim.CStep {
 	child := &cilkNode{job: f.job, cost: f.cost, n: n, res: res}
 	sim.NewCChild(&f.CFrame, &child.CFrame)
 	return w.Spawn(&f.CFrame, cont, child.step0)
 }
 
-func (f *cilkNode) step2(w *sim.CW) sim.CStep {
+func (f *cilkNode) step2(w *sim.W) sim.CStep {
 	return w.Sync(&f.CFrame, f.step3)
 }
 
-func (f *cilkNode) step3(w *sim.CW) sim.CStep {
+func (f *cilkNode) step3(w *sim.W) sim.CStep {
 	w.Work(f.cost(f.n))
 	*f.res = f.a + f.b
 	return w.Return(&f.CFrame)

@@ -100,7 +100,7 @@ func TestOMPMatchesSerial(t *testing.T) {
 func TestSimMatchesSerial(t *testing.T) {
 	want := ssf.Serial(ssf.FibString(10), nil)
 	res := sim.Run(sim.Config{Procs: 4, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-		workloads.MustLookup("ssf").Sim(workloads.Params{N: 10}), sim.Args{})
+		workloads.MustLookup("ssf").Sim(workloads.Params{N: 10}))
 	if res.Value != want {
 		t.Errorf("sim checksum = %d, want %d", res.Value, want)
 	}
@@ -110,7 +110,7 @@ func TestSimWorkBallpark(t *testing.T) {
 	// Paper Table I: ssf n=12 has RepSz ≈ 552k cycles. Our comparison
 	// model should land within a factor of ~2.
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, workloads.MustLookup("ssf").Sim(workloads.Params{N: 12}), sim.Args{})
+		TrackSpan: true}, workloads.MustLookup("ssf").Sim(workloads.Params{N: 12}))
 	if res.Work < 250_000 || res.Work > 1_200_000 {
 		t.Errorf("ssf(12) work model = %d cycles, want ≈ 552k ± 2x", res.Work)
 	}

@@ -36,7 +36,7 @@ func TestWoolMatchesSerial(t *testing.T) {
 
 func TestSimLeafWorkCharged(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 1, Kind: sim.KindDirectStack, Costs: costmodel.Wool(),
-		TrackSpan: true}, table.Sim(workloads.Params{Height: 6, Iters: 256}), sim.Args{})
+		TrackSpan: true}, table.Sim(workloads.Params{Height: 6, Iters: 256}))
 	if res.Value != 64 {
 		t.Fatalf("leaves = %d, want 64", res.Value)
 	}
@@ -52,7 +52,7 @@ func TestSimLeafWorkCharged(t *testing.T) {
 
 func TestSimRepsSerializeRegions(t *testing.T) {
 	res := sim.Run(sim.Config{Procs: 8, Kind: sim.KindDirectStack, Costs: costmodel.Wool()},
-		table.Sim(workloads.Params{Height: 3, Iters: 4096, Reps: 50}), sim.Args{})
+		table.Sim(workloads.Params{Height: 3, Iters: 4096, Reps: 50}))
 	if res.Value != 50*8 {
 		t.Fatalf("leaves = %d, want 400", res.Value)
 	}
@@ -76,20 +76,5 @@ func TestCilkSimTreeMatchesSerial(t *testing.T) {
 		if want := int64(10 * 64); got != want {
 			t.Errorf("procs=%d: leaves = %d, want %d", procs, got, want)
 		}
-	}
-}
-
-// TestCilkSimConstantSpaceSpawnLoop is the paper's Section I-a space
-// property, on the simulator: under steal-parent execution the task
-// pool holds at most one continuation regardless of loop length, where
-// a steal-child pool would hold one task per element.
-func TestCilkSimConstantSpaceSpawnLoop(t *testing.T) {
-	cfg := sim.Config{Procs: 1, Costs: costmodel.CilkPP()}
-	hits, res := stress.RunCilkSimSpawnLoop(cfg, 5000, 16)
-	if hits != 5000 {
-		t.Fatalf("leaves = %d, want 5000", hits)
-	}
-	if res.MaxDeque > 1 {
-		t.Errorf("steal-parent pool high-water = %d, want <= 1 (constant space)", res.MaxDeque)
 	}
 }

@@ -58,7 +58,7 @@ type Workload struct {
 	// simulators instantiate it. Nil for the other rows.
 	rec func(Params) (sched.RecJob, func(n int64) uint64)
 	// sim is the simulated root of a row without rec.
-	sim func(Params) *sim.Def
+	sim func(Params) sim.Root
 }
 
 // Name is the table key (also the -workload value).
@@ -88,9 +88,9 @@ func (w *Workload) Native(pool *sched.Pool, p Params) (int64, error) {
 	return w.native(pool, p.Norm())
 }
 
-// Sim returns a fresh simulated root, to run with empty sim.Args: runs
-// never share mutable state. Its value is the same sum as Serial.
-func (w *Workload) Sim(p Params) *sim.Def {
+// Sim returns a fresh simulated root: runs never share mutable state.
+// Its value is the same sum as Serial.
+func (w *Workload) Sim(p Params) sim.Root {
 	p = p.Norm()
 	if w.rec != nil {
 		return simRec(w.rec(p))
@@ -101,9 +101,9 @@ func (w *Workload) Sim(p Params) *sim.Def {
 // Cilk runs the row's job under steal-parent simulation (sim.RunCilkSim)
 // and returns its value, the same sum as Serial, with the run's result.
 // ok is false for a row whose job is not a recursion.
-func (w *Workload) Cilk(cfg sim.Config, p Params) (value int64, res sim.CResult, ok bool) {
+func (w *Workload) Cilk(cfg sim.Config, p Params) (value int64, res sim.Result, ok bool) {
 	if w.rec == nil {
-		return 0, sim.CResult{}, false
+		return 0, sim.Result{}, false
 	}
 	j, cost := w.rec(p.Norm())
 	value, res = cilkRec(cfg, j, cost)
@@ -149,7 +149,7 @@ var table = []Workload{{
 	},
 	// The simulator charges each row rather than multiplying it: the
 	// leaf keeps only the row count the native leaf returns.
-	sim: func(p Params) *sim.Def {
+	sim: func(p Params) sim.Root {
 		j := mm.Job(&mm.Matrices{N: p.N}, p.Reps)
 		j.Leaf = func(int64) int64 { return 1 }
 		return simRange(j, mm.SimCycles(p.N))
@@ -162,7 +162,7 @@ var table = []Workload{{
 	native: func(pool *sched.Pool, p Params) (int64, error) {
 		return pool.RunRange(ssf.Job(&ssf.Work{S: ssf.FibString(p.N)}, p.Reps)), nil
 	},
-	sim: func(p Params) *sim.Def {
+	sim: func(p Params) sim.Root {
 		s := ssf.FibString(p.N)
 		wk := &ssf.Work{S: s, Comparisons: make([]int64, len(s))}
 		return simRange(ssf.Job(wk, p.Reps), ssf.SimCycles(wk))
@@ -176,9 +176,9 @@ var table = []Workload{{
 	// Generating a repetition's matrix costs no virtual time, like a
 	// harness resetting state outside the timed kernel, so RepSz is
 	// the factorization alone.
-	sim: func(p Params) *sim.Def {
+	sim: func(p Params) sim.Root {
 		sc := cholesky.NewSim()
-		return sim.Reps("cholesky-reps", p.Reps, func(w *sim.W, r int64) int64 {
+		return sim.Reps(p.Reps, func(w *sim.W, r int64) int64 {
 			return choleskyRep(p, r, func(m *cholesky.Matrix) { sc.FactorOn(w, m) })
 		})
 	},
