@@ -92,26 +92,25 @@ bench-test:
 generate:
 	$(GO) generate ./...
 
-# The steal-policy sweep (DESIGN.md §14): every policy × amount ×
-# workload on every backend advertising steal policies, with the steal
-# matrix extracted from the run's trace, plus the same policy grid on
-# the simulator's sharded 64-processor topology. The report goes to
+# The steal-policy sweep (DESIGN.md §14): every policy × workload on
+# every backend advertising steal policies, with the steal matrix
+# extracted from the run's trace, plus the same policy grid on the
+# simulator's sharded 64-processor topology. The report goes to
 # STEALSWEEP_JSON; nothing is committed.
 STEALSWEEP_JSON ?= /tmp/woolsteal-smoke.json
 stealsweep:
 	$(GO) run ./cmd/woolbench -scale full -stealsweep $(STEALSWEEP_JSON)
 
 # CI smoke of the same sweep at quick scale: the grid must complete,
-# cover all four policies and both amounts, and the localized policy
-# must concentrate steals inside its neighborhood (local_frac 1 at 4
-# workers with neighborhood 2, where random leaves the neighborhood).
+# cover all four policies, and the localized policy must concentrate
+# steals inside its neighborhood (local_frac 1 at 4 workers with
+# neighborhood 2, where random leaves the neighborhood).
 stealsweep-smoke:
 	$(GO) run ./cmd/woolbench -scale quick -stealsweep $(STEALSWEEP_JSON)
 	grep -q '"policy": "random"' $(STEALSWEEP_JSON)
 	grep -q '"policy": "last-victim"' $(STEALSWEEP_JSON)
 	grep -q '"policy": "sequential"' $(STEALSWEEP_JSON)
 	grep -q '"policy": "localized"' $(STEALSWEEP_JSON)
-	grep -q '"amount": "half"' $(STEALSWEEP_JSON)
 	grep -q '"kind": "direct-stack"' $(STEALSWEEP_JSON)
 
 # The self-healing soak (DESIGN.md §17): a seeded mixed workload —

@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scaleFlag := fs.String("scale", "quick", "input scale: quick or full")
 	list := fs.Bool("list", false, "list experiments and exit")
-	stealsweep := fs.String("stealsweep", "", "run the steal-policy sweep (policy × amount × backend × workload natively, plus the sharded-topology simulator grid) and write machine-readable results to `FILE`; honours -scale")
+	stealsweep := fs.String("stealsweep", "", "run the steal-policy sweep (policy × backend × workload natively, plus the sharded-topology simulator grid) and write machine-readable results to `FILE`; honours -scale")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: woolbench [-scale quick|full] [experiment ...]\n       woolbench -list\n       woolbench [-scale quick|full] -stealsweep FILE\n\nflags:\n")
 		fs.PrintDefaults()

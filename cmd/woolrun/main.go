@@ -14,7 +14,7 @@
 //	woolrun -sim -workload fib -n 24 -workers 8
 //	woolrun -workload fib -n 30 -workers 4 -trace out.json -stealmatrix
 //	woolrun -workload fib -n 28 -workers 8 -stealpolicy localized -stealmatrix
-//	woolrun -workload fib -n 28 -sched chaselev -stealpolicy last-victim -stealamount half
+//	woolrun -workload fib -n 28 -sched chaselev -stealpolicy last-victim
 //	woolrun -checktrace out.json
 //	woolrun -workload fib -n 25 -workers 4 -chaos cas-starve -chaosseed 7
 //	woolrun -workload fib -n 30 -workers 4 -watchdog 5s
@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&c.stats, "stats", false, "print scheduler statistics")
 
 	fs.StringVar(&c.steal.Policy, "stealpolicy", "", "victim-selection policy: random | last-victim | sequential | localized (schedulers advertising steal policies; default: the backend's historical random)")
-	fs.StringVar(&c.steal.Amount, "stealamount", "", "tasks per steal: one | half (schedulers advertising steal amounts)")
 
 	fs.StringVar(&c.traceOut, "trace", "", "write a Chrome trace_event JSON of the run to this file (schedulers with the trace capability)")
 	fs.BoolVar(&c.stealMat, "stealmatrix", false, "print the worker×worker steal matrix after the run (leapfrog steals marked *)")
@@ -134,8 +133,7 @@ func listSchedulers(w io.Writer) {
 		fmt.Fprintf(w, "%-10s %s\n", "", s.Blurb())
 		fmt.Fprintf(w, "%-10s steal: %s\n", "", c.Steal)
 		if len(c.StealPolicies) > 0 {
-			fmt.Fprintf(w, "%-10s policies: %s | amounts: %s\n", "",
-				strings.Join(c.StealPolicies, " "), strings.Join(c.StealAmounts, " "))
+			fmt.Fprintf(w, "%-10s policies: %s\n", "", strings.Join(c.StealPolicies, " "))
 		}
 	}
 }
@@ -206,8 +204,8 @@ func (c *config) runNative(w, stderr io.Writer, wl *workloads.Workload) int {
 	}
 	// Fail fast on any flag the backend cannot honour — including an
 	// unsupported MEMBER of a non-empty capability list (for example
-	// -stealamount half on the direct task stack), which the old
-	// empty-list-only checks silently fell back to the default on.
+	// an unknown -stealpolicy), which the old empty-list-only checks
+	// silently fell back to the default on.
 	if err := sched.CheckOptions(s.Caps(), opts); err != nil {
 		fmt.Fprintf(stderr, "scheduler %s cannot run with these flags:\n%v\n", s.Name(), err)
 		return 2

@@ -214,12 +214,8 @@ type Options struct {
 	// protocol (PointDequePop, PointThiefCAS, PointLeapfrogPick,
 	// PointParkDecision). nil disables injection at zero cost.
 	Chaos *chaos.Injector
-	// Steal selects the victim policy and the steal amount
-	// (internal/steal). The zero value is the historical behaviour:
-	// uniform random victims, one task per steal. Amount "half" makes
-	// a successful thief drain up to half of the victim's visible
-	// tasks in a burst of top-CAS claims (Hendler & Shavit) and run
-	// them oldest-first.
+	// Steal selects the victim policy (internal/steal). The zero
+	// value is the historical behaviour: uniform random victims.
 	Steal steal.Config
 }
 
@@ -244,11 +240,10 @@ func (o Options) defaults() Options {
 
 // Pool is a deque-scheduler instance.
 type Pool struct {
-	opts      Options
-	workers   []*Worker
-	stealHalf bool // Options.Steal.Amount == "half": batch extraction on
-	life      wskit.Life
-	wg        sync.WaitGroup
+	opts    Options
+	workers []*Worker
+	life    wskit.Life
+	wg      sync.WaitGroup
 }
 
 // NewPool creates the pool; worker 0 is driven by Run's caller.
@@ -260,7 +255,7 @@ func NewPool(opts Options) *Pool {
 		panic(fmt.Sprintf("chaselev: Options.Workers = %d exceeds the int32 stolenBy encoding (thief index + 1)", opts.Workers))
 	}
 	wskit.CheckSinks("chaselev", opts.Workers, opts.Trace, opts.Chaos)
-	p := &Pool{opts: opts, stealHalf: opts.Steal.Amount == steal.AmountHalf, life: wskit.Life{Name: "chaselev"}}
+	p := &Pool{opts: opts, life: wskit.Life{Name: "chaselev"}}
 	p.workers = make([]*Worker, opts.Workers)
 	for i := range p.workers {
 		w := &Worker{
@@ -468,69 +463,9 @@ func (w *Worker) trySteal(victim *Worker, countWait bool) bool {
 	if w.trc != nil {
 		w.trc.Record(trace.KindSteal, int64(victim.idx), t)
 	}
-	if w.pool.stealHalf {
-		// The whole half leaves the victim's deque in one burst before
-		// anything runs; tasks then execute oldest-first (batch[i]
-		// were claimed after task, so task runs first). The burst must
-		// be a local: a stolen task's blocked join re-enters trySteal
-		// on this worker mid-drain.
-		var batch [stealBatchMax]*Task
-		n := w.stealBatch(victim, b-t, countWait, &batch)
-		w.runStolen(task)
-		task.done.Store(true)
-		for i := 0; i < n; i++ {
-			w.runStolen(batch[i])
-			batch[i].done.Store(true)
-		}
-		return true
-	}
 	w.runStolen(task)
 	task.done.Store(true)
 	return true
-}
-
-// stealBatchMax caps a steal-half burst: enough to drain a deep victim
-// in a few steals without one thief convoying a huge backlog behind a
-// single running task.
-const stealBatchMax = 15
-
-// stealBatch extends a successful steal to Hendler & Shavit's
-// steal-half: after the first claim, keep CAS-claiming the victim's
-// oldest task until we hold half of what was visible at the first
-// probe (avail), someone else interferes, or the burst cap is hit.
-// Claimed tasks are stamped stolenBy immediately — a blocked joiner
-// leapfrogs to this thief and helps with our own deque while its task
-// waits its turn (the same convoy semantics as locksched's steal-half).
-//
-// woolvet:thief
-func (w *Worker) stealBatch(victim *Worker, avail int64, countWait bool, out *[stealBatchMax]*Task) int {
-	want := (avail+1)/2 - 1 // beyond the task already claimed
-	n := 0
-	for int64(n) < want && n < len(out) {
-		t := victim.top.Load()
-		b := victim.bottom.Load()
-		if t >= b {
-			break
-		}
-		task := victim.buf[t&victim.mask].Load()
-		if task == nil {
-			break
-		}
-		if !victim.top.CompareAndSwap(t, t+1) {
-			break
-		}
-		task.stolenBy.Store(int32(w.idx) + 1)
-		w.steals.Add(1)
-		if countWait {
-			w.stats.WaitSteals++
-		}
-		if w.trc != nil {
-			w.trc.Record(trace.KindSteal, int64(victim.idx), t)
-		}
-		out[n] = task
-		n++
-	}
-	return n
 }
 
 // runStolen executes a stolen task, converting a panic in user code

@@ -166,9 +166,7 @@ type Options struct {
 	// PointParkDecision). nil disables injection at zero cost.
 	Chaos *chaos.Injector
 	// Steal selects the victim policy (internal/steal); the zero value
-	// is the historical uniform-random choice. Steal-parent holds at
-	// most one continuation per spawn nest, so Amount "half" has
-	// nothing extra to take and is ignored.
+	// is the historical uniform-random choice.
 	Steal steal.Config
 }
 

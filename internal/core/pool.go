@@ -55,9 +55,6 @@ type Options struct {
 	// to the same victim first (steals cluster), dropping it at the
 	// first probe that finds nothing. Steal.Policy = steal.Random is
 	// the paper's policy, a fresh random victim per attempt.
-	// Steal.Amount is accepted for registry uniformity but the direct
-	// task stack only supports taking one task per steal: the
-	// descriptor CAS claims exactly one bottom task.
 	Steal steal.Config
 
 	// MaxIdleSleep caps the back-off sleep of idle workers. Zero means

@@ -204,14 +204,8 @@ type Options struct {
 	// PointLeapfrogPick, PointParkDecision). nil disables injection at
 	// zero cost.
 	Chaos *chaos.Injector
-	// Steal selects the victim policy and steal amount
-	// (internal/steal). The zero value is the historical behaviour:
-	// uniform random victims, one task per steal. Amount "half" makes a
-	// successful steal take up to half of the victim's queued tasks in
-	// one locked critical section instead of one (Hendler & Shavit's
-	// steal-half, the paper's reference [14]): fewer lock acquisitions
-	// per unit of migrated work, at the price of claimed-but-unstarted
-	// tasks convoying behind the first.
+	// Steal selects the victim policy (internal/steal). The zero
+	// value is the historical behaviour: uniform random victims.
 	Steal steal.Config
 }
 
@@ -231,11 +225,10 @@ func (o Options) defaults() Options {
 
 // Pool is a lock-based scheduler instance.
 type Pool struct {
-	opts      Options
-	workers   []*Worker
-	stealHalf bool // Options.Steal.Amount == "half": batch extraction on
-	life      wskit.Life
-	wg        sync.WaitGroup
+	opts    Options
+	workers []*Worker
+	life    wskit.Life
+	wg      sync.WaitGroup
 }
 
 // NewPool creates the pool; worker 0 is driven by Run's caller.
@@ -247,7 +240,7 @@ func NewPool(opts Options) *Pool {
 		panic(fmt.Sprintf("locksched: Options.Workers = %d exceeds the int32 stolenBy encoding (thief index + 1)", opts.Workers))
 	}
 	wskit.CheckSinks("locksched", opts.Workers, opts.Trace, opts.Chaos)
-	p := &Pool{opts: opts, stealHalf: opts.Steal.Amount == steal.AmountHalf, life: wskit.Life{Name: "locksched"}}
+	p := &Pool{opts: opts, life: wskit.Life{Name: "locksched"}}
 	p.workers = make([]*Worker, opts.Workers)
 	for i := range p.workers {
 		w := &Worker{
@@ -472,32 +465,17 @@ func (w *Worker) trySteal(victim *Worker) bool {
 		victim.lock.Unlock()
 		return false
 	}
-	take := int64(1)
-	if w.pool.stealHalf {
-		if avail := top - bot; avail > 1 {
-			take = (avail + 1) / 2
-		}
-	}
-	for i := int64(0); i < take; i++ {
-		victim.tasks[bot+i].stolenBy = int32(w.idx) + 1
-	}
-	victim.bot.Store(bot + take)
+	victim.tasks[bot].stolenBy = int32(w.idx) + 1
+	victim.bot.Store(bot + 1)
 	victim.lock.Unlock()
 
 	w.steals.Add(1)
 	if w.trc != nil {
 		w.trc.Record(trace.KindSteal, int64(victim.idx), bot)
 	}
-	// Run the claimed tasks oldest-first (the order thieves would have
-	// taken them individually). runStolen recovers a panicking task so
-	// the remaining claimed tasks still execute and every done flag
-	// still publishes — with steal-half a single unrecovered panic would
-	// strand every task convoying behind it and deadlock their joins.
-	for i := int64(0); i < take; i++ {
-		t := &victim.tasks[bot+i]
-		w.runStolen(t)
-		t.done.Store(true)
-	}
+	t := &victim.tasks[bot]
+	w.runStolen(t)
+	t.done.Store(true)
 	return true
 }
 

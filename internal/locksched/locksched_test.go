@@ -161,3 +161,39 @@ func TestWorkersBoundRejected(t *testing.T) {
 	}()
 	NewPool(Options{Workers: 1 << 31})
 }
+
+// TestStealTakesOldestOne: one successful trySteal against a victim
+// with several queued tasks claims and runs exactly one, the oldest,
+// and the victim's join of that task returns the thief's result.
+func TestStealTakesOldestOne(t *testing.T) {
+	p := NewPool(Options{Workers: 2})
+	p.Close() // idle loops gone: the pools are driven by hand
+	victim, thief := p.workers[0], p.workers[1]
+	var ran []int64
+	leaf := Define1("leaf", func(w *Worker, x int64) int64 {
+		ran = append(ran, x)
+		return 10 + x
+	})
+	for x := int64(0); x < 4; x++ {
+		leaf.Spawn(victim, x)
+	}
+	if !thief.trySteal(victim) {
+		t.Fatal("trySteal failed against a full pool")
+	}
+	if len(ran) != 1 || ran[0] != 0 {
+		t.Fatalf("one steal ran %v, want [0]", ran)
+	}
+	if left := victim.Depth(); left != 3 {
+		t.Fatalf("victim left with %d tasks, want 3", left)
+	}
+	if s := thief.steals.Load(); s != 1 {
+		t.Fatalf("steals counter %d, want 1", s)
+	}
+	var sum int64
+	for x := 0; x < 4; x++ {
+		sum += leaf.Join(victim)
+	}
+	if sum != 46 {
+		t.Fatalf("joins summed to %d, want 46", sum)
+	}
+}

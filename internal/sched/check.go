@@ -9,12 +9,11 @@ import (
 
 // CheckOptions reports, before pool construction, every way o asks for
 // a capability that caps does not advertise — including an unsupported
-// member of a non-empty list, such as Steal.Amount half on the direct
-// task stack, which takes one task per steal. A pool ignores what its
-// backend cannot honour, so that registry sweeps can hand one Options
-// to every row; callers that want fail-fast semantics (cmd/woolrun and
-// the serving layer's lane construction) run this first and refuse to
-// build the pool on a non-nil error.
+// member of a non-empty list, such as an unknown Steal.Policy. A pool
+// ignores what its backend cannot honour, so that registry sweeps can
+// hand one Options to every row; callers that want fail-fast semantics
+// (cmd/woolrun and the serving layer's lane construction) run this
+// first and refuse to build the pool on a non-nil error.
 //
 // The returned error joins one entry per violation (errors.Join), each
 // naming the offending option and listing the supported values.
@@ -37,13 +36,6 @@ func CheckOptions(caps Caps, o Options) error {
 			errs = append(errs, fmt.Errorf("Steal.Policy %q: backend has no policy-driven victim selection", p))
 		} else {
 			errs = append(errs, fmt.Errorf("Steal.Policy %q: backend supports %s", p, strings.Join(caps.StealPolicies, ", ")))
-		}
-	}
-	if a := o.Steal.Amount; a != "" && !slices.Contains(caps.StealAmounts, a) {
-		if len(caps.StealAmounts) == 0 {
-			errs = append(errs, fmt.Errorf("Steal.Amount %q: backend has no configurable steal amount", a))
-		} else {
-			errs = append(errs, fmt.Errorf("Steal.Amount %q: backend supports %s", a, strings.Join(caps.StealAmounts, ", ")))
 		}
 	}
 	return errors.Join(errs...)

@@ -32,7 +32,7 @@ import (
 type registryRow struct {
 	name, blurb, steal                           string
 	private, stats, taskDefs, trc, chs, watchdog bool
-	policies, amounts                            []string
+	policies                                     []string
 }
 
 func rowOf(s interface {
@@ -45,7 +45,7 @@ func rowOf(s interface {
 		name: s.Name(), blurb: s.Blurb(), steal: c.Steal,
 		private: c.PrivateTasks, stats: c.Stats, taskDefs: c.TaskDefs,
 		trc: c.Trace, chs: c.Chaos, watchdog: c.Watchdog,
-		policies: c.StealPolicies, amounts: c.StealAmounts,
+		policies: c.StealPolicies,
 	}
 }
 
@@ -56,21 +56,21 @@ func rowOf(s interface {
 func TestRegistry(t *testing.T) {
 	woolBlurb := "direct task stack (the paper's scheduler): descriptors inline in a per-worker array, thief/victim sync on the descriptor state word, private tasks, leapfrogging"
 	woolSteal := "CAS on the task descriptor's state word; steal child, oldest first"
-	all, one := steal.Policies(), []string{steal.AmountOne}
+	all := steal.Policies()
 	want := []registryRow{
-		{"wool", woolBlurb, woolSteal, true, true, true, true, true, true, all, one},
+		{"wool", woolBlurb, woolSteal, true, true, true, true, true, true, all},
 		{"woolgen", "direct task stack behind woolgen-generated monomorphic ports: private-path spawn/join flattens to plain stores and direct body calls",
-			woolSteal, true, true, true, true, true, true, all, one},
+			woolSteal, true, true, true, true, true, true, all},
 		{"chaselev", "Chase-Lev deque, TBB-style: free-list task structures, pointer deque, thief/victim sync on the top/bottom indices, steal-anywhere blocked joins",
-			"CAS on the deque's top index; steal child, oldest first", false, true, true, true, true, false, all, steal.Amounts()},
+			"CAS on the deque's top index; steal child, oldest first", false, true, true, true, true, false, all},
 		{"locksched", "lock-based ladder: per-worker locked task pools, base/peek/trylock steal strategies, leapfrogging joins",
-			"per-worker lock around the victim's pool; steal child, oldest first", false, true, true, true, true, false, all, steal.Amounts()},
+			"per-worker lock around the victim's pool; steal child, oldest first", false, true, true, true, true, false, all},
 		{"cilk", "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops",
-			"lock on the victim's continuation deque; steal parent (the continuation), oldest first", false, true, false, true, true, false, all, one},
+			"lock on the victim's continuation deque; steal parent (the continuation), oldest first", false, true, false, true, true, false, all},
 		{"omp", "centralized pool, icc OpenMP 3.0-style: closure tasks through one global lock, taskwait helps, loops by work-sharing",
-			"one lock-protected central queue; any idle worker takes the oldest task", false, true, false, true, true, false, nil, nil},
+			"one lock-protected central queue; any idle worker takes the oldest task", false, true, false, true, true, false, nil},
 		{"gonative", "idiomatic Go baseline: goroutines + channels/WaitGroups on the Go runtime, bounded forking for recursion, goroutine-per-chunk loops",
-			"the Go runtime's own scheduler; no explicit task pool", false, false, false, false, false, false, nil, nil},
+			"the Go runtime's own scheduler; no explicit task pool", false, false, false, false, false, false, nil},
 	}
 	got := sched.Names()
 	if len(got) != len(want) {

@@ -76,11 +76,10 @@ type Options struct {
 	// wait loop; no goroutine runs for it. 0 disables it. Backends
 	// without the capability ignore it.
 	Watchdog time.Duration
-	// Steal selects the victim policy and steal amount
-	// (internal/steal) on backends that advertise them
-	// (Caps.StealPolicies / Caps.StealAmounts). The zero value is each
-	// backend's historical default — uniform-random victims, one task
-	// per steal. Backends without the capability ignore it.
+	// Steal selects the victim policy (internal/steal) on backends
+	// that advertise one (Caps.StealPolicies). The zero value is each
+	// backend's historical default. Backends without the capability
+	// ignore it.
 	Steal steal.Config
 }
 
@@ -112,10 +111,6 @@ type Caps struct {
 	// victim selection honours (empty: no policy-driven victim
 	// selection — central queues, no-steal baselines).
 	StealPolicies []string
-	// StealAmounts lists the Options.Steal.Amount names the backend
-	// honours; backends whose pools support batch extraction include
-	// steal.AmountHalf.
-	StealAmounts []string
 }
 
 // Scheduler is one row of the registry.
@@ -136,7 +131,7 @@ func (s *Scheduler) Blurb() string { return s.blurb }
 // Caps returns the capability flags; the lists are the caller's own.
 func (s *Scheduler) Caps() Caps {
 	c := s.caps
-	c.StealPolicies, c.StealAmounts = slices.Clone(c.StealPolicies), slices.Clone(c.StealAmounts)
+	c.StealPolicies = slices.Clone(c.StealPolicies)
 	return c
 }
 
@@ -199,17 +194,14 @@ func (p *Pool) Native() any { return p.native }
 
 // woolCaps is the direct task stack's row, behind either port layer.
 var woolCaps = Caps{
-	Steal:        "CAS on the task descriptor's state word; steal child, oldest first",
-	PrivateTasks: true,
-	Stats:        true,
-	TaskDefs:     true,
-	Trace:        true,
-	Chaos:        true,
-	Watchdog:     true,
-	// The direct task stack takes one task per steal: descriptors live
-	// in the victim's stack and are claimed individually.
+	Steal:         "CAS on the task descriptor's state word; steal child, oldest first",
+	PrivateTasks:  true,
+	Stats:         true,
+	TaskDefs:      true,
+	Trace:         true,
+	Chaos:         true,
+	Watchdog:      true,
 	StealPolicies: steal.Policies(),
-	StealAmounts:  []string{steal.AmountOne},
 }
 
 // registry is the table, in presentation order: the paper's system
@@ -245,15 +237,12 @@ var registry = []Scheduler{{
 	name:  "chaselev",
 	blurb: "Chase-Lev deque, TBB-style: free-list task structures, pointer deque, thief/victim sync on the top/bottom indices, steal-anywhere blocked joins",
 	caps: Caps{
-		Steal:    "CAS on the deque's top index; steal child, oldest first",
-		Stats:    true,
-		TaskDefs: true,
-		Trace:    true,
-		Chaos:    true,
-		// The index-synchronized deque supports batch extraction: a
-		// thief can CAS-claim a run of top entries (steal-half).
+		Steal:         "CAS on the deque's top index; steal child, oldest first",
+		Stats:         true,
+		TaskDefs:      true,
+		Trace:         true,
+		Chaos:         true,
 		StealPolicies: steal.Policies(),
-		StealAmounts:  steal.Amounts(),
 	},
 	newPool: func(p *Pool, o Options) {
 		np := chaselev.NewPool(chaselev.Options{
@@ -279,15 +268,12 @@ var registry = []Scheduler{{
 	name:  "locksched",
 	blurb: "lock-based ladder: per-worker locked task pools, base/peek/trylock steal strategies, leapfrogging joins",
 	caps: Caps{
-		Steal:    "per-worker lock around the victim's pool; steal child, oldest first",
-		Stats:    true,
-		TaskDefs: true,
-		Trace:    true,
-		Chaos:    true,
-		// The victim's lock covers the whole pool, so a thief can take
-		// half the stealable run in one critical section (steal-half).
+		Steal:         "per-worker lock around the victim's pool; steal child, oldest first",
+		Stats:         true,
+		TaskDefs:      true,
+		Trace:         true,
+		Chaos:         true,
 		StealPolicies: steal.Policies(),
-		StealAmounts:  steal.Amounts(),
 	},
 	newPool: func(p *Pool, o Options) {
 		np := locksched.NewPool(locksched.Options{
@@ -307,14 +293,11 @@ var registry = []Scheduler{{
 	name:  "cilk",
 	blurb: "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops",
 	caps: Caps{
-		Steal: "lock on the victim's continuation deque; steal parent (the continuation), oldest first",
-		Stats: true,
-		Trace: true,
-		Chaos: true,
-		// Steal-parent holds at most one ready continuation per nesting
-		// level, so there is no batch to take: amount is always one.
+		Steal:         "lock on the victim's continuation deque; steal parent (the continuation), oldest first",
+		Stats:         true,
+		Trace:         true,
+		Chaos:         true,
 		StealPolicies: steal.Policies(),
-		StealAmounts:  []string{steal.AmountOne},
 	},
 	newPool: func(p *Pool, o Options) {
 		np := cilkstyle.NewPool(cilkstyle.Options{

@@ -309,10 +309,6 @@ func TestCheckOptions(t *testing.T) {
 			cases = append(cases, gated{"Steal.Policy=" + pol,
 				sched.Options{Steal: steal.Config{Policy: pol}}, slices.Contains(caps.StealPolicies, pol)})
 		}
-		for _, amt := range steal.Amounts() {
-			cases = append(cases, gated{"Steal.Amount=" + amt,
-				sched.Options{Steal: steal.Config{Amount: amt}}, slices.Contains(caps.StealAmounts, amt)})
-		}
 		for _, c := range cases {
 			c.opts.Workers = workers
 			err := sched.CheckOptions(caps, c.opts)

@@ -205,13 +205,13 @@ func TestServeLanesRunPrivate(t *testing.T) {
 // task stack does; New refuses the rest before it builds a pool, naming
 // the option.
 func TestServeRefusesUnsupportedPoolOptions(t *testing.T) {
-	s, err := New(Options{Workers: 1, Pool: sched.Options{Steal: steal.Config{Amount: steal.AmountHalf}}})
+	s, err := New(Options{Workers: 1, Pool: sched.Options{Steal: steal.Config{Policy: "zigzag"}}})
 	if err == nil {
 		s.Close()
-		t.Fatal("New accepted Steal.Amount half, which the direct task stack cannot honour")
+		t.Fatal("New accepted Steal.Policy zigzag, which the direct task stack cannot honour")
 	}
-	if !strings.Contains(err.Error(), "Steal.Amount") {
-		t.Errorf("refusal %q does not name Steal.Amount", err)
+	if !strings.Contains(err.Error(), "Steal.Policy") {
+		t.Errorf("refusal %q does not name Steal.Policy", err)
 	}
 }
 

@@ -127,8 +127,7 @@ type Config struct {
 	// Steal selects the victim policy (internal/steal). The zero value
 	// is the uniform-random policy with RNG streams derived from Seed —
 	// bit-identical to the pre-policy simulator. Steal.Seed, when left
-	// zero, inherits Seed. Steal.Amount is accepted for sweep-grid
-	// uniformity but the simulated protocols take one task per steal.
+	// zero, inherits Seed.
 	Steal steal.Config
 
 	// Topology is the sharded-machine model; the zero value is a flat

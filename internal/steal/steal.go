@@ -15,11 +15,6 @@
 // neighborhood of nearby workers, spilling to a uniformly random remote
 // victim with small probability.
 //
-// The steal *amount* (one task vs half the victim's pool, Hendler &
-// Shavit's steal-half) is a second independent axis; it is carried in
-// Config.Amount and honoured by the backends whose pools support batch
-// extraction (chaselev, locksched).
-//
 // Concurrency contract: a Policy is owner-private state of exactly one
 // worker — only the goroutine driving that worker may call its methods
 // (the woolvet ownerprivate pass checks the backends' policy fields).
@@ -50,24 +45,10 @@ const (
 	Localized = "localized"
 )
 
-// Steal amounts (Config.Amount).
-const (
-	// AmountOne takes a single task per successful steal (the default
-	// and the paper's policy).
-	AmountOne = "one"
-	// AmountHalf takes up to half of the victim's queued tasks in one
-	// claim (Hendler & Shavit's steal-half) on backends whose pools
-	// support batch extraction; others ignore it.
-	AmountHalf = "half"
-)
-
 // Policies returns the victim-policy names in presentation order.
 func Policies() []string {
 	return []string{Random, LastVictim, Sequential, Localized}
 }
-
-// Amounts returns the steal-amount names.
-func Amounts() []string { return []string{AmountOne, AmountHalf} }
 
 // localizedSpill is the Localized spill-out probability, 0.05, as the
 // fixed-point threshold the high 32 bits of a draw are compared
@@ -75,8 +56,8 @@ func Amounts() []string { return []string{AmountOne, AmountHalf} }
 const localizedSpill = 214748364
 
 // Config selects and parameterizes a victim policy. The zero value is
-// usable: it resolves to the uniform-random policy, taking one task per
-// steal — every backend's historical default.
+// usable: it resolves to the uniform-random policy — every backend's
+// historical default.
 type Config struct {
 	// Policy is one of Policies(); "" means Random.
 	Policy string
@@ -86,11 +67,6 @@ type Config struct {
 	// eligible for a local steal. 0 means the default of 4; values
 	// >= workers-1 degenerate to Random.
 	Neighborhood int
-
-	// Amount is AmountOne or AmountHalf; "" means AmountOne. Honoured
-	// by backends whose pools support batch extraction (see
-	// sched.Caps.StealAmounts).
-	Amount string
 
 	// Seed, when nonzero, derives the per-worker RNG streams from a
 	// run seed (the simulator's convention, matching its pre-refactor
@@ -108,24 +84,16 @@ func (c Config) Defaults() Config {
 	if c.Neighborhood <= 0 {
 		c.Neighborhood = 4
 	}
-	if c.Amount == "" {
-		c.Amount = AmountOne
-	}
 	return c
 }
 
-// Validate reports whether c names a known policy and amount. Call it
+// Validate reports whether c names a known policy. Call it
 // on the pre-Defaults value or after; both accept "".
 func (c Config) Validate() error {
 	switch c.Policy {
 	case "", Random, LastVictim, Sequential, Localized:
 	default:
 		return fmt.Errorf("unknown steal policy %q (have %v)", c.Policy, Policies())
-	}
-	switch c.Amount {
-	case "", AmountOne, AmountHalf:
-	default:
-		return fmt.Errorf("unknown steal amount %q (have %v)", c.Amount, Amounts())
 	}
 	return nil
 }

@@ -7,19 +7,19 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	d := Config{}.Defaults()
-	want := Config{Policy: Random, Neighborhood: 4, Amount: AmountOne}
+	want := Config{Policy: Random, Neighborhood: 4}
 	if d != want {
 		t.Fatalf("Defaults() = %+v, want %+v", d, want)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
-	for _, ok := range []Config{{}, {Policy: Localized, Amount: AmountHalf}, {Policy: Sequential}} {
+	for _, ok := range []Config{{}, {Policy: Localized}, {Policy: Sequential}} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", ok, err)
 		}
 	}
-	for _, bad := range []Config{{Policy: "zigzag"}, {Amount: "all"}} {
+	for _, bad := range []Config{{Policy: "zigzag"}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted, want error", bad)
 		}
