@@ -63,6 +63,19 @@ func TestCentralQueueHelping(t *testing.T) {
 	}
 }
 
+// TestCentralPopCountedOnce: every task of a central-queue run is
+// popped exactly once, by an idle thief or by a helping join, and each
+// pop is one steal. fib(15) spawns 986 tasks.
+func TestCentralPopCountedOnce(t *testing.T) {
+	fib := simFib()
+	for _, procs := range []int{1, 2, 4} {
+		res := Run(Config{Procs: procs, Kind: KindCentral, Costs: costmodel.OpenMP()}, call(fib, 15))
+		if res.Total.Spawns != 986 || res.Total.Steals != res.Total.Spawns {
+			t.Errorf("P=%d: spawns = %d, steals = %d; want 986 each", procs, res.Total.Spawns, res.Total.Steals)
+		}
+	}
+}
+
 func TestCentralMultiProcContention(t *testing.T) {
 	fib := simFib()
 	r1 := Run(Config{Procs: 1, Kind: KindCentral, Costs: costmodel.OpenMP()}, call(fib, 15))

@@ -262,9 +262,10 @@ func (w *W) trySteal(victim *W, mode int) bool {
 			w.chargeProbe(nil)
 			return false
 		}
+		// centralPop counted and charged the steal, as it does for a
+		// helping join's pop.
 		prev := w.mode
 		w.mode = mode
-		w.chargeSteal(victim)
 		w.runTask(got)
 		w.mode = prev
 		return true
@@ -381,17 +382,12 @@ func (w *W) claim(t *STask, victim *W) {
 }
 
 // chargeSteal pays a successful steal from victim, under both steal
-// orders: the profile's StealWork, the topology's per-hop penalty, and
-// the coherence model's penalties.
+// orders: the profile's StealWork, the topology's per-hop penalty (the
+// stolen work's cache lines cross the interconnect), and the coherence
+// model's penalties. A central-queue pop is charged by centralPop.
 func (w *W) chargeSteal(victim *W) {
 	c := &w.m.cfg.Costs
-	cost := c.StealWork
-	if w.m.cfg.Kind != KindCentral {
-		// Topology: the stolen work's cache lines cross the
-		// interconnect (central-queue tasks live on the shared queue,
-		// not with the probed victim).
-		cost += costmodel.RemoteStealPenalty * w.m.cfg.Topology.Hops(w.idx, victim.idx, len(w.m.ws))
-	}
+	cost := c.StealWork + costmodel.RemoteStealPenalty*w.m.cfg.Topology.Hops(w.idx, victim.idx, len(w.m.ws))
 	now := w.p.Now()
 	// Coherence model: a victim whose pool was robbed moments ago (or
 	// a machine with steal traffic in flight) serves the stolen work
