@@ -234,12 +234,15 @@ func TestTraceRecordsEvents(t *testing.T) {
 
 // TestStatsSnapshotQuiescentAgreement: on a quiescent pool the racy
 // live accessor must agree exactly with the per-worker contract
-// accessor (the raciness only exists mid-run).
+// accessor (the raciness only exists mid-run). Right after Run the
+// pool is not quiescent: idle thieves keep probing and flush their
+// batched StealAttempts every 64 failures. Close waits for them to
+// exit, after their last flush.
 func TestStatsSnapshotQuiescentAgreement(t *testing.T) {
 	p := NewPool(Options{Workers: 3})
-	defer p.Close()
 	fib := fibDef()
 	p.Run(func(w *Worker) int64 { return fib.Call(w, 15) })
+	p.Close()
 	snap := p.StatsSnapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d workers, want 3", len(snap))
