@@ -99,3 +99,26 @@ func TestStealSweepSimGolden(t *testing.T) {
 		t.Errorf("simulator grid differs from %s:\n%s", path, got)
 	}
 }
+
+// TestRingLocalityCountsTheNeighborhood: at 4 workers the sweep's
+// localized neighborhood of 2 holds a thief's two ring neighbours at
+// distance 1, so a steal at distance 2 is not local, though it is
+// within distance 2.
+func TestRingLocalityCountsTheNeighborhood(t *testing.T) {
+	steals := [][]int64{
+		{0, 3, 2, 1}, // worker 0: 3 from 1, 1 from 3 local; 2 from 2 not
+		{0, 0, 0, 0},
+		{0, 0, 0, 0},
+		{0, 0, 0, 0},
+	}
+	total, meanDist, localFrac := ringLocality(steals)
+	if total != 6 {
+		t.Errorf("total = %d, want 6", total)
+	}
+	if want := 8.0 / 6; meanDist != want {
+		t.Errorf("mean ring distance = %v, want %v", meanDist, want)
+	}
+	if want := 4.0 / 6; localFrac != want {
+		t.Errorf("local fraction = %v, want %v: a distance-2 steal counted as local", localFrac, want)
+	}
+}

@@ -58,8 +58,9 @@ type nativeStealCell struct {
 	Leapfrog int64 `json:"leapfrog"`
 	Central  int64 `json:"central"`
 	// MeanRingDist is the steal-weighted mean thief↔victim ring
-	// distance; LocalFrac the fraction of steals within the Localized
-	// neighborhood radius. Both read the same matrix the policy shaped.
+	// distance; LocalFrac the fraction of steals whose victim is in the
+	// thief's Localized neighborhood (steal.InNeighborhood). Both read
+	// the same matrix the policy shaped.
 	MeanRingDist float64 `json:"mean_ring_dist"`
 	LocalFrac    float64 `json:"local_frac"`
 	// Matrix is Steals[thief][victim] from the trace exporter.
@@ -119,8 +120,9 @@ func sweepScale(full bool) sweepSizes {
 
 // matrixStats reduces a steals[thief][victim] matrix to the locality
 // numbers under a distance: total steals, the steal-weighted mean
-// distance, and the fraction of steals whose distance in accepts.
-func matrixStats(steals [][]int64, dist func(thief, victim int) int, in func(d int) bool) (total int64, mean, frac float64) {
+// distance, and the fraction of steals whose thief and victim in
+// accepts.
+func matrixStats(steals [][]int64, dist func(thief, victim int) int, in func(thief, victim int) bool) (total int64, mean, frac float64) {
 	var distSum, within int64
 	for thief := range steals {
 		for victim, c := range steals[thief] {
@@ -130,7 +132,7 @@ func matrixStats(steals [][]int64, dist func(thief, victim int) int, in func(d i
 			d := dist(thief, victim)
 			total += c
 			distSum += c * int64(d)
-			if in(d) {
+			if in(thief, victim) {
 				within += c
 			}
 		}
@@ -140,6 +142,16 @@ func matrixStats(steals [][]int64, dist func(thief, victim int) int, in func(d i
 		frac = float64(within) / float64(total)
 	}
 	return total, mean, frac
+}
+
+// ringLocality reduces a native cell's steal matrix: total steals, the
+// mean thief↔victim ring distance, and the fraction of steals inside
+// the localized policy's sweepNeighborhood.
+func ringLocality(steals [][]int64) (total int64, meanDist, localFrac float64) {
+	n := len(steals)
+	return matrixStats(steals,
+		func(thief, victim int) int { return steal.RingDistance(thief, victim, n) },
+		func(thief, victim int) bool { return steal.InNeighborhood(thief, victim, sweepNeighborhood, n) })
 }
 
 // runNativeCell runs one backend × policy × workload cell on a traced
@@ -178,9 +190,7 @@ func runNativeCell(s *sched.Scheduler, pol string, sw sweepWorkload, sz sweepSiz
 	cell.BestMs = float64(best) / float64(time.Millisecond)
 	m := tr.StealMatrix()
 	cell.Matrix = m.Steals
-	cell.Steals, cell.MeanRingDist, cell.LocalFrac = matrixStats(m.Steals,
-		func(thief, victim int) int { return steal.RingDistance(thief, victim, m.Workers) },
-		func(d int) bool { return d <= sweepNeighborhood })
+	cell.Steals, cell.MeanRingDist, cell.LocalFrac = ringLocality(m.Steals)
 	for thief := range m.Leap {
 		cell.Central += m.Central[thief]
 		for _, c := range m.Leap[thief] {
@@ -209,9 +219,9 @@ func runSimCell(kind sim.Kind, pol string, sw sweepWorkload, sz sweepSizes) simS
 		KCycles: float64(res.Makespan) / 1e3,
 	}
 	// MeanHops and RemoteFrac use the hop rule the simulator charges.
-	cell.Steals, cell.MeanHops, cell.RemoteFrac = matrixStats(res.StealsFrom,
-		func(thief, victim int) int { return int(cfg.Topology.Hops(thief, victim, sz.simProcs)) },
-		func(h int) bool { return h > 0 })
+	hops := func(thief, victim int) int { return int(cfg.Topology.Hops(thief, victim, sz.simProcs)) }
+	cell.Steals, cell.MeanHops, cell.RemoteFrac = matrixStats(res.StealsFrom, hops,
+		func(thief, victim int) bool { return hops(thief, victim) > 0 })
 	return cell
 }
 

@@ -9,10 +9,9 @@
 // directory of -out) and writes <name>Expanded, the body with each
 // Spawn<Name> statement and Join<Name> assignment expanded in place,
 // plus Spawn<Name>, Join<Name> and Call<Name> (and the Spawn<Name>N /
-// Join<Name>N batch pair with :batch) around it. The output carries a
-// provenance header checked by the woolvet generated pass, and the
-// internal/gen drift tests fail when a committed output goes stale —
-// regenerate with `go generate ./...`.
+// Join<Name>N batch pair with :batch) around it. The internal/gen
+// drift test fails when a committed output goes stale or is
+// hand-edited — regenerate with `go generate ./...`.
 package main
 
 import (

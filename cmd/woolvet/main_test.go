@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,5 +81,39 @@ func TestRun(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr.String())
 			}
 		})
+	}
+}
+
+// TestPassesMatchREADME checks the pass names in README's woolvet
+// table against analysis.All(): the same passes, in the same order. A
+// row in parentheses names a check that is not a pass of its own.
+func TestPassesMatchREADME(t *testing.T) {
+	var passes []string
+	for _, a := range analysis.All() {
+		passes = append(passes, a.Name)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "| pass | checks |\n")
+	if !ok {
+		t.Fatal(`README has no woolvet table (header "| pass | checks |")`)
+	}
+	var table []string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		table = append(table, strings.Trim(strings.TrimSpace(cells[1]), "`"))
+	}
+
+	if !slices.Equal(table, passes) {
+		t.Errorf("README woolvet table disagrees with analysis.All():\nREADME: %v\nAll():  %v", table, passes)
 	}
 }

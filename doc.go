@@ -24,8 +24,8 @@
 //
 // # Usage
 //
-// Tasks are declared once with Define1..Define4 (int64 arguments) or
-// DefineC1/DefineC2 (typed context pointer + int64s), then spawned and
+// Tasks are declared once with Define1..Define3 (int64 arguments) or
+// DefineC1..DefineC3 (typed context pointer + int64s), then spawned and
 // joined through a Worker. The canonical example, the paper's Figure 2:
 //
 //	var fib *gowool.TaskDef1
@@ -117,11 +117,10 @@ type (
 	// ...): the vocabulary the simulator and every baseline count too.
 	Stats = core.Stats
 
-	// TaskDef1..TaskDef4 are task definitions with 1..4 int64 args.
+	// TaskDef1..TaskDef3 are task definitions with 1..3 int64 args.
 	TaskDef1 = core.TaskDef1
 	TaskDef2 = core.TaskDef2
 	TaskDef3 = core.TaskDef3
-	TaskDef4 = core.TaskDef4
 
 	// WatchdogError is the failure a tripped Options.Watchdog raises
 	// from Run: no scheduler progress for the interval with a blocked
@@ -163,11 +162,6 @@ func Define2(name string, fn func(*Worker, int64, int64) int64) *TaskDef2 {
 // Define3 declares a task taking three int64 arguments.
 func Define3(name string, fn func(*Worker, int64, int64, int64) int64) *TaskDef3 {
 	return core.Define3(name, fn)
-}
-
-// Define4 declares a task taking four int64 arguments.
-func Define4(name string, fn func(*Worker, int64, int64, int64, int64) int64) *TaskDef4 {
-	return core.Define4(name, fn)
 }
 
 // TaskDefC1 is a task definition carrying a typed context pointer and

@@ -118,7 +118,6 @@ func All() []*Analyzer {
 		OwnerPrivate,
 		LayoutGuard,
 		SpawnJoin,
-		Generated,
 		Publication,
 		PerfBudget,
 	}

@@ -27,10 +27,6 @@ func TestSpawnJoin(t *testing.T) {
 	analysistest.Run(t, "spawnjoin", analysis.SpawnJoin)
 }
 
-func TestGenerated(t *testing.T) {
-	analysistest.Run(t, "generated", analysis.Generated)
-}
-
 func TestPublication(t *testing.T) {
 	analysistest.Run(t, "publication", analysis.Publication)
 }

@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"testing"
-
-	"gowool/internal/gen"
 )
 
 func TestParseDirectiveEdgeCases(t *testing.T) {
@@ -39,11 +37,6 @@ func TestParseDirectiveEdgeCases(t *testing.T) {
 		{name: "empty after prefix", text: "// woolvet:", ok: false},
 		{name: "wrong prefix", text: "// woolvetx:owner", ok: false},
 		{name: "not a directive", text: "// plain comment", ok: false},
-		// The provenance seal line shares the "woolvet:" namespace; it
-		// must parse as its own verb so no annotation scanner mistakes
-		// it for an allow or field directive.
-		{name: "seal line", text: "//woolvet:generated sha256:abc123",
-			ok: true, verb: "generated", args: []string{"sha256:abc123"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, ok := parseDirective(&ast.Comment{Text: tc.text})
@@ -224,32 +217,5 @@ func f() {
 	}
 	if stale := ann.StaleAllows(map[string]bool{"atomicfield": true}); len(stale) != 0 {
 		t.Errorf("used func-doc allow reported stale: %d entries", len(stale))
-	}
-}
-
-func TestSealLineMidFile(t *testing.T) {
-	sealed := gen.Seal([]byte("package p\n\nvar x = 1\n"))
-
-	// A marker embedded mid-line (not at line start) is not a seal.
-	mid := append([]byte("// note: "), []byte(gen.MarkerPrefix+"deadbeef\n")...)
-	if found, _ := gen.Verify(mid); found {
-		t.Error("mid-line marker treated as a provenance seal")
-	}
-
-	// An unterminated marker line is reported, not ignored.
-	if found, err := gen.Verify([]byte(gen.MarkerPrefix + "deadbeef")); !found || err == nil {
-		t.Errorf("unterminated marker: found=%v err=%v, want found with error", found, err)
-	}
-
-	// A seal line that starts a later line is honoured: the hash
-	// covers only what follows it, so edits after the marker are
-	// caught...
-	shifted := append([]byte("// leading comment\n"), sealed...)
-	if found, err := gen.Verify(shifted); !found || err != nil {
-		t.Errorf("seal after a leading line: found=%v err=%v, want clean", found, err)
-	}
-	tampered := append(append([]byte{}, shifted...), []byte("var y = 2\n")...)
-	if _, err := gen.Verify(tampered); err == nil {
-		t.Error("edit after the marker not detected")
 	}
 }

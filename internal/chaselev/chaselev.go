@@ -43,7 +43,7 @@ type Task struct {
 	// woolvet:published-by deque
 	fn TaskFunc
 	// woolvet:published-by deque
-	a0, a1, a2, a3 int64
+	a0, a1, a2 int64
 	// woolvet:published-by deque
 	ctx any
 	// res is written by whoever ran the task and read by the owner

@@ -202,7 +202,6 @@ func TestAllTaskDefArities(t *testing.T) {
 	d1 := Define1("a1", func(w *Worker, a int64) int64 { return a * 2 })
 	d2 := Define2("a2", func(w *Worker, a, b int64) int64 { return a + b })
 	d3 := Define3("a3", func(w *Worker, a, b, c int64) int64 { return a + b*c })
-	d4 := Define4("a4", func(w *Worker, a, b, c, d int64) int64 { return a + b + c + d })
 	p.Run(func(w *Worker) int64 {
 		d1.Spawn(w, 21)
 		if got := d1.Join(w); got != 42 {
@@ -215,10 +214,6 @@ func TestAllTaskDefArities(t *testing.T) {
 		d3.Spawn(w, 2, 8, 5)
 		if got := d3.Join(w); got != 42 {
 			t.Errorf("d3 = %d, want 42", got)
-		}
-		d4.Spawn(w, 10, 10, 10, 12)
-		if got := d4.Join(w); got != 42 {
-			t.Errorf("d4 = %d, want 42", got)
 		}
 		if got := d1.Call(w, 5); got != 10 {
 			t.Errorf("d1.Call = %d, want 10", got)

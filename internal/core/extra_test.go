@@ -30,8 +30,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers default = %d", o.Workers)
 	}
-	if o.StackSize != 8192 || o.InitialPublic != 2 || o.TripDistance != 1 ||
-		o.PublishAmount != 2 {
+	if o.StackSize != 8192 || o.InitialPublic != 2 || o.PublishAmount != 2 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 	if o.MaxIdleSleep != 200*time.Microsecond {
@@ -141,21 +140,6 @@ func TestPrivatizeRunThreshold(t *testing.T) {
 	})
 	if st := p.Stats(); st.JoinsInlinedPublic != int64(privatizeRun/2+privatizeRun) || st.Publications != 1 {
 		t.Errorf("JoinsInlinedPublic/Publications = %d/%d, want %d/1", st.JoinsInlinedPublic, st.Publications, privatizeRun/2+privatizeRun)
-	}
-}
-
-func TestTripDistanceConfig(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, trip := range []int{1, 2, 4} {
-		p := NewPool(Options{Workers: 4, PrivateTasks: true, TripDistance: trip})
-		fib := fibDef()
-		for i := 0; i < 3; i++ {
-			if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 20) }); got != serialFib(20) {
-				t.Errorf("trip=%d: wrong result %d", trip, got)
-			}
-		}
-		p.Close()
 	}
 }
 

@@ -197,7 +197,7 @@ func TestTraceRecordsEvents(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	tr := trace.New(4, 1<<15)
 	p := NewPool(Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, TripDistance: 1, PublishAmount: 1, Trace: tr})
+		InitialPublic: 1, PublishAmount: 1, Trace: tr})
 	defer p.Close()
 	fib := fibDef()
 	if got := p.Run(func(w *Worker) int64 { return fib.Call(w, 20) }); got != serialFib(20) {
@@ -375,7 +375,7 @@ func TestTripWireContentionStress(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := NewPool(Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, TripDistance: 1, PublishAmount: 1})
+		InitialPublic: 1, PublishAmount: 1})
 	defer p.Close()
 	fib := fibDef()
 	reps := 30

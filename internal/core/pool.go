@@ -39,11 +39,6 @@ type Options struct {
 	// pulled back down). Default 2.
 	InitialPublic int
 
-	// TripDistance: a steal within this many descriptors of the public
-	// boundary trips the wire and asks the owner to publish more.
-	// Default 1 (the boundary task itself).
-	TripDistance int
-
 	// PublishAmount is how many descriptors a trip-wire notification
 	// publishes. Default 2.
 	PublishAmount int
@@ -110,9 +105,6 @@ func (o Options) Defaults() Options {
 	if o.InitialPublic <= 0 {
 		o.InitialPublic = 2
 	}
-	if o.TripDistance <= 0 {
-		o.TripDistance = 1
-	}
 	if o.PublishAmount <= 0 {
 		o.PublishAmount = 2
 	}
@@ -147,6 +139,11 @@ func (o *Options) initialPublicLimit() int64 {
 // sleep an idle worker pays before parking (default 16 × 200µs ≈ 3.2ms
 // of quiet), keeping parking invisible during normal run-to-run gaps.
 const parkAfterFactor = 16
+
+// tripDistance: a steal within this many descriptors of the public
+// boundary trips the wire and asks the owner to publish more; 1 is the
+// boundary task itself.
+const tripDistance = 1
 
 // privatizeRun is the number of consecutive inlined public joins after
 // which the owner pulls the public boundary back down (the revocable

@@ -14,7 +14,7 @@
 // its CAS, backing off when the value moved (the paper's ABA guard).
 //
 // On top of the basic algorithm the package implements the paper's
-// optimizations: task-specific join functions (TaskDef1..TaskDef4 and
+// optimizations: task-specific join functions (TaskDef1..TaskDef3 and
 // the context-carrying variants call the task function directly on the
 // inline path), private tasks with the trip-wire publication scheme
 // (Section III-B), and leapfrogging for joins that find their task
@@ -71,7 +71,7 @@ type TaskFunc func(w *Worker, t *Task)
 //
 // Field ownership:
 //   - state: shared; always accessed atomically by both owner and thieves.
-//   - fn, a0..a3, ctx: written by the owner before the state store that
+//   - fn, a0..a2, ctx: written by the owner before the state store that
 //     publishes the task; read by a thief only after a successful CAS on
 //     state (acquire), or by the owner itself.
 //   - res: written by whoever ran the task; read by the owner after
@@ -99,7 +99,7 @@ type Task struct {
 	fn TaskFunc
 
 	// woolvet:published-by state
-	a0, a1, a2, a3 int64
+	a0, a1, a2 int64
 	// woolvet:published-by state
 	ctx any
 
@@ -115,7 +115,7 @@ type Task struct {
 	// descriptors do not false-share while owner and thief work on
 	// neighbouring stack slots. Checked by TestTaskSize and by the
 	// layoutguard pass (woolvet:cacheline size=128 above).
-	_ [55]byte
+	_ [63]byte
 }
 
 // The accessors below are the argument-storage surface for woolgen's

@@ -7,7 +7,7 @@ package core
 // created once (typically in a package var) and are safe for concurrent
 // use by any worker.
 //
-// TaskDef1..TaskDef4 carry one to four int64 arguments. TaskDefC1 and
+// TaskDef1..TaskDef3 carry one to three int64 arguments. TaskDefC1 and
 // TaskDefC2 additionally carry a typed context pointer for tasks that
 // operate on shared structures (matrices, strings, ...). The context is
 // stored in an interface slot; storing a pointer there does not
@@ -142,49 +142,6 @@ func (d *TaskDef3) Join(w *Worker) int64 {
 	t, inline := w.joinAcquire()
 	if inline {
 		return d.fn(w, t.a0, t.a1, t.a2)
-	}
-	return t.res
-}
-
-// TaskDef4 defines a task taking four int64 arguments.
-type TaskDef4 struct {
-	fn   func(*Worker, int64, int64, int64, int64) int64
-	wrap TaskFunc
-	name string
-}
-
-// Define4 creates the task-specific routines for fn.
-func Define4(name string, fn func(*Worker, int64, int64, int64, int64) int64) *TaskDef4 {
-	d := &TaskDef4{fn: fn, name: name}
-	d.wrap = func(w *Worker, t *Task) { t.res = fn(w, t.a0, t.a1, t.a2, t.a3) }
-	return d
-}
-
-// Name returns the definition's diagnostic name.
-func (d *TaskDef4) Name() string { return d.name }
-
-// Spawn pushes a task on w's pool (inline on overflow, see TaskDef1).
-func (d *TaskDef4) Spawn(w *Worker, a0, a1, a2, a3 int64) {
-	t := w.push()
-	if t == nil {
-		w.noteOverflowInlined(d.fn(w, a0, a1, a2, a3))
-		return
-	}
-	t.a0, t.a1, t.a2, t.a3 = a0, a1, a2, a3
-	t.fn = d.wrap
-	w.spawn(t)
-}
-
-// Call invokes the task function directly, without creating a task.
-func (d *TaskDef4) Call(w *Worker, a0, a1, a2, a3 int64) int64 {
-	return d.fn(w, a0, a1, a2, a3)
-}
-
-// Join joins with the most recently spawned task.
-func (d *TaskDef4) Join(w *Worker) int64 {
-	t, inline := w.joinAcquire()
-	if inline {
-		return d.fn(w, t.a0, t.a1, t.a2, t.a3)
 	}
 	return t.res
 }

@@ -610,7 +610,7 @@ func (w *Worker) trySteal(victim *Worker, leap bool, sc *stealCounters) bool {
 	// is running dry; ask the owner to publish more, and pre-wake a
 	// parked worker for the work about to appear.
 	if w.pool.opts.PrivateTasks &&
-		b >= victim.publicLimit.Load()-int64(w.pool.opts.TripDistance) {
+		b >= victim.publicLimit.Load()-tripDistance {
 		victim.morePublic.Store(true)
 		if w.idle != nil && w.idle.parked.Load() != 0 {
 			w.idle.wakeOne(w)

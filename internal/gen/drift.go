@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -86,100 +87,115 @@ func splitArgs(line string) []string {
 	return strings.Fields(line)
 }
 
-// DiscoverDirs walks root and returns every directory (relative to
-// root) whose hand-written sources carry a woolgen go:generate
-// directive — the drift gate's subjects. New generating packages are
-// picked up automatically; nothing maintains a directory list.
-func DiscoverDirs(root string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
+// Check is the drift gate over the module rooted at root, and the
+// generated code's one provenance check. It finds every woolgen
+// go:generate directive in the module's hand-written sources,
+// regenerates each declared output in memory from the task bodies as
+// they stand and byte-compares it with the committed file: a mismatch
+// means the output is stale (a body or the generator changed) or was
+// hand-edited, and `go generate` must be re-run. Every *_gen.go file
+// must also be some directive's -out: one that is not is hand-written
+// code under the generated-output name, or output made outside
+// woolgen, and the gate could not regenerate it.
+//
+// Like the go command, the walk skips testdata, directories whose
+// names start with "." or "_", and nested modules. Check returns the
+// directories (relative to root) whose sources carry a directive, so a
+// new generating package joins the gate without a list to maintain,
+// and every failure found, joined.
+func Check(root string) ([]string, error) {
+	var dirs, outputs []string
+	var errs []error
+	subject, declared := map[string]bool{}, map[string]bool{}
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
 		if info.IsDir() {
-			if name := info.Name(); name == ".git" || name == "testdata" {
+			if path == root {
+				return nil
+			}
+			name := info.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_gen.go") {
+		if strings.HasSuffix(path, "_gen.go") {
+			outputs = append(outputs, path)
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		// Line-anchored, exactly like VerifyDir: directive mentions in
-		// doc comments (cmd/woolgen, this file) are not subjects.
-		directive := false
-		for _, line := range strings.Split(string(src), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), generatePrefix) {
-				directive = true
-				break
-			}
-		}
-		if !directive {
-			return nil
-		}
 		dir := filepath.Dir(path)
-		if !seen[dir] {
-			seen[dir] = true
-			rel, err := filepath.Rel(root, dir)
-			if err != nil {
-				return err
-			}
-			dirs = append(dirs, rel)
-		}
-		return nil
-	})
-	return dirs, err
-}
-
-// VerifyDir finds every woolgen go:generate directive in dir's
-// hand-written sources, regenerates each declared output in memory
-// from the task bodies as they stand and byte-compares it with the
-// committed file. A non-nil error means the committed output is stale
-// (a body or the generator changed, or the output was hand-edited) and
-// `go generate` must be re-run. It returns the number of directives
-// checked.
-func VerifyDir(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	checked := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return checked, err
-		}
+		found := false
+		// Line-anchored: directive mentions in doc comments
+		// (cmd/woolgen, this file) are not directives.
 		for _, line := range strings.Split(string(src), "\n") {
 			line = strings.TrimSpace(line)
 			if !strings.HasPrefix(line, generatePrefix) {
 				continue
 			}
-			f, out, err := FromArgs(splitArgs(strings.TrimPrefix(line, generatePrefix)), io.Discard)
+			found = true
+			out, err := verifyDirective(dir, strings.TrimPrefix(line, generatePrefix))
 			if err != nil {
-				return checked, fmt.Errorf("%s: %v", e.Name(), err)
+				errs = append(errs, fmt.Errorf("%s: %v", path, err))
 			}
-			f.Dir = filepath.Join(dir, f.Dir)
-			want, err := Generate(f)
-			if err != nil {
-				return checked, fmt.Errorf("%s: %v", e.Name(), err)
+			if out != "" {
+				declared[out] = true
 			}
-			got, err := os.ReadFile(filepath.Join(dir, out))
-			if err != nil {
-				return checked, fmt.Errorf("%s: committed output missing: %v", e.Name(), err)
-			}
-			if !bytes.Equal(got, want) {
-				return checked, fmt.Errorf("%s is stale: regenerate with `go generate %s`", out, dir)
-			}
-			checked++
+		}
+		if found && !subject[dir] {
+			subject[dir] = true
+			dirs = append(dirs, dir)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, out := range outputs {
+		if !declared[out] {
+			errs = append(errs, fmt.Errorf("%s is named like a woolgen output but no woolgen directive declares it as -out: generate it through woolgen or rename it", out))
 		}
 	}
-	return checked, nil
+	for i, dir := range dirs {
+		if dirs[i], err = filepath.Rel(root, dir); err != nil {
+			return nil, err
+		}
+	}
+	return dirs, errors.Join(errs...)
+}
+
+// verifyDirective regenerates the output that one directive in dir
+// declares (args is the directive after the woolgen command) and
+// compares it with the committed file. It returns the output's path
+// once the directive parses, whether or not the output is fresh.
+func verifyDirective(dir, args string) (string, error) {
+	f, out, err := FromArgs(splitArgs(args), io.Discard)
+	if err != nil {
+		return "", err
+	}
+	out = filepath.Join(dir, out)
+	f.Dir = filepath.Join(dir, f.Dir)
+	want, err := Generate(f)
+	if err != nil {
+		return out, err
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		return out, fmt.Errorf("committed output missing: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		return out, fmt.Errorf("%s is stale: regenerate with `go generate %s`", filepath.Base(out), dir)
+	}
+	return out, nil
 }

@@ -36,8 +36,10 @@
 // makes the fast path monomorphic: no interface values, no indirect
 // calls, no escapes. A body that spawns nothing is called as written.
 //
-// Output files carry a provenance header (see provenance.go) so the
-// woolvet generated pass can flag hand-edits.
+// An output's first line is the conventional "Code generated ... DO NOT
+// EDIT." comment. The drift gate (drift.go) is its provenance check: it
+// regenerates every declared output and byte-compares the committed
+// file, so a hand-edit and a stale output fail alike.
 package gen
 
 import (
@@ -187,7 +189,7 @@ func Generate(f File) ([]byte, error) {
 	var b bytes.Buffer
 	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
 
-	p("\npackage %s\n\n", f.Package)
+	p("// Code generated by woolgen. DO NOT EDIT.\n\npackage %s\n\n", f.Package)
 	imports := map[string]string{"gowool/internal/core": ""}
 	for _, imp := range f.Imports {
 		imports[imp] = ""
@@ -218,7 +220,7 @@ func Generate(f File) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gen: formatting output: %v\n%s", err, b.Bytes())
 	}
-	return Seal(src), nil
+	return src, nil
 }
 
 // genSig renders one signature's routines around its body.

@@ -13,7 +13,7 @@ var expansionConfigs = []core.Options{
 	{Workers: 1, PrivateTasks: true},
 	{Workers: 1},
 	{Workers: 2, PrivateTasks: true},
-	{Workers: 2, PrivateTasks: true, InitialPublic: 1, TripDistance: 1, PublishAmount: 1},
+	{Workers: 2, PrivateTasks: true, InitialPublic: 1, PublishAmount: 1},
 }
 
 // mix is a seeded hash of a tree node, for irregular shapes and leaf

@@ -35,7 +35,7 @@ func TestRecSerialAgreement(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := core.NewPool(core.Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, TripDistance: 1, PublishAmount: 1})
+		InitialPublic: 1, PublishAmount: 1})
 	defer p.Close()
 	c := fibCtx()
 	want := serialRec(c, 25)
@@ -53,7 +53,7 @@ func TestRecExactlyOnceLeaves(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := core.NewPool(core.Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, TripDistance: 1, PublishAmount: 1})
+		InitialPublic: 1, PublishAmount: 1})
 	defer p.Close()
 	var leaves atomic.Int64
 	c := &RecCtx{
@@ -92,7 +92,7 @@ func TestRangeSerialAgreement(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := core.NewPool(core.Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, TripDistance: 1, PublishAmount: 1})
+		InitialPublic: 1, PublishAmount: 1})
 	defer p.Close()
 	c := &RangeCtx{Leaf: func(i int64) int64 { return i * i }}
 	const n = 10_000
@@ -198,7 +198,7 @@ func TestPanicInStolenGeneratedTask(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := core.NewPool(core.Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, TripDistance: 1, PublishAmount: 1})
+		InitialPublic: 1, PublishAmount: 1})
 	defer p.Close()
 	c := &RecCtx{
 		Leaf: func(n int64) (int64, bool) {

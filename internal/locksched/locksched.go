@@ -1,7 +1,8 @@
-// Package locksched is the lock-based work-stealing scheduler ladder
-// the paper evaluates against the direct task stack: the "Base"
-// alternative of Table II and the base/peek/trylock steal strategies of
-// Figure 4 (Sections IV-B and IV-C).
+// Package locksched is the lock-based work-stealing scheduler the
+// paper evaluates against the direct task stack: the "Base" alternative
+// of Table II and the base steal strategy of Figure 4 (Sections IV-B
+// and IV-C). Figure 4's peek and trylock rungs are the simulator's
+// (sim.LockStrategy).
 //
 // Per the paper, each worker has a lock providing mutual exclusion
 // between its thieves and itself: a worker takes its own lock for join
@@ -11,16 +12,8 @@
 // indices. Because bot is protected by the lock, thieves never need to
 // back off.
 //
-// The steal strategies differ in how a thief approaches the lock:
-//
-//   - StealBase: take the lock immediately after selecting a victim.
-//   - StealPeek: first read the indices without the lock and only take
-//     it when there appears to be a stealable task.
-//   - StealTryLock: peek, then use TryLock and abort the attempt if the
-//     lock is contended.
-//
 // Joins that find their task stolen leapfrog, exactly as the direct
-// task stack does, so the ladder isolates the synchronization cost.
+// task stack does, so the comparison isolates the synchronization cost.
 package locksched
 
 import (
@@ -37,30 +30,6 @@ import (
 	"gowool/internal/wskit"
 )
 
-// StealStrategy selects how thieves interact with the victim's lock.
-type StealStrategy int
-
-// Steal strategies (Figure 4).
-const (
-	StealBase StealStrategy = iota
-	StealPeek
-	StealTryLock
-)
-
-// String returns the strategy name as used in the paper's Figure 4.
-func (s StealStrategy) String() string {
-	switch s {
-	case StealBase:
-		return "base"
-	case StealPeek:
-		return "peek"
-	case StealTryLock:
-		return "trylock"
-	default:
-		return fmt.Sprintf("StealStrategy(%d)", int(s))
-	}
-}
-
 // TaskFunc runs a task from its descriptor.
 type TaskFunc func(w *Worker, t *Task)
 
@@ -76,7 +45,7 @@ type Task struct {
 	// woolvet:published-by top
 	fn TaskFunc
 	// woolvet:published-by top
-	a0, a1, a2, a3 int64
+	a0, a1, a2 int64
 	// woolvet:published-by top
 	ctx any
 	// res is written by the thief before its done release and read by
@@ -93,9 +62,9 @@ type Task struct {
 	done atomic.Bool
 }
 
-// Stats are core's counters, for the events this ladder has: joins
-// inline as JoinsInlinedPublic, and Backoffs are TryLock failures
-// (trylock strategy only).
+// Stats are core's counters, for the events this scheduler has: joins
+// inline as JoinsInlinedPublic, and Backoffs stays 0 (a thief holds the
+// victim's lock, so it never backs off).
 type Stats = wskit.Counts
 
 // Worker is one lock-based worker. The fields are split into
@@ -130,9 +99,8 @@ type Worker struct {
 	// the paper) and read by thieves, hence atomic.
 	// woolvet:atomic
 	top atomic.Int64
-	// bot is written only under lock; the peek strategies read it
-	// without the lock, where staleness at worst wastes or skips one
-	// lock acquisition.
+	// bot is written only under lock; the victim policy's probe reads
+	// it without the lock, where staleness at worst wastes one choice.
 	// woolvet:atomic
 	bot atomic.Int64
 
@@ -141,7 +109,7 @@ type Worker struct {
 	// pol is the victim-selection policy (internal/steal), replacing
 	// the per-backend xorshift copy; probe is the read-only stealable
 	// probe handed to it (a lock-free bot/top peek — staleness at worst
-	// wastes one choice, like the peek strategies). Both owner-private.
+	// wastes one choice). Both owner-private.
 	// woolvet:cacheline group=owner
 	// woolvet:owner
 	pol steal.Policy
@@ -174,8 +142,6 @@ type Worker struct {
 	stealAttempts atomic.Int64
 	// woolvet:atomic
 	steals atomic.Int64
-	// woolvet:atomic
-	backoffs atomic.Int64
 }
 
 // Index returns the worker's index.
@@ -191,8 +157,6 @@ type Options struct {
 	Workers int
 	// StackSize is the per-worker pool capacity; default 8192.
 	StackSize int
-	// Strategy is the thief locking strategy; default StealBase.
-	Strategy StealStrategy
 	// MaxIdleSleep caps idle back-off sleeping; default 200µs.
 	MaxIdleSleep time.Duration
 	// Trace attaches a wooltrace tracer; this backend records STEAL
@@ -309,7 +273,6 @@ func (p *Pool) Stats() Stats {
 		ws := w.stats
 		ws.StealAttempts = w.stealAttempts.Load()
 		ws.Steals = w.steals.Load()
-		ws.Backoffs = w.backoffs.Load()
 		s.Add(&ws)
 	}
 	return s
@@ -323,7 +286,6 @@ func (p *Pool) ResetStats() {
 		w.stats = Stats{}
 		w.stealAttempts.Store(0)
 		w.steals.Store(0)
-		w.backoffs.Store(0)
 	}
 }
 
@@ -429,8 +391,9 @@ func (w *Worker) joinAcquire() (*Task, bool) {
 	return t, false
 }
 
-// trySteal attempts one steal from victim under the configured
-// strategy, running the stolen task to completion on w.
+// trySteal attempts one steal from victim, running the stolen task to
+// completion on w: the thief takes the victim's lock, then compares
+// the indices (the paper's base strategy).
 //
 // woolvet:thief
 func (w *Worker) trySteal(victim *Worker) bool {
@@ -442,23 +405,7 @@ func (w *Worker) trySteal(victim *Worker) bool {
 		// Fail-one-attempt is safe before the lock: nothing is claimed.
 		return false
 	}
-	strat := w.pool.opts.Strategy
-
-	if strat != StealBase {
-		// Peek: look at the indices without the lock first.
-		if victim.bot.Load() >= victim.top.Load() {
-			return false
-		}
-	}
-	if strat == StealTryLock {
-		if !victim.lock.TryLock() {
-			w.backoffs.Add(1)
-			return false
-		}
-	} else {
-		victim.lock.Lock()
-	}
-	// Re-check under mutual exclusion.
+	victim.lock.Lock()
 	bot := victim.bot.Load()
 	top := victim.top.Load()
 	if bot >= top {

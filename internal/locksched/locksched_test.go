@@ -27,41 +27,25 @@ func fibDef() *TaskDef1 {
 	return fib
 }
 
+// TestFibAllStrategies: fib agrees with the serial walk at every
+// worker count under the one steal strategy, the paper's base.
 func TestFibAllStrategies(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	for _, strat := range []StealStrategy{StealBase, StealPeek, StealTryLock} {
-		for _, workers := range []int{1, 2, 4} {
-			p := NewPool(Options{Workers: workers, Strategy: strat})
-			got := p.Run(func(w *Worker) int64 { return fibDef().Call(w, 20) })
-			if want := serialFib(20); got != want {
-				t.Errorf("%v workers=%d: got %d want %d", strat, workers, got, want)
-			}
-			p.Close()
+	for _, workers := range []int{1, 2, 4} {
+		p := NewPool(Options{Workers: workers})
+		got := p.Run(func(w *Worker) int64 { return fibDef().Call(w, 20) })
+		if want := serialFib(20); got != want {
+			t.Errorf("workers=%d: got %d want %d", workers, got, want)
 		}
-	}
-}
-
-func TestStrategyNames(t *testing.T) {
-	names := map[StealStrategy]string{
-		StealBase:    "base",
-		StealPeek:    "peek",
-		StealTryLock: "trylock",
-	}
-	for s, want := range names {
-		if got := s.String(); got != want {
-			t.Errorf("String(%d) = %q, want %q", int(s), got, want)
-		}
-	}
-	if got := StealStrategy(99).String(); got != "StealStrategy(99)" {
-		t.Errorf("unknown strategy String = %q", got)
+		p.Close()
 	}
 }
 
 func TestStatsConservation(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	p := NewPool(Options{Workers: 4, Strategy: StealPeek})
+	p := NewPool(Options{Workers: 4})
 	defer p.Close()
 	fib := fibDef()
 	p.Run(func(w *Worker) int64 { return fib.Call(w, 21) })
@@ -110,11 +94,10 @@ func TestQuickEquivalence(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	fib := fibDef()
-	err := quick.Check(func(nRaw, wRaw, sRaw uint8) bool {
+	err := quick.Check(func(nRaw, wRaw uint8) bool {
 		n := int64(nRaw % 16)
 		workers := int(wRaw%4) + 1
-		strat := StealStrategy(sRaw % 3)
-		p := NewPool(Options{Workers: workers, Strategy: strat})
+		p := NewPool(Options{Workers: workers})
 		defer p.Close()
 		got := p.Run(func(w *Worker) int64 { return fib.Call(w, n) })
 		return got == serialFib(n)

@@ -66,30 +66,28 @@ func TestChaosOverheadDisabled(t *testing.T) {
 }
 
 // TestChaosFibAllProfiles: serial agreement for fib under every chaos
-// profile and every steal strategy, seed in the failure output.
+// profile, seed in the failure output.
 func TestChaosFibAllProfiles(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	fib := fibDef()
 	want := serialFib(18)
 	for _, prof := range chaos.Profiles() {
-		for _, strat := range []StealStrategy{StealBase, StealPeek, StealTryLock} {
-			const seed = 12345
-			in := chaos.NewInjector(4, prof, seed)
-			p := NewPool(Options{Workers: 4, Strategy: strat, Chaos: in})
-			got := p.Run(func(w *Worker) int64 { return fib.Call(w, 18) })
-			p.Close()
-			if got != want {
-				t.Fatalf("profile %s seed %d strategy=%v: fib(18) = %d, want %d (replay with this seed)",
-					prof.Name, seed, strat, got, want)
-			}
-			total := uint64(0)
-			for _, c := range in.Counts() {
-				total += c
-			}
-			if total == 0 {
-				t.Fatalf("profile %s seed %d: no chaos points visited", prof.Name, seed)
-			}
+		const seed = 12345
+		in := chaos.NewInjector(4, prof, seed)
+		p := NewPool(Options{Workers: 4, Chaos: in})
+		got := p.Run(func(w *Worker) int64 { return fib.Call(w, 18) })
+		p.Close()
+		if got != want {
+			t.Fatalf("profile %s seed %d: fib(18) = %d, want %d (replay with this seed)",
+				prof.Name, seed, got, want)
+		}
+		total := uint64(0)
+		for _, c := range in.Counts() {
+			total += c
+		}
+		if total == 0 {
+			t.Fatalf("profile %s seed %d: no chaos points visited", prof.Name, seed)
 		}
 	}
 }

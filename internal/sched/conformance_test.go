@@ -63,7 +63,7 @@ func TestRegistry(t *testing.T) {
 			woolSteal, true, true, true, true, true, true, all},
 		{"chaselev", "Chase-Lev deque, TBB-style: free-list task structures, pointer deque, thief/victim sync on the top/bottom indices, steal-anywhere blocked joins",
 			"CAS on the deque's top index; steal child, oldest first", false, true, true, true, true, false, all},
-		{"locksched", "lock-based ladder: per-worker locked task pools, base/peek/trylock steal strategies, leapfrogging joins",
+		{"locksched", "lock-based, the paper's Base: per-worker locked task pools, a thief locks the victim then compares indices, leapfrogging joins",
 			"per-worker lock around the victim's pool; steal child, oldest first", false, true, true, true, true, false, all},
 		{"cilk", "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops",
 			"lock on the victim's continuation deque; steal parent (the continuation), oldest first", false, true, false, true, true, false, all},

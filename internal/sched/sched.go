@@ -264,9 +264,9 @@ var registry = []Scheduler{{
 		p.runRange = func(j RangeJob) int64 { return np.Run(rangeRoot(chaselev.Define2, j)) }
 	},
 }, {
-	// The paper's "base" steal implementation family (Figure 4).
+	// The paper's "base" steal implementation (Table II, Figure 4).
 	name:  "locksched",
-	blurb: "lock-based ladder: per-worker locked task pools, base/peek/trylock steal strategies, leapfrogging joins",
+	blurb: "lock-based, the paper's Base: per-worker locked task pools, a thief locks the victim then compares indices, leapfrogging joins",
 	caps: Caps{
 		Steal:         "per-worker lock around the victim's pool; steal child, oldest first",
 		Stats:         true,

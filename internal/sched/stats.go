@@ -17,8 +17,8 @@ import (
 //   - chaselev: joins inline as JoinsInlinedPublic; Backoffs are owner
 //     pops that lost the last-element CAS race to a thief. Extra:
 //     wait_steals, allocs.
-//   - locksched: joins inline as JoinsInlinedPublic; Backoffs are
-//     TryLock failures (trylock strategy only). No Extra.
+//   - locksched: joins inline as JoinsInlinedPublic; Backoffs stay 0
+//     (a thief holds the victim's lock). No Extra.
 //   - cilk: joins are not events (continuations resume instead).
 //     Extra: suspends, resumes.
 //   - omp: a central pool has no steals or deque joins; only Spawns

@@ -10,8 +10,8 @@ const spanOverhead = 2000
 // join contributes max(continuation, child)) and the realistic one
 // (parallel composition only when it saves at least spanOverhead
 // cycles, and then it costs an extra spanOverhead on the critical
-// path). This is the simulated counterpart of core.SpanProfiler and
-// produces the parallelism columns of Table I deterministically.
+// path). It produces the parallelism columns of Table I
+// deterministically.
 type spanTracker struct {
 	frames []spanFrame
 	marks  []spanMark

@@ -151,17 +151,22 @@ func (p *localizedPolicy) Choose(func(int) bool) int {
 	if x>>32 < localizedSpill {
 		return p.pick() // spill out: uniform over everyone
 	}
-	j := int(uint32(x)) % p.h
+	return neighbor(p.self, int(uint32(x))%p.h, p.n)
+}
+
+// neighbor returns the j-th of self's ring neighbours on an n-ring in
+// the localized policy's order: +1, -1, +2, -2, ...
+func neighbor(self, j, n int) int {
 	d := j/2 + 1
-	v := p.self
+	v := self
 	if j&1 == 0 {
 		v += d
 	} else {
 		v -= d
 	}
-	v %= p.n
+	v %= n
 	if v < 0 {
-		v += p.n
+		v += n
 	}
 	return v
 }

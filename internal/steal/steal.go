@@ -176,6 +176,21 @@ func New(cfg Config, self, workers int) Policy {
 	panic("steal: unreachable policy " + cfg.Policy)
 }
 
+// InNeighborhood reports whether victim is one of the workers the
+// localized policy with neighborhood h robs from thief on an n-ring
+// when it does not spill: thief's first h ring neighbours in the order
+// +1, -1, +2, -2, ... (all n-1 others once h >= n-1). An odd h covers
+// one side one step further than the other, so a ring distance alone
+// cannot tell membership.
+func InNeighborhood(thief, victim, h, n int) bool {
+	for j := 0; j < h && j < n-1; j++ {
+		if neighbor(thief, j, n) == victim {
+			return true
+		}
+	}
+	return false
+}
+
 // RingDistance returns the distance between workers a and b on the
 // n-ring — the victim-distance metric of the Localized policy, the
 // simulator's sharded topology, and the steal-matrix locality reports.

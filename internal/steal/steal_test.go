@@ -167,8 +167,8 @@ func TestLocalizedNeighborhood(t *testing.T) {
 			spilled++
 			continue
 		}
-		if d := RingDistance(self, v, n); d > (h+1)/2 {
-			t.Fatalf("draw %d: victim %d at ring distance %d, neighborhood %d", i, v, d, h)
+		if !InNeighborhood(self, v, h, n) {
+			t.Fatalf("draw %d: victim %d at ring distance %d, outside neighborhood %d", i, v, RingDistance(self, v, n), h)
 		}
 	}
 	if spilled == 0 {
@@ -202,6 +202,26 @@ func TestLocalizedSpill(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("degenerate localized covered %d victims, want 3", len(seen))
+	}
+}
+
+// TestInNeighborhood: membership follows the offset rule, so on a
+// 4-ring a neighborhood of 2 holds the two workers at distance 1 and
+// not the one at distance 2, and a neighborhood of 3 holds everyone.
+func TestInNeighborhood(t *testing.T) {
+	cases := []struct {
+		thief, victim, h, n int
+		want                bool
+	}{
+		{0, 1, 2, 4, true}, {0, 3, 2, 4, true}, {0, 2, 2, 4, false}, {0, 0, 2, 4, false},
+		{0, 2, 3, 4, true}, {0, 2, 99, 4, true},
+		{5, 6, 1, 16, true}, {5, 4, 1, 16, false},
+		{5, 7, 3, 16, true}, {5, 3, 3, 16, false},
+	}
+	for _, c := range cases {
+		if got := InNeighborhood(c.thief, c.victim, c.h, c.n); got != c.want {
+			t.Errorf("InNeighborhood(%d, %d, h=%d, n=%d) = %v, want %v", c.thief, c.victim, c.h, c.n, got, c.want)
+		}
 	}
 }
 

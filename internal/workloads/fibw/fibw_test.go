@@ -99,7 +99,7 @@ func TestGeneratedPortAgrees(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	p := core.NewPool(core.Options{Workers: 4, PrivateTasks: true,
-		InitialPublic: 1, TripDistance: 1, PublishAmount: 1})
+		InitialPublic: 1, PublishAmount: 1})
 	defer p.Close()
 	want := fibw.Serial(25)
 	for rep := 0; rep < 5; rep++ {
