@@ -18,8 +18,7 @@ test:
 	$(GO) test ./...
 
 # Race-detect every scheduler backend that has a thief/victim protocol
-# (direct task stack, Chase-Lev deque, locked deque, cilk-style,
-# central queue) plus the simulator driving them and the virtual-time
+# (direct task stack, Chase-Lev deque, locked deque, central queue) plus the simulator driving them and the virtual-time
 # kernel under it (internal/vtime: its coroutine token hand-off is what
 # makes the simulator's plain shared data race-free), the registry's
 # chaos-profile conformance suite (internal/sched), the serving layer's
@@ -27,18 +26,16 @@ test:
 # ports both of those run (internal/gen).
 race:
 	$(GO) test -race -count=1 ./internal/core/... ./internal/chaselev/... \
-		./internal/locksched/... ./internal/cilkstyle/... \
-		./internal/ompstyle/... ./internal/sim/... ./internal/vtime/... \
-		./internal/sched/... ./internal/serve/... ./internal/wskit/... \
-		./internal/gen/...
+		./internal/locksched/... ./internal/ompstyle/... ./internal/sim/... \
+		./internal/vtime/... ./internal/sched/... ./internal/serve/... \
+		./internal/wskit/... ./internal/gen/...
 
 # The same pass as CI runs it: -short, plus the workload packages.
 race-short:
 	$(GO) test -race -count=1 -short ./internal/core/... ./internal/chaselev/... \
-		./internal/locksched/... ./internal/cilkstyle/... \
-		./internal/ompstyle/... ./internal/sim/... ./internal/vtime/... \
-		./internal/sched/... ./internal/serve/... ./internal/wskit/... \
-		./internal/gen/... ./internal/workloads/
+		./internal/locksched/... ./internal/ompstyle/... ./internal/sim/... \
+		./internal/vtime/... ./internal/sched/... ./internal/serve/... \
+		./internal/wskit/... ./internal/gen/... ./internal/workloads/
 
 # woolvet enforces the direct-task-stack protocol invariants
 # (atomic-only fields, owner-private fields, cache-line layout,

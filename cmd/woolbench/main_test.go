@@ -122,3 +122,27 @@ func TestRingLocalityCountsTheNeighborhood(t *testing.T) {
 		t.Errorf("local fraction = %v, want %v: a distance-2 steal counted as local", localFrac, want)
 	}
 }
+
+// TestSweepLinesDashWithoutSteals: a grid cell with no steals has no
+// locality, so its printed line shows "-" where a cell with steals
+// shows its distance and fraction; a 0.00 there would read as a cell
+// whose every steal was remote.
+func TestSweepLinesDashWithoutSteals(t *testing.T) {
+	cases := []struct{ got, want string }{
+		{(&nativeStealCell{Backend: "wool", Policy: "random", Workload: "fib", BestMs: 1.5}).line(),
+			"  wool       random       fib          1.5 ms  steals=0      dist=- local=-"},
+		{(&nativeStealCell{Backend: "wool", Policy: "random", Workload: "fib", BestMs: 1.5,
+			Steals: 4, MeanRingDist: 1.25, LocalFrac: 0.5}).line(),
+			"  wool       random       fib          1.5 ms  steals=4      dist=1.25 local=0.50"},
+		{(&simStealCell{Kind: "direct-stack", Policy: "localized", Workload: "stress", KCycles: 27}).line(),
+			"  direct-stack localized    stress          27 kcycles  steals=0      hops=- remote=-"},
+		{(&simStealCell{Kind: "direct-stack", Policy: "localized", Workload: "stress", KCycles: 27,
+			Steals: 10, MeanHops: 0.3, RemoteFrac: 0.2}).line(),
+			"  direct-stack localized    stress          27 kcycles  steals=10     hops=0.30 remote=0.20"},
+	}
+	for _, c := range cases {
+		if c.got != c.want {
+			t.Errorf("line = %q\nwant    %q", c.got, c.want)
+		}
+	}
+}

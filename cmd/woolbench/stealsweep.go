@@ -82,6 +82,28 @@ type simStealCell struct {
 	RemoteFrac float64 `json:"remote_frac"`
 }
 
+// line is the cell's row of the printed native grid. A cell with no
+// steals has no locality, so its distance and fraction print "-".
+func (c *nativeStealCell) line() string {
+	dist, local := "-", "-"
+	if c.Steals > 0 {
+		dist, local = fmt.Sprintf("%.2f", c.MeanRingDist), fmt.Sprintf("%.2f", c.LocalFrac)
+	}
+	return fmt.Sprintf("  %-10s %-12s %-7s %8.1f ms  steals=%-6d dist=%s local=%s",
+		c.Backend, c.Policy, c.Workload, c.BestMs, c.Steals, dist, local)
+}
+
+// line is the cell's row of the printed sim grid, with "-" for the
+// hops and remote fraction of a cell with no steals.
+func (c *simStealCell) line() string {
+	hops, remote := "-", "-"
+	if c.Steals > 0 {
+		hops, remote = fmt.Sprintf("%.2f", c.MeanHops), fmt.Sprintf("%.2f", c.RemoteFrac)
+	}
+	return fmt.Sprintf("  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%s remote=%s",
+		c.Kind, c.Policy, c.Workload, c.KCycles, c.Steals, hops, remote)
+}
+
 // sweepWorkload is one workload of the grid at its native and its
 // simulated inputs.
 type sweepWorkload struct {
@@ -328,9 +350,7 @@ func runStealSweep(w io.Writer, path string, full bool) error {
 					return err
 				}
 				rep.Native = append(rep.Native, cell)
-				fmt.Fprintf(w, "  %-10s %-12s %-7s %8.1f ms  steals=%-6d dist=%.2f local=%.2f\n",
-					cell.Backend, cell.Policy, cell.Workload,
-					cell.BestMs, cell.Steals, cell.MeanRingDist, cell.LocalFrac)
+				fmt.Fprintln(w, cell.line())
 			}
 		}
 	}
@@ -338,9 +358,7 @@ func runStealSweep(w io.Writer, path string, full bool) error {
 	fmt.Fprintf(w, "stealsweep: sim grid (P=%d, %d shards)\n", sz.simProcs, sz.simShards)
 	rep.Sim = simGrid(sz)
 	for _, cell := range rep.Sim {
-		fmt.Fprintf(w, "  %-12s %-12s %-7s %10.0f kcycles  steals=%-6d hops=%.2f remote=%.2f\n",
-			cell.Kind, cell.Policy, cell.Workload,
-			cell.KCycles, cell.Steals, cell.MeanHops, cell.RemoteFrac)
+		fmt.Fprintln(w, cell.line())
 	}
 
 	printRankings(w, &rep)

@@ -20,8 +20,8 @@ import (
 //   - d.Spawn*(...) or Spawn*(...) as a statement increments the
 //     outstanding count
 //     (continuation-style spawns, whose result is returned — the
-//     cilkstyle Step idiom — manage their joins through Sync steps and
-//     are exempt);
+//     simulator's steal-parent frames, `return w.Spawn(...)` on
+//     sim.W — manage their joins through Sync steps and are exempt);
 //   - d.Join*(...) anywhere in a statement decrements it;
 //   - Sync / Taskwait are barriers clearing all outstanding spawns;
 //   - a loop whose body has surplus joins drains the outstanding
@@ -277,8 +277,8 @@ func (s *sjScanner) countExpr(e ast.Expr, p *pending) {
 // countNode walks a single statement or expression subtree.
 // statementSpawns controls whether spawn calls count: a spawn only
 // creates an outstanding join obligation when used as a statement
-// (direct style); spawns whose value is consumed are the cilkstyle
-// continuation idiom.
+// (direct style); spawns whose value is consumed are the continuation
+// idiom of sim.W.Spawn.
 func (s *sjScanner) countNode(n ast.Node, p *pending, statementSpawns bool) {
 	ast.Inspect(n, func(c ast.Node) bool {
 		switch c := c.(type) {

@@ -79,7 +79,7 @@ func barrier(d *def, w *wkr, n int64) {
 }
 
 // continuation-style spawns return the next step; their joins are
-// managed by Sync steps elsewhere (the cilkstyle idiom), so
+// managed by Sync steps elsewhere (the sim.W.Spawn idiom), so
 // value-position spawns are exempt.
 func continuation(d *def, w *wkr, n int64) int64 {
 	return d.SpawnRet(w, n)

@@ -75,15 +75,14 @@ const (
 	// (park-flapping), stressing the wake protocol.
 	PointParkDecision
 
-	// PointDequePop: the owner of a Chase-Lev deque (or a locked deque)
-	// is popping at the bottom. Delaying sits the owner inside the
-	// owner-vs-thief last-element race. Never failed: faking a lost pop
-	// would strand a task both sides believe the other owns.
+	// PointDequePop: the owner of a Chase-Lev deque is popping at the
+	// bottom. Delaying sits the owner inside the owner-vs-thief
+	// last-element race. Never failed: faking a lost pop would strand a
+	// task both sides believe the other owns.
 	PointDequePop
 
 	// PointLockAcquire: a thief is about to take the victim's lock
-	// (locksched, cilkstyle). Failing aborts the attempt like a
-	// contended TryLock.
+	// (locksched). Failing aborts the attempt like a contended TryLock.
 	PointLockAcquire
 
 	// PointQueueTake: a worker is about to take from the central queue

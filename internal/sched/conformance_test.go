@@ -65,8 +65,6 @@ func TestRegistry(t *testing.T) {
 			"CAS on the deque's top index; steal child, oldest first", false, true, true, true, true, false, all},
 		{"locksched", "lock-based, the paper's Base: per-worker locked task pools, a thief locks the victim then compares indices, leapfrogging joins",
 			"per-worker lock around the victim's pool; steal child, oldest first", false, true, true, true, true, false, all},
-		{"cilk", "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops",
-			"lock on the victim's continuation deque; steal parent (the continuation), oldest first", false, true, false, true, true, false, all},
 		{"omp", "centralized pool, icc OpenMP 3.0-style: closure tasks through one global lock, taskwait helps, loops by work-sharing",
 			"one lock-protected central queue; any idle worker takes the oldest task", false, true, false, true, true, false, nil},
 		{"gonative", "idiomatic Go baseline: goroutines + channels/WaitGroups on the Go runtime, bounded forking for recursion, goroutine-per-chunk loops",

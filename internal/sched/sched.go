@@ -1,9 +1,8 @@
-// Package sched is the scheduler registry: a table of seven rows, one
+// Package sched is the scheduler registry: a table of six rows, one
 // per scheduler — the paper's direct task stack (internal/core) twice,
 // behind generic and behind generated ports, the Chase-Lev deque (the
-// TBB stand-in), the lock-based ladder, the steal-parent continuation
-// scheduler (the Cilk++ stand-in), the centralized OpenMP-style pool,
-// and the idiomatic-Go goroutine baseline. A row gives
+// TBB stand-in), the lock-based ladder, the centralized OpenMP-style
+// pool, and the idiomatic-Go goroutine baseline. A row gives
 //
 //   - a normalized Options → native-knob mapping (NewPool),
 //   - a normalized Stats ← native-counter mapping,
@@ -24,7 +23,6 @@ import (
 
 	"gowool/internal/chaos"
 	"gowool/internal/chaselev"
-	"gowool/internal/cilkstyle"
 	"gowool/internal/core"
 	"gowool/internal/gen/ports"
 	"gowool/internal/gonative"
@@ -44,10 +42,9 @@ type Options struct {
 	Workers int
 	// StackSize is the per-worker task-pool capacity, where the
 	// backend has a fixed-capacity pool (core, locksched: descriptor
-	// stack; chaselev: deque slots), and the initial pool capacity on
-	// backends with growable pools (cilk: continuation deque; omp:
-	// central queue). gonative has no pool and ignores it. 0 means the
-	// backend default.
+	// stack; chaselev: deque slots), and the initial capacity of omp's
+	// growable central queue. gonative has no pool and ignores it. 0
+	// means the backend default.
 	StackSize int
 	// PrivateTasks enables the private-task optimization on backends
 	// that implement it (the direct task stack only).
@@ -287,36 +284,6 @@ var registry = []Scheduler{{
 		p.native, p.stats = np, func() Stats { return Stats{Counts: np.Stats()} }
 		p.runRec = func(j RecJob) int64 { return np.Run(recRoot(locksched.Define1, j)) }
 		p.runRange = func(j RangeJob) int64 { return np.Run(rangeRoot(locksched.Define2, j)) }
-	},
-}, {
-	// The Cilk++ stand-in; its ports are the frames in cilk.go.
-	name:  "cilk",
-	blurb: "steal-parent continuations, Cilk++-style: cactus-stack frames, locked deques of continuations, constant task-pool space in spawn loops",
-	caps: Caps{
-		Steal:         "lock on the victim's continuation deque; steal parent (the continuation), oldest first",
-		Stats:         true,
-		Trace:         true,
-		Chaos:         true,
-		StealPolicies: steal.Policies(),
-	},
-	newPool: func(p *Pool, o Options) {
-		np := cilkstyle.NewPool(cilkstyle.Options{
-			Workers:      o.Workers,
-			DequeSize:    o.StackSize,
-			MaxIdleSleep: o.MaxIdleSleep,
-			Trace:        o.Trace,
-			Chaos:        o.Chaos,
-			Steal:        o.Steal,
-		})
-		p.native, p.stats = np, func() Stats {
-			s := np.Stats()
-			return Stats{Counts: s.Counts, Extra: map[string]int64{
-				"suspends": s.Suspends,
-				"resumes":  s.Resumes,
-			}}
-		}
-		p.runRec = func(j RecJob) int64 { return cilkRunRec(np, j) }
-		p.runRange = func(j RangeJob) int64 { return cilkRunRange(np, j) }
 	},
 }, {
 	// The centralized OpenMP-style pool; its ports are in omp.go.

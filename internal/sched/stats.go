@@ -19,8 +19,6 @@ import (
 //     wait_steals, allocs.
 //   - locksched: joins inline as JoinsInlinedPublic; Backoffs stay 0
 //     (a thief holds the victim's lock). No Extra.
-//   - cilk: joins are not events (continuations resume instead).
-//     Extra: suspends, resumes.
 //   - omp: a central pool has no steals or deque joins; only Spawns
 //     moves. Extra: executed, wait_loops, chunks_run, max_queued,
 //     lock_passes.

@@ -4,9 +4,9 @@ package sim
 // the true Cilk execution order, complementing the cost-level
 // approximation the experiment catalog uses for Cilk++ (KindLock with
 // Cilk++ costs). Workloads are written as explicit continuation steps
-// over cactus frames — the same shape as the native internal/cilkstyle
-// engine — so a spawn runs the child immediately and thieves take the
-// parent's continuation from the head of a locked deque. Victim
+// over cactus frames, the shape Cilk++'s compiler generates, so a spawn
+// runs the child immediately and thieves take the parent's
+// continuation from the head of a locked deque. Victim
 // choice, the back-off ladder, the lock and the steal charge are the
 // steal-child protocol's (protocol.go).
 //

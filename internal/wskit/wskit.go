@@ -3,7 +3,7 @@
 // the pool lifecycle — the closed / running / poisoned record behind
 // Run and Close — the idle back-off ladder, the trace/chaos sink size
 // check, and the event counts (Counts) every Stats struct is built on.
-// core, chaselev, locksched, cilkstyle and ompstyle each used to carry
+// core, chaselev, locksched and ompstyle each used to carry
 // a copy; a fix now lands once (DESIGN.md §18).
 package wskit
 
